@@ -14,12 +14,15 @@
 //
 // Reports buddy wire traffic (codec_wire_bytes vs codec_raw_bytes, hit
 // rate = skipped/total chunks), XOR parity-delta traffic, and durable-tier
-// flush bytes (encoded vs raw). Writes BENCH_delta.json for trajectory
-// comparison across commits, and prints the analytic model's predicted
+// flush bytes (encoded vs raw). Writes BENCH_delta.json (with the host's
+// core count) for trajectory comparison across commits; every byte count in
+// it is deterministic, so two builds that encode identically write identical
+// counts. Also prints the analytic model's predicted
 // checkpoint-cost scale (model::delta_cost_scale) fed with the measured
 // hit rate and compression ratio.
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "acr/runtime.h"
@@ -195,7 +198,8 @@ int main() {
 
   std::FILE* out = std::fopen("BENCH_delta.json", "w");
   if (out != nullptr) {
-    std::fprintf(out, "{\n \"points\": [\n");
+    std::fprintf(out, "{\n \"host_cores\": %u,\n \"points\": [\n",
+                 std::thread::hardware_concurrency());
     for (std::size_t i = 0; i < points.size(); ++i) {
       const SweepPoint& p = points[i];
       const RunSummary& s = p.summary;

@@ -8,7 +8,9 @@
 // pack-tee's real 4 KiB write granularity, and the xor parity fold rate.
 //
 // Also measures the PUP pack / compare rates that calibrate the phase
-// model, so the calibration is reproducible on the build machine.
+// model, so the calibration is reproducible on the build machine, and the
+// checkpoint codec's LZ stage per 256 KiB chunk on zeros, dense doubles
+// and a real jacobi image.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -16,14 +18,17 @@
 #include <span>
 #include <vector>
 
+#include "apps/jacobi3d.h"
 #include "checksum/crc32c.h"
 #include "checksum/fletcher.h"
 #include "checksum/kernels.h"
 #include "checksum/sink.h"
+#include "ckpt/codec.h"
 #include "common/rng.h"
 #include "parallel/pool.h"
 #include "pup/checker.h"
 #include "pup/pup.h"
+#include "rt/cluster.h"
 
 namespace {
 
@@ -225,6 +230,91 @@ void BM_CheckerCompare(benchmark::State& state) {
                           state.range(0) * 8);
 }
 BENCHMARK(BM_CheckerCompare)->Range(1 << 10, 1 << 20);
+
+// --- checkpoint codec: the LZ stage ------------------------------------------
+
+/// Image shapes for the LZ rows: 0 = zeros, 1 = dense doubles (every value
+/// distinct), 2 = a 64^3 jacobi task's packed checkpoint with the initial
+/// impulse over a quarter of the block (init_fill_fraction = 0.25), the
+/// image the ckpt-rs-lz workload ships.
+std::vector<std::byte> lz_image(std::int64_t shape) {
+  constexpr std::size_t kBytes = 8 * acr::checksum::kDigestChunk;
+  if (shape == 0) return std::vector<std::byte>(kBytes, std::byte{0});
+  if (shape == 1) {
+    acr::Pcg32 rng(kBytes, 7);
+    std::vector<double> vals(kBytes / sizeof(double));
+    for (double& v : vals) v = rng.uniform();
+    std::vector<std::byte> out(kBytes);
+    std::memcpy(out.data(), vals.data(), kBytes);
+    return out;
+  }
+  // One node running one jacobi iteration, packed the way the agent packs.
+  acr::apps::Jacobi3DConfig cfg;
+  cfg.tasks_x = cfg.tasks_y = cfg.tasks_z = 1;
+  cfg.block_x = cfg.block_y = cfg.block_z = 64;
+  cfg.slots_per_node = 1;
+  cfg.iterations = 1;
+  cfg.init_fill_fraction = 0.25;
+  acr::rt::Engine engine;
+  acr::rt::ClusterConfig cc;
+  cc.nodes_per_replica = 1;
+  cc.spare_nodes = 0;
+  acr::rt::Cluster cluster(engine, cc);
+  cluster.set_task_factory(cfg.factory());
+  cluster.populate();
+  cluster.start_application();
+  engine.run();
+  acr::pup::Checkpoint img = cluster.node_at(0, 0).pack_state();
+  return std::vector<std::byte>(img.bytes().begin(), img.bytes().end());
+}
+
+const char* lz_shape_name(std::int64_t shape) {
+  return shape == 0 ? "zeros" : shape == 1 ? "doubles" : "jacobi64";
+}
+
+/// Compress every digest chunk of the image, as the codec's compress stage
+/// does for a full frame.
+void BM_LzCompress(benchmark::State& state) {
+  std::vector<std::byte> img = lz_image(state.range(0));
+  std::span<const std::byte> all(img);
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < acr::checksum::digest_chunk_count(all.size());
+         ++i) {
+      auto [begin, end] = acr::checksum::digest_chunk_range(all.size(), i);
+      benchmark::DoNotOptimize(
+          acr::ckpt::lz_compress_block(all.subspan(begin, end - begin)));
+    }
+  }
+  state.SetLabel(lz_shape_name(state.range(0)));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(img.size()));
+}
+BENCHMARK(BM_LzCompress)->Arg(0)->Arg(1)->Arg(2);
+
+void BM_LzDecompress(benchmark::State& state) {
+  std::vector<std::byte> img = lz_image(state.range(0));
+  std::span<const std::byte> all(img);
+  std::vector<std::vector<std::byte>> blocks;
+  for (std::size_t i = 0; i < acr::checksum::digest_chunk_count(all.size());
+       ++i) {
+    auto [begin, end] = acr::checksum::digest_chunk_range(all.size(), i);
+    blocks.push_back(
+        acr::ckpt::lz_compress_block(all.subspan(begin, end - begin)));
+  }
+  std::vector<std::byte> out(acr::checksum::kDigestChunk);
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < blocks.size(); ++i) {
+      auto [begin, end] = acr::checksum::digest_chunk_range(all.size(), i);
+      acr::ckpt::lz_decompress_into(
+          blocks[i], std::span<std::byte>(out.data(), end - begin));
+      benchmark::DoNotOptimize(out.data());
+    }
+  }
+  state.SetLabel(lz_shape_name(state.range(0)));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(img.size()));
+}
+BENCHMARK(BM_LzDecompress)->Arg(0)->Arg(1)->Arg(2);
 
 }  // namespace
 

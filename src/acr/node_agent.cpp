@@ -737,7 +737,7 @@ void NodeAgent::send_codec_frame_to_buddy() {
     send_checkpoint_to_buddy(cand, kPurposeCompare);
     return;
   }
-  ckpt::CodecPipeline pipe(codec);
+  ckpt::CodecPipeline pipe(codec, env_.codec_memo);
   ckpt::CodecFrame frame =
       base_ok ? pipe.encode(cand.image.buffer(), cand_digests_,
                             &codec_base_.digests, codec_base_.image.size())
@@ -1107,7 +1107,7 @@ void NodeAgent::start_flush(std::uint64_t epoch, bool urgent) {
                    env_.tier->chain_length(replica_, index_, l2_base_epoch_) <
                        ckpt::kTierMaxChain;
     if (base_ok || codec.compress_on()) {
-      ckpt::CodecPipeline pipe(codec);
+      ckpt::CodecPipeline pipe(codec, env_.codec_memo);
       ckpt::DeltaBlob blob;
       blob.epoch = epoch;
       blob.iteration = img.iteration;

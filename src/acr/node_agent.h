@@ -26,6 +26,7 @@
 
 #include "acr/config.h"
 #include "acr/wire.h"
+#include "ckpt/codec.h"
 #include "ckpt/redundancy.h"
 #include "ckpt/rs.h"
 #include "ckpt/store.h"
@@ -43,6 +44,9 @@ struct AcrEnv {
   /// Simulated L2 durable tier; null (or config->tier disabled) = the
   /// single-tier protocol, byte-identical to builds without the tier.
   ckpt::DurableTier* tier = nullptr;
+  /// The run's compress-stage memo, shared by every agent so a chunk both
+  /// replicas carry is compressed once; null = no memo.
+  ckpt::ChunkMemo* codec_memo = nullptr;
 };
 
 class NodeAgent final : public rt::NodeService {

@@ -86,7 +86,7 @@ NodeAgent* AcrRuntime::install_agent(rt::Node& node) {
     agent->reset_for_restart();
     return agent;
   }
-  AcrEnv env{cluster_.get(), &acr_config_, tier_.get()};
+  AcrEnv env{cluster_.get(), &acr_config_, tier_.get(), &codec_memo_};
   auto agent = std::make_unique<NodeAgent>(env, node);
   NodeAgent* raw = agent.get();
   node.set_service(std::move(agent));
@@ -101,7 +101,7 @@ void AcrRuntime::setup() {
     for (int i = 0; i < cluster_->nodes_per_replica(); ++i)
       install_agent(cluster_->node_at(r, i));
   manager_ = std::make_unique<Manager>(
-      AcrEnv{cluster_.get(), &acr_config_, tier_.get()},
+      AcrEnv{cluster_.get(), &acr_config_, tier_.get(), &codec_memo_},
       [this](rt::Node& n) { return install_agent(n); });
   manager_->start();
   if (acr_config_.tier.enabled()) {

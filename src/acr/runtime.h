@@ -169,6 +169,8 @@ class AcrRuntime {
   NodeAgent* install_agent(rt::Node& node);
 
   AcrConfig acr_config_;
+  /// Compress-stage memo shared by every agent (AcrEnv::codec_memo).
+  ckpt::ChunkMemo codec_memo_;
   rt::Engine engine_;
   std::unique_ptr<rt::Cluster> cluster_;
   std::unique_ptr<ckpt::DurableTier> tier_;

@@ -45,6 +45,10 @@ std::span<std::byte> Buffer::mutable_bytes() {
     parallel::copy_bytes(fresh->data(), data(), len_);
     storage_ = std::move(fresh);
     offset_ = 0;
+  } else {
+    // Sole owner: write in place, but under a fresh identity (the bytes
+    // move, nothing is copied) so no WeakBuffer sees them change.
+    storage_ = std::make_shared<Storage>(std::move(*storage_));
   }
   return std::span<std::byte>(storage_->data(), len_);
 }
@@ -52,10 +56,13 @@ std::span<std::byte> Buffer::mutable_bytes() {
 void BufferBuilder::ensure_arena() {
   if (arena_) return;
   // Reclaim a retired arena whose Buffers have all been released: the pool
-  // slot is then the storage's only owner.
+  // slot is then the storage's only owner. The capacity moves to a fresh
+  // identity, so WeakBuffers of the retired bytes expire rather than see
+  // them overwritten.
   for (auto& slot : retired_) {
     if (slot && slot.use_count() == 1) {
-      arena_ = std::move(slot);
+      arena_ = std::make_shared<Buffer::Storage>(std::move(*slot));
+      slot.reset();
       arena_->clear();  // keeps capacity
       ++stats_.arena_reuses;
       return;
@@ -76,6 +83,14 @@ void BufferBuilder::append(const void* data, std::size_t n) {
 void BufferBuilder::reserve(std::size_t n) {
   ensure_arena();
   arena_->reserve(n);
+}
+
+std::span<std::byte> BufferBuilder::extend(std::size_t n) {
+  ensure_arena();
+  std::size_t at = arena_->size();
+  arena_->resize(at + n);
+  stats_.bytes_written += n;
+  return std::span<std::byte>(arena_->data() + at, n);
 }
 
 Buffer BufferBuilder::take() {

@@ -18,10 +18,17 @@
 //                     digest while the serializer produces the stream (one
 //                     traversal instead of pack-then-checksum, §4.2).
 //
+//   * WeakBuffer    — non-owning view of a Buffer's window: it never keeps
+//                     the storage alive, and lock() yields the bytes only
+//                     while some owner still holds them.
+//
 // Ownership rules: storage is immutable once a Buffer exists over it. The
 // only mutation door is Buffer::mutable_bytes(), which detaches into a
 // private copy when the storage is shared (copy-on-write) — used by the
-// fault injector to flip bits without corrupting other views.
+// fault injector to flip bits without corrupting other views. Bytes never
+// change under a live storage identity: an in-place write and an arena
+// recycle both move the bytes to a fresh identity first, so every
+// WeakBuffer of the old bytes expires instead of seeing them change.
 #pragma once
 
 #include <array>
@@ -94,6 +101,7 @@ class Buffer {
 
  private:
   friend class BufferBuilder;
+  friend class WeakBuffer;
   using Storage = std::vector<std::byte>;
 
   Buffer(std::shared_ptr<Storage> storage, std::size_t offset,
@@ -101,6 +109,28 @@ class Buffer {
       : storage_(std::move(storage)), offset_(offset), len_(len) {}
 
   std::shared_ptr<Storage> storage_;
+  std::size_t offset_ = 0;
+  std::size_t len_ = 0;
+};
+
+/// Non-owning view of a Buffer's window. Holding one never keeps the
+/// storage alive (Buffer::owners() does not count it); lock() returns an
+/// owning Buffer over exactly the viewed bytes while they still exist, and
+/// an empty Buffer once every owner has let go.
+class WeakBuffer {
+ public:
+  WeakBuffer() = default;
+  explicit WeakBuffer(const Buffer& b)
+      : storage_(b.storage_), offset_(b.offset_), len_(b.len_) {}
+
+  bool expired() const { return storage_.expired(); }
+  Buffer lock() const {
+    std::shared_ptr<Buffer::Storage> s = storage_.lock();
+    return s ? Buffer(std::move(s), offset_, len_) : Buffer();
+  }
+
+ private:
+  std::weak_ptr<Buffer::Storage> storage_;
   std::size_t offset_ = 0;
   std::size_t len_ = 0;
 };
@@ -136,6 +166,9 @@ class BufferBuilder final : public Sink {
 
   void append(const void* data, std::size_t n);
   void reserve(std::size_t n);
+  /// Append `n` zero bytes and return them for the caller to fill in place
+  /// (a decoder writing straight into the arena).
+  std::span<std::byte> extend(std::size_t n);
 
   /// Bytes written into the arena currently being built.
   std::size_t size() const { return arena_ ? arena_->size() : 0; }

@@ -19,7 +19,9 @@
 //                 by a ChunkMap (full_bytes + per-chunk present flags).
 //   compress      a deterministic LZ-class stage (per chunk, so it rides
 //                 the same parallel traversal); a chunk that does not
-//                 shrink is stored raw, flagged per chunk.
+//                 shrink is stored raw, flagged per chunk. A ChunkMemo
+//                 shared by every agent of a run makes each distinct
+//                 chunk compress once (replicas pack identical images).
 //   redundancy-   the schemes: partner ships the CodecFrame instead of the
 //   encode        image, xor folds diff ranges into parity, the L2 tier
 //                 stores the frame as a vault v2 delta blob.
@@ -35,7 +37,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "buf/buffer.h"
@@ -97,12 +101,62 @@ struct CodecFrame {
   std::uint64_t encoded_bytes() const { return map.map_bytes() + payload.size(); }
 };
 
-/// The staged encoder/decoder. Stateless apart from its config; one
-/// instance per agent (and one inside the durable tier for blob decode).
+/// Content-addressed memo of the compress stage. ACR's replicas pack
+/// bit-identical images, so the same dirty chunk is compressed for replica
+/// 0's buddy frame and again for each replica's L2 flush; with one memo per
+/// run, every encode after the first is a lookup.
+///
+/// Key: (CRC32C, length) of the chunk. A key match alone is never trusted:
+/// find() memcmp's the chunk against the entry's source bytes, reached
+/// through a WeakBuffer, so a colliding digest is a miss. The memo holds no
+/// owner of any image; an entry dies with its source bytes (prune()).
+/// Frames are identical hit or miss, so the memo never shows in output.
+/// Not thread-safe: lookups and inserts run on the encoding thread, in
+/// chunk order; only misses fan out to pool workers.
+class ChunkMemo {
+ public:
+  struct Entry {
+    buf::WeakBuffer source;  ///< the chunk bytes this entry encodes
+    ChunkEncoding encoding = ChunkEncoding::Raw;
+    std::vector<std::byte> body;  ///< LZ stream; empty for Raw
+  };
+  struct Stats {
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+  };
+
+  /// The entry encoding `chunk` (whose CRC32C is `crc`), or nullptr. The
+  /// pointer stays valid until the next insert() or prune().
+  const Entry* find(std::uint32_t crc, std::span<const std::byte> chunk);
+
+  /// Record the encoding of `chunk`, a view into a live image. Keeps only a
+  /// WeakBuffer of it; replaces any entry under the same key.
+  void insert(std::uint32_t crc, const buf::Buffer& chunk, ChunkEncoding enc,
+              std::vector<std::byte> body);
+
+  /// Drop every entry whose source bytes are gone. insert() also calls it
+  /// whenever the memo has doubled since the last sweep.
+  void prune();
+
+  std::size_t size() const { return entries_.size(); }
+  const Stats& stats() const { return stats_; }
+
+ private:
+  static constexpr std::size_t kMinSweep = 64;
+
+  std::unordered_map<std::uint64_t, Entry> entries_;
+  std::size_t sweep_at_ = kMinSweep;
+  Stats stats_;
+};
+
+/// The staged encoder/decoder: its config plus an optional ChunkMemo, which
+/// AcrRuntime owns and hands to every agent. decode() is static and needs
+/// neither.
 class CodecPipeline {
  public:
   CodecPipeline() = default;
-  explicit CodecPipeline(CodecConfig cfg) : cfg_(cfg) {}
+  explicit CodecPipeline(CodecConfig cfg, ChunkMemo* memo = nullptr)
+      : cfg_(cfg), memo_(memo) {}
 
   const CodecConfig& config() const { return cfg_; }
 
@@ -127,6 +181,8 @@ class CodecPipeline {
   /// Buffer-taking overloads. When the frame degenerates to "raw, every
   /// chunk present" the payload aliases `image` instead of copying it —
   /// this is what makes the codec-off and full-fallback paths zero-copy.
+  /// These are also the overloads that consult and fill the memo (an entry
+  /// needs a Buffer to view its source bytes through).
   CodecFrame encode(const buf::Buffer& image,
                     std::span<const std::uint32_t> digests,
                     const std::vector<std::uint32_t>* base_digests,
@@ -141,25 +197,43 @@ class CodecPipeline {
                             std::span<const std::byte> base);
 
  private:
+  CodecFrame encode_chunks(std::span<const std::byte> image,
+                           const buf::Buffer* owner,
+                           std::span<const std::uint32_t> digests,
+                           const std::vector<std::uint32_t>* base_digests,
+                           std::uint64_t base_bytes) const;
+
   CodecConfig cfg_;
+  ChunkMemo* memo_ = nullptr;
 };
 
 // ---------------------------------------------------------------------------
 // Deterministic LZ block codec (the compress stage's inner loop).
 //
-// Greedy LZSS over a 64 KiB window: hash-chained 4-byte matches, tokens of
-// literal runs and (offset, length) copies. Seed-free and position-ordered,
-// so output depends only on input bytes — identical across thread counts,
-// kernel impls and machines. Checkpoint images of iterative codes are full
-// of zero runs and repeated lattice values; offset-1 matches turn those
-// into ~3 bytes per 259.
+// Greedy LZSS over a 64 KiB window: a 32K-entry hash table keeps the most
+// recent position of each 4-byte prefix (one candidate per hash, no
+// chains); tokens are literal bytes and (offset, length) copies, eight per
+// control byte. Seed-free and position-ordered, so output depends only on
+// input bytes — identical across thread counts, kernel impls and machines.
+// Checkpoint images of iterative codes are full of zero runs and repeated
+// lattice values; offset-1 matches turn those into ~3 bytes per 259.
 // ---------------------------------------------------------------------------
 
 /// Compress one block. The output is self-delimiting given `in.size()`.
 std::vector<std::byte> lz_compress_block(std::span<const std::byte> in);
 
+/// lz_compress_block(in) if that stream is strictly shorter than `in`,
+/// else nullopt — the compress stage's question ("does this chunk
+/// shrink?"), answered without finishing a stream that cannot.
+std::optional<std::vector<std::byte>> lz_compress_if_smaller(
+    std::span<const std::byte> in);
+
 /// Decompress a block produced by lz_compress_block into exactly
-/// `out_len` bytes. Throws pup::StreamError on malformed input.
+/// `out.size()` bytes. Throws pup::StreamError on malformed input.
+void lz_decompress_into(std::span<const std::byte> in,
+                        std::span<std::byte> out);
+
+/// Vector-returning form of lz_decompress_into.
 std::vector<std::byte> lz_decompress_block(std::span<const std::byte> in,
                                            std::size_t out_len);
 

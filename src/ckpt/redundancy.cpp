@@ -148,10 +148,9 @@ void XorScheme::on_verified(const Image& img, const DeltaHints* hints) {
     }
     buf::Buffer payload;
     if (hints->codec->compress_on() && !diff.empty()) {
-      std::vector<std::byte> lz = lz_compress_block(diff);
-      if (lz.size() < diff.size()) {
+      if (auto lz = lz_compress_if_smaller(diff)) {
         msg.encoding = 1;
-        payload = buf::Buffer::wrap(std::move(lz));
+        payload = buf::Buffer::wrap(std::move(*lz));
       }
     }
     if (msg.encoding == 0 && !diff.empty())

@@ -158,10 +158,9 @@ void RsScheme::on_verified(const Image& img, const DeltaHints* hints) {
     std::uint8_t encoding = 0;
     buf::Buffer payload;
     if (hints->codec->compress_on() && !diff.empty()) {
-      std::vector<std::byte> lz = lz_compress_block(diff);
-      if (lz.size() < diff.size()) {
+      if (auto lz = lz_compress_if_smaller(diff)) {
         encoding = 1;
-        payload = buf::Buffer::wrap(std::move(lz));
+        payload = buf::Buffer::wrap(std::move(*lz));
       }
     }
     if (encoding == 0 && !diff.empty())

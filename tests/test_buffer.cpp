@@ -160,6 +160,45 @@ TEST(BufferBuilder, LiveBuffersAreNeverRecycledInto) {
   EXPECT_EQ(bb.stats().arena_allocations, 2u);
 }
 
+TEST(WeakBuffer, ViewsWithoutOwning) {
+  buf::Buffer whole = buf::Buffer::copy_of(pattern_bytes(64));
+  buf::WeakBuffer weak(whole.slice(8, 16));
+  EXPECT_EQ(whole.owners(), 1);  // the weak view is not an owner
+  buf::Buffer locked = weak.lock();
+  EXPECT_TRUE(locked.aliases(whole));
+  EXPECT_EQ(locked.data(), whole.data() + 8);
+  EXPECT_EQ(locked.size(), 16u);
+  locked = buf::Buffer();
+  whole = buf::Buffer();
+  EXPECT_TRUE(weak.expired());
+  EXPECT_TRUE(weak.lock().empty());
+  EXPECT_TRUE(buf::WeakBuffer().lock().empty());
+}
+
+TEST(WeakBuffer, ExpiresBeforeBytesChangeInPlace) {
+  // A sole owner writes in place; a weak view of the old bytes must not
+  // observe the write.
+  buf::Buffer b = buf::Buffer::copy_of(pattern_bytes(16));
+  buf::WeakBuffer weak(b);
+  b.mutable_bytes()[0] = std::byte{0xAB};
+  EXPECT_TRUE(weak.expired());
+}
+
+TEST(WeakBuffer, ExpiresWhenTheBuilderRecyclesTheArena) {
+  buf::BufferBuilder bb;
+  bb.write(pattern_bytes(128, 1));
+  buf::WeakBuffer weak;
+  {
+    buf::Buffer epoch1 = bb.take();
+    weak = buf::WeakBuffer(epoch1);
+  }
+  // Parked in the builder's pool, the bytes are still intact and viewable.
+  EXPECT_FALSE(weak.expired());
+  bb.write(pattern_bytes(128, 2));  // recycles the arena
+  EXPECT_EQ(bb.stats().arena_reuses, 1u);
+  EXPECT_TRUE(weak.expired());
+}
+
 TEST(TeeSink, ForwardsToBothSinks) {
   buf::BufferBuilder a, b;
   buf::TeeSink tee(a, b);
