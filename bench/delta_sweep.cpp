@@ -13,13 +13,14 @@
 //    pessimize.
 //
 // Reports buddy wire traffic (codec_wire_bytes vs codec_raw_bytes, hit
-// rate = skipped/total chunks), XOR parity-delta traffic, and durable-tier
-// flush bytes (encoded vs raw). Writes BENCH_delta.json (with the host's
-// core count) for trajectory comparison across commits; every byte count in
-// it is deterministic, so two builds that encode identically write identical
-// counts. Also prints the analytic model's predicted
-// checkpoint-cost scale (model::delta_cost_scale) fed with the measured
-// hit rate and compression ratio.
+// rate = skipped/total chunks), parity-delta traffic of the xor scheme (rs
+// with one parity block), and durable-tier flush bytes (encoded vs raw).
+// Writes BENCH_delta.json (with the host's core count) for trajectory
+// comparison across commits; every byte count in it is deterministic, so
+// two builds that encode identically write identical counts. Also prints
+// the analytic model's predicted checkpoint-cost scale
+// (model::delta_cost_scale) fed with the measured hit rate and compression
+// ratio.
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -38,7 +39,7 @@ namespace {
 struct SweepPoint {
   std::string app;
   std::string mode;    // off | delta | lz | delta+lz
-  std::string scheme;  // partner | xor
+  std::string scheme;  // partner | xor (= rs with one parity block)
   RunSummary summary;
   double l2_written = 0.0;
   double l2_raw = 0.0;
@@ -85,8 +86,10 @@ AcrConfig sweep_acr(const std::string& mode, const std::string& scheme,
                     double checkpoint_interval) {
   AcrConfig ac;
   ac.scheme = ResilienceScheme::Strong;
-  ac.redundancy =
-      scheme == "xor" ? ckpt::Scheme::Xor : ckpt::Scheme::Partner;
+  if (scheme == "xor") {
+    ac.redundancy = ckpt::Scheme::Rs;
+    ac.rs_parity = 1;
+  }
   ac.checkpoint_interval = checkpoint_interval;
   ac.heartbeat_period = 0.0004;
   ac.heartbeat_timeout = 0.0016;

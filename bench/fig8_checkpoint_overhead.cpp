@@ -4,7 +4,8 @@
 // method, from 1K to 64K cores per replica (256 - 16384 BG/P nodes).
 //
 // Extended with a simulator-backed sweep of the checkpoint redundancy
-// schemes (src/ckpt): local / partner / xor, fault-free and under a hard
+// schemes (src/ckpt): local / partner / xor (rs with one parity block),
+// fault-free and under a hard
 // failure storm, reporting run time, redundancy traffic, and how each run
 // recovered (group rebuilds vs scratch restarts).
 #include <cstdio>
@@ -29,9 +30,15 @@ void redundancy_scheme_sweep() {
   TablePrinter table({"scheme", "faults", "status", "time", "ckpts",
                       "failures", "recoveries", "parity MB", "rebuilds",
                       "scratch"});
+  struct SchemeSpec {
+    const char* label;
+    ckpt::Scheme scheme;
+  };
+  const SchemeSpec schemes[] = {{"local", ckpt::Scheme::Local},
+                                {"partner", ckpt::Scheme::Partner},
+                                {"xor", ckpt::Scheme::Rs}};
   for (double mtbf : {0.0, 0.03}) {
-    for (ckpt::Scheme scheme :
-         {ckpt::Scheme::Local, ckpt::Scheme::Partner, ckpt::Scheme::Xor}) {
+    for (const SchemeSpec& sp : schemes) {
       apps::Jacobi3DConfig j;
       j.tasks_x = j.tasks_y = 2;
       j.tasks_z = 4;
@@ -41,8 +48,9 @@ void redundancy_scheme_sweep() {
       j.seconds_per_point = 1e-5;
       AcrConfig ac;
       ac.scheme = ResilienceScheme::Strong;
-      ac.redundancy = scheme;
+      ac.redundancy = sp.scheme;
       ac.xor_group_size = 4;
+      ac.rs_parity = 1;
       ac.checkpoint_interval = 0.01;
       ac.heartbeat_period = 0.0004;  // prompt detection, as in the fuzz suite
       ac.heartbeat_timeout = 0.0016;
@@ -63,7 +71,7 @@ void redundancy_scheme_sweep() {
       }
       RunSummary s = runtime.run(60.0);
       table.add_row(
-          {ckpt::scheme_name(scheme), mtbf > 0.0 ? "hard" : "none",
+          {sp.label, mtbf > 0.0 ? "hard" : "none",
            s.complete ? "complete" : (s.failed ? "failed" : "wedged"),
            TablePrinter::fmt(s.finish_time, 4), std::to_string(s.checkpoints),
            std::to_string(s.hard_failures), std::to_string(s.recoveries),

@@ -5,7 +5,7 @@
 // criterion: checksum wins iff gamma < beta / 4 — which is exactly why the
 // per-byte digest cost matters: the kernel-layer benches below pin the
 // portable vs SSE4.2 CRC32C rates, the streaming FoldSink rate at the
-// pack-tee's real 4 KiB write granularity, and the xor parity fold rate.
+// pack-tee's real 4 KiB write granularity.
 //
 // Also measures the PUP pack / compare rates that calibrate the phase
 // model, so the calibration is reproducible on the build machine, and the
@@ -82,7 +82,7 @@ void BM_Crc32c(benchmark::State& state) {
 }
 BENCHMARK(BM_Crc32c)->Range(1 << 10, 1 << 22);
 
-// --- kernel layer: dispatch, streaming sinks, parity fold -------------------
+// --- kernel layer: dispatch, streaming sinks --------------------------------
 
 void BM_Crc32cPortable(benchmark::State& state) {
   ScopedKernel pin(acr::checksum::KernelImpl::Portable);
@@ -154,38 +154,6 @@ void BM_FoldSinkCrc32c_4KWrites(benchmark::State& state) {
   stream_fold<acr::checksum::Crc32cSink>(state);
 }
 BENCHMARK(BM_FoldSinkCrc32c_4KWrites)->Range(1 << 12, 1 << 22);
-
-// The RAID-5 parity fold as the ckpt layer runs it: xor an arriving group
-// chunk into the accumulating parity block, measured as used (same-length
-// fold into an existing accumulator).
-void BM_XorFold(benchmark::State& state) {
-  auto add = make_buffer(static_cast<std::size_t>(state.range(0)));
-  std::vector<std::byte> acc(add.size(), std::byte{0});
-  for (auto _ : state) {
-    acr::checksum::xor_fold(acc, add);
-    benchmark::DoNotOptimize(acc.data());
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-BENCHMARK(BM_XorFold)->Range(1 << 10, 1 << 22);
-
-void BM_XorFoldChunked(benchmark::State& state) {
-  auto add = make_buffer(static_cast<std::size_t>(state.range(0)));
-  std::vector<std::byte> acc(add.size(), std::byte{0});
-  acr::parallel::set_global_threads(static_cast<int>(state.range(1)));
-  for (auto _ : state) {
-    acr::checksum::xor_fold_chunked(acc, add);
-    benchmark::DoNotOptimize(acc.data());
-  }
-  acr::parallel::set_global_threads(0);
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-BENCHMARK(BM_XorFoldChunked)
-    ->Args({1 << 22, 0})
-    ->Args({1 << 22, 2})
-    ->Args({1 << 22, 4});
 
 struct BigState {
   std::vector<double> a, b, c;

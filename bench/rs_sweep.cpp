@@ -1,6 +1,6 @@
 // Reed–Solomon survivability sweep (fig8-style, simulator-backed): a
 // deterministic burst killing f members of one parity group mid-run,
-// across redundancy scheme (xor vs rs at several parity counts), group
+// across Reed–Solomon parity count (rs(1) is --ckpt-scheme=xor), group
 // size, and burst severity f. No durable tier anywhere: every loss the
 // scheme cannot rebuild in place is a visible scratch restart. Reports
 // completion time, the recovery path taken, and the encode/rebuild wire
@@ -20,9 +20,9 @@ using namespace acr;
 namespace {
 
 struct SweepPoint {
-  std::string scheme;  ///< "xor" or "rs(m)"
+  std::string scheme;  ///< "rs(m)"
   int group_size = 0;
-  int parity = 0;  ///< 0 for xor
+  int parity = 0;
   int kills = 0;   ///< burst severity: dead members of group 0
   RunSummary summary;
   double fault_free_time = 0.0;
@@ -42,9 +42,9 @@ apps::Jacobi3DConfig sweep_app() {
 AcrConfig sweep_acr(int group_size, int parity) {
   AcrConfig ac;
   ac.scheme = ResilienceScheme::Strong;
-  ac.redundancy = parity > 0 ? ckpt::Scheme::Rs : ckpt::Scheme::Xor;
+  ac.redundancy = ckpt::Scheme::Rs;
   ac.xor_group_size = group_size;
-  if (parity > 0) ac.rs_parity = parity;
+  ac.rs_parity = parity;
   ac.checkpoint_interval = 0.01;
   ac.heartbeat_period = 0.0004;
   ac.heartbeat_timeout = 0.0016;
@@ -82,10 +82,9 @@ int main() {
 
   struct SchemeSpec {
     const char* name;
-    int parity;  // 0 = xor
+    int parity;
   };
-  const SchemeSpec schemes[] = {{"xor", 0}, {"rs(1)", 1}, {"rs(2)", 2},
-                                {"rs(3)", 3}};
+  const SchemeSpec schemes[] = {{"rs(1)", 1}, {"rs(2)", 2}, {"rs(3)", 3}};
   std::vector<SweepPoint> points;
   for (int group_size : {4, 8}) {
     for (const SchemeSpec& sp : schemes) {

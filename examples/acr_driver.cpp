@@ -79,11 +79,12 @@ int main(int argc, char** argv) {
                  "SDC detection method (§4.2)");
   cli.add_choice("ckpt-scheme", &ckpt_scheme, {"local", "partner", "xor", "rs"},
                  "checkpoint redundancy: local (in-memory only), partner "
-                 "(buddy copy, the paper's §2.1), xor (RAID-5 group parity), "
-                 "rs (Reed-Solomon: any --rs-parity losses per group)");
+                 "(buddy copy, the paper's §2.1), rs (Reed-Solomon: any "
+                 "--rs-parity losses per group), xor (RAID-5 group parity: "
+                 "rs with one parity block)");
   cli.add_choice("ckpt-delta", &ckpt_delta, {"off", "on"},
                  "incremental checkpoints: ship only 256 KiB chunks whose "
-                 "CRC32C changed since the base epoch (buddy transfer, xor "
+                 "CRC32C changed since the base epoch (buddy transfer, "
                  "parity exchange, L2 flushes); off = legacy full images");
   cli.add_choice("ckpt-compress", &ckpt_compress, {"none", "lz"},
                  "per-chunk deterministic LZ compression of checkpoint "
@@ -281,7 +282,12 @@ int main(int argc, char** argv) {
                  ckpt_scheme.c_str());
     return 2;
   }
-  if (ckpt_scheme == "xor" || ckpt_scheme == "rs") {
+  // xor is the single-parity spelling of rs: the same RAID-5 rotation.
+  if (ckpt_scheme == "xor") {
+    ckpt_scheme = "rs";
+    rs_parity = 1;
+  }
+  if (ckpt_scheme == "rs") {
     if (xor_group_size == -1) xor_group_size = 4;
     if (xor_group_size < 2) {
       // An explicit 0 used to be swallowed as "unset" and silently became
@@ -299,8 +305,6 @@ int main(int argc, char** argv) {
                    xor_group_size, nodes);
       return 2;
     }
-  }
-  if (ckpt_scheme == "rs") {
     if (rs_parity == -1) rs_parity = 2;
     if (rs_parity < 1) {
       std::fprintf(stderr, "error: --rs-parity=%d must be >= 1\n", rs_parity);
@@ -324,7 +328,6 @@ int main(int argc, char** argv) {
   ac.heartbeat_period = 0.0005;
   ac.heartbeat_timeout = 0.002;
   ac.redundancy = ckpt_scheme == "local"   ? ckpt::Scheme::Local
-                  : ckpt_scheme == "xor"   ? ckpt::Scheme::Xor
                   : ckpt_scheme == "rs"    ? ckpt::Scheme::Rs
                                            : ckpt::Scheme::Partner;
   ac.degrade = degrade == "shrink" ? DegradeMode::Shrink : DegradeMode::Abort;
@@ -343,7 +346,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", err);
     return 2;
   }
-  // Scheme/flag combinations the manager would reject (e.g. xor under a
+  // Scheme/flag combinations the manager would reject (e.g. rs under a
   // non-strong resilience scheme) become CLI errors instead of aborts.
   if (const char* err = validate_redundancy_config(ac, nodes)) {
     std::fprintf(stderr, "error: %s\n", err);
@@ -500,13 +503,6 @@ int main(int argc, char** argv) {
   // byte-identical to builds that predate the pluggable ckpt layer.
   if (ac.redundancy != ckpt::Scheme::Partner) {
     std::printf("redundancy: scheme=%s", s.ckpt_scheme);
-    if (ac.redundancy == ckpt::Scheme::Xor)
-      std::printf(
-          " group-size=%d  parity chunks=%llu bytes=%llu  rebuilds=%llu",
-          ac.xor_group_size,
-          static_cast<unsigned long long>(s.parity_chunks_sent),
-          static_cast<unsigned long long>(s.parity_bytes_sent),
-          static_cast<unsigned long long>(s.xor_rebuilds));
     if (ac.redundancy == ckpt::Scheme::Rs)
       std::printf(
           " group-size=%d parity=%d  encode chunks=%llu bytes=%llu  "
@@ -535,11 +531,6 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(s.codec_wire_bytes),
         static_cast<unsigned long long>(s.codec_raw_bytes),
         static_cast<unsigned long long>(s.codec_need_full));
-    if (ac.redundancy == ckpt::Scheme::Xor)
-      std::printf("codec xor: delta chunks=%llu bytes=%llu poisoned=%llu\n",
-                  static_cast<unsigned long long>(s.parity_delta_chunks),
-                  static_cast<unsigned long long>(s.parity_delta_bytes),
-                  static_cast<unsigned long long>(s.parity_rounds_poisoned));
     if (ac.redundancy == ckpt::Scheme::Rs)
       std::printf("codec rs: delta chunks=%llu bytes=%llu poisoned=%llu\n",
                   static_cast<unsigned long long>(s.parity_delta_chunks),

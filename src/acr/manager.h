@@ -132,22 +132,17 @@ class Manager {
   void handle_suspect(const wire::SuspectMsg& msg);
   void handle_suspect_role(int replica, int node_index);
   void start_recovery(int replica, int node_index);
-  /// Strong-scheme recovery under xor/rs redundancy: the promoted spare is
+  /// Strong-scheme recovery under rs redundancy: the promoted spare is
   /// rebuilt intra-replica from its group's surviving images + parity
   /// instead of the Fig. 4a buddy transfer.
   void start_group_recovery(int replica, int node_index);
-  /// Order the live group peers of (replica, node_index) to feed it rebuild
-  /// pieces under `barrier`. False when the group cannot rebuild (another
-  /// member dead): caller must fall back to scratch.
-  bool route_xor_rebuild(int replica, int node_index, std::uint64_t barrier);
-  /// RS variant: one RsRebuildCmd per survivor names the group's WHOLE dead
-  /// set (node_index plus any dead_roles_ group-mates), so one wave covers
-  /// a multi-loss burst. False when the losses exceed the parity budget or
-  /// a needed survivor is itself dead: caller falls down the ladder.
+  /// Order the group survivors of (replica, node_index) to feed rebuild
+  /// pieces under `barrier`: one RsRebuildCmd per survivor names the
+  /// group's WHOLE dead set (node_index plus any dead_roles_ group-mates),
+  /// so one wave covers a multi-loss burst. False when the losses exceed
+  /// the parity budget or a needed survivor is itself dead: caller falls
+  /// down the ladder.
   bool route_rs_rebuild(int replica, int node_index, std::uint64_t barrier);
-  /// Dispatch to the xor/rs router for the configured scheme.
-  bool route_group_rebuild(int replica, int node_index,
-                           std::uint64_t barrier);
   ckpt::Scheme redundancy() const { return env_.config->redundancy; }
   void begin_recovery_checkpoint(int crashed_replica);
   void handle_restore_done(const wire::BarrierMsg& msg, int src_replica,

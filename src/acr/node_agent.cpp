@@ -33,8 +33,8 @@ namespace {
 // wire the CRC32C digests ride the frame header (the same charging rule
 // as the consensus-abort epoch tag), so their pup records — a tag+count
 // header per record plus the element bytes — are not charged as payload.
-// This keeps the xor wire model, and the saved driver baselines,
-// byte-identical to the pre-digest protocol; rs follows the same rule.
+// This keeps the parity wire model, and the saved driver baselines,
+// byte-identical to the pre-digest protocol.
 constexpr std::size_t kPupRecordHeader =
     sizeof(std::uint8_t) + sizeof(std::uint64_t);
 constexpr std::size_t kDigestScalarWireBytes =
@@ -56,66 +56,14 @@ void NodeAgent::make_scheme() {
     case ckpt::Scheme::Partner:
       scheme_ = std::make_unique<ckpt::PartnerScheme>();
       return;
-    case ckpt::Scheme::Xor: {
-      const ckpt::GroupMap& groups = env_.cluster->ckpt_groups();
-      ACR_REQUIRE(groups.enabled(),
-                  "xor redundancy requires cluster checkpoint groups");
-      ckpt::XorScheme::Hooks hooks;
-      // The verify-on-rebuild CRC32C tags ride the frame header on a real
-      // wire (the same charging rule as the consensus-abort epoch tag), so
-      // they are discounted from the modelled payload — the xor wire
-      // timing stays identical to the pre-digest protocol, and rs charges
-      // its digests by the same rule.
-      hooks.send_chunk = [this](int dst, const ckpt::XorChunkMsg& msg,
-                                buf::Buffer chunk) {
-        ckpt::XorChunkMsg m = msg;
-        buf::Buffer pk = rt::pack_payload(m);
-        double wire = static_cast<double>(rt::kMessageHeaderBytes +
-                                          pk.size() + chunk.size() -
-                                          kDigestScalarWireBytes);
-        send_to_agent(replica_, dst, wire::kXorParityChunk, std::move(pk),
-                      wire, std::move(chunk));
-      };
-      hooks.send_delta_chunk = [this](int dst,
-                                      const ckpt::XorDeltaChunkMsg& msg,
-                                      buf::Buffer payload) {
-        ckpt::XorDeltaChunkMsg m = msg;
-        buf::Buffer pk = rt::pack_payload(m);
-        double wire = static_cast<double>(rt::kMessageHeaderBytes +
-                                          pk.size() + payload.size() -
-                                          kDigestScalarWireBytes);
-        send_to_agent(replica_, dst, wire::kXorParityDeltaChunk,
-                      std::move(pk), wire, std::move(payload));
-      };
-      hooks.send_piece = [this](int dst, const ckpt::XorPieceMsg& msg,
-                                buf::Buffer image) {
-        ckpt::XorPieceMsg m = msg;
-        buf::Buffer pk = rt::pack_payload(m);
-        double wire = static_cast<double>(
-            rt::kMessageHeaderBytes + pk.size() + image.size() -
-            digest_vector_wire_bytes(m.member_digests.size()));
-        send_to_agent(replica_, dst, wire::kXorRebuildPiece, std::move(pk),
-                      wire, std::move(image));
-      };
-      hooks.report_impossible = [this](std::uint64_t barrier) {
-        wire::BarrierMsg msg{barrier};
-        send_to_manager(wire::kXorRebuildImpossible, rt::pack_payload(msg));
-      };
-      hooks.restore_rebuilt = [this](ckpt::Image img, std::uint64_t barrier) {
-        if (barrier <= last_restore_barrier_) return;  // wave already taken
-        restore_from(img, "xor rebuild", barrier);
-      };
-      scheme_ = std::make_unique<ckpt::XorScheme>(groups, index_,
-                                                  std::move(hooks));
-      return;
-    }
     case ckpt::Scheme::Rs: {
       const ckpt::GroupMap& groups = env_.cluster->ckpt_groups();
       ACR_REQUIRE(groups.enabled(),
                   "rs redundancy requires cluster checkpoint groups");
       ckpt::RsScheme::Hooks hooks;
-      // Same header-riding rule for the integrity tags as the xor hooks
-      // above: digests are discounted from the modelled payload.
+      // The verify-on-rebuild CRC32C tags ride the frame header (see
+      // kDigestScalarWireBytes): they are discounted from the modelled
+      // payload.
       hooks.send_chunk = [this](int dst, const ckpt::RsChunkMsg& msg,
                                 buf::Buffer chunk) {
         ckpt::RsChunkMsg m = msg;
@@ -164,11 +112,6 @@ void NodeAgent::make_scheme() {
   ACR_REQUIRE(false, "unknown redundancy scheme");
 }
 
-ckpt::XorScheme* NodeAgent::xor_scheme() {
-  if (scheme_->kind() != ckpt::Scheme::Xor) return nullptr;
-  return static_cast<ckpt::XorScheme*>(scheme_.get());
-}
-
 ckpt::RsScheme* NodeAgent::rs_scheme() {
   if (scheme_->kind() != ckpt::Scheme::Rs) return nullptr;
   return static_cast<ckpt::RsScheme*>(scheme_.get());
@@ -215,7 +158,7 @@ void NodeAgent::rebind_role() {
   replica_ = node_.replica();
   index_ = node_.node_index();
   num_children_ = static_cast<int>(child_indices().size());
-  make_scheme();  // the xor/rs layouts key chunk routing off the node index
+  make_scheme();  // the rs layout keys chunk routing off the node index
   invalidate_codec_bases();  // bases belong to the role, not the hardware
 }
 
@@ -378,12 +321,6 @@ void NodeAgent::on_service_message(const rt::Message& m) {
     case wire::kFetchFromDurable:
       return handle_fetch_from_durable(
           rt::unpack_payload<wire::RestoreCmdMsg>(m));
-    case wire::kXorRebuildSend: {
-      auto cmd = rt::unpack_payload<wire::XorRebuildCmd>(m);
-      if (ckpt::XorScheme* x = xor_scheme())
-        x->on_rebuild_request(cmd.dead_index, cmd.barrier, store_.verified());
-      return;
-    }
     case wire::kRsRebuildSend: {
       auto cmd = rt::unpack_payload<wire::RsRebuildCmd>(m);
       if (ckpt::RsScheme* r = rs_scheme()) {
@@ -410,25 +347,6 @@ void NodeAgent::on_service_message(const rt::Message& m) {
       return handle_buddy_delta_checkpoint(m);
     case wire::kBuddyNeedFull:
       return handle_buddy_need_full(rt::unpack_payload<wire::NeedFullMsg>(m));
-    case wire::kXorParityDeltaChunk: {
-      auto msg = rt::unpack_payload<ckpt::XorDeltaChunkMsg>(m);
-      if (ckpt::XorScheme* x = xor_scheme())
-        x->on_delta_chunk(m.src.node_index, msg, m.attachment);
-      return;
-    }
-    case wire::kXorParityChunk: {
-      auto msg = rt::unpack_payload<ckpt::XorChunkMsg>(m);
-      if (ckpt::XorScheme* x = xor_scheme())
-        x->on_chunk(m.src.node_index, msg, m.attachment);
-      return;
-    }
-    case wire::kXorRebuildPiece: {
-      auto msg = rt::unpack_payload<ckpt::XorPieceMsg>(m);
-      if (msg.barrier <= last_restore_barrier_) return;  // wave already taken
-      if (ckpt::XorScheme* x = xor_scheme())
-        x->on_piece(m.src.node_index, msg, m.attachment);
-      return;
-    }
     case wire::kRsParityChunk: {
       auto msg = rt::unpack_payload<ckpt::RsChunkMsg>(m);
       if (ckpt::RsScheme* r = rs_scheme())
@@ -830,7 +748,7 @@ void NodeAgent::invalidate_codec_bases() {
   l2_base_epoch_ = 0;
   l2_base_digests_.clear();
   l2_base_bytes_ = 0;
-  xor_force_full_ = true;
+  parity_force_full_ = true;
 }
 
 void NodeAgent::maybe_compare() {
@@ -909,9 +827,9 @@ void NodeAgent::handle_commit(const wire::EpochMsg& msg) {
       hints.base_digests = &codec_base_.digests;
       hints.digests = &cand_digests_;
       hints.base_epoch = codec_base_.epoch;
-      hints.force_full = xor_force_full_;
+      hints.force_full = parity_force_full_;
       scheme_->on_verified(store_.verified(), &hints);
-      xor_force_full_ = false;
+      parity_force_full_ = false;
       if (codec.delta_on()) {
         // The committed image becomes every channel's next delta base.
         codec_base_.epoch = msg.epoch;
@@ -947,7 +865,7 @@ void NodeAgent::handle_rollback(const wire::RestoreCmdMsg& msg, bool sdc) {
   if (msg.barrier <= last_restore_barrier_) return;  // wave already taken
   const char* why = sdc ? "sdc rollback" : "hard rollback";
   if (!store_.has_verified()) {
-    // Local/xor schemes may still hold a candidate for exactly the rollback
+    // Local/rs schemes may still hold a candidate for exactly the rollback
     // epoch (the commit raced this failure): a candidate at that epoch
     // necessarily passed the comparison, so restoring it needs no traffic.
     // The partner scheme keeps the original protocol to the byte: ask the
@@ -1000,7 +918,7 @@ void NodeAgent::restore_from(const ckpt::Image& ckpt, const char* why,
     // everywhere until new bases are established.
     invalidate_codec_bases();
     // The restored image is the node's (possibly new) verified state: the
-    // redundancy scheme re-protects it. Under xor this is what re-feeds a
+    // redundancy scheme re-protects it. Under rs this is what re-feeds a
     // promoted spare's group parity — every member re-sends its chunks
     // after the rollback wave; holders that already completed this epoch
     // ignore them.

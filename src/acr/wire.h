@@ -23,7 +23,6 @@ enum Tag : int {
   kSendVerifiedToBuddy,      ///< strong recovery: ship verified ckpt to buddy
   kSendCandidateToBuddy,     ///< medium/weak recovery: ship fresh ckpt
   kResume,                   ///< plain resume (after recovery bookkeeping)
-  kXorRebuildSend,           ///< xor recovery: survivor, feed the spare
   kFlushCommand,             ///< durable tier: drain your verified image to L2
   kFetchFromDurable,         ///< durable tier: restore from the L2 epoch
   kRsRebuildSend,            ///< rs recovery: survivor, feed every spare
@@ -35,11 +34,8 @@ enum Tag : int {
   kBuddyCheckpoint,     ///< full checkpoint bytes (compare or restore)
   kBuddyChecksum,       ///< Fletcher-64 digest of the checkpoint
   kHeartbeat,
-  kXorParityChunk,      ///< parity chunk of a group member's verified image
-  kXorRebuildPiece,     ///< survivor's image + parity for a spare's rebuild
   kBuddyDeltaCheckpoint,  ///< codec frame: dirty chunks of the buddy image
   kBuddyNeedFull,         ///< receiver lost the delta base; re-send full
-  kXorParityDeltaChunk,   ///< codec: XOR diff of the dirty slice ranges
   kRsParityChunk,         ///< rs: data chunk for one of the receiver's stripes
   kRsParityDeltaChunk,    ///< rs codec: diff of a chunk's dirty ranges
   kRsRebuildPiece,        ///< rs: survivor's image + parity blocks for a spare
@@ -53,7 +49,6 @@ enum Tag : int {
   kPackDone,               ///< local checkpoint serialized (for recovery flows)
   kRestoreDone,            ///< node restored + resumed
   kNeedBuddyRestore,       ///< rollback ordered but no local checkpoint held
-  kXorRebuildImpossible,   ///< xor rebuild cannot complete; scratch needed
   kFlushDone,              ///< node's verified image is published on L2
   kFetchFailed,            ///< L2 blob missing/corrupt; fetch wave must fall back
   kRsRebuildImpossible,    ///< rs rebuild cannot complete; fall down the ladder
@@ -151,19 +146,6 @@ struct CheckpointMsg {
     p | epoch;
     p | iteration;
     p | purpose;
-    p | barrier;
-  }
-};
-
-/// Order to a surviving XOR-group member: ship your rebuild piece (image +
-/// parity) to the promoted spare now playing `dead_index`, under the given
-/// restore barrier. The piece itself travels agent-to-agent as a
-/// ckpt::XorPieceMsg with the image attached zero-copy.
-struct XorRebuildCmd {
-  std::int32_t dead_index = 0;
-  std::uint64_t barrier = 0;
-  void pup(pup::Puper& p) {
-    p | dead_index;
     p | barrier;
   }
 };

@@ -1,14 +1,12 @@
 // Shared digest-fold helpers.
 //
-// One home for the three folding patterns that used to be repeated across
-// the tree: the streaming checksum sinks (pack-time digest tee, sink.h),
-// the frame-integrity CRC of the reliable transport glue (rt/cluster.cpp),
-// and the RAID-5-style XOR parity fold of the ckpt redundancy layer.
+// One home for the folding patterns that used to be repeated across the
+// tree: the streaming checksum sinks (pack-time digest tee, sink.h) and
+// the frame-integrity CRC of the reliable transport glue (rt/cluster.cpp).
 #pragma once
 
 #include <cstddef>
 #include <span>
-#include <vector>
 
 #include "buf/buffer.h"
 #include "checksum/crc32c.h"
@@ -46,19 +44,6 @@ class FoldSink final : public buf::Sink {
 /// Chunk-parallel and hardware-dispatched via the kernel layer.
 inline std::uint32_t buffer_crc32c(const buf::Buffer& b) {
   return crc32c_chunked(b.bytes());
-}
-
-/// XOR `add` into `acc`, zero-extending `acc` if `add` is longer. This is
-/// the RAID-5 parity fold: XOR is associative/commutative and self-inverse,
-/// so folding the same chunk set in any order yields the same parity, and
-/// re-folding a survivor's chunk into its group parity recovers the missing
-/// member's chunk. The inner loop is the word-wise (auto-vectorizing)
-/// kernel; for pool-parallel folding of large images use
-/// xor_fold_chunked (kernels.h), which produces identical bytes.
-inline void xor_fold(std::vector<std::byte>& acc,
-                     std::span<const std::byte> add) {
-  if (add.size() > acc.size()) acc.resize(add.size(), std::byte{0});
-  kernels::xor_fold_words(acc.data(), add.data(), add.size());
 }
 
 }  // namespace acr::checksum

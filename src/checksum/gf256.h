@@ -78,8 +78,7 @@ void gf256_set_row_impl(KernelImpl impl);
 
 /// acc[i] ^= coeff * add[i] with the byte range fanned across
 /// parallel::global() on the kDigestChunk grid. Zero-extends acc to
-/// add.size() like xor_fold_chunked; positional, so bit-identical at any
-/// thread count.
+/// add.size(); positional, so bit-identical at any thread count.
 void gf256_muladd_chunked(std::vector<std::byte>& acc,
                           std::span<const std::byte> add, std::uint8_t coeff);
 

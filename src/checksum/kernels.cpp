@@ -240,20 +240,4 @@ std::uint32_t crc32c_merge_chunk_digests(std::span<const std::uint32_t> digests,
       });
 }
 
-void xor_fold_chunked(std::vector<std::byte>& acc,
-                      std::span<const std::byte> add) {
-  if (add.size() > acc.size()) acc.resize(add.size(), std::byte{0});
-  parallel::Pool& pool = parallel::global();
-  if (pool.threads() == 0 || add.size() < 2 * kDigestChunk) {
-    kernels::xor_fold_words(acc.data(), add.data(), add.size());
-    return;
-  }
-  std::size_t n = digest_chunk_count(add.size());
-  pool.for_each_index(n, [&](std::size_t i) {
-    auto [begin, end] = digest_chunk_range(add.size(), i);
-    kernels::xor_fold_words(acc.data() + begin, add.data() + begin,
-                            end - begin);
-  });
-}
-
 }  // namespace acr::checksum

@@ -2,8 +2,8 @@
 //
 // Every hot byte loop of the checkpoint/message path funnels through here:
 // the CRC32C frame-integrity check, the Fletcher buddy digests, and the
-// RAID-5 xor parity fold. Three mechanisms, all preserving bit-identical
-// results:
+// xor diff fold of the parity delta path. Three mechanisms, all preserving
+// bit-identical results:
 //
 //   1. Runtime CPU dispatch. CRC32C has an SSE4.2 instruction
 //      (_mm_crc32_u64, ~1 cycle per 8 bytes) and a portable slicing-by-8
@@ -24,11 +24,11 @@
 //      Fletcher-32); the chunked helpers below cut on fixed 256 KiB
 //      boundaries, which satisfies both.
 //
-//   3. Chunk-parallel drivers. crc32c_chunked / fletcher64_chunked /
-//      xor_fold_chunked fan fixed-size chunks across parallel::global()
-//      and merge in index order. Chunk geometry depends only on the input
-//      size — never on the worker count — so any thread count (including
-//      serial) produces the same digest bit for bit.
+//   3. Chunk-parallel drivers. crc32c_chunked / fletcher64_chunked fan
+//      fixed-size chunks across parallel::global() and merge in index
+//      order. Chunk geometry depends only on the input size — never on the
+//      worker count — so any thread count (including serial) produces the
+//      same digest bit for bit.
 #pragma once
 
 #include <cstddef>
@@ -181,11 +181,5 @@ std::uint32_t crc32c_chunked(std::span<const std::byte> data);
 /// Fletcher-64 of `data`, chunked and merged with fletcher64_combine.
 /// Bit-identical to the one-shot fletcher64() at any thread count.
 std::uint64_t fletcher64_chunked(std::span<const std::byte> data);
-
-/// xor_fold with the byte range fanned across parallel::global(). XOR is
-/// positional, so the split needs no combine step; any thread count folds
-/// the same bytes into the same slots. Zero-extends acc like xor_fold.
-void xor_fold_chunked(std::vector<std::byte>& acc,
-                      std::span<const std::byte> add);
 
 }  // namespace acr::checksum

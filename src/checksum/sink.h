@@ -6,7 +6,7 @@
 // (pack and digest fused) instead of pack-then-rescan.
 //
 // Both sinks are instances of the shared FoldSink template (fold.h), which
-// also backs the transport frame CRC and the ckpt-layer XOR parity fold.
+// also backs the transport frame CRC.
 #pragma once
 
 #include "checksum/fold.h"

@@ -23,7 +23,7 @@
 //                 shared by every agent of a run makes each distinct
 //                 chunk compress once (replicas pack identical images).
 //   redundancy-   the schemes: partner ships the CodecFrame instead of the
-//   encode        image, xor folds diff ranges into parity, the L2 tier
+//   encode        image, rs folds diff ranges into parity, the L2 tier
 //                 stores the frame as a vault v2 delta blob.
 //
 // Determinism: chunk geometry depends only on the image SIZE, the LZ stage

@@ -10,98 +10,29 @@
 //   Partner  the existing buddy path: the cross-replica copy of §2.1,
 //            1x extra memory (held by the buddy), image-sized recovery
 //            transfer over the expensive inter-replica links.
-//   Xor      RAID-5-style parity across a group of N nodes of the SAME
-//            replica. Each member splits its verified image into N-1
-//            chunks and sends chunk sigma(i,m) to holder i; each holder
-//            folds the N-1 chunks it receives (one per other member) into
-//            one parity block of ~L/(N-1) bytes. Any single node of the
-//            group is rebuilt from the N-1 survivors' images + parity —
-//            intra-replica, so a buddy-PAIR loss (fatal under Partner)
-//            is survivable. Two dead in one group lose the image.
-//
-// Chunk layout (the classic RAID-5 rotation, so no node holds parity over
-// its own bytes): member m's image is split into N-1 chunks of length
-// ceil(size_m/(N-1)); holder i != m receives chunk sigma(i,m) = (i-m-1)
-// mod N, which is a bijection in each argument. Holder i's parity is the
-// XOR-fold (zero-extended) of the N-1 chunks it received. To rebuild dead
-// member j's chunk t, the holder is i = (t+j+1) mod N (never j itself):
-// chunk t = parity_i XOR all other members' chunks sigma(i,m).
+//   Rs       Reed–Solomon group parity within one replica (rs.h): any m
+//            dead members of an n-node group are rebuilt from the n - m
+//            survivors, so a buddy-PAIR loss (fatal under Partner) is
+//            survivable. m = 1 is the classic RAID-5 XOR rotation; the
+//            driver's --ckpt-scheme=xor is a spelling of it.
 //
 // This layer is runtime-agnostic: schemes speak through Hooks callbacks
 // and pup-able message structs; the NodeAgent owns tags and routing.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <map>
-#include <optional>
-#include <set>
 #include <vector>
 
 #include "buf/buffer.h"
 #include "ckpt/codec.h"
-#include "ckpt/group.h"
 #include "ckpt/store.h"
-#include "pup/pup.h"
-#include "pup/stl.h"
 
 namespace acr::ckpt {
 
-enum class Scheme { Local, Partner, Xor, Rs };
+enum class Scheme { Local, Partner, Rs };
 
 const char* scheme_name(Scheme s);
-
-/// Parity chunk header: one chunk of the sender's verified image, riding
-/// as the message attachment (zero-copy slice of the stored checkpoint).
-struct XorChunkMsg {
-  std::uint64_t epoch = 0;
-  std::uint64_t iteration = 0;
-  std::uint64_t image_size = 0;    ///< sender's full verified image size
-  std::uint32_t image_digest = 0;  ///< CRC32C of the sender's full image
-  void pup(pup::Puper& p) {
-    p | epoch;
-    p | iteration;
-    p | image_size;
-    p | image_digest;
-  }
-};
-
-/// Delta parity chunk (codec pipeline, --ckpt-delta=on): instead of the
-/// full chunk, the member ships the XOR DIFFERENCE new^base of the dirty
-/// sub-ranges of its slice. Because parity is linear,
-///   parity_new = parity_base XOR fold(all members' diffs),
-/// a holder seeds this epoch's parity from its complete base-epoch parity
-/// and folds each diff in place. Valid only when EVERY member of the round
-/// diffs against the holder's complete epoch — a mixed or unseedable round
-/// is poisoned and simply does not complete (the group stays protected at
-/// the base epoch until the next full exchange; see kXorDeltaFullCadence).
-/// Offsets are relative to the member's slice, i.e. parity positions.
-struct XorDeltaChunkMsg {
-  std::uint64_t epoch = 0;
-  std::uint64_t iteration = 0;
-  std::uint64_t base_epoch = 0;   ///< epoch the diffs are taken against
-  std::uint64_t image_size = 0;   ///< sender's full verified image size
-  std::uint32_t image_digest = 0; ///< CRC32C of the sender's full NEW image
-  std::uint8_t encoding = 0;      ///< 0 raw, 1 lz (attachment payload)
-  std::vector<std::uint64_t> offsets;  ///< slice-relative dirty range starts
-  std::vector<std::uint64_t> lens;     ///< dirty range lengths
-  void pup(pup::Puper& p) {
-    p | epoch;
-    p | iteration;
-    p | base_epoch;
-    p | image_size;
-    p | image_digest;
-    p | encoding;
-    p | offsets;
-    p | lens;
-  }
-};
-
-/// Every this-many epochs the XOR exchange ships full chunks even when
-/// deltas are possible, so a holder whose parity history died with its
-/// hardware (promoted spare, shrink remap) re-converges within a bounded
-/// number of commits instead of poisoning delta rounds forever.
-inline constexpr std::uint64_t kXorDeltaFullCadence = 4;
 
 /// Codec context the agent hands the scheme alongside a verified image:
 /// the previous verified epoch (the delta base) and this image's chunk
@@ -115,31 +46,6 @@ struct DeltaHints {
   const std::vector<std::uint32_t>* digests = nullptr;
   std::uint64_t base_epoch = 0;  ///< 0 = no base held
   bool force_full = false;
-};
-
-/// Rebuild contribution from one survivor to the promoted spare: the
-/// survivor's full verified image (attachment, zero-copy) plus its group
-/// parity block and the member sizes that parity covers.
-struct XorPieceMsg {
-  std::uint64_t epoch = 0;
-  std::uint64_t iteration = 0;
-  std::uint64_t barrier = 0;     ///< restore wave this rebuild belongs to
-  std::uint64_t image_size = 0;  ///< sender's verified image size
-  std::vector<std::uint8_t> parity;        ///< sender's parity block
-  std::vector<std::uint64_t> member_sizes; ///< image size per group rank
-  /// CRC32C per group rank, as recorded from the parity exchange; the
-  /// spare verifies its reconstruction against its own slot before
-  /// promoting (a bad rebuild degrades instead of silently installing).
-  std::vector<std::uint32_t> member_digests;
-  void pup(pup::Puper& p) {
-    p | epoch;
-    p | iteration;
-    p | barrier;
-    p | image_size;
-    p | parity;
-    p | member_sizes;
-    p | member_digests;
-  }
 };
 
 struct RedundancyStats {
@@ -168,15 +74,12 @@ class RedundancyScheme {
 
   /// A new verified image exists on this node (commit promotion or a
   /// completed restore — the latter matters: a promoted spare's parity
-  /// died with its predecessor and must be re-fed by the group).
-  virtual void on_verified(const Image& img) { (void)img; }
-
-  /// Codec-aware variant: `hints` (may be null) carries the delta base and
-  /// chunk digests. The default forwards to the legacy entry point, so
-  /// schemes without a delta path are untouched.
-  virtual void on_verified(const Image& img, const DeltaHints* hints) {
+  /// died with its predecessor and must be re-fed by the group). `hints`
+  /// (may be null) carries the codec's delta base and chunk digests.
+  virtual void on_verified(const Image& img,
+                           const DeltaHints* hints = nullptr) {
+    (void)img;
     (void)hints;
-    on_verified(img);
   }
 
   /// Forget all redundancy state (restart from scratch / re-promotion).
@@ -204,118 +107,6 @@ class LocalScheme final : public RedundancyScheme {
 class PartnerScheme final : public RedundancyScheme {
  public:
   Scheme kind() const override { return Scheme::Partner; }
-};
-
-class XorScheme final : public RedundancyScheme {
- public:
-  struct Hooks {
-    /// Ship a parity chunk to group member `dst_index` (same replica).
-    std::function<void(int dst_index, const XorChunkMsg& msg,
-                       buf::Buffer chunk)>
-        send_chunk;
-    /// Ship a DELTA parity chunk (diff payload as the attachment). Only
-    /// wired when the codec's delta stage is on; never called otherwise.
-    std::function<void(int dst_index, const XorDeltaChunkMsg& msg,
-                       buf::Buffer payload)>
-        send_delta_chunk;
-    /// Ship a rebuild piece to the promoted spare at `dst_index`.
-    std::function<void(int dst_index, const XorPieceMsg& msg,
-                       buf::Buffer image)>
-        send_piece;
-    /// This node cannot contribute a usable piece (or received
-    /// inconsistent pieces): the manager must fall back to scratch.
-    std::function<void(std::uint64_t barrier)> report_impossible;
-    /// All pieces arrived and the image was reassembled: restore from it.
-    std::function<void(Image img, std::uint64_t barrier)> restore_rebuilt;
-  };
-
-  XorScheme(const GroupMap& groups, int node_index, Hooks hooks);
-
-  Scheme kind() const override { return Scheme::Xor; }
-  void on_verified(const Image& img) override;
-  void on_verified(const Image& img, const DeltaHints* hints) override;
-  void reset() override;
-  std::size_t redundancy_bytes() const override;
-
-  /// A group member's parity chunk arrived. Contributions are tracked as
-  /// identity sets per epoch: a duplicated chunk (at-least-once transport)
-  /// must not XOR-cancel itself out of the parity.
-  void on_chunk(int src_index, const XorChunkMsg& msg, buf::Buffer chunk);
-
-  /// A member's DELTA parity chunk arrived: seed from the base-epoch
-  /// parity and fold the diff ranges. A round that cannot seed (no parity
-  /// for the base epoch), mixes full and delta contributions, or diffs
-  /// against mismatched bases is poisoned: it never completes and the
-  /// holder keeps protecting the base epoch until the next full round.
-  void on_delta_chunk(int src_index, const XorDeltaChunkMsg& msg,
-                      buf::Buffer payload);
-
-  /// Manager ordered this survivor to feed the spare rebuilding
-  /// `dead_index`. `verified` is the node's current verified image.
-  void on_rebuild_request(int dead_index, std::uint64_t barrier,
-                          const Image& verified);
-
-  /// A survivor's rebuild piece arrived (this node is the spare).
-  void on_piece(int src_index, const XorPieceMsg& msg, buf::Buffer image);
-
-  /// True when a complete parity block for `epoch` is held (tests).
-  bool parity_complete_for(std::uint64_t epoch) const {
-    return complete_ && complete_->epoch == epoch;
-  }
-  int group_size() const { return n_; }
-
- private:
-  struct PendingParity {
-    std::set<int> contributed;  ///< ranks folded in (identity, not count)
-    std::vector<std::byte> parity;
-    std::uint64_t iteration = 0;
-    std::vector<std::uint64_t> sizes;  ///< image size per rank (0 = self)
-    std::vector<std::uint32_t> digests;  ///< image CRC32C per rank (0 = self)
-    // Codec bookkeeping: a round is uniformly full chunks or uniformly
-    // deltas against ONE base epoch; anything else poisons it.
-    enum class Mode : std::uint8_t { Undecided, Full, Delta };
-    Mode mode = Mode::Undecided;
-    std::uint64_t base_epoch = 0;  ///< Delta mode: the seeded parity's epoch
-    bool poisoned = false;
-  };
-  struct CompleteParity {
-    std::uint64_t epoch = 0;
-    std::uint64_t iteration = 0;
-    std::vector<std::byte> parity;
-    std::vector<std::uint64_t> sizes;
-    std::vector<std::uint32_t> digests;
-  };
-  struct Piece {
-    std::uint64_t epoch = 0;
-    std::uint64_t iteration = 0;
-    std::uint64_t image_size = 0;
-    buf::Buffer image;
-    std::vector<std::uint8_t> parity;
-    std::vector<std::uint64_t> member_sizes;
-    std::vector<std::uint32_t> member_digests;
-  };
-
-  int rank_of(int node_index) const;
-  /// Chunk length for an image of `size` split across the group.
-  std::size_t chunk_len(std::uint64_t size) const;
-  /// Bytes [begin, end) of chunk `t` of an image of `size`.
-  std::pair<std::size_t, std::size_t> chunk_range(std::uint64_t size,
-                                                  int t) const;
-  /// Shared tail of on_chunk / on_delta_chunk: promote (or, when poisoned,
-  /// discard) the round once all n-1 contributions are in.
-  void finish_round_if_complete(std::uint64_t epoch, PendingParity& b);
-  void try_reassemble(std::uint64_t barrier);
-
-  std::vector<int> members_;  ///< node indices of this group, ascending
-  int n_ = 0;                 ///< group size
-  int my_rank_ = 0;
-  Hooks hooks_;
-
-  std::map<std::uint64_t, PendingParity> building_;  ///< by epoch
-  std::optional<CompleteParity> complete_;
-  /// Rebuild pieces received while playing the spare, by restore barrier
-  /// then sender rank (identity-keyed: duplicates overwrite, never add).
-  std::map<std::uint64_t, std::map<int, Piece>> rebuilds_;
 };
 
 }  // namespace acr::ckpt

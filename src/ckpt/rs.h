@@ -1,11 +1,12 @@
 // Reed–Solomon erasure-coded checkpoint redundancy: survive any m losses
 // per group.
 //
-// XOR parity (redundancy.h) tops out at one loss per group; correlated
+// A single XOR parity block per group tops out at one loss; correlated
 // bursts routinely kill 2+ nodes in one blade and force the slow fallback
-// ladder. Rs(k, m) generalises the same rotated-stripe idea to m parity
+// ladder. Rs(k, m) generalises RAID-5's rotated-stripe idea to m parity
 // blocks per stripe over GF(256) (gf256.h), so ANY f <= m dead members of
-// an n-node group are rebuilt bitwise from the n - f survivors.
+// an n-node group are rebuilt bitwise from the n - f survivors. m = 1 is
+// single parity: the driver's --ckpt-scheme=xor spells rs with m = 1.
 //
 // Stripe layout (n = group size, m = parity count, k = n - m data chunks
 // per member; all arithmetic mod n):
@@ -15,7 +16,7 @@
 //     other member r contributes its data chunk t = (s - r - 1) mod n.
 //   - Equivalently: member r's image splits into k chunks of length
 //     ceil(size_r / k); chunk t goes to stripe s = (r + 1 + t) mod n.
-//     For m = 1 this is exactly the XOR scheme's RAID-5 rotation.
+//     For m = 1 this is the classic RAID-5 rotation.
 //   - Parity slot q of stripe s (held by p = (s + q) mod n) stores
 //         P_q(s) = XOR-sum over data members r of  C[q][r] * chunk_r(s)
 //     with Cauchy coefficients C[q][r] = 1 / (q XOR (m + r)) in GF(256)
@@ -28,24 +29,29 @@
 // equations — and any u x u Cauchy submatrix is invertible, so Gaussian
 // elimination recovers all u missing chunks of every stripe.
 //
-// The rebuild wave mirrors XOR's, generalised to multi-loss: the manager
-// sends ONE RsRebuildCmd per group naming the whole dead set; every
-// survivor ships one piece (its verified image + its m parity blocks +
-// the recorded member sizes/digests) to EACH promoted spare; each spare
-// independently runs the per-stripe Gaussian solve over gf256_muladd_row
-// and restores only its own image, CRC-verified before promotion.
+// The rebuild wave: the manager sends ONE RsRebuildCmd per group naming
+// the whole dead set; every survivor ships one piece (its verified image +
+// its m parity blocks + the recorded member sizes/digests) to EACH
+// promoted spare; each spare independently runs the per-stripe Gaussian
+// solve over gf256_muladd_row and restores only its own image,
+// CRC-verified before promotion.
 //
-// Like the XOR scheme this layer is runtime-agnostic: pup-able message
-// structs + Hooks callbacks; the NodeAgent owns tags and routing.
+// This layer is runtime-agnostic: pup-able message structs + Hooks
+// callbacks; the NodeAgent owns tags and routing.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <optional>
 #include <set>
 #include <vector>
 
+#include "buf/buffer.h"
+#include "ckpt/group.h"
 #include "ckpt/redundancy.h"
+#include "pup/pup.h"
+#include "pup/stl.h"
 
 namespace acr::ckpt {
 
@@ -102,8 +108,12 @@ struct RsChunkMsg {
 /// Delta variant (codec pipeline): the XOR difference new^base of the
 /// dirty sub-ranges of the sender's chunk. GF(256) multiplication
 /// distributes over XOR, so the holder advances its seeded parity with
-/// parity ^= C * diff over exactly these ranges. Same poisoning rules as
-/// the XOR delta path.
+/// parity ^= C * diff over exactly these ranges. A holder seeds the round
+/// from its complete base-epoch parity; valid only when EVERY data member
+/// of the round diffs against that epoch — a mixed or unseedable round is
+/// poisoned and simply does not complete (the group stays protected at
+/// the base epoch until the next full exchange; see
+/// kParityDeltaFullCadence).
 struct RsDeltaChunkMsg {
   std::uint64_t epoch = 0;
   std::uint64_t iteration = 0;
@@ -157,6 +167,12 @@ struct RsPieceMsg {
   }
 };
 
+/// Every this-many epochs the parity exchange ships full chunks even when
+/// deltas are possible, so a holder whose parity history died with its
+/// hardware (promoted spare, shrink remap) re-converges within a bounded
+/// number of commits instead of poisoning delta rounds forever.
+inline constexpr std::uint64_t kParityDeltaFullCadence = 4;
+
 class RsScheme final : public RedundancyScheme {
  public:
   struct Hooks {
@@ -183,8 +199,8 @@ class RsScheme final : public RedundancyScheme {
   RsScheme(const GroupMap& groups, int node_index, int parity, Hooks hooks);
 
   Scheme kind() const override { return Scheme::Rs; }
-  void on_verified(const Image& img) override;
-  void on_verified(const Image& img, const DeltaHints* hints) override;
+  void on_verified(const Image& img,
+                   const DeltaHints* hints = nullptr) override;
   void reset() override;
   std::size_t redundancy_bytes() const override;
 

@@ -5,7 +5,7 @@
 // comparison; the authoritative rollback target) and the *candidate* image
 // (packed this consensus round, awaiting its verdict). The redundancy
 // scheme (redundancy.h) decides what ELSE protects the verified image —
-// nothing (Local), a buddy copy (Partner), or group parity (Xor) — but the
+// nothing (Local), a buddy copy (Partner), or group parity (Rs) — but the
 // promotion state machine here is scheme-independent.
 //
 // An optional CheckpointVault (vault.h) gives the store a durable tier:
@@ -55,7 +55,7 @@ class Store {
   PromoteResult promote(std::uint64_t epoch);
 
   /// Install `img` as the verified image directly (restore paths: rollback
-  /// re-adoption, buddy-shipped image, XOR rebuild). Discards the candidate
+  /// re-adoption, buddy-shipped image, parity rebuild). Discards the candidate
   /// — it predates the state jump.
   void adopt_verified(Image img);
 

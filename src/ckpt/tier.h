@@ -3,7 +3,7 @@
 //
 // The paper's ACR deliberately keeps checkpoints in replica memory (§1:
 // disk cost "may be prohibitive"), but correlated bursts can destroy every
-// in-memory copy of an epoch — buddy-pair loss, two nodes of an XOR group,
+// in-memory copy of an epoch — buddy-pair loss, two nodes of a parity group,
 // an exhausted spare pool — and then the only options are restarting from
 // scratch or restoring from a slower durable level (the SCR / CRAFT
 // multi-level story). DurableTier models that level: a store of

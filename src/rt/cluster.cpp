@@ -85,16 +85,6 @@ Cluster::Cluster(Engine& engine, const ClusterConfig& config)
   }
 }
 
-std::vector<int> Cluster::live_group_peers(int replica, int node_index) {
-  std::vector<int> peers;
-  if (!ckpt_groups_.enabled()) return peers;
-  for (int m : ckpt_groups_.group_members(node_index)) {
-    if (m == node_index) continue;
-    if (role_alive(replica, m)) peers.push_back(m);
-  }
-  return peers;
-}
-
 void Cluster::map_onto_torus(const topo::Torus3D& torus,
                              topo::MappingScheme scheme, int mixed_chunk) {
   topo::ReplicaMapping mapping(torus, scheme, mixed_chunk);

@@ -155,7 +155,7 @@ TEST(AdaptiveBurst, IntervalTightensAfterBurstArrivals) {
 }
 
 // ---------------------------------------------------------------------------
-// Simulation fixtures (mirrors test_xor_soak.cpp's reference pattern).
+// Simulation fixtures (mirrors test_rs_soak.cpp's reference pattern).
 // ---------------------------------------------------------------------------
 
 apps::Jacobi3DConfig burst_app() {
@@ -400,11 +400,12 @@ TEST(Degradation, SimultaneousBuddyPairLossFallsBackToScratch) {
   EXPECT_EQ(verified_digest(sim.runtime), reference().digest);
 }
 
-/// Two members of one xor parity group die at the same instant: beyond
-/// single-parity coverage, must degrade to scratch, not wedge.
+/// Two members of one single-parity group (--ckpt-scheme=xor) die at the
+/// same instant: beyond its coverage, must degrade to scratch, not wedge.
 TEST(Degradation, SimultaneousGroupDoubleLossFallsBackToScratch) {
   AcrConfig ac = burst_acr_config();
-  ac.redundancy = ckpt::Scheme::Xor;
+  ac.redundancy = ckpt::Scheme::Rs;
+  ac.rs_parity = 1;
   ac.xor_group_size = 4;
   Sim sim(ac, 4, 32);
   double mid = reference().finish_time * 0.5;
@@ -445,10 +446,12 @@ TEST(Degradation, SecondFailureMidRecoveryIsSerialized) {
   EXPECT_EQ(verified_digest(sim.runtime), reference().digest);
 }
 
-/// Same, under xor redundancy with the second death mid-group-rebuild.
+/// Same, under single-parity group redundancy (--ckpt-scheme=xor) with the
+/// second death mid-group-rebuild.
 TEST(Degradation, SecondFailureMidXorRebuildIsSerialized) {
   AcrConfig ac = burst_acr_config();
-  ac.redundancy = ckpt::Scheme::Xor;
+  ac.redundancy = ckpt::Scheme::Rs;
+  ac.rs_parity = 1;
   ac.xor_group_size = 4;
   Sim sim(ac, 6, 34);
   double mid = reference().finish_time * 0.5;

@@ -1,20 +1,15 @@
 // Unit tests for the pluggable checkpoint layer (src/ckpt): the double
 // checkpoint Store's promotion state machine (including the edge cases a
-// racing verdict/rollback produces), the parity GroupMap, and the XOR
-// scheme's chunk/rebuild algebra driven purely through its Hooks — no
-// cluster, no clock.
+// racing verdict/rollback produces), the parity GroupMap, and the on-disk
+// CheckpointVault. The parity scheme's algebra is in test_rs_scheme.cpp.
 #include <gtest/gtest.h>
 
 #include <cstddef>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <vector>
 
-#include "checksum/fold.h"
 #include "ckpt/group.h"
-#include "ckpt/redundancy.h"
 #include "ckpt/store.h"
 #include "ckpt/vault.h"
 #include "common/rng.h"
@@ -173,218 +168,6 @@ TEST(CkptGroupMap, LargerRemainderStandsAlone) {
   EXPECT_EQ(h.num_groups(), 3);
   EXPECT_EQ(h.group_size_of(7), 2);
   EXPECT_EQ(h.group_members(7), (std::vector<int>{6, 7}));
-}
-
-// ---------------------------------------------------------------------------
-// xor_fold.
-// ---------------------------------------------------------------------------
-
-TEST(CkptXorFold, ZeroExtendsAndCancels) {
-  std::vector<std::byte> acc;
-  std::vector<std::byte> a{std::byte{0x0F}, std::byte{0xF0}};
-  std::vector<std::byte> b{std::byte{0xFF}};
-  checksum::xor_fold(acc, a);
-  checksum::xor_fold(acc, b);
-  ASSERT_EQ(acc.size(), 2u);
-  EXPECT_EQ(acc[0], std::byte{0xF0});
-  EXPECT_EQ(acc[1], std::byte{0xF0});
-  // XOR is an involution: folding the same data again restores the rest.
-  checksum::xor_fold(acc, a);
-  EXPECT_EQ(acc[0], std::byte{0xFF});
-  EXPECT_EQ(acc[1], std::byte{0x00});
-}
-
-// ---------------------------------------------------------------------------
-// XorScheme driven purely through Hooks: a miniature in-memory "group".
-// ---------------------------------------------------------------------------
-
-/// A wired group of XorScheme instances whose hooks deliver synchronously.
-struct MiniGroup {
-  explicit MiniGroup(int nodes, int group_size)
-      : map(nodes, group_size) {
-    for (int i = 0; i < nodes; ++i) schemes.push_back(make_scheme(i));
-  }
-
-  std::unique_ptr<XorScheme> make_scheme(int index) {
-    XorScheme::Hooks hooks;
-    hooks.send_chunk = [this, index](int dst, const XorChunkMsg& msg,
-                                     buf::Buffer chunk) {
-      if (drop_chunks) return;
-      schemes[static_cast<std::size_t>(dst)]->on_chunk(index, msg, chunk);
-      if (duplicate_chunks)
-        schemes[static_cast<std::size_t>(dst)]->on_chunk(index, msg, chunk);
-    };
-    hooks.send_piece = [this, index](int dst, const XorPieceMsg& msg,
-                                     buf::Buffer image) {
-      XorPieceMsg m = msg;
-      // In-flight parity corruption: structurally sound, algebraically
-      // wrong — only the verify-on-rebuild CRC can catch it.
-      if (corrupt_piece_from == index)
-        for (auto& b : m.parity) b = static_cast<std::uint8_t>(b ^ 0xFF);
-      schemes[static_cast<std::size_t>(dst)]->on_piece(index, m, image);
-    };
-    hooks.report_impossible = [this](std::uint64_t barrier) {
-      impossible_barriers.push_back(barrier);
-    };
-    hooks.restore_rebuilt = [this, index](Image img, std::uint64_t barrier) {
-      rebuilt[index] = std::move(img);
-      rebuilt_barrier = barrier;
-    };
-    return std::make_unique<XorScheme>(map, index, std::move(hooks));
-  }
-
-  GroupMap map;
-  std::vector<std::unique_ptr<XorScheme>> schemes;
-  std::map<int, Image> rebuilt;
-  std::vector<std::uint64_t> impossible_barriers;
-  std::uint64_t rebuilt_barrier = 0;
-  bool duplicate_chunks = false;
-  bool drop_chunks = false;
-  int corrupt_piece_from = -1;
-};
-
-std::vector<Image> exchange_epoch(MiniGroup& g, std::uint64_t epoch,
-                                  std::size_t base_size) {
-  std::vector<Image> images;
-  for (int i = 0; i < static_cast<int>(g.schemes.size()); ++i) {
-    // Unequal sizes on purpose: the fold must zero-extend correctly.
-    images.push_back(make_stored(epoch, epoch * 10, base_size + 7u * i,
-                                 epoch * 100 + i));
-  }
-  for (int i = 0; i < static_cast<int>(g.schemes.size()); ++i)
-    g.schemes[static_cast<std::size_t>(i)]->on_verified(images[i]);
-  return images;
-}
-
-void expect_rebuild_matches(MiniGroup& g, const std::vector<Image>& images,
-                            int dead, std::uint64_t barrier) {
-  // A fresh spare takes over the dead index (its scheme state died with it).
-  g.schemes[static_cast<std::size_t>(dead)] = g.make_scheme(dead);
-  for (int i = 0; i < static_cast<int>(g.schemes.size()); ++i) {
-    if (i == dead) continue;
-    g.schemes[static_cast<std::size_t>(i)]->on_rebuild_request(dead, barrier,
-                                                               images[i]);
-  }
-  ASSERT_TRUE(g.rebuilt.count(dead)) << "dead=" << dead;
-  const Image& got = g.rebuilt[dead];
-  const Image& want = images[static_cast<std::size_t>(dead)];
-  EXPECT_EQ(got.epoch, want.epoch);
-  EXPECT_EQ(got.iteration, want.iteration);
-  ASSERT_EQ(got.image.size(), want.image.size());
-  EXPECT_TRUE(std::equal(got.image.bytes().begin(), got.image.bytes().end(),
-                         want.image.bytes().begin()))
-      << "rebuilt image differs bitwise (dead=" << dead << ")";
-  EXPECT_EQ(g.rebuilt_barrier, barrier);
-  g.rebuilt.clear();
-}
-
-TEST(CkptXorScheme, ParityCompletesAfterAllChunksArrive) {
-  MiniGroup g(4, 4);
-  exchange_epoch(g, 1, 64);
-  for (const auto& s : g.schemes) {
-    EXPECT_TRUE(s->parity_complete_for(1));
-    EXPECT_GT(s->redundancy_bytes(), 0u);
-    // ~1/(k-1) of an image per node, not a full copy.
-    EXPECT_LT(s->redundancy_bytes(), 64u + 7u * 4u);
-  }
-}
-
-TEST(CkptXorScheme, AnySingleDeadMemberRebuildsBitwise) {
-  for (int dead = 0; dead < 4; ++dead) {
-    MiniGroup g(4, 4);
-    std::vector<Image> images = exchange_epoch(g, 1, 61);
-    expect_rebuild_matches(g, images, dead, 10);
-    EXPECT_TRUE(g.impossible_barriers.empty());
-  }
-}
-
-TEST(CkptXorScheme, MinimumGroupOfTwoDegeneratesToMirroring) {
-  // n=2: one chunk = the whole image; the partner's parity IS a full copy.
-  MiniGroup g(2, 2);
-  std::vector<Image> images = exchange_epoch(g, 1, 33);
-  expect_rebuild_matches(g, images, 1, 4);
-}
-
-TEST(CkptXorScheme, RebuildAfterLaterEpochUsesTheLatestParity) {
-  MiniGroup g(4, 4);
-  exchange_epoch(g, 1, 64);
-  std::vector<Image> images = exchange_epoch(g, 2, 80);
-  for (const auto& s : g.schemes) {
-    EXPECT_TRUE(s->parity_complete_for(2));
-    EXPECT_FALSE(s->parity_complete_for(1));
-  }
-  expect_rebuild_matches(g, images, 2, 11);
-}
-
-TEST(CkptXorScheme, DuplicatedChunksDoNotCancelParity) {
-  // XOR-folding a duplicate would cancel that contribution to zero; the
-  // identity set must make redelivery idempotent.
-  MiniGroup g(4, 4);
-  g.duplicate_chunks = true;
-  std::vector<Image> images = exchange_epoch(g, 1, 57);
-  expect_rebuild_matches(g, images, 3, 6);
-}
-
-TEST(CkptXorScheme, IncompleteParityReportsImpossible) {
-  MiniGroup g(4, 4);
-  g.drop_chunks = true;  // parity exchange never happens
-  std::vector<Image> images = exchange_epoch(g, 1, 50);
-  g.schemes[0] = g.make_scheme(0);
-  g.schemes[1]->on_rebuild_request(0, 9, images[1]);
-  EXPECT_TRUE(g.rebuilt.empty());
-  ASSERT_EQ(g.impossible_barriers.size(), 1u);
-  EXPECT_EQ(g.impossible_barriers[0], 9u);
-}
-
-TEST(CkptXorScheme, ParityEpochBehindVerifiedReportsImpossible) {
-  // The member died between a commit and the parity exchange: survivors'
-  // verified epoch moved ahead of their complete parity.
-  MiniGroup g(4, 4);
-  exchange_epoch(g, 1, 64);
-  g.drop_chunks = true;
-  std::vector<Image> images = exchange_epoch(g, 2, 64);  // chunks lost
-  g.schemes[0] = g.make_scheme(0);
-  g.schemes[1]->on_rebuild_request(0, 12, images[1]);
-  EXPECT_TRUE(g.rebuilt.empty());
-  ASSERT_EQ(g.impossible_barriers.size(), 1u);
-}
-
-TEST(CkptXorScheme, ResetForgetsParity) {
-  MiniGroup g(4, 4);
-  exchange_epoch(g, 1, 64);
-  g.schemes[2]->reset();
-  EXPECT_FALSE(g.schemes[2]->parity_complete_for(1));
-  EXPECT_EQ(g.schemes[2]->redundancy_bytes(), 0u);
-}
-
-TEST(CkptXorScheme, CorruptedParityPieceIsRejectedNotPromoted) {
-  // Verify-on-rebuild: a survivor's parity block is flipped in flight.
-  // The spare's reconstruction fails the recorded CRC32C, is counted as
-  // rejected, and falls down the recovery ladder instead of silently
-  // installing garbage state.
-  MiniGroup g(4, 4);
-  std::vector<Image> images = exchange_epoch(g, 1, 73);
-  g.corrupt_piece_from = 2;
-  g.schemes[0] = g.make_scheme(0);
-  for (int i = 1; i < 4; ++i)
-    g.schemes[static_cast<std::size_t>(i)]->on_rebuild_request(0, 21,
-                                                               images[i]);
-  EXPECT_TRUE(g.rebuilt.empty()) << "corrupted rebuild was promoted";
-  ASSERT_FALSE(g.impossible_barriers.empty());
-  EXPECT_EQ(g.impossible_barriers[0], 21u);
-  EXPECT_EQ(g.schemes[0]->stats().rebuilds_rejected, 1u);
-  EXPECT_EQ(g.schemes[0]->stats().rebuilds_completed, 0u);
-}
-
-TEST(CkptXorScheme, StatsCountChunksAndRebuilds) {
-  MiniGroup g(4, 4);
-  std::vector<Image> images = exchange_epoch(g, 1, 64);
-  const RedundancyStats& st = g.schemes[0]->stats();
-  EXPECT_EQ(st.parity_chunks_sent, 3u);
-  EXPECT_GT(st.parity_bytes_sent, 0u);
-  expect_rebuild_matches(g, images, 2, 5);
-  EXPECT_EQ(g.schemes[2]->stats().rebuilds_completed, 1u);
-  EXPECT_EQ(g.schemes[0]->stats().rebuild_pieces_sent, 1u);
 }
 
 // ---------------------------------------------------------------------------

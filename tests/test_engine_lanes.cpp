@@ -285,7 +285,8 @@ ScenarioResult run_partner_sdc(int lanes) {
   return finish(runtime, runtime.run(30.0));
 }
 
-/// Xor parity + correlated bursts + shrink: rebuilds, spares, doubling.
+/// Single group parity (--ckpt-scheme=xor = rs with one parity block) +
+/// correlated bursts + shrink: rebuilds, spares, doubling.
 ScenarioResult run_xor_burst(int lanes) {
   apps::Jacobi3DConfig j;
   j.tasks_x = j.tasks_y = 2;
@@ -296,7 +297,8 @@ ScenarioResult run_xor_burst(int lanes) {
   j.seconds_per_point = 1e-5;
   AcrConfig ac;
   ac.scheme = ResilienceScheme::Strong;
-  ac.redundancy = ckpt::Scheme::Xor;
+  ac.redundancy = ckpt::Scheme::Rs;
+  ac.rs_parity = 1;
   ac.xor_group_size = 4;
   ac.degrade = DegradeMode::Shrink;
   ac.checkpoint_interval = 0.003;

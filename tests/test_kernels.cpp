@@ -270,28 +270,6 @@ TEST(Chunked, DigestsMatchOneShotAtAnyThreadCount) {
   }
 }
 
-TEST(Chunked, XorFoldMatchesScalarAndZeroExtends) {
-  const std::size_t kC = checksum::kDigestChunk;
-  auto add = random_bytes(2 * kC + 11, 22);
-  // Scalar reference.
-  std::vector<std::byte> want(kC / 2, std::byte{0x5A});
-  std::vector<std::byte> got = want;
-  {
-    std::vector<std::byte>& acc = want;
-    if (add.size() > acc.size()) acc.resize(add.size(), std::byte{0});
-    for (std::size_t i = 0; i < add.size(); ++i) acc[i] ^= add[i];
-  }
-  {
-    ScopedThreads t(3);
-    checksum::xor_fold_chunked(got, add);
-  }
-  EXPECT_EQ(got, want);
-  // Serial chunked path too.
-  std::vector<std::byte> serial(kC / 2, std::byte{0x5A});
-  checksum::xor_fold_chunked(serial, add);
-  EXPECT_EQ(serial, want);
-}
-
 // ---------------------------------------------------------------------------
 // Pool.
 // ---------------------------------------------------------------------------
@@ -415,19 +393,21 @@ ScenarioResult run_partner_scenario() {
   return res;
 }
 
-/// Xor scenario: RAID-5 parity build over the kernel xor fold, plus a hard
-/// fault to trigger a rebuild.
+/// Xor scenario (--ckpt-scheme=xor: rs with one parity block): the RAID-5
+/// parity build over the GF(256) row kernel, plus a hard fault to trigger a
+/// rebuild.
 ScenarioResult run_xor_scenario() {
   apps::Jacobi3DConfig j;
   j.tasks_x = j.tasks_y = 2;
   j.tasks_z = 4;
   j.block_x = j.block_y = j.block_z = 4;
   j.iterations = 30;
-  j.slots_per_node = 2;  // 8 nodes per replica -> 2 xor groups of 4
+  j.slots_per_node = 2;  // 8 nodes per replica -> 2 parity groups of 4
   j.seconds_per_point = 1e-5;
   AcrConfig ac;
   ac.scheme = ResilienceScheme::Strong;
-  ac.redundancy = ckpt::Scheme::Xor;
+  ac.redundancy = ckpt::Scheme::Rs;
+  ac.rs_parity = 1;
   ac.xor_group_size = 4;
   ac.checkpoint_interval = 0.003;
   ac.heartbeat_period = 0.0004;
@@ -491,7 +471,7 @@ TEST(KernelDeterminism, ScenariosExerciseKernelPaths) {
   EXPECT_GT(partner.summary.sdc_injected, 0u);     // digest-compare path
   ScenarioResult xorr = run_xor_scenario();
   EXPECT_GT(xorr.summary.checkpoints, 0u);
-  EXPECT_GT(xorr.summary.parity_chunks_sent, 0u);  // xor fold path
+  EXPECT_GT(xorr.summary.parity_chunks_sent, 0u);  // parity fold path
   EXPECT_GT(xorr.summary.hard_failures, 0u);       // rebuild/restart path
 }
 
