@@ -1,16 +1,14 @@
-// Event-engine scaling sweep: a PHOLD-style synthetic workload (ring of
-// logical nodes, each bouncing timestamped messages to itself and its
-// neighbors, plus watchdog cancel/rearm churn) run at 1k/16k/131k nodes
-// across engine lane counts. Two things are measured per point: wall time
-// (the perf trajectory, written to BENCH_engine.json) and a running digest
-// of every dispatch (node, sequence, time bits) — asserted bit-identical
-// across lane counts, which is the engine's determinism contract at the
+// Event-engine queue-scaling sweep: a PHOLD-style synthetic workload (ring
+// of logical nodes, each bouncing timestamped messages to itself and its
+// neighbors, plus watchdog cancel/rearm churn) run on the serial binary-heap
+// engine at 1k/16k/131k nodes. Two things are measured per point: wall time
+// and events/s (the perf trajectory, written to BENCH_engine.json) and a
+// running digest of every dispatch (node, sequence, time bits). The event
+// count and digest are pinned: a change to either means the engine's
+// (time, id) dispatch order moved, which is the determinism contract at the
 // scale the soak suites never reach.
 //
-// Speedup-vs-serial is honest wall clock on whatever host runs the bench:
-// on a single-core machine the laned engine wins (or loses) only by its
-// algorithmics (small in-window overflow heap, O(1) mailbox appends,
-// per-lane heaps a fraction of the global size), not by threads. host_cores
+// Wall time is honest wall clock on whatever host runs the bench; host_cores
 // is recorded in the JSON so trajectories from different machines are not
 // compared blindly.
 #include <chrono>
@@ -28,7 +26,7 @@ using namespace acr;
 namespace {
 
 constexpr int kEventsPerNode = 16;
-constexpr double kMinDelay = 5e-6;    // also the conservative lookahead
+constexpr double kMinDelay = 5e-6;
 constexpr double kDelaySpread = 45e-6;
 
 std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
@@ -39,7 +37,6 @@ std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
 struct PholdResult {
   std::uint64_t digest = 0;
   std::size_t events = 0;
-  std::uint64_t rounds = 0;
   double wall_seconds = 0.0;
 };
 
@@ -48,10 +45,9 @@ struct PholdResult {
 /// reschedule, so the cancelled-set churns exactly as the cluster's
 /// heartbeat timers do), and forwards the message to itself or a ring
 /// neighbor with a node-local PCG delay. Event count, times, and digest
-/// depend only on the per-node RNG streams — never on the lane count.
-PholdResult run_phold(int nodes, int lanes) {
-  rt::Engine engine(lanes);
-  engine.set_lookahead(kMinDelay);
+/// depend only on the per-node RNG streams.
+PholdResult run_phold(int nodes) {
+  rt::Engine engine;
 
   struct NodeState {
     Pcg32 rng;
@@ -78,8 +74,7 @@ PholdResult run_phold(int nodes, int lanes) {
     // arm a fresh one past the end of the run.
     engine.cancel(s.watchdog);
     s.watchdog = engine.schedule_after(
-        10.0, [&digest, node] { digest = mix(digest, ~static_cast<std::uint64_t>(node)); },
-        static_cast<rt::Engine::LaneKey>(node));
+        10.0, [&digest, node] { digest = mix(digest, ~static_cast<std::uint64_t>(node)); });
     if (--s.remaining <= 0) {
       engine.cancel(s.watchdog);
       s.watchdog = 0;
@@ -90,16 +85,14 @@ PholdResult run_phold(int nodes, int lanes) {
     std::uint32_t pick = s.rng.bounded(10);
     if (pick < 2) dst = (node + 1) % nodes;                  // ring right
     else if (pick < 3) dst = (node + nodes - 1) % nodes;     // ring left
-    engine.schedule_after(delay, [&bounce, dst] { bounce(dst); },
-                          static_cast<rt::Engine::LaneKey>(dst));
+    engine.schedule_after(delay, [&bounce, dst] { bounce(dst); });
   };
 
   auto t0 = std::chrono::steady_clock::now();
   for (int n = 0; n < nodes; ++n) {
     NodeState& s = state[static_cast<std::size_t>(n)];
     double start = kMinDelay + kDelaySpread * (s.rng.next() * 0x1p-32);
-    engine.schedule_after(start, [&bounce, n] { bounce(n); },
-                          static_cast<rt::Engine::LaneKey>(n));
+    engine.schedule_after(start, [&bounce, n] { bounce(n); });
   }
   engine.run();
   auto t1 = std::chrono::steady_clock::now();
@@ -107,7 +100,6 @@ PholdResult run_phold(int nodes, int lanes) {
   PholdResult r;
   r.digest = digest;
   r.events = engine.events_processed();
-  r.rounds = engine.rounds();
   r.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
   return r;
 }
@@ -115,47 +107,49 @@ PholdResult run_phold(int nodes, int lanes) {
 }  // namespace
 
 int main() {
-  const int node_counts[] = {1024, 16384, 131072};
-  const int lane_counts[] = {1, 2, 4, 8};
+  // Event count and dispatch digest per size, pinned from the engine's
+  // (time, id) order.
+  struct Expected {
+    int nodes;
+    std::size_t events;
+    std::uint64_t digest;
+  };
+  const Expected expected[] = {
+      {1024, 14001, 0x23372c34b404eda9ULL},
+      {16384, 223997, 0xed96b71be977a2b8ULL},
+      {131072, 1791370, 0x6ba04d537e784412ULL},
+  };
   unsigned cores = std::thread::hardware_concurrency();
 
   std::printf("engine scaling sweep — PHOLD ring, %d events/node, host cores=%u\n\n",
               kEventsPerNode, cores);
-  std::printf("%8s %6s %12s %10s %12s %10s\n", "nodes", "lanes", "events",
-              "rounds", "wall (s)", "speedup");
+  std::printf("%8s %12s %12s %14s %18s\n", "nodes", "events", "wall (s)",
+              "events/s", "digest");
 
   struct Point {
-    int nodes, lanes;
+    int nodes;
     std::size_t events;
-    std::uint64_t rounds;
-    double wall, speedup;
+    std::uint64_t digest;
+    double wall, events_per_s;
   };
   std::vector<Point> points;
   bool deterministic = true;
 
-  for (int nodes : node_counts) {
-    double serial_wall = 0.0;
-    std::uint64_t serial_digest = 0;
-    std::size_t serial_events = 0;
-    for (int lanes : lane_counts) {
-      PholdResult r = run_phold(nodes, lanes);
-      if (lanes == 1) {
-        serial_wall = r.wall_seconds;
-        serial_digest = r.digest;
-        serial_events = r.events;
-      } else if (r.digest != serial_digest || r.events != serial_events) {
-        deterministic = false;
-        std::printf("DETERMINISM VIOLATION at nodes=%d lanes=%d\n", nodes,
-                    lanes);
-      }
-      double speedup = r.wall_seconds > 0.0 ? serial_wall / r.wall_seconds : 0.0;
-      std::printf("%8d %6d %12zu %10llu %12.4f %9.2fx\n", nodes, lanes,
-                  r.events, static_cast<unsigned long long>(r.rounds),
-                  r.wall_seconds, speedup);
-      points.push_back(
-          {nodes, lanes, r.events, r.rounds, r.wall_seconds, speedup});
+  for (const Expected& e : expected) {
+    PholdResult r = run_phold(e.nodes);
+    if (r.events != e.events || r.digest != e.digest) {
+      deterministic = false;
+      std::printf("DETERMINISM VIOLATION at nodes=%d: events %zu digest "
+                  "%016llx, expected %zu %016llx\n",
+                  e.nodes, r.events, static_cast<unsigned long long>(r.digest),
+                  e.events, static_cast<unsigned long long>(e.digest));
     }
-    std::printf("\n");
+    double rate = r.wall_seconds > 0.0
+                      ? static_cast<double>(r.events) / r.wall_seconds
+                      : 0.0;
+    std::printf("%8d %12zu %12.4f %14.0f   %016llx\n", e.nodes, r.events,
+                r.wall_seconds, rate, static_cast<unsigned long long>(r.digest));
+    points.push_back({e.nodes, r.events, r.digest, r.wall_seconds, rate});
   }
 
   std::FILE* out = std::fopen("BENCH_engine.json", "w");
@@ -169,12 +163,11 @@ int main() {
     for (std::size_t i = 0; i < points.size(); ++i) {
       const Point& p = points[i];
       std::fprintf(out,
-                   "  {\"nodes\": %d, \"lanes\": %d, \"events_processed\": "
-                   "%zu, \"rounds\": %llu, \"wall_seconds\": %.6f, "
-                   "\"speedup_vs_serial\": %.4f}%s\n",
-                   p.nodes, p.lanes, p.events,
-                   static_cast<unsigned long long>(p.rounds), p.wall,
-                   p.speedup, i + 1 < points.size() ? "," : "");
+                   "  {\"nodes\": %d, \"events_processed\": %zu, "
+                   "\"digest\": \"%016llx\", \"wall_seconds\": %.6f, "
+                   "\"events_per_s\": %.0f}%s\n",
+                   p.nodes, p.events, static_cast<unsigned long long>(p.digest),
+                   p.wall, p.events_per_s, i + 1 < points.size() ? "," : "");
     }
     std::fprintf(out, " ]\n}\n");
     std::fclose(out);

@@ -436,8 +436,8 @@ void RsScheme::try_reassemble(std::uint64_t barrier) {
 
   // Per-stripe Gaussian solve for this node's k data chunks. Everything
   // iterates in canonical order (ranks ascending, parity slots ascending),
-  // so every spare — and every thread/lane configuration — computes the
-  // same bytes.
+  // so every spare — at any --kernel-threads count — computes the same
+  // bytes.
   std::vector<std::byte> rebuilt;
   rebuilt.reserve(static_cast<std::size_t>(my_size));
   for (int t = 0; t < k_; ++t) {

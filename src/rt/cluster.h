@@ -136,10 +136,10 @@ struct ClusterConfig {
   /// bandwidth == 0 leaves the tier's cost model unused.
   net::L2Params l2;
 
-  /// Shard the event engine into this many lanes (Engine::set_lanes) and
-  /// derive its conservative-lookahead window from the latency model. 0
-  /// leaves the engine as constructed (serial unless ACR_ENGINE_LANES set);
-  /// output is bit-identical at every value.
+  /// Retired event-queue shard count. The engine is one serial heap, so
+  /// a value above 1 is a RequireError. The field stays because the
+  /// end-to-end benchmark harness (perfbench/) sets it to 1 and prints it
+  /// with its configuration.
   int engine_lanes = 0;
 
   std::uint64_t seed = 0xAC0FF00DULL;

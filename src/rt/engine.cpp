@@ -2,82 +2,25 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-
-#include "parallel/pool.h"
 
 namespace acr::rt {
 
-namespace {
-
-int env_lanes() {
-  const char* e = std::getenv("ACR_ENGINE_LANES");
-  if (e == nullptr || *e == '\0') return 1;
-  int n = std::atoi(e);
-  if (n < 2) return 1;
-  return n > 1024 ? 1024 : n;
-}
-
-}  // namespace
-
-Engine::Engine() : Engine(env_lanes()) {}
-
-Engine::Engine(int lanes) {
-  lanes_.resize(static_cast<std::size_t>(lanes < 1 ? 1 : lanes));
-}
-
-Engine::~Engine() = default;
-
-void Engine::set_lanes(int lanes) {
-  std::size_t n = static_cast<std::size_t>(lanes < 1 ? 1 : lanes);
-  if (n == lanes_.size()) return;
-  ACR_REQUIRE(pending() == 0,
-              "cannot reshard the event queue while events are pending");
-  lanes_.clear();
-  lanes_.resize(n);
-  merge_.clear();
-  overflow_.clear();
-  round_active_ = false;
-  horizon_ = -std::numeric_limits<double>::infinity();
-  runner_.reset();
-}
-
-void Engine::set_lookahead(double seconds) {
-  ACR_REQUIRE(std::isfinite(seconds) && seconds >= 0.0,
-              "lookahead must be finite and non-negative");
-  lookahead_ = seconds;
-}
-
-Engine::EventId Engine::schedule_at(double time, Handler fn, LaneKey lane_key) {
+Engine::EventId Engine::schedule_at(double time, Handler fn) {
   // A NaN deadline would silently corrupt every heap comparison below it
   // (NaN is unordered, so sift paths disagree); infinities are equally
   // meaningless as virtual times. Reject both loudly.
   ACR_REQUIRE(std::isfinite(time), "event time must be finite");
   ACR_REQUIRE(time >= now_, "cannot schedule in the past");
   EventId id = next_id_++;
-  if (serial()) {
-    std::vector<Event>& heap = lanes_[0].heap;
-    heap.push_back(Event{time, id, std::move(fn)});
-    std::push_heap(heap.begin(), heap.end(), Later{});
-    return id;
-  }
-  if (round_active_ && time <= horizon_) {
-    // In-window: must be dispatchable before the current round's extracted
-    // runs are exhausted, so it cannot wait in a mailbox. The overflow
-    // heap is small (only this window's late arrivals), so short-lived
-    // events bypass the big lane heaps entirely.
-    overflow_.push_back(Event{time, id, std::move(fn)});
-    std::push_heap(overflow_.begin(), overflow_.end(), Later{});
-  } else {
-    lane_for(lane_key).mailbox.push_back(Event{time, id, std::move(fn)});
-  }
+  heap_.push_back(Event{time, id, std::move(fn)});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
   return id;
 }
 
-Engine::Event Engine::pop_event(std::vector<Event>& heap) {
-  std::pop_heap(heap.begin(), heap.end(), Later{});
-  Event ev = std::move(heap.back());
-  heap.pop_back();
+Engine::Event Engine::pop_event() {
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  Event ev = std::move(heap_.back());
+  heap_.pop_back();
   return ev;
 }
 
@@ -98,36 +41,14 @@ void Engine::prune_cancelled() {
   // smaller of the two counts bounds the result (cancelled_.size() alone
   // over-reserved by the whole fired-id backlog being pruned away).
   live.reserve(std::min(cancelled_.size(), pending()));
-  auto keep = [&](const Event& ev) {
+  for (const Event& ev : heap_)
     if (cancelled_.count(ev.id) > 0) live.insert(ev.id);
-  };
-  for (const Lane& lane : lanes_) {
-    for (const Event& ev : lane.heap) keep(ev);
-    for (const Event& ev : lane.mailbox) keep(ev);
-    for (std::size_t i = lane.run_pos; i < lane.run.size(); ++i)
-      keep(lane.run[i]);
-  }
-  for (const Event& ev : overflow_) keep(ev);
   cancelled_ = std::move(live);
 }
 
-std::size_t Engine::pending() const {
-  if (serial()) return lanes_[0].heap.size();
-  std::size_t n = overflow_.size();
-  for (const Lane& lane : lanes_)
-    n += lane.heap.size() + lane.mailbox.size() +
-         (lane.run.size() - lane.run_pos);
-  return n;
-}
-
-// ---------------------------------------------------------------------------
-// Serial path: the original single-heap engine, byte-identical behaviour.
-// ---------------------------------------------------------------------------
-
-bool Engine::step_serial() {
-  std::vector<Event>& heap = lanes_[0].heap;
-  while (!heap.empty()) {
-    Event ev = pop_event(heap);
+bool Engine::step() {
+  while (!heap_.empty()) {
+    Event ev = pop_event();
     auto it = cancelled_.find(ev.id);
     if (it != cancelled_.end()) {
       cancelled_.erase(it);
@@ -141,175 +62,6 @@ bool Engine::step_serial() {
   return false;
 }
 
-// ---------------------------------------------------------------------------
-// Laned path: conservative-lookahead rounds, deterministic (time, id) merge.
-// ---------------------------------------------------------------------------
-
-bool Engine::extract_round() {
-  bool any = false;
-  for (Lane& lane : lanes_) {
-    lane.run.clear();
-    lane.run_pos = 0;
-    if (!lane.heap.empty() || !lane.mailbox.empty()) any = true;
-  }
-  merge_.clear();
-  if (!any) {
-    round_active_ = false;
-    return false;
-  }
-  if (!runner_)
-    runner_ = std::make_unique<parallel::LaneRunner>(
-        static_cast<int>(lanes_.size()));
-
-  // Phase 1 (parallel): drain each lane's mailbox into its heap. Large
-  // batches re-heapify in O(n) instead of n sifts.
-  runner_->run([this](int i) {
-    Lane& lane = lanes_[static_cast<std::size_t>(i)];
-    if (lane.mailbox.empty()) return;
-    if (lane.mailbox.size() * 4 >= lane.heap.size()) {
-      for (Event& ev : lane.mailbox) lane.heap.push_back(std::move(ev));
-      std::make_heap(lane.heap.begin(), lane.heap.end(), Later{});
-    } else {
-      for (Event& ev : lane.mailbox) {
-        lane.heap.push_back(std::move(ev));
-        std::push_heap(lane.heap.begin(), lane.heap.end(), Later{});
-      }
-    }
-    lane.mailbox.clear();
-  });
-
-  // Horizon: everything within `lookahead_` of the earliest pending event
-  // is extracted this round. Any wider window would still dispatch in the
-  // same order (late arrivals inside the window go to the overflow heap);
-  // the lookahead only amortizes the round setup over more events.
-  double min_head = std::numeric_limits<double>::infinity();
-  for (const Lane& lane : lanes_)
-    if (!lane.heap.empty() && lane.heap.front().time < min_head)
-      min_head = lane.heap.front().time;
-  double cut = min_head + lookahead_;
-
-  // Phase 2 (parallel): each lane pops its events <= cut into a sorted run.
-  runner_->run([this, cut](int i) {
-    Lane& lane = lanes_[static_cast<std::size_t>(i)];
-    while (!lane.heap.empty() && lane.heap.front().time <= cut)
-      lane.run.push_back(pop_event(lane.heap));
-  });
-
-  horizon_ = cut;
-  round_active_ = true;
-  ++rounds_;
-  for (std::uint32_t i = 0; i < lanes_.size(); ++i)
-    if (!lanes_[i].run.empty()) merge_.push_back(i);
-  // Heapify the merge cursors bottom-up over each lane's run head.
-  for (std::size_t i = merge_.size(); i-- > 0;) merge_sift_down(i);
-  return true;
-}
-
-void Engine::merge_sift_down(std::size_t i) {
-  auto head = [this](std::uint32_t lane) -> const Event& {
-    const Lane& l = lanes_[lane];
-    return l.run[l.run_pos];
-  };
-  auto earlier = [&](std::uint32_t a, std::uint32_t b) {
-    const Event& ea = head(a);
-    const Event& eb = head(b);
-    if (ea.time != eb.time) return ea.time < eb.time;
-    return ea.id < eb.id;
-  };
-  std::size_t n = merge_.size();
-  for (;;) {
-    std::size_t l = 2 * i + 1;
-    if (l >= n) return;
-    std::size_t m = l;
-    if (l + 1 < n && earlier(merge_[l + 1], merge_[l])) m = l + 1;
-    if (!earlier(merge_[m], merge_[i])) return;
-    std::swap(merge_[i], merge_[m]);
-    i = m;
-  }
-}
-
-void Engine::skip_cancelled_heads() {
-  for (;;) {
-    if (!merge_.empty()) {
-      Lane& lane = lanes_[merge_[0]];
-      auto it = cancelled_.find(lane.run[lane.run_pos].id);
-      if (it != cancelled_.end()) {
-        cancelled_.erase(it);
-        lane.run[lane.run_pos].fn = nullptr;  // release the closure early
-        if (++lane.run_pos == lane.run.size()) {
-          merge_[0] = merge_.back();
-          merge_.pop_back();
-        }
-        if (!merge_.empty()) merge_sift_down(0);
-        continue;
-      }
-    }
-    if (!overflow_.empty()) {
-      auto it = cancelled_.find(overflow_.front().id);
-      if (it != cancelled_.end()) {
-        cancelled_.erase(it);
-        pop_event(overflow_);
-        continue;
-      }
-    }
-    return;
-  }
-}
-
-const Engine::Event* Engine::peek_round(bool* from_overflow) {
-  const Event* cand = nullptr;
-  *from_overflow = false;
-  if (!merge_.empty()) {
-    const Lane& lane = lanes_[merge_[0]];
-    cand = &lane.run[lane.run_pos];
-  }
-  if (!overflow_.empty()) {
-    const Event& o = overflow_.front();
-    if (cand == nullptr || o.time < cand->time ||
-        (o.time == cand->time && o.id < cand->id)) {
-      cand = &o;
-      *from_overflow = true;
-    }
-  }
-  return cand;
-}
-
-void Engine::fire_round(bool from_overflow) {
-  Event ev;
-  if (from_overflow) {
-    ev = pop_event(overflow_);
-  } else {
-    Lane& lane = lanes_[merge_[0]];
-    ev = std::move(lane.run[lane.run_pos]);
-    if (++lane.run_pos == lane.run.size()) {
-      merge_[0] = merge_.back();
-      merge_.pop_back();
-    }
-    if (!merge_.empty()) merge_sift_down(0);
-  }
-  now_ = ev.time;
-  ++processed_;
-  ev.fn();
-}
-
-bool Engine::step_laned() {
-  for (;;) {
-    skip_cancelled_heads();
-    bool from_overflow;
-    if (peek_round(&from_overflow) != nullptr) {
-      fire_round(from_overflow);
-      return true;
-    }
-    if (!extract_round()) return false;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Public dispatch API.
-// ---------------------------------------------------------------------------
-
-bool Engine::step() { return serial() ? step_serial() : step_laned(); }
-
 void Engine::run() {
   while (step()) {
   }
@@ -318,34 +70,17 @@ void Engine::run() {
 std::size_t Engine::run_until(double t) {
   ACR_REQUIRE(t >= now_, "cannot run backwards");
   std::size_t fired = 0;
-  if (serial()) {
-    std::vector<Event>& heap = lanes_[0].heap;
-    while (!heap.empty()) {
-      // Drop cancelled events first so the heap front is a live event and
-      // step() cannot skip past `t` to a later one.
-      auto it = cancelled_.find(heap.front().id);
-      if (it != cancelled_.end()) {
-        cancelled_.erase(it);
-        pop_event(heap);
-        continue;
-      }
-      if (heap.front().time > t) break;
-      if (step_serial()) ++fired;
-    }
-    now_ = t;
-    return fired;
-  }
-  for (;;) {
-    skip_cancelled_heads();
-    bool from_overflow;
-    const Event* head = peek_round(&from_overflow);
-    if (head != nullptr) {
-      if (head->time > t) break;
-      fire_round(from_overflow);
-      ++fired;
+  while (!heap_.empty()) {
+    // Drop cancelled events first so the heap front is a live event and
+    // step() cannot skip past `t` to a later one.
+    auto it = cancelled_.find(heap_.front().id);
+    if (it != cancelled_.end()) {
+      cancelled_.erase(it);
+      pop_event();
       continue;
     }
-    if (!extract_round()) break;
+    if (heap_.front().time > t) break;
+    if (step()) ++fired;
   }
   now_ = t;
   return fired;

@@ -25,8 +25,7 @@ class NodeTaskContext final : public TaskContext {
         [node, inc, fn = std::move(fn)]() {
           // A kill or rollback in the meantime invalidates the continuation.
           if (node->alive() && node->incarnation() == inc) fn();
-        },
-        static_cast<Engine::LaneKey>(node_.physical_id()));
+        });
   }
 
   void notify_done() override {
@@ -110,8 +109,7 @@ void Node::start_tasks() {
         0.0,
         [this, t, inc]() {
           if (alive_ && incarnation_ == inc) t->on_start();
-        },
-        static_cast<Engine::LaneKey>(physical_id_));
+        });
   }
 }
 
@@ -125,8 +123,7 @@ void Node::unpause_task(int slot) {
       0.0,
       [this, t, inc]() {
         if (alive_ && incarnation_ == inc) t->on_resume();
-      },
-      static_cast<Engine::LaneKey>(physical_id_));
+      });
 }
 
 void Node::unpause_all() {
@@ -175,8 +172,7 @@ void Node::resume_all_tasks() {
         0.0,
         [this, t, inc]() {
           if (alive_ && incarnation_ == inc) t->on_resume();
-        },
-        static_cast<Engine::LaneKey>(physical_id_));
+        });
   }
 }
 

@@ -1,6 +1,5 @@
-// Virtual-time event engine tests. These run against whatever lane count
-// ACR_ENGINE_LANES selects (CI exercises both serial and laned), so every
-// assertion here is part of the serial-equivalence contract.
+// Virtual-time event engine tests: (time, id) dispatch order, cancellation,
+// run_until boundaries and the cancelled-id backlog bound.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,10 +26,19 @@ TEST(Engine, FiresInTimeOrder) {
 TEST(Engine, TiesBreakFifo) {
   Engine e;
   std::vector<int> order;
-  for (int i = 0; i < 10; ++i)
+  // A zero-delay follow-up scheduled from inside a t=1 handler lands on the
+  // same deadline with a larger id: it fires after every pre-scheduled t=1
+  // event, never ahead of one.
+  e.schedule_at(1.0, [&] {
+    order.push_back(0);
+    e.schedule_after(0.0, [&order] { order.push_back(99); });
+  });
+  for (int i = 1; i < 10; ++i)
     e.schedule_at(1.0, [&order, i] { order.push_back(i); });
   e.run();
+  ASSERT_EQ(order.size(), 11u);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+  EXPECT_EQ(order.back(), 99);
 }
 
 // Deflake guard for the reliable transport: retransmit timers for frames
@@ -179,6 +187,11 @@ TEST(Engine, RunUntilCancelledEventExactlyAtBoundary) {
   EXPECT_EQ(fired, 2);
   EXPECT_DOUBLE_EQ(e.now(), 2.0);
   EXPECT_EQ(e.pending(), 1u);
+  // The event the first call left pending fires on the next one.
+  EXPECT_EQ(e.run_until(4.0), 1u);
+  EXPECT_EQ(fired, 3);
+  EXPECT_DOUBLE_EQ(e.now(), 4.0);
+  EXPECT_EQ(e.pending(), 0u);
 }
 
 TEST(Engine, RunUntilEmptyQueueFastPath) {

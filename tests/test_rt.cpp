@@ -217,6 +217,19 @@ TEST(Cluster, MapOntoTorusSetsBuddyHops) {
   EXPECT_EQ(cluster.config().buddy_hops, 4);
 }
 
+TEST(Cluster, RejectsMoreThanOneEngineLane) {
+  // The engine is one serial heap; engine_lanes survives only as a field
+  // that callers may set to 1.
+  ClusterConfig cfg;
+  cfg.nodes_per_replica = 4;
+  cfg.engine_lanes = 2;
+  Engine rejected;
+  EXPECT_THROW(Cluster c(rejected, cfg), RequireError);
+  cfg.engine_lanes = 1;
+  Engine accepted;
+  EXPECT_NO_THROW(Cluster c(accepted, cfg));
+}
+
 TEST(Cluster, AppRngIsReplicaIndependent) {
   Fixture f;
   Pcg32 a = f.task(0, 2, 1).ctx->make_app_rng(5);
