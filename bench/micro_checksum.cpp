@@ -25,7 +25,6 @@
 #include "checksum/sink.h"
 #include "ckpt/codec.h"
 #include "common/rng.h"
-#include "parallel/pool.h"
 #include "pup/checker.h"
 #include "pup/pup.h"
 #include "rt/cluster.h"
@@ -109,22 +108,6 @@ void BM_Crc32cHw(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_Crc32cHw)->Range(1 << 10, 1 << 22);
-
-// Chunk-parallel digest of a large image; range(1) = kernel threads.
-void BM_Crc32cChunked(benchmark::State& state) {
-  auto buf = make_buffer(static_cast<std::size_t>(state.range(0)));
-  acr::parallel::set_global_threads(static_cast<int>(state.range(1)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(acr::checksum::crc32c_chunked(buf));
-  }
-  acr::parallel::set_global_threads(0);
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-BENCHMARK(BM_Crc32cChunked)
-    ->Args({1 << 22, 0})
-    ->Args({1 << 22, 2})
-    ->Args({1 << 22, 4});
 
 // Streaming digest at the pack-tee's real access pattern: the PUP packer
 // hands the FoldSink a run of small writes (records are 9-byte headers plus

@@ -4,8 +4,8 @@
 // fault injection, adaptivity, and prediction, then prints the run summary
 // and the trace analytics. This is the "just try it" binary:
 //
-//   ./build/examples/acr_driver --app=jacobi --scheme=strong \
-//       --nodes=8 --interval=0.004 --fault-mtbf=0.02 --sdc-fraction=0.3
+//   ./build/examples/acr_driver --app=jacobi --scheme=strong --nodes=8
+//       --interval=0.004 --fault-mtbf=0.02 --sdc-fraction=0.3
 //
 //   ./build/examples/acr_driver --app=leanmd --adaptive --weibull-shape=0.6
 //
@@ -18,7 +18,6 @@
 #include "acr/stats.h"
 #include "apps/hpccg.h"
 #include "checksum/kernels.h"
-#include "parallel/pool.h"
 #include "apps/jacobi3d.h"
 #include "apps/leanmd.h"
 #include "apps/minilulesh.h"
@@ -63,7 +62,6 @@ int main(int argc, char** argv) {
   int flush_interval = -1;   // sentinel: unset, take the TierConfig default
   double halt_after = 0.0;
   std::string kernel_impl = "auto";
-  int kernel_threads = 0;
   std::uint64_t seed = 1;
   bool trace = false;
 
@@ -155,10 +153,6 @@ int main(int argc, char** argv) {
                  "data-plane CRC32C kernel: auto (cpuid), portable "
                  "(slicing-by-8 tables), hw (SSE4.2 crc32q); digests are "
                  "bit-identical either way");
-  cli.add_int("kernel-threads", &kernel_threads,
-              "worker threads for chunked digests / parity folds / image "
-              "copies below the DES (0 = serial; simulation output is "
-              "bit-identical at any value)");
   cli.add_uint64("seed", &seed, "master random seed");
   cli.add_flag("trace", &trace, "print the full protocol event trace");
   if (!cli.parse(argc, argv)) return 2;
@@ -203,11 +197,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "error: --kernel-impl=hw but this CPU has no SSE4.2; use "
                  "auto or portable\n");
-    return 2;
-  }
-  if (kernel_threads < 0) {
-    std::fprintf(stderr, "error: --kernel-threads=%d must be >= 0\n",
-                 kernel_threads);
     return 2;
   }
   if (l2_bandwidth < 0.0) {
@@ -257,7 +246,6 @@ int main(int argc, char** argv) {
                                 ? checksum::KernelImpl::Portable
                             : kernel_impl == "hw" ? checksum::KernelImpl::Hw
                                                   : checksum::KernelImpl::Auto);
-  parallel::set_global_threads(kernel_threads);
   if (xor_group_size != -1 && ckpt_scheme != "xor" && ckpt_scheme != "rs") {
     std::fprintf(stderr,
                  "error: --xor-group-size only applies to --ckpt-scheme=xor "

@@ -456,7 +456,6 @@ void Manager::start_recovery(int replica, int node_index) {
                                         rt::pack_payload(roll));
       }
       ActiveRecovery rec;
-      rec.scheme = ResilienceScheme::Strong;
       rec.crashed_replica = replica;
       rec.restore_target = env_.cluster->nodes_per_replica();
       rec.restored_replicas = static_cast<std::uint8_t>(1u << replica);
@@ -545,7 +544,6 @@ void Manager::start_group_recovery(int replica, int node_index) {
                                     rt::pack_payload(roll));
   }
   ActiveRecovery rec;
-  rec.scheme = ResilienceScheme::Strong;
   rec.crashed_replica = replica;
   rec.restore_target = env_.cluster->nodes_per_replica();
   rec.restored_replicas = static_cast<std::uint8_t>(1u << replica);
@@ -555,7 +553,6 @@ void Manager::start_group_recovery(int replica, int node_index) {
 
 void Manager::begin_recovery_checkpoint(int crashed_replica) {
   ActiveRecovery rec;
-  rec.scheme = env_.config->scheme;
   rec.crashed_replica = crashed_replica;
   rec.restore_target = env_.cluster->nodes_per_replica();
   rec.restored_replicas = static_cast<std::uint8_t>(1u << crashed_replica);
@@ -611,7 +608,6 @@ void Manager::finish_recovery() {
       env_.cluster->bump_app_epoch(r);
   recovery_.reset();
   dead_roles_.clear();
-  escalated_ = false;
   broadcast_participants(3, wire::kResume, {});
   schedule_tick();
   maybe_finalize();
@@ -661,7 +657,6 @@ void Manager::escalate_rollback_all() {
     if (env_.cluster->role_alive(r, i)) continue;  // spare already in place
     if (!promote_and_install(r, i)) return;
   }
-  escalated_ = true;
   weak_recovery_pending_ = false;
   std::uint64_t barrier_id = next_barrier_++;
   // A second failure mid-recovery lands here with the abandoned wave's
@@ -716,7 +711,6 @@ void Manager::escalate_rollback_all() {
     }
   }
   ActiveRecovery rec;
-  rec.scheme = env_.config->scheme;
   rec.crashed_replica = -1;
   rec.restore_target = restores;
   rec.restored_replicas = 3;
@@ -746,7 +740,6 @@ void Manager::restart_from_scratch(bool allow_fetch) {
   }
   dead_roles_.clear();
   weak_recovery_pending_ = false;
-  escalated_ = false;
   recovery_.reset();
   ckpt_.reset();
   verified_epoch_ = 0;
@@ -830,7 +823,6 @@ bool Manager::try_fetch_from_durable() {
   }
   dead_roles_.clear();
   weak_recovery_pending_ = false;
-  escalated_ = false;
   recovery_.reset();
   ckpt_.reset();
   final_verify_epoch_ = 0;
@@ -859,7 +851,6 @@ bool Manager::try_fetch_from_durable() {
   for (int r = 0; r < 2; ++r)
     broadcast(r, wire::kFetchFromDurable, rt::pack_payload(cmd));
   ActiveRecovery rec;
-  rec.scheme = env_.config->scheme;
   rec.crashed_replica = -1;
   rec.restore_target = 2 * env_.cluster->nodes_per_replica();
   rec.restored_replicas = 3;

@@ -96,7 +96,6 @@ class Manager {
   };
 
   struct ActiveRecovery {
-    ResilienceScheme scheme = ResilienceScheme::Strong;
     int crashed_replica = 0;
     int restore_target = 0;
     std::set<std::pair<int, int>> restored_nodes;
@@ -217,7 +216,6 @@ class Manager {
   std::optional<ActiveRecovery> recovery_;
   bool weak_recovery_pending_ = false;
   int weak_crashed_replica_ = 0;
-  bool escalated_ = false;
 
   std::set<std::pair<int, int>> dead_roles_;
   std::array<std::set<int>, 2> done_nodes_;

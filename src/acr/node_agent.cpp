@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <utility>
 
-#include "checksum/kernels.h"
 #include "checksum/sink.h"
 #include "common/logging.h"
-#include "parallel/pool.h"
 #include "pup/checker.h"
 
 namespace acr {
@@ -512,28 +510,20 @@ void NodeAgent::handle_pack_command(const wire::EpochMsg& msg) {
 }
 
 void NodeAgent::pack_candidate() {
-  // Checksum mode needs the buddy digest of the packed image (§4.2). With
-  // a serial kernel pool, fold it in the SAME traversal that packs the
-  // image: the Fletcher sink tees off the packer's byte stream, so there is
-  // no second pass over the checkpoint. With kernel workers enabled, pack
-  // plain (the tee would serialize the digest behind the single-threaded
-  // packer) and digest the finished, cache-warm image chunk-parallel
-  // instead. Both paths produce the identical Fletcher-64 value — the
-  // chunked driver merges with the exact combine operator — so the choice
-  // never shows in the protocol.
+  // Checksum mode needs the buddy digest of the packed image (§4.2). Fold
+  // it in the SAME traversal that packs the image: the Fletcher sink tees
+  // off the packer's byte stream, so there is no second pass over the
+  // checkpoint.
   bool want_digest = env_.config->detection == SdcDetection::Checksum &&
                      !single_replica_ckpt_;
-  bool stream_digest = want_digest && parallel::global_threads() == 0;
   checksum::Fletcher64Sink digest;
-  pup::Checkpoint image = node_.pack_state(stream_digest ? &digest : nullptr);
-  if (want_digest)
-    local_digest_ = stream_digest ? digest.digest()
-                                  : checksum::fletcher64_chunked(image.bytes());
+  pup::Checkpoint image = node_.pack_state(want_digest ? &digest : nullptr);
+  if (want_digest) local_digest_ = digest.digest();
   double bytes = static_cast<double>(image.size());
   // Codec delta stage: the candidate's per-chunk digests, compared against
-  // the base epoch's to find dirty chunks. Computed chunk-parallel on the
-  // cache-warm image; the grid depends only on the image size, so the
-  // digests (and everything downstream) are thread-count invariant.
+  // the base epoch's to find dirty chunks. The grid depends only on the
+  // image size, so the digests (and everything downstream) are a pure
+  // function of the packed bytes.
   if (codec_on() && env_.config->codec.delta_on())
     cand_digests_ = ckpt::CodecPipeline::digests(image.bytes());
   store_.stage_candidate(epoch_, decided_iteration_, std::move(image));
@@ -542,10 +532,7 @@ void NodeAgent::pack_candidate() {
   // Charge the serialization cost, plus the digest cost in checksum mode
   // (~4 instructions per byte, §4.2).
   double pack_time = bytes / env_.cluster->config().net.pack_bandwidth;
-  if (env_.config->detection == SdcDetection::Checksum &&
-      !single_replica_ckpt_) {
-    pack_time += bytes * 4.0 * env_.cluster->config().net.gamma;
-  }
+  if (want_digest) pack_time += bytes * 4.0 * env_.cluster->config().net.gamma;
   std::uint64_t inc = node_.incarnation();
   env_.cluster->engine().schedule_after(pack_time, [this, inc]() {
     if (node_.alive() && node_.incarnation() == inc) after_pack();

@@ -2,16 +2,12 @@
 
 #include <cstring>
 
-#include "parallel/pool.h"
-
 namespace acr::buf {
 
 Buffer Buffer::copy_of(std::span<const std::byte> bytes) {
   if (bytes.empty()) return Buffer();
-  // The one place checkpoint-sized images are byte-copied (buddy images,
-  // CoW detach below): fan the copy across the kernel pool when enabled.
   auto storage = std::make_shared<Storage>(bytes.size());
-  parallel::copy_bytes(storage->data(), bytes.data(), bytes.size());
+  std::memcpy(storage->data(), bytes.data(), bytes.size());
   std::size_t len = storage->size();
   return Buffer(std::move(storage), 0, len);
 }
@@ -42,7 +38,7 @@ std::span<std::byte> Buffer::mutable_bytes() {
   bool whole = offset_ == 0 && len_ == storage_->size();
   if (storage_.use_count() != 1 || !whole) {
     auto fresh = std::make_shared<Storage>(len_);
-    parallel::copy_bytes(fresh->data(), data(), len_);
+    std::memcpy(fresh->data(), data(), len_);
     storage_ = std::move(fresh);
     offset_ = 0;
   } else {

@@ -11,7 +11,6 @@
 #include "buf/buffer.h"
 #include "checksum/crc32c.h"
 #include "checksum/fletcher.h"
-#include "checksum/kernels.h"
 
 namespace acr::checksum {
 
@@ -41,9 +40,9 @@ class FoldSink final : public buf::Sink {
 
 /// One-call frame digest: the send-time / arrival-time integrity check of
 /// the reliable transport, and anything else digesting a whole Buffer.
-/// Chunk-parallel and hardware-dispatched via the kernel layer.
+/// Hardware-dispatched via the kernel layer.
 inline std::uint32_t buffer_crc32c(const buf::Buffer& b) {
-  return crc32c_chunked(b.bytes());
+  return crc32c(b.bytes());
 }
 
 }  // namespace acr::checksum

@@ -3,7 +3,6 @@
 #include <atomic>
 
 #include "common/require.h"
-#include "parallel/pool.h"
 
 #if defined(__x86_64__)
 #include <tmmintrin.h>
@@ -216,21 +215,11 @@ void gf256_muladd_row(std::byte* dst, const std::byte* src, std::uint8_t coeff,
 
 }  // namespace kernels
 
-void gf256_muladd_chunked(std::vector<std::byte>& acc,
-                          std::span<const std::byte> add, std::uint8_t coeff) {
+void gf256_muladd(std::vector<std::byte>& acc, std::span<const std::byte> add,
+                  std::uint8_t coeff) {
   if (coeff == 0 || add.empty()) return;
   if (add.size() > acc.size()) acc.resize(add.size(), std::byte{0});
-  parallel::Pool& pool = parallel::global();
-  if (pool.threads() == 0 || add.size() < 2 * kDigestChunk) {
-    kernels::gf256_muladd_row(acc.data(), add.data(), coeff, add.size());
-    return;
-  }
-  std::size_t n = digest_chunk_count(add.size());
-  pool.for_each_index(n, [&](std::size_t i) {
-    auto [begin, end] = digest_chunk_range(add.size(), i);
-    kernels::gf256_muladd_row(acc.data() + begin, add.data() + begin, coeff,
-                              end - begin);
-  });
+  kernels::gf256_muladd_row(acc.data(), add.data(), coeff, add.size());
 }
 
 }  // namespace acr::checksum

@@ -10,9 +10,8 @@
 // ACR_KERNEL_IMPL / cpuid. Both implementations compute the same field
 // algebra, so the choice is invisible to the protocol.
 //
-// gf256_muladd_chunked fans the row kernel across parallel::global() on
-// the fixed kDigestChunk grid — the fold is positional, so any thread
-// count (including serial) produces identical bytes.
+// gf256_muladd is the vector form the rs scheme folds parity with: it
+// zero-extends the accumulator and runs the row kernel once.
 #pragma once
 
 #include <cstddef>
@@ -76,10 +75,8 @@ void gf256_set_row_impl(KernelImpl impl);
 
 }  // namespace kernels
 
-/// acc[i] ^= coeff * add[i] with the byte range fanned across
-/// parallel::global() on the kDigestChunk grid. Zero-extends acc to
-/// add.size(); positional, so bit-identical at any thread count.
-void gf256_muladd_chunked(std::vector<std::byte>& acc,
-                          std::span<const std::byte> add, std::uint8_t coeff);
+/// acc[i] ^= coeff * add[i], zero-extending acc to add.size().
+void gf256_muladd(std::vector<std::byte>& acc, std::span<const std::byte> add,
+                  std::uint8_t coeff);
 
 }  // namespace acr::checksum

@@ -6,10 +6,8 @@
 #include <cstdlib>
 
 #include "checksum/crc32c.h"
-#include "checksum/fletcher.h"
 #include "checksum/gf256.h"
 #include "common/require.h"
-#include "parallel/pool.h"
 
 #if defined(__x86_64__)
 #include <nmmintrin.h>
@@ -193,39 +191,17 @@ std::uint32_t crc32c_update(std::uint32_t state,
 }  // namespace kernels
 
 // ---------------------------------------------------------------------------
-// Chunk-parallel drivers.
+// The chunk grid.
 // ---------------------------------------------------------------------------
-
-std::uint32_t crc32c_chunked(std::span<const std::byte> data) {
-  parallel::Pool& pool = parallel::global();
-  if (pool.threads() == 0 || data.size() < 2 * kDigestChunk)
-    return crc32c(data);
-  std::vector<std::uint32_t> part = kernels::map_chunks<std::uint32_t>(
-      data, [](std::span<const std::byte> c) { return crc32c(c); });
-  return kernels::reduce_chunks<std::uint32_t>(
-      part, data.size(),
-      [](std::uint32_t a, std::uint32_t b, std::size_t len_b) {
-        return crc32c_combine(a, b, len_b);
-      });
-}
-
-std::uint64_t fletcher64_chunked(std::span<const std::byte> data) {
-  parallel::Pool& pool = parallel::global();
-  if (pool.threads() == 0 || data.size() < 2 * kDigestChunk)
-    return fletcher64(data);
-  std::vector<std::uint64_t> part = kernels::map_chunks<std::uint64_t>(
-      data, [](std::span<const std::byte> c) { return fletcher64(c); });
-  return kernels::reduce_chunks<std::uint64_t>(
-      part, data.size(),
-      [](std::uint64_t a, std::uint64_t b, std::size_t len_b) {
-        return fletcher64_combine(a, b, len_b);
-      });
-}
 
 std::vector<std::uint32_t> crc32c_chunk_digests(
     std::span<const std::byte> data) {
-  return kernels::map_chunks<std::uint32_t>(
-      data, [](std::span<const std::byte> c) { return crc32c(c); });
+  std::vector<std::uint32_t> part(digest_chunk_count(data.size()));
+  for (std::size_t i = 0; i < part.size(); ++i) {
+    auto [begin, end] = digest_chunk_range(data.size(), i);
+    part[i] = crc32c(data.subspan(begin, end - begin));
+  }
+  return part;
 }
 
 std::uint32_t crc32c_merge_chunk_digests(std::span<const std::uint32_t> digests,
@@ -233,11 +209,12 @@ std::uint32_t crc32c_merge_chunk_digests(std::span<const std::uint32_t> digests,
   ACR_REQUIRE(digests.size() == digest_chunk_count(total_len),
               "chunk-digest merge: vector does not match the chunk grid");
   if (digests.empty()) return crc32c({});
-  return kernels::reduce_chunks<std::uint32_t>(
-      digests, total_len,
-      [](std::uint32_t a, std::uint32_t b, std::size_t len_b) {
-        return crc32c_combine(a, b, len_b);
-      });
+  std::uint32_t acc = digests[0];
+  for (std::size_t i = 1; i < digests.size(); ++i) {
+    auto [begin, end] = digest_chunk_range(total_len, i);
+    acc = crc32c_combine(acc, digests[i], end - begin);
+  }
+  return acc;
 }
 
 }  // namespace acr::checksum

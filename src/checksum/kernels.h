@@ -1,4 +1,4 @@
-// Hardware-dispatched, chunk-parallel data-plane kernels.
+// Hardware-dispatched data-plane kernels.
 //
 // Every hot byte loop of the checkpoint/message path funnels through here:
 // the CRC32C frame-integrity check, the Fletcher buddy digests, and the
@@ -21,14 +21,14 @@
 //      operator to digest(A), xor digest(B)); Fletcher combine is modular
 //      arithmetic on the two sums. Fletcher digests are word streams, so a
 //      NON-final chunk must be word-aligned (4 bytes for Fletcher-64, 2 for
-//      Fletcher-32); the chunked helpers below cut on fixed 256 KiB
+//      Fletcher-32); the chunk helpers below cut on fixed 256 KiB
 //      boundaries, which satisfies both.
 //
-//   3. Chunk-parallel drivers. crc32c_chunked / fletcher64_chunked fan
-//      fixed-size chunks across parallel::global() and merge in index
-//      order. Chunk geometry depends only on the input size — never on the
-//      worker count — so any thread count (including serial) produces the
-//      same digest bit for bit.
+//   3. The chunk grid. crc32c_chunk_digests digests fixed 256 KiB chunks
+//      and crc32c_merge_chunk_digests folds them back into the whole-buffer
+//      CRC. Chunk geometry depends only on the input size, so the per-chunk
+//      digests of two identical packs are identical — the codec's delta
+//      stage compares them to find dirty chunks.
 #pragma once
 
 #include <cstddef>
@@ -37,8 +37,6 @@
 #include <span>
 #include <utility>
 #include <vector>
-
-#include "parallel/pool.h"
 
 namespace acr::checksum {
 
@@ -95,16 +93,16 @@ inline void xor_fold_words(std::byte* acc, const std::byte* add,
 
 }  // namespace kernels
 
-/// Chunk size of the chunk-parallel drivers. A multiple of 4 (Fletcher-64
+/// Chunk size of the digest grid. A multiple of 4 (Fletcher-64
 /// word) and 2 (Fletcher-32 word), so every non-final chunk is word-aligned
 /// for the combine operators. Exposed for the equivalence tests, and the
 /// grid the ckpt codec pipeline's dirty-chunk maps live on.
 inline constexpr std::size_t kDigestChunk = std::size_t{1} << 18;  // 256 KiB
 
 /// Chunks of the kDigestChunk grid covering `len` bytes (0 for empty input).
-/// The grid depends only on the input SIZE — never on thread count or
-/// kernel choice — which is what makes every chunked digest, and every
-/// delta chunk map derived from one, bit-identical across configurations.
+/// The grid depends only on the input SIZE — never on kernel choice —
+/// which is what makes every chunk digest, and every delta chunk map
+/// derived from one, bit-identical across configurations.
 inline std::size_t digest_chunk_count(std::size_t len) {
   return (len + kDigestChunk - 1) / kDigestChunk;
 }
@@ -116,47 +114,6 @@ inline std::pair<std::size_t, std::size_t> digest_chunk_range(std::size_t len,
   std::size_t end = begin + kDigestChunk < len ? begin + kDigestChunk : len;
   return {begin, end};
 }
-
-namespace kernels {
-
-/// Shared chunk fan-out driver: compute `per_chunk(bytes_of_chunk_i)` for
-/// every kDigestChunk-grid chunk of `data`, in parallel across
-/// parallel::global() (inline when the pool is serial), results in chunk
-/// order. This is the one copy of the fan-out/merge skeleton that was
-/// previously duplicated across the chunked digest drivers and the agents'
-/// post-pack digest path.
-template <class T, class Fn>
-std::vector<T> map_chunks(std::span<const std::byte> data, Fn&& per_chunk) {
-  std::size_t n = digest_chunk_count(data.size());
-  std::vector<T> part(n);
-  auto eval = [&](std::size_t i) {
-    auto [begin, end] = digest_chunk_range(data.size(), i);
-    part[i] = per_chunk(data.subspan(begin, end - begin));
-  };
-  parallel::Pool& pool = parallel::global();
-  if (pool.threads() == 0 || data.size() < 2 * kDigestChunk) {
-    for (std::size_t i = 0; i < n; ++i) eval(i);
-  } else {
-    pool.for_each_index(n, eval);
-  }
-  return part;
-}
-
-/// In-order merge of per-chunk digest partials over a combine operator
-/// `combine(acc, part, part_len)` — digest(A ++ B) from the partials. The
-/// merge runs left-to-right in chunk order regardless of how the partials
-/// were produced, so the result is thread-count invariant.
-template <class T, class Fn>
-T reduce_chunks(std::span<const T> part, std::size_t total_len, Fn&& combine) {
-  T acc = part[0];
-  for (std::size_t i = 1; i < part.size(); ++i) {
-    auto [begin, end] = digest_chunk_range(total_len, i);
-    acc = combine(acc, part[i], end - begin);
-  }
-  return acc;
-}
-
-}  // namespace kernels
 
 /// Per-chunk CRC32C digests of `data` on the kDigestChunk grid (one digest
 /// per chunk, chunk order). This is the codec pipeline's dirty-chunk
@@ -171,15 +128,5 @@ std::vector<std::uint32_t> crc32c_chunk_digests(std::span<const std::byte> data)
 /// digests, without re-reading the clean bytes.
 std::uint32_t crc32c_merge_chunk_digests(std::span<const std::uint32_t> digests,
                                          std::size_t total_len);
-
-/// CRC32C of `data`, digested as kDigestChunk-sized chunks fanned across
-/// parallel::global() and merged with crc32c_combine. Bit-identical to the
-/// one-shot crc32c() at any thread count; falls back to one-shot when the
-/// pool is serial or the input is small.
-std::uint32_t crc32c_chunked(std::span<const std::byte> data);
-
-/// Fletcher-64 of `data`, chunked and merged with fletcher64_combine.
-/// Bit-identical to the one-shot fletcher64() at any thread count.
-std::uint64_t fletcher64_chunked(std::span<const std::byte> data);
 
 }  // namespace acr::checksum

@@ -5,7 +5,6 @@
 #include <cstring>
 
 #include "common/require.h"
-#include "parallel/pool.h"
 
 namespace acr::ckpt {
 
@@ -348,10 +347,8 @@ CodecFrame CodecPipeline::encode_chunks(
     return frame;
   }
 
-  // Compress stage. Memo lookups run serially in chunk order; the misses
-  // compress independently (the same traversal shape as the digest stage)
-  // and everything merges in chunk order, so the payload is identical hit
-  // or miss, at any thread count.
+  // Compress stage, in chunk order: a memo hit reuses the stored encoding,
+  // a miss compresses the chunk, so the payload is identical hit or miss.
   frame.encoding = 1;
   struct Packed {
     ChunkEncoding enc = ChunkEncoding::Raw;
@@ -368,21 +365,18 @@ CodecFrame CodecPipeline::encode_chunks(
   }
   std::vector<std::size_t> misses;
   for (std::size_t k = 0; k < carried.size(); ++k) {
+    Packed& pk = packed[k];
     std::span<const std::byte> raw = chunk_of(carried[k]);
     const ChunkMemo::Entry* hit =
         memo != nullptr ? memo->find(crcs[carried[k]], raw) : nullptr;
-    if (hit == nullptr) {
-      misses.push_back(k);
+    if (hit != nullptr) {
+      pk.enc = hit->encoding;
+      pk.body = hit->encoding == ChunkEncoding::Lz
+                    ? std::span<const std::byte>(hit->body)
+                    : raw;
       continue;
     }
-    packed[k].enc = hit->encoding;
-    packed[k].body = hit->encoding == ChunkEncoding::Lz
-                         ? std::span<const std::byte>(hit->body)
-                         : raw;
-  }
-  auto compress_one = [&](std::size_t m) {
-    Packed& pk = packed[misses[m]];
-    std::span<const std::byte> raw = chunk_of(carried[misses[m]]);
+    misses.push_back(k);
     if (auto lz = lz_compress_if_smaller(raw)) {
       pk.fresh = std::move(*lz);
       pk.enc = ChunkEncoding::Lz;
@@ -390,12 +384,6 @@ CodecFrame CodecPipeline::encode_chunks(
     } else {
       pk.body = raw;
     }
-  };
-  parallel::Pool& pool = parallel::global();
-  if (pool.threads() == 0 || misses.size() < 2) {
-    for (std::size_t m = 0; m < misses.size(); ++m) compress_one(m);
-  } else {
-    pool.for_each_index(misses.size(), compress_one);
   }
 
   std::size_t total = 0;

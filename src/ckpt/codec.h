@@ -13,26 +13,25 @@
 //                 see pup.h), which is the invariant everything below
 //                 leans on.
 //   chunk-digest  checksum::crc32c_chunk_digests — one CRC32C per 256 KiB
-//                 chunk, fanned across parallel::global().
+//                 chunk.
 //   delta         compare this epoch's digests against a BASE epoch's;
 //                 only chunks whose digest changed are carried, described
 //                 by a ChunkMap (full_bytes + per-chunk present flags).
-//   compress      a deterministic LZ-class stage (per chunk, so it rides
-//                 the same parallel traversal); a chunk that does not
-//                 shrink is stored raw, flagged per chunk. A ChunkMemo
-//                 shared by every agent of a run makes each distinct
-//                 chunk compress once (replicas pack identical images).
+//   compress      a deterministic LZ-class stage, per chunk on the same
+//                 grid; a chunk that does not shrink is stored raw,
+//                 flagged per chunk. A ChunkMemo shared by every agent of
+//                 a run makes each distinct chunk compress once (replicas
+//                 pack identical images).
 //   redundancy-   the schemes: partner ships the CodecFrame instead of the
 //   encode        image, rs folds diff ranges into parity, the L2 tier
 //                 stores the frame as a vault v2 delta blob.
 //
-// Determinism: chunk geometry depends only on the image SIZE, the LZ stage
-// is seed-free and greedy, and every parallel fan-out merges in chunk
-// order — encode(image) is bit-identical at any --kernel-threads. A frame
-// is self-describing enough to invert given the base bytes, and every
-// consumer falls back to full images whenever its base is unavailable
-// (post-restart, post-shrink, scheme change) — delta is an optimization,
-// never a correctness dependency.
+// Determinism: chunk geometry depends only on the image SIZE and the LZ
+// stage is seed-free and greedy, so encode(image) is a pure function of
+// the image and its base. A frame is self-describing enough to invert
+// given the base bytes, and every consumer falls back to full images
+// whenever its base is unavailable (post-restart, post-shrink, scheme
+// change) — delta is an optimization, never a correctness dependency.
 #pragma once
 
 #include <cstddef>
@@ -112,7 +111,7 @@ struct CodecFrame {
 /// owner of any image; an entry dies with its source bytes (prune()).
 /// Frames are identical hit or miss, so the memo never shows in output.
 /// Not thread-safe: lookups and inserts run on the encoding thread, in
-/// chunk order; only misses fan out to pool workers.
+/// chunk order.
 class ChunkMemo {
  public:
   struct Entry {
@@ -160,8 +159,7 @@ class CodecPipeline {
 
   const CodecConfig& config() const { return cfg_; }
 
-  /// Stage 2: per-chunk CRC32C digests of an image (chunk-parallel,
-  /// thread-count invariant).
+  /// Stage 2: per-chunk CRC32C digests of an image.
   static std::vector<std::uint32_t> digests(std::span<const std::byte> image) {
     return checksum::crc32c_chunk_digests(image);
   }
@@ -214,7 +212,7 @@ class CodecPipeline {
 // recent position of each 4-byte prefix (one candidate per hash, no
 // chains); tokens are literal bytes and (offset, length) copies, eight per
 // control byte. Seed-free and position-ordered, so output depends only on
-// input bytes — identical across thread counts, kernel impls and machines.
+// input bytes — identical across kernel impls and machines.
 // Checkpoint images of iterative codes are full of zero runs and repeated
 // lattice values; offset-1 matches turn those into ~3 bytes per 259.
 // ---------------------------------------------------------------------------

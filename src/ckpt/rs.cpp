@@ -4,6 +4,7 @@
 #include <cstring>
 #include <utility>
 
+#include "checksum/crc32c.h"
 #include "checksum/gf256.h"
 #include "checksum/kernels.h"
 #include "common/logging.h"
@@ -97,7 +98,7 @@ void RsScheme::on_verified(const Image& img, const DeltaHints* hints) {
                hints->digests != nullptr && hints->base_digests != nullptr &&
                hints->digests->size() == hints->base_digests->size() &&
                img.epoch % kParityDeltaFullCadence != 1;
-  std::uint32_t digest = checksum::crc32c_chunked(img.image.bytes());
+  std::uint32_t digest = checksum::crc32c(img.image.bytes());
   if (!delta) {
     // Chunk t feeds stripe (me + 1 + t) mod n; each of that stripe's m
     // parity holders receives the same zero-copy slice.
@@ -207,8 +208,8 @@ void RsScheme::on_chunk(int src_index, const RsChunkMsg& msg,
   else if (b.mode != PendingRound::Mode::Full)
     b.poisoned = true;  // mixed full/delta round
   if (!b.poisoned)
-    checksum::gf256_muladd_chunked(sp.parity, chunk.bytes(),
-                                   rs_layout::coeff(m_, q, rank));
+    checksum::gf256_muladd(sp.parity, chunk.bytes(),
+                           rs_layout::coeff(m_, q, rank));
   b.sizes[static_cast<std::size_t>(rank)] = msg.image_size;
   b.digests[static_cast<std::size_t>(rank)] = msg.image_digest;
   b.iteration = msg.iteration;
@@ -357,7 +358,7 @@ void RsScheme::on_rebuild_request(const std::vector<int>& dead_indices,
       verified.image.size();
   msg.member_digests = complete_->digests;
   msg.member_digests[static_cast<std::size_t>(my_rank_)] =
-      checksum::crc32c_chunked(verified.image.bytes());
+      checksum::crc32c(verified.image.bytes());
   for (std::int32_t d : msg.dead) {
     ++stats_.rebuild_pieces_sent;
     stats_.rebuild_bytes_sent += verified.image.size() + msg.parity.size();
@@ -436,8 +437,7 @@ void RsScheme::try_reassemble(std::uint64_t barrier) {
 
   // Per-stripe Gaussian solve for this node's k data chunks. Everything
   // iterates in canonical order (ranks ascending, parity slots ascending),
-  // so every spare — at any --kernel-threads count — computes the same
-  // bytes.
+  // so every spare computes the same bytes.
   std::vector<std::byte> rebuilt;
   rebuilt.reserve(static_cast<std::size_t>(my_size));
   for (int t = 0; t < k_; ++t) {
@@ -492,7 +492,7 @@ void RsScheme::try_reassemble(std::uint64_t barrier) {
         if (std::binary_search(dead.begin(), dead.end(), r)) continue;
         auto [cb, ce] = chunk_range(sizes[static_cast<std::size_t>(r)],
                                     rs_layout::chunk_index(n_, r, s));
-        checksum::gf256_muladd_chunked(
+        checksum::gf256_muladd(
             rhs[i], pieces.at(r).image.bytes().subspan(cb, ce - cb),
             rs_layout::coeff(m_, q, r));
       }
@@ -517,7 +517,7 @@ void RsScheme::try_reassemble(std::uint64_t barrier) {
         for (std::size_t c2 = col; c2 < u; ++c2)
           mat[row][c2] = static_cast<std::uint8_t>(
               mat[row][c2] ^ checksum::gf256::mul(factor, mat[col][c2]));
-        checksum::gf256_muladd_chunked(rhs[row], rhs[col], factor);
+        checksum::gf256_muladd(rhs[row], rhs[col], factor);
       }
     }
     std::size_t mine = static_cast<std::size_t>(
@@ -527,7 +527,7 @@ void RsScheme::try_reassemble(std::uint64_t barrier) {
     std::uint8_t scale = checksum::gf256::inv(mat[mine][mine]);
     if (scale != 1) {
       std::vector<std::byte> scaled(plen, std::byte{0});
-      checksum::gf256_muladd_chunked(scaled, rhs[mine], scale);
+      checksum::gf256_muladd(scaled, rhs[mine], scale);
       rhs[mine] = std::move(scaled);
     }
     auto [mb, me] = chunk_range(my_size, t);
@@ -541,8 +541,7 @@ void RsScheme::try_reassemble(std::uint64_t barrier) {
   // Verify-on-rebuild: refuse to promote a reconstruction whose CRC32C
   // does not match what the survivors recorded for this member.
   std::uint32_t want_digest = digests[static_cast<std::size_t>(my_rank_)];
-  if (want_digest != 0 &&
-      checksum::crc32c_chunked(rebuilt) != want_digest) {
+  if (want_digest != 0 && checksum::crc32c(rebuilt) != want_digest) {
     ++stats_.rebuilds_rejected;
     return fail_rebuild(barrier, "rebuilt image fails its CRC");
   }

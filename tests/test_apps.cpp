@@ -162,8 +162,8 @@ INSTANTIATE_TEST_SUITE_P(All, EveryApp, ::testing::Range(0, 6),
 // App-specific physics / semantics.
 // ---------------------------------------------------------------------------
 
-template <typename TaskT, typename ConfigT>
-std::vector<TaskT*> run_app_collect(const ConfigT& cfg, AcrRuntime& runtime) {
+template <typename TaskT>
+std::vector<TaskT*> run_app_collect(AcrRuntime& runtime) {
   std::vector<TaskT*> tasks;
   for (int i = 0; i < runtime.cluster().nodes_per_replica(); ++i) {
     rt::Node& n = runtime.cluster().node_at(0, i);
@@ -192,7 +192,7 @@ TEST(Hpccg, ResidualDecreasesMonotonically) {
   runtime.setup();
   RunSummary s = runtime.run(100.0);
   ASSERT_TRUE(s.complete);
-  auto tasks = run_app_collect<HpccgTask>(cfg, runtime);
+  auto tasks = run_app_collect<HpccgTask>(runtime);
   // CG on an SPD operator: after 10 iterations the residual should have
   // dropped dramatically from ||b||^2 (b has entries up to 27).
   // The initial residual ||b||^2 is in the thousands; 10 CG steps on this
@@ -218,7 +218,7 @@ TEST(LeanMd, AtomsAreConservedAcrossMigration) {
   runtime.setup();
   RunSummary s = runtime.run(100.0);
   ASSERT_TRUE(s.complete);
-  auto tasks = run_app_collect<LeanMdTask>(cfg, runtime);
+  auto tasks = run_app_collect<LeanMdTask>(runtime);
   std::size_t total = 0;
   for (auto* t : tasks) total += t->atom_count();
   EXPECT_EQ(total, static_cast<std::size_t>(cfg.atoms_per_task) * 4);
@@ -238,7 +238,7 @@ TEST(MiniLulesh, ShockPropagatesAndEnergyStaysFinite) {
   runtime.setup();
   RunSummary s = runtime.run(100.0);
   ASSERT_TRUE(s.complete);
-  auto tasks = run_app_collect<MiniLuleshTask>(cfg, runtime);
+  auto tasks = run_app_collect<MiniLuleshTask>(runtime);
   for (auto* t : tasks) {
     EXPECT_TRUE(std::isfinite(t->total_energy()));
     EXPECT_GE(t->total_energy(), 0.0);
@@ -263,7 +263,7 @@ TEST(MiniMd, NeighborListsAreBuiltAndUsed) {
   runtime.setup();
   RunSummary s = runtime.run(100.0);
   ASSERT_TRUE(s.complete);
-  auto tasks = run_app_collect<MiniMdTask>(cfg, runtime);
+  auto tasks = run_app_collect<MiniMdTask>(runtime);
   for (auto* t : tasks) {
     EXPECT_GT(t->neighbor_pairs(), 0u);
     EXPECT_TRUE(std::isfinite(t->kinetic_energy()));

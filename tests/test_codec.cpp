@@ -16,7 +16,6 @@
 #include "ckpt/tier.h"
 #include "ckpt/vault.h"
 #include "common/rng.h"
-#include "parallel/pool.h"
 
 namespace acr::ckpt {
 namespace {
@@ -499,35 +498,24 @@ TEST(CodecFrame, EncodeIsThreadCountInvariant) {
   buf::Buffer img = buf::Buffer::wrap(std::move(next));
   std::vector<std::uint32_t> base_dig = CodecPipeline::digests(base.bytes());
 
-  int before = parallel::global_threads();
-  std::vector<std::byte> reference;
-  for (int threads : {0, 1, 3, 7}) {
-    parallel::set_global_threads(threads);
-    std::vector<std::uint32_t> dig = CodecPipeline::digests(img.bytes());
-    CodecPipeline pipe(config(true, true));
-    CodecFrame f = pipe.encode(img, dig, &base_dig, base.size());
-    std::vector<std::byte> bytes(f.payload.bytes().begin(),
-                                 f.payload.bytes().end());
-    if (threads == 0)
-      reference = std::move(bytes);
-    else
-      EXPECT_EQ(bytes, reference) << "threads=" << threads;
+  std::vector<std::uint32_t> dig = CodecPipeline::digests(img.bytes());
+  CodecPipeline pipe(config(true, true));
+  CodecFrame f = pipe.encode(img, dig, &base_dig, base.size());
+  std::vector<std::byte> reference(f.payload.bytes().begin(),
+                                   f.payload.bytes().end());
 
-    // With a memo: a cold encode compresses the misses on pool workers and
-    // fills the memo; a warm one (over a copy, as the other replica packs)
-    // is all hits. Both must still be the reference bytes.
-    ChunkMemo memo;
-    CodecPipeline memo_pipe(config(true, true), &memo);
-    buf::Buffer twin = buf::Buffer::copy_of(img.bytes());
-    for (const buf::Buffer* src : {&img, &twin}) {
-      CodecFrame m = memo_pipe.encode(*src, dig, &base_dig, base.size());
-      EXPECT_TRUE(std::ranges::equal(m.payload.bytes(), reference))
-          << "threads=" << threads << (src == &twin ? " warm" : " cold");
-    }
-    EXPECT_EQ(memo.stats().hits, f.map.present_chunks())
-        << "threads=" << threads;
+  // With a memo: a cold encode compresses the misses and fills the memo; a
+  // warm one (over a copy, as the other replica packs) is all hits. Both
+  // must still be the reference bytes.
+  ChunkMemo memo;
+  CodecPipeline memo_pipe(config(true, true), &memo);
+  buf::Buffer twin = buf::Buffer::copy_of(img.bytes());
+  for (const buf::Buffer* src : {&img, &twin}) {
+    CodecFrame m = memo_pipe.encode(*src, dig, &base_dig, base.size());
+    EXPECT_TRUE(std::ranges::equal(m.payload.bytes(), reference))
+        << (src == &twin ? "warm" : "cold");
   }
-  parallel::set_global_threads(before);
+  EXPECT_EQ(memo.stats().hits, f.map.present_chunks());
 }
 
 // ---------------------------------------------------------------------------

@@ -80,9 +80,10 @@ TEST(ControlFlow, StrongRollsBackWithoutNewCheckpoint) {
   // No checkpoint request in (detected, recovered): strong reuses T1.
   const auto* req =
       first_after(log, rt::TraceKind::CheckpointRequested, detected->time);
-  if (req != nullptr)
+  if (req != nullptr) {
     EXPECT_GE(req->time, recovered->time)
         << "strong recovery must not take a fresh checkpoint";
+  }
   // A verified checkpoint existed before the failure to roll back to.
   EXPECT_GT(last_commit_before(log, detected->time), 0.0);
 }

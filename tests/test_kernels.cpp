@@ -1,17 +1,14 @@
 // Kernel-layer tests: hardware/portable CRC32C equivalence, digest combine
-// algebra, chunk-parallel drivers, the worker pool, and — the contract that
-// makes parallelism below the DES legal at all — bitwise-identical driver
-// scenarios across every --kernel-impl / --kernel-threads choice.
+// algebra, the chunk-digest grid, and bitwise-identical driver scenarios
+// across every --kernel-impl choice.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <memory>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "acr/runtime.h"
@@ -21,7 +18,6 @@
 #include "checksum/kernels.h"
 #include "common/rng.h"
 #include "failure/distributions.h"
-#include "parallel/pool.h"
 
 namespace acr {
 namespace {
@@ -32,12 +28,6 @@ using checksum::KernelImpl;
 struct ScopedImpl {
   explicit ScopedImpl(KernelImpl impl) { checksum::set_kernel_impl(impl); }
   ~ScopedImpl() { checksum::set_kernel_impl(KernelImpl::Auto); }
-};
-
-/// Pin the global kernel pool's worker count for one test scope.
-struct ScopedThreads {
-  explicit ScopedThreads(int n) { parallel::set_global_threads(n); }
-  ~ScopedThreads() { parallel::set_global_threads(0); }
 };
 
 std::vector<std::byte> random_bytes(std::size_t n, std::uint64_t seed) {
@@ -239,73 +229,24 @@ TEST(Combine, Crc32cFlipDeltaMatchesActualFlip) {
 }
 
 // ---------------------------------------------------------------------------
-// Chunk-parallel drivers.
+// The chunk-digest grid.
 // ---------------------------------------------------------------------------
 
 TEST(Chunked, DigestsMatchOneShotAtAnyThreadCount) {
-  // Sizes straddling the chunk boundary, plus unaligned base offsets.
+  // Sizes straddling the chunk boundary, plus unaligned base offsets: the
+  // per-chunk digests merge back into the one-shot CRC32C.
   const std::size_t kC = checksum::kDigestChunk;
   auto buf = random_bytes(3 * kC + 13, 21);
   for (std::size_t off : {std::size_t{0}, std::size_t{1}, std::size_t{7}}) {
     for (std::size_t n : {std::size_t{0}, std::size_t{100}, kC - 1, kC,
                           2 * kC + 5, 3 * kC + 1}) {
       std::span<const std::byte> s(buf.data() + off, n);
-      std::uint32_t crc_serial;
-      std::uint64_t fl_serial;
-      {
-        ScopedThreads t(0);
-        crc_serial = checksum::crc32c_chunked(s);
-        fl_serial = checksum::fletcher64_chunked(s);
-      }
-      EXPECT_EQ(crc_serial, checksum::crc32c(s));
-      EXPECT_EQ(fl_serial, checksum::fletcher64(s));
-      {
-        ScopedThreads t(3);
-        EXPECT_EQ(checksum::crc32c_chunked(s), crc_serial)
-            << "off " << off << " n " << n;
-        EXPECT_EQ(checksum::fletcher64_chunked(s), fl_serial)
-            << "off " << off << " n " << n;
-      }
+      std::vector<std::uint32_t> parts = checksum::crc32c_chunk_digests(s);
+      EXPECT_EQ(checksum::crc32c_merge_chunk_digests(parts, n),
+                checksum::crc32c(s))
+          << "off " << off << " n " << n;
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// Pool.
-// ---------------------------------------------------------------------------
-
-TEST(Pool, RunsEveryIndexExactlyOnce) {
-  parallel::Pool pool(3);
-  std::vector<std::atomic<int>> hits(1000);
-  pool.for_each_index(hits.size(), [&](std::size_t i) { ++hits[i]; });
-  for (std::size_t i = 0; i < hits.size(); ++i)
-    ASSERT_EQ(hits[i].load(), 1) << "index " << i;
-}
-
-TEST(Pool, ReusableAcrossJobs) {
-  parallel::Pool pool(2);
-  for (int round = 0; round < 50; ++round) {
-    std::atomic<int> sum{0};
-    pool.for_each_index(17, [&](std::size_t) { ++sum; });
-    ASSERT_EQ(sum.load(), 17) << "round " << round;
-  }
-}
-
-TEST(Pool, SerialPoolRunsInline) {
-  parallel::Pool pool(0);
-  EXPECT_EQ(pool.threads(), 0);
-  std::thread::id caller = std::this_thread::get_id();
-  pool.for_each_index(5, [&](std::size_t) {
-    EXPECT_EQ(std::this_thread::get_id(), caller);
-  });
-}
-
-TEST(Pool, CopyBytesMatchesMemcpy) {
-  auto src = random_bytes((std::size_t{1} << 21) + 3, 33);
-  std::vector<std::byte> dst(src.size());
-  ScopedThreads t(3);
-  parallel::copy_bytes(dst.data(), src.data(), src.size());
-  EXPECT_EQ(dst, src);
 }
 
 // ---------------------------------------------------------------------------
@@ -437,28 +378,15 @@ void check_scenario_determinism(Scenario scenario, const char* name) {
   ScenarioResult base;
   {
     ScopedImpl impl(KernelImpl::Portable);
-    ScopedThreads t(0);
     base = scenario();
   }
-  struct Config {
-    KernelImpl impl;
-    int threads;
-    const char* label;
-  };
-  std::vector<Config> configs = {{KernelImpl::Portable, 4, "portable/4"}};
-  if (checksum::hw_kernels_available()) {
-    configs.push_back({KernelImpl::Hw, 0, "hw/0"});
-    configs.push_back({KernelImpl::Hw, 4, "hw/4"});
-  }
-  for (const Config& c : configs) {
-    ScopedImpl impl(c.impl);
-    ScopedThreads t(c.threads);
-    ScenarioResult got = scenario();
-    std::string what = std::string(name) + " " + c.label;
-    expect_summaries_equal(base.summary, got.summary, what.c_str());
-    EXPECT_EQ(base.state_digest, got.state_digest) << what;
-    EXPECT_EQ(base.trace_events, got.trace_events) << what;
-  }
+  if (!checksum::hw_kernels_available()) return;
+  ScopedImpl impl(KernelImpl::Hw);
+  ScenarioResult got = scenario();
+  std::string what = std::string(name) + " hw";
+  expect_summaries_equal(base.summary, got.summary, what.c_str());
+  EXPECT_EQ(base.state_digest, got.state_digest) << what;
+  EXPECT_EQ(base.trace_events, got.trace_events) << what;
 }
 
 // The determinism check is only meaningful if the scenarios actually drive

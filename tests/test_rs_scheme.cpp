@@ -14,7 +14,7 @@
 #include <memory>
 #include <vector>
 
-#include "checksum/kernels.h"
+#include "checksum/crc32c.h"
 #include "ckpt/codec.h"
 #include "ckpt/group.h"
 #include "ckpt/rs.h"
@@ -300,9 +300,8 @@ TEST(CkptRsScheme, DeltaRoundAdvancesParityBitwise) {
   for (int i = 0; i < 4; ++i) {
     const Image& b = base[static_cast<std::size_t>(i)];
     const Image& n = next[static_cast<std::size_t>(i)];
-    std::vector<std::uint32_t> base_dg{
-        checksum::crc32c_chunked(b.image.bytes())};
-    std::vector<std::uint32_t> dg{checksum::crc32c_chunked(n.image.bytes())};
+    std::vector<std::uint32_t> base_dg{checksum::crc32c(b.image.bytes())};
+    std::vector<std::uint32_t> dg{checksum::crc32c(n.image.bytes())};
     buf::Buffer base_buf = b.image.buffer();
     DeltaHints hints;
     hints.codec = &codec;
