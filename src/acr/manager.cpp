@@ -251,28 +251,20 @@ void Manager::rollback_sdc() {
   if (verified_epoch_ == 0) {
     // Nothing verified to fall back to: the corruption predates the first
     // checkpoint, so the run restarts from scratch.
-    ckpt_.reset();
     restart_from_scratch();
     return;
   }
   trace().record(now(), rt::TraceKind::Rollback, -1, -1,
                  "to epoch=" + std::to_string(verified_epoch_));
-  env_.cluster->bump_app_epoch(0);
-  env_.cluster->bump_app_epoch(1);
-  for (int r = 0; r < 2; ++r) done_nodes_[static_cast<std::size_t>(r)].clear();
-  std::uint64_t barrier_id = next_barrier_++;
-  wire::RestoreCmdMsg msg{verified_epoch_, barrier_id};
+  rewind(3);
+  std::uint64_t barrier = next_barrier_++;
+  wire::RestoreCmdMsg msg{verified_epoch_, barrier};
   broadcast_participants(3, wire::kRollbackSdc, rt::pack_payload(msg));
   ckpt_.reset();
   // Both replicas restore; the resume barrier (finish_recovery) reopens
   // the world once every node reports in.
-  ActiveRecovery barrier;
-  barrier.crashed_replica = -1;
-  barrier.restore_target = 2 * env_.cluster->nodes_per_replica();
-  barrier.restored_replicas = 3;
-  barrier.counts_as_recovery = false;
-  barrier.barrier = barrier_id;
-  recovery_ = barrier;
+  open_wave(-1, 2 * env_.cluster->nodes_per_replica(), barrier)
+      .counts_as_recovery = false;
 }
 
 void Manager::handle_pack_done(const wire::EpochMsg& msg, int src_node) {
@@ -288,8 +280,7 @@ void Manager::handle_pack_done(const wire::EpochMsg& msg, int src_node) {
   ACR_REQUIRE(recovery_, "recovery checkpoint without active recovery");
   int crashed = recovery_->crashed_replica;
   int healthy = 1 - crashed;
-  env_.cluster->bump_app_epoch(crashed);
-  done_nodes_[static_cast<std::size_t>(crashed)].clear();
+  rewind(static_cast<std::uint8_t>(1u << crashed));
   wire::BarrierMsg bar{recovery_->barrier};
   broadcast(healthy, wire::kSendCandidateToBuddy, rt::pack_payload(bar));
   verified_epoch_ = ckpt_->epoch;
@@ -333,31 +324,23 @@ void Manager::handle_suspect_role(int replica, int node_index) {
     broadcast_participants(ckpt_->participants, wire::kAbortConsensus,
                            rt::pack_payload(abort),
                            static_cast<double>(rt::kMessageHeaderBytes));
-    bool was_recovery = ckpt_->purpose == CkptPurpose::Recovery;
     if (final_verify_epoch_ == ckpt_->epoch) final_verify_epoch_ = 0;
     ckpt_.reset();
-    if (was_recovery) {
-      // The healthy replica broke while saving the crashed one: fall back
-      // to a verified-epoch rollback of everything.
-      escalate_rollback_all();
-      return;
-    }
   }
   if (recovery_ && recovery_->fetch_epoch != 0) {
     // A node died while its wave was reading from L2. The tier still holds
     // the epoch (publishes are durable), so retry the fetch under a fresh
     // barrier instead of escalating to an L1 rollback of state that no
     // longer exists anywhere in memory.
-    recovery_.reset();
     restart_from_scratch();
     return;
   }
   if (recovery_ || weak_recovery_pending_) {
-    // Overlapping failures: the paper's answer is a rollback to the
-    // previous checkpoint (or scratch); see §2.3 weak/medium caveats.
-    // The current recovery's restore wave is abandoned (its barrier id
-    // becomes stale) and a wider one starts.
-    recovery_.reset();
+    // Overlapping failures — including the healthy replica breaking while
+    // it packs a recovery checkpoint for the crashed one: the paper's
+    // answer is a rollback to the previous checkpoint (or scratch); see
+    // §2.3 weak/medium caveats. The current restore wave is abandoned (its
+    // barrier id becomes stale) and a wider one starts.
     escalate_rollback_all();
     return;
   }
@@ -421,48 +404,11 @@ void Manager::start_recovery(int replica, int node_index) {
     restart_from_scratch();
     return;
   }
-  if (redundancy() == ckpt::Scheme::Rs) {
-    // Validation pins rs to the strong scheme; the group rebuild replaces
-    // the Fig. 4a buddy transfer.
-    start_group_recovery(replica, node_index);
-    return;
-  }
-
   switch (env_.config->scheme) {
-    case ResilienceScheme::Strong: {
-      if (verified_epoch_ == 0) {
-        restart_from_scratch();
-        return;
-      }
-      int buddy_replica = 1 - replica;
-      if (!env_.cluster->role_alive(buddy_replica, node_index)) {
-        // Both members of the pair are gone: the checkpoint is lost.
-        restart_from_scratch();
-        return;
-      }
-      env_.cluster->bump_app_epoch(replica);
-      done_nodes_[static_cast<std::size_t>(replica)].clear();
-      std::uint64_t barrier = next_barrier_++;
-      // Buddy ships its verified checkpoint to the fresh node; everyone
-      // else in the crashed replica rolls back locally (Fig. 4a).
-      wire::BarrierMsg bar{barrier};
-      env_.cluster->send_from_manager(buddy_replica, node_index,
-                                      wire::kSendVerifiedToBuddy,
-                                      rt::pack_payload(bar));
-      wire::RestoreCmdMsg roll{verified_epoch_, barrier};
-      for (int j = 0; j < env_.cluster->nodes_per_replica(); ++j) {
-        if (j == node_index) continue;
-        env_.cluster->send_from_manager(replica, j, wire::kRollbackHard,
-                                        rt::pack_payload(roll));
-      }
-      ActiveRecovery rec;
-      rec.crashed_replica = replica;
-      rec.restore_target = env_.cluster->nodes_per_replica();
-      rec.restored_replicas = static_cast<std::uint8_t>(1u << replica);
-      rec.barrier = barrier;
-      recovery_ = rec;
+    case ResilienceScheme::Strong:
+      // Validation pins rs to the strong scheme.
+      start_restore_wave(replica, node_index);
       break;
-    }
     case ResilienceScheme::Medium:
     case ResilienceScheme::HardOnly:
       begin_recovery_checkpoint(replica);
@@ -474,6 +420,76 @@ void Manager::start_recovery(int replica, int node_index) {
       broadcast(replica, wire::kHalt, {});
       break;
   }
+}
+
+void Manager::start_restore_wave(int replica, int node_index) {
+  if (verified_epoch_ == 0) {
+    restart_from_scratch();
+    return;
+  }
+  if (redundancy() == ckpt::Scheme::Partner &&
+      !env_.cluster->role_alive(1 - replica, node_index)) {
+    // Both members of the pair are gone: the checkpoint is lost.
+    restart_from_scratch();
+    return;
+  }
+  std::vector<int> dead{node_index};
+  if (redundancy() == ckpt::Scheme::Rs) {
+    // A group absorbs up to rs_parity losses in ONE wave: a burst can drop
+    // a second member before its suspect report lands, and routing around
+    // it as if it were a survivor would strand the rebuild. Sweep the group
+    // for dead-but-unreported members and fold them into this wave —
+    // inserting them into dead_roles_ both widens route_rs_rebuild's dead
+    // set and makes handle_suspect_role drop their late reports. A dead set
+    // beyond the parity budget fails route_restore and falls down the
+    // ladder.
+    for (int i : env_.cluster->ckpt_groups().group_members(node_index)) {
+      auto role = std::make_pair(replica, i);
+      if (i == node_index || env_.cluster->role_alive(replica, i) ||
+          dead_roles_.count(role))
+        continue;
+      trace().record(now(), rt::TraceKind::HardFailureDetected, replica, i);
+      dead_roles_.insert(role);
+      ++hard_failures_;
+      if (env_.config->adaptive) adaptive_.on_failure(now());
+      if (!promote_and_install(replica, i)) return;
+      dead.push_back(i);
+    }
+  }
+  rewind(static_cast<std::uint8_t>(1u << replica));
+  std::uint64_t barrier = next_barrier_++;
+  // The dead roles get a routed image; everyone else in the crashed replica
+  // rolls back locally (Fig. 4a).
+  if (!route_restore(replica, node_index, barrier)) {
+    restart_from_scratch();
+    return;
+  }
+  wire::RestoreCmdMsg roll{verified_epoch_, barrier};
+  for (int j = 0; j < env_.cluster->nodes_per_replica(); ++j) {
+    if (std::find(dead.begin(), dead.end(), j) != dead.end()) continue;
+    env_.cluster->send_from_manager(replica, j, wire::kRollbackHard,
+                                    rt::pack_payload(roll));
+  }
+  open_wave(replica, env_.cluster->nodes_per_replica(), barrier);
+}
+
+bool Manager::route_restore(int replica, int node_index,
+                            std::uint64_t barrier) {
+  switch (redundancy()) {
+    case ckpt::Scheme::Partner:
+      if (env_.cluster->role_alive(1 - replica, node_index)) {
+        wire::BarrierMsg bar{barrier};
+        env_.cluster->send_from_manager(1 - replica, node_index,
+                                        wire::kSendVerifiedToBuddy,
+                                        rt::pack_payload(bar));
+      }
+      return true;
+    case ckpt::Scheme::Rs:
+      return route_rs_rebuild(replica, node_index, barrier);
+    case ckpt::Scheme::Local:
+      break;
+  }
+  return false;
 }
 
 bool Manager::route_rs_rebuild(int replica, int node_index,
@@ -500,67 +516,58 @@ bool Manager::route_rs_rebuild(int replica, int node_index,
   return true;
 }
 
-void Manager::start_group_recovery(int replica, int node_index) {
-  if (verified_epoch_ == 0) {
-    restart_from_scratch();
-    return;
-  }
-  // A group absorbs up to rs_parity losses in ONE wave: a burst can drop
-  // a second member before its suspect report lands, and routing around
-  // it as if it were a survivor would strand the rebuild. Sweep the group
-  // for dead-but-unreported members and fold them into this wave —
-  // inserting them into dead_roles_ both widens route_rs_rebuild's dead
-  // set and makes handle_suspect_role drop their late reports. A dead set
-  // beyond the parity budget fails route_rs_rebuild and falls down the
-  // ladder.
-  std::vector<int> dead{node_index};
-  for (int i : env_.cluster->ckpt_groups().group_members(node_index)) {
-    auto role = std::make_pair(replica, i);
-    if (i == node_index || env_.cluster->role_alive(replica, i) ||
-        dead_roles_.count(role))
-      continue;
-    trace().record(now(), rt::TraceKind::HardFailureDetected, replica, i);
-    dead_roles_.insert(role);
-    ++hard_failures_;
-    if (env_.config->adaptive) adaptive_.on_failure(now());
-    if (!promote_and_install(replica, i)) return;
-    dead.push_back(i);
-  }
-  env_.cluster->bump_app_epoch(replica);
-  done_nodes_[static_cast<std::size_t>(replica)].clear();
-  std::uint64_t barrier = next_barrier_++;
-  // The group's survivors feed the fresh node image+parity pieces; everyone
-  // else in the crashed replica rolls back locally, exactly as in the
-  // partner flow. The rebuild never crosses replicas, so the buddy's
-  // liveness is irrelevant here.
-  if (!route_rs_rebuild(replica, node_index, barrier)) {
-    restart_from_scratch();
-    return;
-  }
-  wire::RestoreCmdMsg roll{verified_epoch_, barrier};
-  for (int j = 0; j < env_.cluster->nodes_per_replica(); ++j) {
-    if (std::find(dead.begin(), dead.end(), j) != dead.end()) continue;
-    env_.cluster->send_from_manager(replica, j, wire::kRollbackHard,
-                                    rt::pack_payload(roll));
-  }
-  ActiveRecovery rec;
-  rec.crashed_replica = replica;
-  rec.restore_target = env_.cluster->nodes_per_replica();
-  rec.restored_replicas = static_cast<std::uint8_t>(1u << replica);
-  rec.barrier = barrier;
-  recovery_ = rec;
-}
-
 void Manager::begin_recovery_checkpoint(int crashed_replica) {
-  ActiveRecovery rec;
-  rec.crashed_replica = crashed_replica;
-  rec.restore_target = env_.cluster->nodes_per_replica();
-  rec.restored_replicas = static_cast<std::uint8_t>(1u << crashed_replica);
-  rec.barrier = next_barrier_++;
-  recovery_ = rec;
+  open_wave(crashed_replica, env_.cluster->nodes_per_replica(),
+            next_barrier_++);
   std::uint8_t healthy_mask =
       static_cast<std::uint8_t>(1u << (1 - crashed_replica));
   request_checkpoint(healthy_mask, CkptPurpose::Recovery);
+}
+
+void Manager::rewind(std::uint8_t replica_mask) {
+  for (int r = 0; r < 2; ++r) {
+    if (!(replica_mask & (1u << r))) continue;
+    env_.cluster->bump_app_epoch(r);
+    done_nodes_[static_cast<std::size_t>(r)].clear();
+  }
+}
+
+Manager::ActiveRecovery& Manager::open_wave(int crashed_replica,
+                                            int restore_target,
+                                            std::uint64_t barrier) {
+  recovery_.emplace();
+  recovery_->crashed_replica = crashed_replica;
+  recovery_->restore_target = restore_target;
+  recovery_->barrier = barrier;
+  return *recovery_;
+}
+
+void Manager::quash_restores_through(std::uint64_t barrier) {
+  for (int r = 0; r < 2; ++r) {
+    for (int i = 0; i < env_.cluster->nodes_per_replica(); ++i) {
+      rt::Node* n = env_.cluster->role_node(r, i);
+      if (n == nullptr || n->service() == nullptr) continue;
+      static_cast<NodeAgent*>(n->service())->quash_restores_through(barrier);
+    }
+  }
+}
+
+std::uint64_t Manager::relaunch(std::uint64_t epoch) {
+  // Modelled as a job relaunch by the scheduler: promote spares for every
+  // dead role — including failures that have not been *reported* yet (a
+  // simultaneous buddy-pair loss reaches here on the first report).
+  for (int r = 0; r < 2; ++r)
+    for (int i = 0; i < env_.cluster->nodes_per_replica(); ++i)
+      if (!env_.cluster->role_alive(r, i) && !promote_and_install(r, i))
+        return 0;
+  dead_roles_.clear();
+  weak_recovery_pending_ = false;
+  recovery_.reset();
+  ckpt_.reset();
+  final_verify_epoch_ = 0;
+  verified_epoch_ = epoch;
+  rewind(3);
+  return next_barrier_++;
 }
 
 void Manager::handle_restore_done(const wire::BarrierMsg& msg,
@@ -589,8 +596,6 @@ void Manager::handle_link_failure(int src_replica, int src_node,
                           << ") exhausted its retry budget; degrading to "
                              "scratch restart";
   if (env_.config->adaptive) adaptive_.on_failure(now());
-  recovery_.reset();
-  ckpt_.reset();
   restart_from_scratch();
 }
 
@@ -604,7 +609,7 @@ void Manager::finish_recovery() {
   // Second epoch bump at the barrier: anything sent between the restores
   // and this go is from the abandoned timeline and must not be delivered.
   for (int r = 0; r < 2; ++r)
-    if (recovery_->restored_replicas & (1u << r))
+    if (recovery_->crashed_replica < 0 || recovery_->crashed_replica == r)
       env_.cluster->bump_app_epoch(r);
   recovery_.reset();
   dead_roles_.clear();
@@ -628,16 +633,13 @@ void Manager::escalate_rollback_all() {
   for (int r = 0; r < 2; ++r)
     for (int i = 0; i < env_.cluster->nodes_per_replica(); ++i)
       if (!env_.cluster->role_alive(r, i)) dead_roles_.insert({r, i});
-  std::vector<std::pair<int, int>> dead(dead_roles_.begin(),
-                                        dead_roles_.end());
+  const ckpt::GroupMap& groups = env_.cluster->ckpt_groups();
   if (redundancy() == ckpt::Scheme::Rs) {
     // The rebuild is intra-replica: a buddy-pair loss is survivable, but a
     // group can only lose as many members as it has parity blocks.
-    const ckpt::GroupMap& groups = env_.cluster->ckpt_groups();
     std::map<std::pair<int, int>, int> dead_per_group;
-    for (const auto& [r, i] : dead) ++dead_per_group[{r, groups.group_of(i)}];
-    for (const auto& [group, count] : dead_per_group) {
-      if (count > env_.config->rs_parity) {
+    for (const auto& [r, i] : dead_roles_) {
+      if (++dead_per_group[{r, groups.group_of(i)}] > env_.config->rs_parity) {
         restart_from_scratch();
         return;
       }
@@ -645,80 +647,50 @@ void Manager::escalate_rollback_all() {
   } else {
     // Partner: if any buddy pair is fully gone, the verified checkpoint
     // cannot be reassembled.
-    for (const auto& [r, i] : dead) {
-      if (std::find(dead.begin(), dead.end(), std::make_pair(1 - r, i)) !=
-          dead.end()) {
+    for (const auto& [r, i] : dead_roles_) {
+      if (dead_roles_.count({1 - r, i})) {
         restart_from_scratch();
         return;
       }
     }
   }
-  for (const auto& [r, i] : dead) {
+  for (const auto& [r, i] : dead_roles_) {
     if (env_.cluster->role_alive(r, i)) continue;  // spare already in place
     if (!promote_and_install(r, i)) return;
   }
   weak_recovery_pending_ = false;
-  std::uint64_t barrier_id = next_barrier_++;
+  std::uint64_t barrier = next_barrier_++;
   // A second failure mid-recovery lands here with the abandoned wave's
-  // rollback/rebuild commands possibly still in flight. Raise every live
-  // agent's restore floor past those waves so a stale command cannot
-  // re-apply old state after this wave's restores land — waves are
+  // rollback/rebuild commands possibly still in flight; waves are
   // serialized, never interleaved.
-  for (int r = 0; r < 2; ++r) {
-    for (int i = 0; i < env_.cluster->nodes_per_replica(); ++i) {
-      rt::Node* n = env_.cluster->role_node(r, i);
-      if (n == nullptr || n->service() == nullptr) continue;
-      static_cast<NodeAgent*>(n->service())->quash_restores_through(
-          barrier_id - 1);
-    }
-  }
+  quash_restores_through(barrier - 1);
   trace().record(now(), rt::TraceKind::Rollback, -1, -1,
                  "escalated rollback to epoch=" +
-                     std::to_string(verified_epoch_) + " barrier=" +
-                     std::to_string(barrier_id));
-  env_.cluster->bump_app_epoch(0);
-  env_.cluster->bump_app_epoch(1);
-  done_nodes_[0].clear();
-  done_nodes_[1].clear();
-  wire::RestoreCmdMsg roll{verified_epoch_, barrier_id};
-  wire::BarrierMsg bar{barrier_id};
-  int restores = 0;
+                     std::to_string(verified_epoch_) +
+                     " barrier=" + std::to_string(barrier));
+  rewind(3);
+  wire::RestoreCmdMsg roll{verified_epoch_, barrier};
   // RS routes ONE command per group covering its whole dead set; don't
   // re-route for the group's second dead member.
   std::set<std::pair<int, int>> rs_routed_groups;
   for (int r = 0; r < 2; ++r) {
     for (int i = 0; i < env_.cluster->nodes_per_replica(); ++i) {
-      bool was_dead =
-          std::find(dead.begin(), dead.end(), std::make_pair(r, i)) !=
-          dead.end();
-      if (was_dead) {
-        if (redundancy() == ckpt::Scheme::Rs) {
-          const ckpt::GroupMap& groups = env_.cluster->ckpt_groups();
-          if (rs_routed_groups.insert({r, groups.group_of(i)}).second) {
-            bool routed = route_rs_rebuild(r, i, barrier_id);
-            ACR_REQUIRE(routed, "rs escalation with an unrebuildable group");
-          }
-        } else {
-          env_.cluster->send_from_manager(1 - r, i,
-                                          wire::kSendVerifiedToBuddy,
-                                          rt::pack_payload(bar));
-        }
-      } else {
+      if (!dead_roles_.count({r, i})) {
         env_.cluster->send_from_manager(r, i, wire::kRollbackHard,
                                         rt::pack_payload(roll));
+      } else if (redundancy() != ckpt::Scheme::Rs ||
+                 rs_routed_groups.insert({r, groups.group_of(i)}).second) {
+        bool routed = route_restore(r, i, barrier);
+        ACR_REQUIRE(routed, "escalation with an unrebuildable group");
       }
-      ++restores;
     }
   }
-  ActiveRecovery rec;
-  rec.crashed_replica = -1;
-  rec.restore_target = restores;
-  rec.restored_replicas = 3;
-  rec.barrier = barrier_id;
-  recovery_ = rec;
+  open_wave(-1, 2 * env_.cluster->nodes_per_replica(), barrier);
 }
 
 void Manager::restart_from_scratch(bool allow_fetch) {
+  recovery_.reset();
+  ckpt_.reset();
   // Recovery-ladder rung 2: before throwing all progress away, restore the
   // whole job from the newest fully-flushed L2 epoch. Every pre-tier call
   // site of the scratch path goes through here, so enabling the tier
@@ -728,32 +700,13 @@ void Manager::restart_from_scratch(bool allow_fetch) {
   ++scratch_restarts_;
   trace().record(now(), rt::TraceKind::Rollback, -1, -1,
                  "restart from scratch");
-  // Modelled as a job relaunch by the scheduler: promote spares for every
-  // dead role — including failures that have not been *reported* yet (a
-  // simultaneous buddy-pair loss reaches here on the first report).
-  for (int r = 0; r < 2; ++r) {
-    for (int i = 0; i < env_.cluster->nodes_per_replica(); ++i) {
-      if (!env_.cluster->role_alive(r, i)) {
-        if (!promote_and_install(r, i)) return;
-      }
-    }
-  }
-  dead_roles_.clear();
-  weak_recovery_pending_ = false;
-  recovery_.reset();
-  ckpt_.reset();
-  verified_epoch_ = 0;
-  final_verify_epoch_ = 0;
-  env_.cluster->bump_app_epoch(0);
-  env_.cluster->bump_app_epoch(1);
-  done_nodes_[0].clear();
-  done_nodes_[1].clear();
-  // The scratch restart is itself a restore wave: give it a barrier id and
-  // raise every agent's restore floor past the abandoned waves. Rollback or
-  // rebuild commands of those waves may still be in flight; replaying one
-  // after the reset would restore pre-restart state on part of the cluster
-  // and wedge the application.
-  std::uint64_t barrier = next_barrier_++;
+  std::uint64_t barrier = relaunch(0);
+  if (barrier == 0) return;
+  // The scratch restart is itself a restore wave: raise every agent's
+  // restore floor past the abandoned waves. Rollback or rebuild commands of
+  // those waves may still be in flight; replaying one after the reset would
+  // restore pre-restart state on part of the cluster and wedge the
+  // application.
   env_.cluster->engine().schedule_after(0.0, [this, barrier]() {
     for (int r = 0; r < 2; ++r) {
       for (int i = 0; i < env_.cluster->nodes_per_replica(); ++i) {
@@ -814,34 +767,10 @@ bool Manager::try_fetch_from_durable() {
   if (epoch == 0) return false;
   // A fetch wave is a full-job relaunch served from L2: every dead role
   // gets a spare (or doubles up), every live role abandons its timeline.
-  for (int r = 0; r < 2; ++r) {
-    for (int i = 0; i < env_.cluster->nodes_per_replica(); ++i) {
-      if (!env_.cluster->role_alive(r, i)) {
-        if (!promote_and_install(r, i)) return true;  // pool exhausted: over
-      }
-    }
-  }
-  dead_roles_.clear();
-  weak_recovery_pending_ = false;
-  recovery_.reset();
-  ckpt_.reset();
-  final_verify_epoch_ = 0;
-  verified_epoch_ = epoch;
-  env_.cluster->bump_app_epoch(0);
-  env_.cluster->bump_app_epoch(1);
-  done_nodes_[0].clear();
-  done_nodes_[1].clear();
-  std::uint64_t barrier = next_barrier_++;
-  // Abandoned waves' rollback/rebuild commands may still be in flight;
-  // raise every agent's restore floor so only THIS wave's restores apply.
-  for (int r = 0; r < 2; ++r) {
-    for (int i = 0; i < env_.cluster->nodes_per_replica(); ++i) {
-      rt::Node* n = env_.cluster->role_node(r, i);
-      if (n == nullptr || n->service() == nullptr) continue;
-      static_cast<NodeAgent*>(n->service())->quash_restores_through(barrier -
-                                                                    1);
-    }
-  }
+  std::uint64_t barrier = relaunch(epoch);
+  if (barrier == 0) return true;  // pool exhausted: the job is over
+  // Only THIS wave's restores may apply.
+  quash_restores_through(barrier - 1);
   ++l2_fetch_waves_;
   if (env_.cluster->trace_enabled(rt::kTraceTier))
     trace().record(now(), rt::TraceKind::FetchStarted, -1, -1,
@@ -850,14 +779,10 @@ bool Manager::try_fetch_from_durable() {
   wire::RestoreCmdMsg cmd{epoch, barrier};
   for (int r = 0; r < 2; ++r)
     broadcast(r, wire::kFetchFromDurable, rt::pack_payload(cmd));
-  ActiveRecovery rec;
-  rec.crashed_replica = -1;
-  rec.restore_target = 2 * env_.cluster->nodes_per_replica();
-  rec.restored_replicas = 3;
-  rec.counts_as_recovery = false;
-  rec.barrier = barrier;
-  rec.fetch_epoch = epoch;
-  recovery_ = rec;
+  ActiveRecovery& wave =
+      open_wave(-1, 2 * env_.cluster->nodes_per_replica(), barrier);
+  wave.counts_as_recovery = false;
+  wave.fetch_epoch = epoch;
   return true;
 }
 
@@ -971,31 +896,12 @@ void Manager::on_message(const rt::Message& m) {
                                  m.src_replica, m.src.node_index);
     case wire::kNeedBuddyRestore: {
       // A checkpoint-less node was told to roll back: route a recovery
-      // image to it under the same barrier — the buddy's verified copy
-      // under partner, a group rebuild under rs. Local has no remote copy
-      // to route, so the wave degrades to a scratch restart.
+      // image to it under the same barrier. Where none can be routed the
+      // wave degrades to a scratch restart.
       auto need = rt::unpack_payload<wire::BarrierMsg>(m);
       if (!recovery_ || need.barrier != recovery_->barrier) return;
-      switch (redundancy()) {
-        case ckpt::Scheme::Partner:
-          if (env_.cluster->role_alive(1 - m.src_replica, m.src.node_index)) {
-            env_.cluster->send_from_manager(
-                1 - m.src_replica, m.src.node_index,
-                wire::kSendVerifiedToBuddy, rt::pack_payload(need));
-          }
-          return;
-        case ckpt::Scheme::Rs:
-          if (!route_rs_rebuild(m.src_replica, m.src.node_index,
-                                need.barrier)) {
-            recovery_.reset();
-            restart_from_scratch();
-          }
-          return;
-        case ckpt::Scheme::Local:
-          recovery_.reset();
-          restart_from_scratch();
-          return;
-      }
+      if (!route_restore(m.src_replica, m.src.node_index, need.barrier))
+        restart_from_scratch();
       return;
     }
     case wire::kRsRebuildImpossible: {
@@ -1010,7 +916,6 @@ void Manager::on_message(const rt::Message& m) {
             << "group rebuild impossible (barrier " << bar.barrier
             << ", reported by (" << m.src_replica << "," << m.src.node_index
             << ")); falling down the recovery ladder";
-        recovery_.reset();
         restart_from_scratch();
       }
       return;
@@ -1030,7 +935,6 @@ void Manager::on_message(const rt::Message& m) {
           << "l2 fetch failed on (" << m.src_replica << ","
           << m.src.node_index << ") barrier " << bar.barrier
           << "; degrading to scratch restart";
-      recovery_.reset();
       restart_from_scratch(/*allow_fetch=*/false);
       return;
     }

@@ -96,15 +96,14 @@ class Manager {
   };
 
   struct ActiveRecovery {
+    /// Replica whose nodes restore, or -1 when both do. Its app epoch is
+    /// bumped again when the resume barrier opens.
     int crashed_replica = 0;
     int restore_target = 0;
     std::set<std::pair<int, int>> restored_nodes;
     /// Restore wave this recovery waits on; stale kRestoreDone from an
     /// abandoned wave (re-escalation) must not count.
     std::uint64_t barrier = 0;
-    /// Bitmask of replicas whose nodes restored (their app epoch is bumped
-    /// again when the resume barrier opens).
-    std::uint8_t restored_replicas = 0;
     /// False for plain rollbacks (SDC) that reuse the restore barrier but
     /// are not hard-error recoveries.
     bool counts_as_recovery = true;
@@ -131,10 +130,16 @@ class Manager {
   void handle_suspect(const wire::SuspectMsg& msg);
   void handle_suspect_role(int replica, int node_index);
   void start_recovery(int replica, int node_index);
-  /// Strong-scheme recovery under rs redundancy: the promoted spare is
-  /// rebuilt intra-replica from its group's surviving images + parity
-  /// instead of the Fig. 4a buddy transfer.
-  void start_group_recovery(int replica, int node_index);
+  /// Strong-scheme single-replica wave (Fig. 4a): the promoted spare gets
+  /// its image from route_restore (the buddy's verified copy, or a group
+  /// rebuild under rs) while the rest of its replica rolls back locally.
+  void start_restore_wave(int replica, int node_index);
+  /// The one place that decides where a dead role's image comes from, under
+  /// `barrier`. Partner: the buddy ships its verified copy (nothing is sent
+  /// when the buddy is dead too; its own watchers escalate). Rs: the group
+  /// rebuild of route_rs_rebuild. False when no remote copy can be routed
+  /// (local, or an undecodable group): the caller falls down the ladder.
+  bool route_restore(int replica, int node_index, std::uint64_t barrier);
   /// Order the group survivors of (replica, node_index) to feed rebuild
   /// pieces under `barrier`: one RsRebuildCmd per survivor names the
   /// group's WHOLE dead set (node_index plus any dead_roles_ group-mates),
@@ -144,6 +149,24 @@ class Manager {
   bool route_rs_rebuild(int replica, int node_index, std::uint64_t barrier);
   ckpt::Scheme redundancy() const { return env_.config->redundancy; }
   void begin_recovery_checkpoint(int crashed_replica);
+
+  // Restore-wave building blocks shared by every rung.
+  /// Abandon the current timeline of the replicas in `replica_mask`: bump
+  /// their app epoch and forget their done reports.
+  void rewind(std::uint8_t replica_mask);
+  /// Start waiting on `barrier` for `restore_target` kRestoreDone reports.
+  /// `crashed_replica` < 0 means both replicas restore.
+  ActiveRecovery& open_wave(int crashed_replica, int restore_target,
+                            std::uint64_t barrier);
+  /// Raise every live agent's restore floor to `barrier`, so rollback or
+  /// rebuild commands of abandoned waves still in flight cannot re-apply
+  /// old state after a newer wave's restores land.
+  void quash_restores_through(std::uint64_t barrier);
+  /// Whole-job reset shared by the scratch and L2 fetch rungs: promote a
+  /// spare for every dead role, drop all protocol state, set the verified
+  /// epoch to `epoch` and rewind both replicas. Returns the new wave's
+  /// barrier, or 0 when the spare pool ran dry (the job has failed).
+  std::uint64_t relaunch(std::uint64_t epoch);
   void handle_restore_done(const wire::BarrierMsg& msg, int src_replica,
                            int src_node);
   void finish_recovery();
@@ -153,9 +176,10 @@ class Manager {
   void handle_link_failure(int src_replica, int src_node, int dst_replica,
                            int dst_node);
   void escalate_rollback_all();
-  /// Last rung of the recovery ladder. When `allow_fetch`, first tries the
-  /// L2-fetch rung (try_fetch_from_durable); only a tier with no complete
-  /// epoch (or a failed fetch wave retrying) actually restarts at zero.
+  /// Last rung of the recovery ladder; abandons any active checkpoint or
+  /// wave. When `allow_fetch`, first tries the L2-fetch rung
+  /// (try_fetch_from_durable); only a tier with no complete epoch (or a
+  /// failed fetch wave retrying) actually restarts at zero.
   void restart_from_scratch(bool allow_fetch = true);
   bool promote_and_install(int replica, int node_index);
 

@@ -527,7 +527,6 @@ void NodeAgent::pack_candidate() {
   if (codec_on() && env_.config->codec.delta_on())
     cand_digests_ = ckpt::CodecPipeline::digests(image.bytes());
   store_.stage_candidate(epoch_, decided_iteration_, std::move(image));
-  ++checkpoints_packed_;
 
   // Charge the serialization cost, plus the digest cost in checksum mode
   // (~4 instructions per byte, §4.2).

@@ -94,16 +94,11 @@ class NodeAgent final : public rt::NodeService {
   Phase phase() const { return phase_; }
   bool has_verified() const { return store_.has_verified(); }
   std::uint64_t verified_epoch() const { return store_.verified().epoch; }
-  std::uint64_t verified_iteration() const {
-    return store_.verified().iteration;
-  }
-  std::size_t verified_bytes() const { return store_.verified().image.size(); }
   /// Bytes of the verified checkpoint image — the node's authoritative
   /// (cross-replica-compared) answer.
   std::span<const std::byte> verified_image() const {
     return store_.verified().image.bytes();
   }
-  std::size_t checkpoints_packed() const { return checkpoints_packed_; }
   /// An L2 flush of the verified image is in flight on this node.
   bool flush_active() const { return flush_.active; }
   /// The double checkpoint store (verified/candidate epochs).
@@ -260,7 +255,6 @@ class NodeAgent final : public rt::NodeService {
   // Checkpoint store + redundancy scheme.
   ckpt::Store store_;
   std::unique_ptr<ckpt::RedundancyScheme> scheme_;
-  std::size_t checkpoints_packed_ = 0;
 
   // Two-phase restart barrier: restored, waiting for the collective go.
   bool awaiting_go_ = false;

@@ -30,36 +30,6 @@ void fold_words(const std::uint8_t* p, std::size_t words, std::uint64_t& sum1,
 
 }  // namespace
 
-std::uint32_t fletcher32(std::span<const std::byte> data) {
-  const std::uint8_t* p = reinterpret_cast<const std::uint8_t*>(data.data());
-  std::size_t len = data.size();
-  std::uint32_t sum1 = 0xFFFF, sum2 = 0xFFFF;
-  while (len > 1) {
-    std::size_t words = len / 2;
-    std::size_t block = words < 359 ? words : 359;
-    len -= block * 2;
-    for (std::size_t i = 0; i < block; ++i) {
-      std::uint16_t w;
-      std::memcpy(&w, p, 2);
-      p += 2;
-      sum1 += w;
-      sum2 += sum1;
-    }
-    sum1 = (sum1 & 0xFFFF) + (sum1 >> 16);
-    sum2 = (sum2 & 0xFFFF) + (sum2 >> 16);
-  }
-  if (len == 1) {
-    sum1 += *p;  // zero-padded odd byte
-    sum2 += sum1;
-  }
-  sum1 = (sum1 & 0xFFFF) + (sum1 >> 16);
-  sum2 = (sum2 & 0xFFFF) + (sum2 >> 16);
-  // One more fold in case the previous additions carried.
-  sum1 = (sum1 & 0xFFFF) + (sum1 >> 16);
-  sum2 = (sum2 & 0xFFFF) + (sum2 >> 16);
-  return (sum2 << 16) | sum1;
-}
-
 std::uint64_t fletcher64(std::span<const std::byte> data) {
   Fletcher64 f;
   f.append(data);
@@ -106,38 +76,5 @@ std::uint64_t Fletcher64::digest() const {
 }
 
 void Fletcher64::reset() { *this = Fletcher64{}; }
-
-std::uint64_t fletcher64_combine(std::uint64_t digest_a,
-                                 std::uint64_t digest_b,
-                                 std::uint64_t len_b) {
-  std::uint64_t s1a = digest_a & 0xFFFFFFFFULL, s2a = digest_a >> 32;
-  std::uint64_t s1b = digest_b & 0xFFFFFFFFULL, s2b = digest_b >> 32;
-  std::uint64_t nb = ((len_b + 3) / 4) % kMod32;  // words in B, incl. padded tail
-  std::uint64_t s1 = (s1a + s1b) % kMod32;
-  // Every word of A also feeds B's nb prefix-sums: nb * s1a cross term.
-  // Max value: (2^32-2)^2 + 2*(2^32-2) < 2^64, so plain uint64 arithmetic.
-  std::uint64_t s2 = (nb * s1a + s2a + s2b) % kMod32;
-  return (s2 << 32) | s1;
-}
-
-std::uint32_t fletcher32_combine(std::uint32_t digest_a,
-                                 std::uint32_t digest_b,
-                                 std::uint64_t len_b) {
-  constexpr std::uint64_t kMod16 = 0xFFFFULL;
-  std::uint64_t s1a = (digest_a & 0xFFFFu) % kMod16;
-  std::uint64_t s2a = (digest_a >> 16) % kMod16;
-  std::uint64_t s1b = (digest_b & 0xFFFFu) % kMod16;
-  std::uint64_t s2b = (digest_b >> 16) % kMod16;
-  std::uint64_t nb = ((len_b + 1) / 2) % kMod16;  // 16-bit words in B
-  std::uint32_t s1 = static_cast<std::uint32_t>((s1a + s1b) % kMod16);
-  std::uint32_t s2 =
-      static_cast<std::uint32_t>((nb * s1a + s2a + s2b) % kMod16);
-  // fletcher32() reduces by ones'-complement folding from sums that start
-  // positive, so its zero residue is always represented as 0xFFFF; match
-  // that canonical form for bit-identical digests.
-  if (s1 == 0) s1 = 0xFFFFu;
-  if (s2 == 0) s2 = 0xFFFFu;
-  return (s2 << 16) | s1;
-}
 
 }  // namespace acr::checksum

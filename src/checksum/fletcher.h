@@ -15,34 +15,11 @@
 
 namespace acr::checksum {
 
-/// Classic Fletcher-32 over 16-bit words (odd trailing byte zero-padded).
-std::uint32_t fletcher32(std::span<const std::byte> data);
-
 /// Fletcher-64 over 32-bit words using modulus 2^32-1.
 /// This is the digest ACR transmits (paper: "checksum data size is only
 /// 32 bytes" for the whole node; we use one 8-byte digest per checkpoint
 /// stream plus per-segment digests when requested).
 std::uint64_t fletcher64(std::span<const std::byte> data);
-
-/// digest(A ++ B) from digest(A), digest(B) and |B| in bytes. Fletcher is a
-/// pair of modular sums, so combining is arithmetic: with nB words in B,
-///   sum1' = sum1A + sum1B          (mod 2^32-1)
-///   sum2' = sum2A + nB*sum1A + sum2B
-/// PRECONDITION: |A| must be a multiple of the 4-byte word — a digest of a
-/// non-word-aligned chunk zero-pads its tail, which only the FINAL chunk of
-/// a concatenation may do. |B| may be any length (nB = ceil(|B|/4)); a
-/// padded tail in B stays the overall tail. The chunked drivers (kernels.h)
-/// cut on 256 KiB boundaries, which satisfies this by construction.
-std::uint64_t fletcher64_combine(std::uint64_t digest_a,
-                                 std::uint64_t digest_b,
-                                 std::uint64_t len_b);
-
-/// Fletcher-32 combine; words are 2 bytes, so |A| must be even and
-/// nB = ceil(|B|/2). Matches fletcher32()'s ones'-complement reduction
-/// (the zero residue is represented as 0xFFFF, never 0x0000).
-std::uint32_t fletcher32_combine(std::uint32_t digest_a,
-                                 std::uint32_t digest_b,
-                                 std::uint64_t len_b);
 
 /// Incremental Fletcher-64. Feed blocks in order; digest() equals the
 /// one-shot fletcher64 over the concatenation for ANY block granularity —

@@ -13,16 +13,11 @@
 //      produce the same polynomial, so the choice is invisible to the
 //      protocol.
 //
-//   2. Combine operators. crc32c_combine / fletcher64_combine /
-//      fletcher32_combine compute digest(A ++ B) from digest(A), digest(B)
-//      and |B|, so a large buffer can be digested as independent chunks and
-//      the partials merged left-to-right. CRC combine is the GF(2)
-//      shift-matrix trick (apply the "advance by |B| zero bytes" linear
-//      operator to digest(A), xor digest(B)); Fletcher combine is modular
-//      arithmetic on the two sums. Fletcher digests are word streams, so a
-//      NON-final chunk must be word-aligned (4 bytes for Fletcher-64, 2 for
-//      Fletcher-32); the chunk helpers below cut on fixed 256 KiB
-//      boundaries, which satisfies both.
+//   2. CRC32C combine. crc32c_combine computes crc(A ++ B) from crc(A),
+//      crc(B) and |B| with the GF(2) shift-matrix trick (apply the "advance
+//      by |B| zero bytes" linear operator to crc(A), xor crc(B)), so a
+//      large buffer can be digested as independent chunks and the partials
+//      merged left-to-right (crc32c_merge_chunk_digests).
 //
 //   3. The chunk grid. crc32c_chunk_digests digests fixed 256 KiB chunks
 //      and crc32c_merge_chunk_digests folds them back into the whole-buffer
@@ -93,10 +88,8 @@ inline void xor_fold_words(std::byte* acc, const std::byte* add,
 
 }  // namespace kernels
 
-/// Chunk size of the digest grid. A multiple of 4 (Fletcher-64
-/// word) and 2 (Fletcher-32 word), so every non-final chunk is word-aligned
-/// for the combine operators. Exposed for the equivalence tests, and the
-/// grid the ckpt codec pipeline's dirty-chunk maps live on.
+/// Chunk size of the digest grid. Exposed for the equivalence tests, and
+/// the grid the ckpt codec pipeline's dirty-chunk maps live on.
 inline constexpr std::size_t kDigestChunk = std::size_t{1} << 18;  // 256 KiB
 
 /// Chunks of the kDigestChunk grid covering `len` bytes (0 for empty input).

@@ -226,7 +226,6 @@ class RsScheme final : public RedundancyScheme {
     return complete_ && complete_->epoch == epoch;
   }
   int group_size() const { return n_; }
-  int parity_count() const { return m_; }
 
  private:
   struct StripeParity {

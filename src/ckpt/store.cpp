@@ -17,11 +17,6 @@ PromoteResult Store::promote(std::uint64_t epoch) {
   if (candidate_.epoch != epoch) return PromoteResult::EpochMismatch;
   verified_ = std::move(candidate_);
   candidate_ = Image{};
-  if (vault_) {
-    vault_->store(StoredImage{verified_.epoch, verified_.iteration,
-                              verified_.image});
-    vault_->prune(verified_.epoch);
-  }
   return PromoteResult::Promoted;
 }
 

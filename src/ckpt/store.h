@@ -7,16 +7,10 @@
 // scheme (redundancy.h) decides what ELSE protects the verified image —
 // nothing (Local), a buddy copy (Partner), or group parity (Rs) — but the
 // promotion state machine here is scheme-independent.
-//
-// An optional CheckpointVault (vault.h) gives the store a durable tier:
-// when attached, every promotion is written through to disk.
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <optional>
 
-#include "ckpt/vault.h"
 #include "pup/pup.h"
 
 namespace acr::ckpt {
@@ -73,16 +67,9 @@ class Store {
   bool has_verified() const { return verified_.valid; }
   bool has_candidate() const { return candidate_.valid; }
 
-  /// Attach a durable tier: promotions write through; reset() prunes.
-  void attach_vault(std::shared_ptr<CheckpointVault> vault) {
-    vault_ = std::move(vault);
-  }
-  const CheckpointVault* vault() const { return vault_.get(); }
-
  private:
   Image verified_;
   Image candidate_;
-  std::shared_ptr<CheckpointVault> vault_;
 };
 
 }  // namespace acr::ckpt

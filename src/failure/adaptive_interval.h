@@ -8,8 +8,6 @@
 // decays.
 #pragma once
 
-#include <optional>
-
 #include "failure/estimator.h"
 
 namespace acr::failure {
@@ -42,16 +40,10 @@ class AdaptiveIntervalController {
   /// delta, so a flush-heavy tier stretches the optimal interval. 0 (the
   /// default) reproduces the single-tier controller exactly.
   void set_flush_overhead(double seconds);
-  double flush_overhead() const { return flush_overhead_; }
 
   /// Interval to use for the next checkpoint, given the current time.
   /// Before any failure (and with no prior) returns max_interval.
   double next_interval(double now) const;
-
-  /// Current MTBF estimate (diagnostic).
-  std::optional<double> current_mtbf(double now) const {
-    return estimator_.mtbf(now);
-  }
 
   std::size_t failures_observed() const {
     return estimator_.failures_observed();

@@ -33,7 +33,6 @@ class MtbfEstimator {
   std::optional<double> mtbf(double now) const;
 
   std::size_t failures_observed() const { return total_; }
-  const std::deque<double>& recent_gaps() const { return gaps_; }
 
  private:
   std::size_t window_;

@@ -84,8 +84,6 @@ class Puper {
   virtual ~Puper() = default;
 
   Mode mode() const { return mode_; }
-  bool is_sizing() const { return mode_ == Mode::Sizing; }
-  bool is_packing() const { return mode_ == Mode::Packing; }
   bool is_unpacking() const { return mode_ == Mode::Unpacking; }
 
   /// Raw byte blob (no endianness/type interpretation in the checker).

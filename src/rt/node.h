@@ -92,10 +92,6 @@ class Node {
   /// every packed byte is also streamed into it — the checksum-mode buddy
   /// digest comes out of the same traversal that produced the image.
   pup::Checkpoint pack_state(buf::Sink* digest_sink = nullptr);
-  /// Arena-reuse / allocation counters of the pack builder (bench + tests).
-  const buf::BufferBuilder::Stats& pack_stats() const {
-    return pack_builder_.stats();
-  }
   /// Restore every task from `c`. Bumps the incarnation so stale compute
   /// continuations and timers die. Does NOT resume the tasks.
   void restore_state(const pup::Checkpoint& c);

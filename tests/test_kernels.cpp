@@ -168,49 +168,6 @@ TEST(Combine, Crc32cManyChunks) {
   }
 }
 
-TEST(Combine, Fletcher64WordAlignedSplits) {
-  // One-shot over the concatenation vs combine at every word-aligned cut,
-  // with overall buffer sizes exercising every 1–3-byte padded tail.
-  for (std::size_t total : {std::size_t{256}, std::size_t{257},
-                            std::size_t{258}, std::size_t{259}}) {
-    auto buf = random_bytes(total, 6 + total);
-    std::span<const std::byte> s(buf);
-    std::uint64_t whole = checksum::fletcher64(buf);
-    for (std::size_t cut = 0; cut <= total; cut += 4) {
-      std::uint64_t a = checksum::fletcher64(s.subspan(0, cut));
-      std::uint64_t b = checksum::fletcher64(s.subspan(cut));
-      EXPECT_EQ(checksum::fletcher64_combine(a, b, total - cut), whole)
-          << "total " << total << " cut " << cut;
-    }
-  }
-}
-
-TEST(Combine, Fletcher32WordAlignedSplits) {
-  for (std::size_t total : {std::size_t{128}, std::size_t{129}}) {
-    auto buf = random_bytes(total, 9 + total);
-    std::span<const std::byte> s(buf);
-    std::uint32_t whole = checksum::fletcher32(buf);
-    for (std::size_t cut = 0; cut <= total; cut += 2) {
-      std::uint32_t a = checksum::fletcher32(s.subspan(0, cut));
-      std::uint32_t b = checksum::fletcher32(s.subspan(cut));
-      EXPECT_EQ(checksum::fletcher32_combine(a, b, total - cut), whole)
-          << "total " << total << " cut " << cut;
-    }
-  }
-}
-
-TEST(Combine, Fletcher32ZeroResidueCanonicalForm) {
-  // An all-0xFF buffer drives both sums to the zero residue, which this
-  // fletcher32 represents as 0xFFFF; the combine must reproduce that, not
-  // 0x0000.
-  std::vector<std::byte> zeros(64, std::byte{0});
-  std::span<const std::byte> s(zeros);
-  std::uint32_t whole = checksum::fletcher32(zeros);
-  std::uint32_t a = checksum::fletcher32(s.subspan(0, 32));
-  std::uint32_t b = checksum::fletcher32(s.subspan(32));
-  EXPECT_EQ(checksum::fletcher32_combine(a, b, 32), whole);
-}
-
 TEST(Combine, Crc32cFlipDeltaMatchesActualFlip) {
   auto buf = random_bytes(4096, 11);
   std::uint32_t clean = checksum::crc32c(buf);
