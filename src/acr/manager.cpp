@@ -259,7 +259,7 @@ void Manager::rollback_sdc() {
   rewind(3);
   std::uint64_t barrier = next_barrier_++;
   wire::RestoreCmdMsg msg{verified_epoch_, barrier};
-  broadcast_participants(3, wire::kRollbackSdc, rt::pack_payload(msg));
+  broadcast_participants(3, wire::kRollback, rt::pack_payload(msg));
   ckpt_.reset();
   // Both replicas restore; the resume barrier (finish_recovery) reopens
   // the world once every node reports in.
@@ -467,7 +467,7 @@ void Manager::start_restore_wave(int replica, int node_index) {
   wire::RestoreCmdMsg roll{verified_epoch_, barrier};
   for (int j = 0; j < env_.cluster->nodes_per_replica(); ++j) {
     if (std::find(dead.begin(), dead.end(), j) != dead.end()) continue;
-    env_.cluster->send_from_manager(replica, j, wire::kRollbackHard,
+    env_.cluster->send_from_manager(replica, j, wire::kRollback,
                                     rt::pack_payload(roll));
   }
   open_wave(replica, env_.cluster->nodes_per_replica(), barrier);
@@ -676,7 +676,7 @@ void Manager::escalate_rollback_all() {
   for (int r = 0; r < 2; ++r) {
     for (int i = 0; i < env_.cluster->nodes_per_replica(); ++i) {
       if (!dead_roles_.count({r, i})) {
-        env_.cluster->send_from_manager(r, i, wire::kRollbackHard,
+        env_.cluster->send_from_manager(r, i, wire::kRollback,
                                         rt::pack_payload(roll));
       } else if (redundancy() != ckpt::Scheme::Rs ||
                  rs_routed_groups.insert({r, groups.group_of(i)}).second) {

@@ -98,8 +98,7 @@ void NodeAgent::make_scheme() {
         send_to_manager(wire::kRsRebuildImpossible, rt::pack_payload(msg));
       };
       hooks.restore_rebuilt = [this](ckpt::Image img, std::uint64_t barrier) {
-        if (barrier <= last_restore_barrier_) return;  // wave already taken
-        restore_from(img, "rs rebuild", barrier);
+        restore_from(std::move(img), "rs rebuild", barrier);
       };
       scheme_ = std::make_unique<ckpt::RsScheme>(groups, index_,
                                                  env_.config->rs_parity,
@@ -299,11 +298,8 @@ void NodeAgent::on_service_message(const rt::Message& m) {
       return handle_pack_command(rt::unpack_payload<wire::EpochMsg>(m));
     case wire::kCommit:
       return handle_commit(rt::unpack_payload<wire::EpochMsg>(m));
-    case wire::kRollbackSdc:
-      return handle_rollback(rt::unpack_payload<wire::RestoreCmdMsg>(m), true);
-    case wire::kRollbackHard:
-      return handle_rollback(rt::unpack_payload<wire::RestoreCmdMsg>(m),
-                             false);
+    case wire::kRollback:
+      return handle_rollback(rt::unpack_payload<wire::RestoreCmdMsg>(m));
     case wire::kHalt:
       return handle_halt();
     case wire::kAbortConsensus:
@@ -359,7 +355,9 @@ void NodeAgent::on_service_message(const rt::Message& m) {
     }
     case wire::kRsRebuildPiece: {
       auto msg = rt::unpack_payload<ckpt::RsPieceMsg>(m);
-      if (msg.barrier <= last_restore_barrier_) return;  // wave already taken
+      // Gate before intake: a stale piece could report the (abandoned)
+      // rebuild impossible to the manager.
+      if (msg.barrier <= last_restore_barrier_) return;
       if (ckpt::RsScheme* r = rs_scheme())
         r->on_piece(m.src.node_index, msg, m.attachment);
       return;
@@ -604,15 +602,11 @@ void NodeAgent::handle_buddy_checksum(const rt::Message& m) {
 void NodeAgent::handle_buddy_checkpoint(const rt::Message& m) {
   auto msg = rt::unpack_payload<wire::CheckpointMsg>(m);
   if (msg.purpose == kPurposeRestore) {
-    if (msg.barrier <= last_restore_barrier_) return;  // wave already taken
     // Buddy-assisted restore (spare promotion, medium/weak forward jump).
     // The image shares the sender's buffer; no copy is made here either.
-    ckpt::Image incoming;
-    incoming.valid = true;
-    incoming.epoch = msg.epoch;
-    incoming.iteration = msg.iteration;
-    incoming.image = pup::Checkpoint(m.attachment);
-    restore_from(incoming, "buddy checkpoint", msg.barrier);
+    restore_from(
+        {true, msg.epoch, msg.iteration, pup::Checkpoint(m.attachment)},
+        "buddy checkpoint", msg.barrier);
     return;
   }
   if (msg.epoch != epoch_) return;
@@ -847,9 +841,10 @@ void NodeAgent::handle_commit(const wire::EpochMsg& msg) {
   node_.unpause_all();
 }
 
-void NodeAgent::handle_rollback(const wire::RestoreCmdMsg& msg, bool sdc) {
-  if (msg.barrier <= last_restore_barrier_) return;  // wave already taken
-  const char* why = sdc ? "sdc rollback" : "hard rollback";
+void NodeAgent::handle_rollback(const wire::RestoreCmdMsg& msg) {
+  // Gate before the checkpoint-less branch: it gates this node and asks the
+  // manager for an image, which a stale wave must not do.
+  if (msg.barrier <= last_restore_barrier_) return;
   if (!store_.has_verified()) {
     // Local/rs schemes may still hold a candidate for exactly the rollback
     // epoch (the commit raced this failure): a candidate at that epoch
@@ -858,8 +853,7 @@ void NodeAgent::handle_rollback(const wire::RestoreCmdMsg& msg, bool sdc) {
     // manager to route the buddy's verified image here.
     if (scheme_->kind() != ckpt::Scheme::Partner) {
       if (const ckpt::Image* img = store_.restorable(msg.epoch)) {
-        ckpt::Image local = *img;
-        restore_from(local, why, msg.barrier);
+        restore_from(*img, "rollback", msg.barrier);
         return;
       }
     }
@@ -872,22 +866,24 @@ void NodeAgent::handle_rollback(const wire::RestoreCmdMsg& msg, bool sdc) {
     return;
   }
   store_.discard_candidate();
-  restore_from(store_.verified(), why, msg.barrier);
+  restore_from(store_.verified(), "rollback", msg.barrier);
 }
 
-void NodeAgent::restore_from(const ckpt::Image& ckpt, const char* why,
+void NodeAgent::restore_from(ckpt::Image img, const char* why,
                              std::uint64_t barrier) {
-  ACR_REQUIRE(ckpt.valid, "restore from invalid checkpoint");
-  // Record the wave at initiation so a duplicated restore command (or a
-  // double-routed buddy image) for the same barrier is a no-op.
-  last_restore_barrier_ = std::max(last_restore_barrier_, barrier);
-  double bytes = static_cast<double>(ckpt.image.size());
+  // The one admission rule for every image source. Taking a wave raises the
+  // floor to its barrier, so a duplicated command or a double-routed image
+  // for it is a no-op; quash_restores_through raises the floor past
+  // abandoned waves.
+  if (barrier <= last_restore_barrier_) return;
+  ACR_REQUIRE(img.valid, "restore from invalid checkpoint");
+  last_restore_barrier_ = barrier;
+  double bytes = static_cast<double>(img.image.size());
   double cost = bytes / env_.cluster->config().net.unpack_bandwidth;
-  // Stage the checkpoint for the deferred restore; the image Buffer is
-  // shared, so this costs a refcount bump even for message-borne images.
-  ckpt::Image local = ckpt;
+  // The staged image's Buffer is shared, so holding it for the deferred
+  // restore costs a refcount bump even for message-borne images.
   node_.set_gated(true);  // drop app traffic until the resume barrier opens
-  env_.cluster->engine().schedule_after(cost, [this, local = std::move(local),
+  env_.cluster->engine().schedule_after(cost, [this, local = std::move(img),
                                                why, barrier]() {
     if (!node_.alive()) return;
     // A newer wave (or a scratch restart's floor) superseded this restore
@@ -1073,11 +1069,7 @@ void NodeAgent::flush_next_chunk(std::uint64_t seq) {
         env_.tier->publish_blob(replica_, index_, flush_.epoch,
                                 std::move(flush_.blob), flush_.base_epoch);
       } else {
-        ckpt::StoredImage img;
-        img.epoch = store_.verified().epoch;
-        img.iteration = store_.verified().iteration;
-        img.image = store_.verified().image;
-        env_.tier->publish(replica_, index_, img);
+        env_.tier->publish(replica_, index_, store_.verified());
       }
       if (codec_on() && env_.config->codec.delta_on()) {
         // This blob (v1 or v2 alike) anchors the next flush's delta.
@@ -1121,7 +1113,8 @@ void NodeAgent::maybe_reflush_after_restore() {
 }
 
 void NodeAgent::handle_fetch_from_durable(const wire::RestoreCmdMsg& msg) {
-  if (msg.barrier <= last_restore_barrier_) return;  // wave already taken
+  // Gate before the read: the node gates itself and the L2 read is charged.
+  if (msg.barrier <= last_restore_barrier_) return;
   if (!tier_enabled()) return;
   // The wave's epoch is authoritative now; any background flush is moot.
   supersede_flush(/*trace=*/true);
@@ -1147,10 +1140,10 @@ void NodeAgent::handle_fetch_from_durable(const wire::RestoreCmdMsg& msg) {
   env_.cluster->engine().schedule_after(
       delay, [this, epoch = msg.epoch, barrier = msg.barrier]() {
         if (!node_.alive()) return;
-        if (barrier <= last_restore_barrier_) return;  // superseded in flight
-        std::optional<ckpt::StoredImage> img =
-            env_.tier->fetch(replica_, index_, epoch);
-        if (!img) {
+        // Superseded in flight: skip the decode, its counter and its trace.
+        if (barrier <= last_restore_barrier_) return;
+        ckpt::Image img = env_.tier->fetch(replica_, index_, epoch);
+        if (!img.valid) {
           wire::BarrierMsg fail{barrier};
           send_to_manager(wire::kFetchFailed, rt::pack_payload(fail));
           return;
@@ -1159,12 +1152,7 @@ void NodeAgent::handle_fetch_from_durable(const wire::RestoreCmdMsg& msg) {
           env_.cluster->trace().record(now(), rt::TraceKind::FetchCompleted,
                                        replica_, index_,
                                        "epoch=" + std::to_string(epoch));
-        ckpt::Image local;
-        local.valid = true;
-        local.epoch = img->epoch;
-        local.iteration = img->iteration;
-        local.image = std::move(img->image);
-        restore_from(local, "l2 fetch", barrier);
+        restore_from(std::move(img), "l2 fetch", barrier);
       });
 }
 

@@ -11,8 +11,10 @@
 //  * SDC detection — shipping the checkpoint (or its Fletcher-64 digest) to
 //    the buddy node in the other replica and comparing (§2.1, §4.1–4.2);
 //  * buddy heartbeating and no-response failure detection (§6.1);
-//  * restore paths for rollback, buddy-assisted spare recovery, rs group
-//    rebuild, and the forward-jump restores of the medium/weak schemes.
+//  * one restore entry (restore_from) for every image source — the local
+//    verified image on rollback, the buddy's shipped image (spare recovery
+//    and the medium/weak forward jump), an rs group rebuild, an L2 fetch —
+//    admitted by one rule: the wave's barrier must be above the floor.
 //
 // Reductions travel agent-to-agent with modelled latency; control
 // broadcasts come directly from the job manager (see manager.h).
@@ -73,7 +75,7 @@ class NodeAgent final : public rt::NodeService {
   /// applications whose barrier id is at or below `barrier` are ignored
   /// from now on. The manager calls this when a scratch restart abandons a
   /// recovery wave whose rollback/rebuild commands may still be in flight —
-  /// without it, a stale kRollbackHard landing after the reset would revive
+  /// without it, a stale kRollback landing after the reset would revive
   /// pre-restart state on part of the cluster and deadlock the app.
   void quash_restores_through(std::uint64_t barrier);
 
@@ -129,7 +131,7 @@ class NodeAgent final : public rt::NodeService {
   void handle_iteration_decided(const wire::IterationMsg& msg);
   void handle_pack_command(const wire::EpochMsg& msg);
   void handle_commit(const wire::EpochMsg& msg);
-  void handle_rollback(const wire::RestoreCmdMsg& msg, bool sdc);
+  void handle_rollback(const wire::RestoreCmdMsg& msg);
   void handle_halt();
   void handle_abort(const wire::EpochMsg& msg);
   void handle_resume();
@@ -186,8 +188,9 @@ class NodeAgent final : public rt::NodeService {
   // Checkpoint plumbing.
   void pack_candidate();
   void after_pack();
-  void restore_from(const ckpt::Image& ckpt, const char* why,
-                    std::uint64_t barrier);
+  /// The single restore entry: admits the wave iff `barrier` is above the
+  /// floor, then unpacks `img` after its modelled cost and reports done.
+  void restore_from(ckpt::Image img, const char* why, std::uint64_t barrier);
   void send_checkpoint_to_buddy(const ckpt::Image& ckpt, std::uint8_t purpose,
                                 std::uint64_t barrier = 0);
   void refresh_done_from_tasks();

@@ -16,8 +16,7 @@ enum Tag : int {
   kIterationDecided,         ///< checkpoint iteration C (phase 3)
   kPackCommand,              ///< all ready: serialize state (phase 4)
   kCommit,                   ///< comparison passed: promote + resume
-  kRollbackSdc,              ///< mismatch: restore verified epoch + resume
-  kRollbackHard,             ///< crashed-replica rollback to verified epoch
+  kRollback,                 ///< restore the verified epoch (SDC or hard)
   kHalt,                     ///< weak scheme: crashed replica waits
   kAbortConsensus,           ///< failure interrupted a checkpoint
   kSendVerifiedToBuddy,      ///< strong recovery: ship verified ckpt to buddy

@@ -545,12 +545,8 @@ void RsScheme::try_reassemble(std::uint64_t barrier) {
     ++stats_.rebuilds_rejected;
     return fail_rebuild(barrier, "rebuilt image fails its CRC");
   }
-  Image img;
-  img.valid = true;
-  img.epoch = first.msg.epoch;
-  img.iteration = first.msg.iteration;
-  img.image = pup::Checkpoint(std::move(rebuilt));
-  img.image.epoch = img.epoch;
+  Image img{true, first.msg.epoch, first.msg.iteration,
+            pup::Checkpoint(std::move(rebuilt))};
   rebuilds_.erase(barrier);
   ++stats_.rebuilds_completed;
   hooks_.restore_rebuilt(std::move(img), barrier);

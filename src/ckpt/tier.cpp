@@ -6,7 +6,7 @@
 
 namespace acr::ckpt {
 
-void DurableTier::publish(int replica, int index, const StoredImage& img) {
+void DurableTier::publish(int replica, int index, const Image& img) {
   ACR_REQUIRE(replica >= 0 && replica < replicas_, "tier publish: bad replica");
   ACR_REQUIRE(index >= 0 && index < roles_, "tier publish: bad node index");
   std::vector<std::byte> blob = encode_stored_image(img);
@@ -32,15 +32,14 @@ bool DurableTier::has(int replica, int index, std::uint64_t epoch) const {
   return blobs_.count(Key{replica, index, epoch}) != 0;
 }
 
-std::optional<StoredImage> DurableTier::decode_chain(int replica, int index,
-                                                     std::uint64_t epoch,
-                                                     int depth) {
+Image DurableTier::decode_chain(int replica, int index, std::uint64_t epoch,
+                               int depth) {
   // A cycle cannot be published (base_epoch < epoch is enforced), but a
   // corrupt blob could claim one; the depth guard turns that into a failed
   // fetch instead of a hang.
-  if (depth > 64) return std::nullopt;
+  if (depth > 64) return {};
   auto it = blobs_.find(Key{replica, index, epoch});
-  if (it == blobs_.end()) return std::nullopt;
+  if (it == blobs_.end()) return {};
   try {
     DecodedBlob decoded = decode_any_image(it->second.bytes);
     if (!decoded.is_delta) return std::move(decoded.full);
@@ -49,26 +48,21 @@ std::optional<StoredImage> DurableTier::decode_chain(int replica, int index,
       // Self-contained v2 blob (compressed full image).
       image = CodecPipeline::decode(decoded.delta.frame, {});
     } else {
-      std::optional<StoredImage> base =
+      Image base =
           decode_chain(replica, index, decoded.delta.base_epoch, depth + 1);
-      if (!base) return std::nullopt;
-      image = CodecPipeline::decode(decoded.delta.frame, base->image.bytes());
+      if (!base.valid) return {};
+      image = CodecPipeline::decode(decoded.delta.frame, base.image.bytes());
     }
-    StoredImage out;
-    out.epoch = decoded.delta.epoch;
-    out.iteration = decoded.delta.iteration;
-    out.image = pup::Checkpoint(image);
-    out.image.epoch = out.epoch;
-    return out;
+    return Image{true, decoded.delta.epoch, decoded.delta.iteration,
+                 pup::Checkpoint(std::move(image))};
   } catch (const pup::StreamError&) {
-    return std::nullopt;
+    return {};
   }
 }
 
-std::optional<StoredImage> DurableTier::fetch(int replica, int index,
-                                              std::uint64_t epoch) {
-  std::optional<StoredImage> out = decode_chain(replica, index, epoch, 0);
-  if (out) ++fetches_;
+Image DurableTier::fetch(int replica, int index, std::uint64_t epoch) {
+  Image out = decode_chain(replica, index, epoch, 0);
+  if (out.valid) ++fetches_;
   return out;
 }
 

@@ -7,24 +7,24 @@
 // an exhausted spare pool — and then the only options are restarting from
 // scratch or restoring from a slower durable level (the SCR / CRAFT
 // multi-level story). DurableTier models that level: a store of
-// vault-format blobs (encode_stored_image — header + payload + Fletcher-64
-// trailer, so an L2 blob IS a CheckpointVault file image) keyed by
-// (replica, node index, epoch). The tier itself is passive and costless;
-// the TIME of every write/read is charged separately through the cluster's
-// net::L2ChannelModel, and the protocol around it (async flush chunking,
-// fetch waves, scavenge on drain) lives in acr::Manager / acr::NodeAgent.
+// self-validating blobs (vault.h: header + payload + Fletcher-64 trailer)
+// keyed by (replica, node index, epoch). The tier itself is passive and
+// costless; the TIME of every write/read is charged separately through the
+// cluster's net::L2ChannelModel, and the protocol around it (async flush
+// chunking, fetch waves, scavenge on drain) lives in acr::Manager /
+// acr::NodeAgent.
 //
 // Atomicity contract: a node's image appears here only via publish(),
 // which the flush state machine calls once, after the LAST chunk's I/O
 // completes. A node that dies mid-flush has published nothing — there is
-// no half-written L2 image to fetch, matching the vault's temp-file+rename
-// discipline on real disks. An *epoch* is fetchable only when every role
-// published (newest_complete_epoch), the multi-file analogue.
+// no half-written L2 image to fetch, the in-memory analogue of the
+// temp-file+rename discipline on real disks. An *epoch* is fetchable only
+// when every role published (newest_complete_epoch), the multi-file
+// analogue.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <vector>
 
 #include "ckpt/vault.h"
@@ -76,9 +76,9 @@ class DurableTier {
   /// Install a node's image for an epoch (called once per flush, after the
   /// final chunk's modeled I/O completes). Re-publishing the same key (a
   /// restored node re-flushing its adopted image) is idempotent.
-  void publish(int replica, int index, const StoredImage& img);
+  void publish(int replica, int index, const Image& img);
 
-  /// Install a pre-encoded blob (vault v1 or v2 bytes). The codec flush
+  /// Install a pre-encoded blob (v1 or v2 bytes). The codec flush
   /// path encodes its delta/compressed blob up front — the same bytes that
   /// were charged chunk-by-chunk against the L2 channel — and publishes it
   /// verbatim here. `base_epoch != 0` declares a delta blob whose decode
@@ -92,9 +92,9 @@ class DurableTier {
   /// Decode (and integrity-check) a node's image for an epoch. A delta
   /// blob is reconstructed by recursively fetching its base chain and
   /// overlaying each frame; a broken chain (missing/corrupt ancestor)
-  /// yields nullopt, pushing the fetch wave to an older epoch or scratch.
-  std::optional<StoredImage> fetch(int replica, int index,
-                                   std::uint64_t epoch);
+  /// yields an invalid Image, pushing the fetch wave to an older epoch or
+  /// scratch.
+  Image fetch(int replica, int index, std::uint64_t epoch);
 
   /// Encoded size of the blob at a key, or 0 if absent.
   std::uint64_t blob_bytes(int replica, int index, std::uint64_t epoch) const;
@@ -117,9 +117,9 @@ class DurableTier {
   std::vector<std::uint64_t> epochs_present() const;
 
   /// Drop blobs of epochs older than `keep_from_epoch` (keeps the boundary
-  /// epoch itself, mirroring CheckpointVault::prune) — EXCEPT ancestors
-  /// that a kept delta blob's base chain still references, which must
-  /// survive until their last dependant is pruned.
+  /// epoch itself) — EXCEPT ancestors that a kept delta blob's base chain
+  /// still references, which must survive until their last dependant is
+  /// pruned.
   void prune(std::uint64_t keep_from_epoch);
 
   // --- lifetime counters (RunSummary / tests) -------------------------------
@@ -134,8 +134,7 @@ class DurableTier {
     std::uint64_t base_epoch = 0;  ///< 0 = self-contained
   };
 
-  std::optional<StoredImage> decode_chain(int replica, int index,
-                                          std::uint64_t epoch, int depth);
+  Image decode_chain(int replica, int index, std::uint64_t epoch, int depth);
 
   int replicas_;
   int roles_;

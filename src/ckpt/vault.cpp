@@ -1,12 +1,10 @@
 #include "ckpt/vault.h"
 
-#include <algorithm>
 #include <cstring>
-#include <fstream>
+#include <string>
 #include <vector>
 
 #include "checksum/fletcher.h"
-#include "common/require.h"
 
 namespace acr::ckpt {
 
@@ -47,7 +45,7 @@ std::size_t encoded_image_bytes(std::size_t payload_bytes) {
   return sizeof(Header) + payload_bytes + sizeof(std::uint64_t);
 }
 
-std::vector<std::byte> encode_stored_image(const StoredImage& ckpt) {
+std::vector<std::byte> encode_stored_image(const Image& ckpt) {
   Header h{kMagic, kVersion, ckpt.epoch, ckpt.iteration,
            static_cast<std::uint64_t>(ckpt.image.size())};
 
@@ -67,7 +65,7 @@ std::vector<std::byte> encode_stored_image(const StoredImage& ckpt) {
   return blob;
 }
 
-StoredImage decode_stored_image(std::span<const std::byte> blob) {
+Image decode_stored_image(std::span<const std::byte> blob) {
   Header h{};
   if (blob.size() < sizeof h)
     throw pup::StreamError("stored checkpoint image is truncated");
@@ -95,12 +93,8 @@ StoredImage decode_stored_image(std::span<const std::byte> blob) {
     throw pup::StreamError(
         "stored checkpoint image failed its integrity check");
 
-  StoredImage out;
-  out.epoch = h.epoch;
-  out.iteration = h.iteration;
-  out.image = pup::Checkpoint(std::move(payload));
-  out.image.epoch = h.epoch;
-  return out;
+  return Image{true, h.epoch, h.iteration,
+               pup::Checkpoint(std::move(payload))};
 }
 
 std::size_t encoded_delta_bytes(const CodecFrame& frame) {
@@ -184,102 +178,6 @@ DecodedBlob decode_any_image(std::span<const std::byte> blob) {
       blob.subspan(sizeof h + sizeof dh + f.map.present.size(),
                    static_cast<std::size_t>(h.payload_bytes)));
   return out;
-}
-
-CheckpointVault::CheckpointVault(std::filesystem::path directory,
-                                 std::string prefix)
-    : directory_(std::move(directory)), prefix_(std::move(prefix)) {
-  ACR_REQUIRE(!prefix_.empty(), "vault prefix must be non-empty");
-  std::filesystem::create_directories(directory_);
-  // An interrupted store() can strand a "<prefix>.*.tmp" next to the real
-  // files; it can never be completed, so clear it now.
-  for (const auto& entry : std::filesystem::directory_iterator(directory_)) {
-    std::string name = entry.path().filename().string();
-    if (name.rfind(prefix_ + ".", 0) == 0 && name.size() > 4 &&
-        name.substr(name.size() - 4) == ".tmp")
-      std::filesystem::remove(entry.path());
-  }
-}
-
-std::filesystem::path CheckpointVault::path_for(std::uint64_t epoch) const {
-  return directory_ / (prefix_ + ".e" + std::to_string(epoch) + ".ckpt");
-}
-
-std::filesystem::path CheckpointVault::store(const StoredImage& ckpt) const {
-  std::vector<std::byte> blob = encode_stored_image(ckpt);
-
-  std::filesystem::path final_path = path_for(ckpt.epoch);
-  std::filesystem::path tmp_path = final_path;
-  tmp_path += ".tmp";
-  {
-    std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
-    ACR_REQUIRE(out.good(), "cannot open checkpoint file for writing");
-    out.write(reinterpret_cast<const char*>(blob.data()),
-              static_cast<std::streamsize>(blob.size()));
-    ACR_REQUIRE(out.good(), "checkpoint write failed");
-  }
-  std::filesystem::rename(tmp_path, final_path);
-  return final_path;
-}
-
-std::optional<StoredImage> CheckpointVault::load(std::uint64_t epoch) const {
-  std::filesystem::path path = path_for(epoch);
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) return std::nullopt;
-
-  in.seekg(0, std::ios::end);
-  std::vector<std::byte> blob(static_cast<std::size_t>(in.tellg()));
-  in.seekg(0, std::ios::beg);
-  in.read(reinterpret_cast<char*>(blob.data()),
-          static_cast<std::streamsize>(blob.size()));
-  if (!in.good() && !blob.empty())
-    throw pup::StreamError("checkpoint file " + path.string() +
-                           ": short read");
-  try {
-    return decode_stored_image(blob);
-  } catch (const pup::StreamError& e) {
-    throw pup::StreamError("checkpoint file " + path.string() + ": " +
-                           e.what());
-  }
-}
-
-std::vector<std::uint64_t> CheckpointVault::epochs_on_disk() const {
-  std::vector<std::uint64_t> epochs;
-  std::string head = prefix_ + ".e";
-  for (const auto& entry : std::filesystem::directory_iterator(directory_)) {
-    std::string name = entry.path().filename().string();
-    if (name.rfind(head, 0) != 0) continue;
-    if (name.size() < head.size() + 6) continue;
-    if (name.substr(name.size() - 5) != ".ckpt") continue;
-    std::string digits = name.substr(head.size(),
-                                     name.size() - head.size() - 5);
-    try {
-      epochs.push_back(std::stoull(digits));
-    } catch (const std::exception&) {
-      continue;  // unrelated file
-    }
-  }
-  std::sort(epochs.begin(), epochs.end());
-  return epochs;
-}
-
-std::optional<StoredImage> CheckpointVault::load_latest() const {
-  std::vector<std::uint64_t> epochs = epochs_on_disk();
-  for (auto it = epochs.rbegin(); it != epochs.rend(); ++it) {
-    try {
-      std::optional<StoredImage> img = load(*it);
-      if (img) return img;
-    } catch (const pup::StreamError&) {
-      continue;  // corrupt file: fall back to the previous epoch
-    }
-  }
-  return std::nullopt;
-}
-
-void CheckpointVault::prune(std::uint64_t keep_from_epoch) const {
-  for (std::uint64_t epoch : epochs_on_disk())
-    if (epoch < keep_from_epoch)
-      std::filesystem::remove(path_for(epoch));
 }
 
 }  // namespace acr::ckpt

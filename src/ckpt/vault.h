@@ -1,57 +1,43 @@
-// Durable checkpoint storage (the ckpt layer's FILE tier).
+// The L2 checkpoint blob format (the durable tier's bytes, tier.h).
 //
 // The paper's ACR keeps checkpoints in memory (its in-memory double
 // checkpointing is what makes recovery fast; §1 contrasts this with
-// disk-based checkpoint/restart whose cost "may be prohibitive"). A
-// production framework still wants an optional durable tier — the analogue
-// of SCR's FILE level — for restarts that survive whole-machine loss.
-//
-// CheckpointVault writes each checkpoint as a self-validating file:
+// disk-based checkpoint/restart whose cost "may be prohibitive"). The
+// optional durable tier — the analogue of SCR's FILE level — stores each
+// role's image as a self-validating blob:
 //
 //   [magic u32][version u32][epoch u64][iteration u64]
 //   [payload length u64][payload bytes][fletcher64 of header+payload]
 //
-// Loads verify the trailer digest, so on-disk corruption (the SDC story,
-// continued at the storage layer) is detected rather than restored.
+// Decodes verify the trailer digest, so storage-level corruption (the SDC
+// story, continued on L2) is detected rather than restored.
 #pragma once
 
 #include <cstdint>
-#include <filesystem>
-#include <optional>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "ckpt/codec.h"
-#include "pup/pup.h"
+#include "ckpt/store.h"
 
 namespace acr::ckpt {
 
-/// A checkpoint image annotated with its protocol coordinates.
-struct StoredImage {
-  std::uint64_t epoch = 0;
-  std::uint64_t iteration = 0;
-  pup::Checkpoint image;
-};
+/// Serialize an image and its coordinates into the self-validating v1
+/// blob (header + payload + Fletcher-64 trailer).
+std::vector<std::byte> encode_stored_image(const Image& ckpt);
 
-/// Serialize a checkpoint into the vault's self-validating byte format
-/// (header + payload + Fletcher-64 trailer). The same encoding is used for
-/// on-disk files (CheckpointVault) and for the simulated durable tier's
-/// in-memory blobs (tier.h), so a tier blob IS a vault file image.
-std::vector<std::byte> encode_stored_image(const StoredImage& ckpt);
-
-/// Inverse of encode_stored_image. Throws pup::StreamError on a bad magic,
-/// truncation, or trailer-digest mismatch.
-StoredImage decode_stored_image(std::span<const std::byte> blob);
+/// Inverse of encode_stored_image; the result is valid. Throws
+/// pup::StreamError on a bad magic, truncation, or trailer-digest mismatch.
+Image decode_stored_image(std::span<const std::byte> blob);
 
 /// Bytes encode_stored_image would produce for an image of `payload_bytes`.
 std::size_t encoded_image_bytes(std::size_t payload_bytes);
 
-/// A vault blob holding a codec DELTA frame instead of a full image: the
+/// A blob holding a codec DELTA frame instead of a full image: the
 /// format-v2 extension grown for the staged codec pipeline. The payload
 /// section is replaced by a chunk-map section (full size + per-chunk
 /// present flags) followed by the frame's encoded payload; decoding back
-/// to a StoredImage additionally needs the base epoch's full image.
+/// to an Image additionally needs the base epoch's full image.
 /// `base_epoch == 0` marks a v2 blob that is self-contained (a full-map
 /// frame — e.g. a compressed full image) and decodes without a base.
 struct DeltaBlob {
@@ -68,48 +54,13 @@ std::vector<std::byte> encode_delta_image(const DeltaBlob& blob);
 /// Bytes encode_delta_image produces for a given frame.
 std::size_t encoded_delta_bytes(const CodecFrame& frame);
 
-/// Version-dispatching decode: a v1 blob yields a full StoredImage, a v2
-/// blob yields the delta. Throws pup::StreamError on corruption.
+/// Version-dispatching decode: a v1 blob yields a full Image, a v2 blob
+/// yields the delta. Throws pup::StreamError on corruption.
 struct DecodedBlob {
   bool is_delta = false;
-  StoredImage full;  ///< valid when !is_delta
-  DeltaBlob delta;   ///< valid when is_delta
+  Image full;       ///< valid when !is_delta
+  DeltaBlob delta;  ///< valid when is_delta
 };
 DecodedBlob decode_any_image(std::span<const std::byte> blob);
-
-class CheckpointVault {
- public:
-  /// Files are placed under `directory` (created if absent) as
-  /// "<prefix>.e<epoch>.ckpt". Stale "*.tmp" leftovers of interrupted
-  /// writes under this prefix are removed — they can never be completed.
-  CheckpointVault(std::filesystem::path directory, std::string prefix);
-
-  /// Write (atomically: temp file + rename). Returns the final path.
-  std::filesystem::path store(const StoredImage& ckpt) const;
-
-  /// Load a specific epoch. Returns nullopt if the file is missing;
-  /// throws StreamError if it exists but is corrupt (bad magic, truncated,
-  /// or digest mismatch).
-  std::optional<StoredImage> load(std::uint64_t epoch) const;
-
-  /// Newest epoch with a loadable (valid) file, or nullopt. Corrupt files
-  /// are skipped — an interrupted write must not block restart from an
-  /// older checkpoint.
-  std::optional<StoredImage> load_latest() const;
-
-  /// Epochs present on disk (valid or not), ascending.
-  std::vector<std::uint64_t> epochs_on_disk() const;
-
-  /// Delete everything older than `keep_from_epoch`.
-  void prune(std::uint64_t keep_from_epoch) const;
-
-  const std::filesystem::path& directory() const { return directory_; }
-
- private:
-  std::filesystem::path path_for(std::uint64_t epoch) const;
-
-  std::filesystem::path directory_;
-  std::string prefix_;
-};
 
 }  // namespace acr::ckpt

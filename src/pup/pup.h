@@ -271,9 +271,6 @@ class Checkpoint {
   std::size_t size() const { return data_.size(); }
   bool empty() const { return data_.empty(); }
 
-  /// Sequence number assigned by the checkpoint coordinator.
-  std::uint64_t epoch = 0;
-
  private:
   buf::Buffer data_;
 };

@@ -1,17 +1,15 @@
 // Unit tests for the pluggable checkpoint layer (src/ckpt): the double
 // checkpoint Store's promotion state machine (including the edge cases a
-// racing verdict/rollback produces), the parity GroupMap, and the on-disk
-// CheckpointVault. The parity scheme's algebra is in test_rs_scheme.cpp.
+// racing verdict/rollback produces) and the parity GroupMap. The parity
+// scheme's algebra is in test_rs_scheme.cpp; the L2 blob format is in
+// test_codec.cpp.
 #include <gtest/gtest.h>
 
 #include <cstddef>
-#include <filesystem>
-#include <fstream>
 #include <vector>
 
 #include "ckpt/group.h"
 #include "ckpt/store.h"
-#include "ckpt/vault.h"
 #include "common/rng.h"
 
 namespace acr::ckpt {
@@ -168,104 +166,6 @@ TEST(CkptGroupMap, LargerRemainderStandsAlone) {
   EXPECT_EQ(h.num_groups(), 3);
   EXPECT_EQ(h.group_size_of(7), 2);
   EXPECT_EQ(h.group_members(7), (std::vector<int>{6, 7}));
-}
-
-// ---------------------------------------------------------------------------
-// CheckpointVault: on-disk format, corruption skipping, pruning.
-// ---------------------------------------------------------------------------
-
-class CkptVaultTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("acr_vault_test_" +
-            std::string(::testing::UnitTest::GetInstance()
-                            ->current_test_info()
-                            ->name()));
-    std::filesystem::remove_all(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-
-  StoredImage stored(std::uint64_t epoch, std::uint64_t iteration,
-                     std::size_t size) {
-    StoredImage s;
-    s.epoch = epoch;
-    s.iteration = iteration;
-    s.image = make_image(size, epoch * 977 + iteration);
-    return s;
-  }
-
-  std::filesystem::path dir_;
-};
-
-TEST_F(CkptVaultTest, LoadLatestSkipsCorruptTrailer) {
-  CheckpointVault vault(dir_, "ck");
-  vault.store(stored(1, 10, 256));
-  std::filesystem::path newest = vault.store(stored(2, 20, 256));
-  // Flip one payload byte of the newest file; its Fletcher-64 trailer no
-  // longer matches, so load_latest must fall back to epoch 1.
-  {
-    std::fstream f(newest, std::ios::binary | std::ios::in | std::ios::out);
-    f.seekp(40);  // inside the payload, past the 32-byte header
-    char b = 0;
-    f.seekg(40);
-    f.read(&b, 1);
-    b = static_cast<char>(b ^ 0x1);
-    f.seekp(40);
-    f.write(&b, 1);
-  }
-  EXPECT_THROW(vault.load(2), pup::StreamError);
-  std::optional<StoredImage> latest = vault.load_latest();
-  ASSERT_TRUE(latest.has_value());
-  EXPECT_EQ(latest->epoch, 1u);
-}
-
-TEST_F(CkptVaultTest, LoadLatestSkipsTruncatedFile) {
-  CheckpointVault vault(dir_, "ck");
-  vault.store(stored(4, 11, 256));
-  std::filesystem::path newest = vault.store(stored(7, 12, 256));
-  std::filesystem::resize_file(newest, 16);  // mid-header truncation
-  EXPECT_THROW(vault.load(7), pup::StreamError);
-  std::optional<StoredImage> latest = vault.load_latest();
-  ASSERT_TRUE(latest.has_value());
-  EXPECT_EQ(latest->epoch, 4u);
-}
-
-TEST_F(CkptVaultTest, ConstructionCleansInterruptedWriteTmpFiles) {
-  {
-    CheckpointVault vault(dir_, "ck");
-    vault.store(stored(1, 5, 128));
-  }
-  // Fake an interrupted store(): a stranded temp file next to a real one,
-  // plus a foreign prefix's temp that must be left alone.
-  std::filesystem::path stranded = dir_ / "ck.e2.ckpt.tmp";
-  std::filesystem::path foreign = dir_ / "other.e9.ckpt.tmp";
-  std::ofstream(stranded) << "partial";
-  std::ofstream(foreign) << "partial";
-  CheckpointVault vault(dir_, "ck");
-  EXPECT_FALSE(std::filesystem::exists(stranded));
-  EXPECT_TRUE(std::filesystem::exists(foreign));
-  std::optional<StoredImage> latest = vault.load_latest();
-  ASSERT_TRUE(latest.has_value());
-  EXPECT_EQ(latest->epoch, 1u);
-}
-
-TEST_F(CkptVaultTest, PruneKeepsTheBoundaryEpoch) {
-  CheckpointVault vault(dir_, "ck");
-  for (std::uint64_t e : {1u, 2u, 3u, 4u}) vault.store(stored(e, e * 10, 64));
-  vault.prune(/*keep_from_epoch=*/3);
-  EXPECT_EQ(vault.epochs_on_disk(), (std::vector<std::uint64_t>{3, 4}));
-  EXPECT_TRUE(vault.load(3).has_value());
-  EXPECT_FALSE(vault.load(2).has_value());
-}
-
-TEST_F(CkptVaultTest, EpochsOnDiskSortedAndIgnoresUnrelatedFiles) {
-  CheckpointVault vault(dir_, "ck");
-  // Store out of order; listing must come back ascending.
-  for (std::uint64_t e : {12u, 2u, 100u, 7u}) vault.store(stored(e, 1, 32));
-  std::ofstream(dir_ / "ck.notes.txt") << "unrelated";
-  std::ofstream(dir_ / "other.e5.ckpt") << "different prefix";
-  EXPECT_EQ(vault.epochs_on_disk(), (std::vector<std::uint64_t>{2, 7, 12, 100}));
 }
 
 }  // namespace

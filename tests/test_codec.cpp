@@ -654,15 +654,17 @@ TEST(VaultV2, DeltaBlobRoundTrips) {
 }
 
 TEST(VaultV2, DecodeAnyHandlesV1AndRejectsCorruption) {
-  StoredImage img;
-  img.epoch = 3;
-  img.iteration = 30;
-  img.image = pup::Checkpoint(test_image(10, 1));
+  Image img{true, 3, 30, pup::Checkpoint(test_image(10, 1))};
   std::vector<std::byte> v1 = encode_stored_image(img);
   DecodedBlob d = decode_any_image(v1);
   ASSERT_FALSE(d.is_delta);
+  EXPECT_TRUE(d.full.valid);
   EXPECT_EQ(d.full.epoch, 3u);
+  EXPECT_EQ(d.full.iteration, 30u);
   EXPECT_TRUE(d.full.image.buffer().content_equals(img.image.buffer()));
+
+  // Truncated mid-header (a short read of an interrupted write).
+  EXPECT_THROW(decode_any_image(std::span(v1).first(16)), pup::StreamError);
 
   v1[v1.size() / 2] ^= std::byte{0x01};
   EXPECT_THROW(decode_any_image(v1), pup::StreamError);
@@ -683,11 +685,7 @@ buf::Buffer publish_chain(DurableTier& tier, int k, std::uint64_t seed) {
     buf::Buffer img = buf::Buffer::copy_of(cur);
     std::vector<std::uint32_t> dig = CodecPipeline::digests(img.bytes());
     if (e == 1) {
-      StoredImage full;
-      full.epoch = 1;
-      full.iteration = 10;
-      full.image = pup::Checkpoint(img);
-      tier.publish(0, 0, full);
+      tier.publish(0, 0, Image{true, 1, 10, pup::Checkpoint(img)});
     } else {
       DeltaBlob blob;
       blob.epoch = static_cast<std::uint64_t>(e);
@@ -712,11 +710,11 @@ TEST(TierChain, FetchReconstructsThroughDeltaChain) {
   EXPECT_EQ(tier.chain_length(0, 0, 4), 4u);
   EXPECT_GT(tier.chain_bytes(0, 0, 4), tier.blob_bytes(0, 0, 4));
 
-  std::optional<StoredImage> got = tier.fetch(0, 0, 4);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->epoch, 4u);
-  EXPECT_EQ(got->iteration, 40u);
-  EXPECT_TRUE(got->image.buffer().content_equals(expect));
+  Image got = tier.fetch(0, 0, 4);
+  ASSERT_TRUE(got.valid);
+  EXPECT_EQ(got.epoch, 4u);
+  EXPECT_EQ(got.iteration, 40u);
+  EXPECT_TRUE(got.image.buffer().content_equals(expect));
 }
 
 TEST(TierChain, BrokenChainYieldsNulloptNotGarbage) {
@@ -734,7 +732,7 @@ TEST(TierChain, BrokenChainYieldsNulloptNotGarbage) {
   other[0] ^= 1;
   blob.frame = pipe.encode(img, dig, &other, img.size());
   no_base.publish_blob(0, 0, 2, encode_delta_image(blob), 1);
-  EXPECT_FALSE(no_base.fetch(0, 0, 2).has_value());
+  EXPECT_FALSE(no_base.fetch(0, 0, 2).valid);
   EXPECT_EQ(no_base.chain_bytes(0, 0, 2), 0u);
 }
 
@@ -742,9 +740,9 @@ TEST(TierChain, PruneKeepsAncestorsOfLiveDeltas) {
   DurableTier tier(1, 1);
   buf::Buffer expect = publish_chain(tier, 3, 23);
   tier.prune(3);  // would drop epochs 1 and 2 — but 3 needs them
-  std::optional<StoredImage> got = tier.fetch(0, 0, 3);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_TRUE(got->image.buffer().content_equals(expect));
+  Image got = tier.fetch(0, 0, 3);
+  ASSERT_TRUE(got.valid);
+  EXPECT_TRUE(got.image.buffer().content_equals(expect));
 }
 
 }  // namespace

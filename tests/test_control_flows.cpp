@@ -201,5 +201,91 @@ INSTANTIATE_TEST_SUITE_P(Redundancy, NeedBuddyRestore,
                            return std::string(ckpt::scheme_name(info.param));
                          });
 
+// Every restore is admitted by one rule: its barrier must be above the
+// agent's restore floor. Each case raises one live agent's floor to B
+// mid-run, then delivers a restore at barrier B from one image source. The
+// agent must drop it, and the run must finish as if it never arrived. Were
+// the rule or a gate before it missing, the agent would gate itself
+// waiting on a wave the manager never opened, and the run would wedge.
+enum class RestoreSource { Rollback, Buddy, Fetch };
+
+class RestoreAdmission : public ::testing::TestWithParam<RestoreSource> {};
+
+TEST_P(RestoreAdmission, StaleWaveIsDropped) {
+  constexpr std::uint64_t kFloor = 1;
+  constexpr int kReplica = 1;
+  constexpr int kIndex = 3;
+  const RestoreSource source = GetParam();
+  apps::Jacobi3DConfig j = soak::small_app();
+  AcrConfig ac = soak::base_acr_config();
+  if (source == RestoreSource::Fetch) ac.tier.bandwidth = 2e9;
+  soak::Reference ref =
+      soak::make_reference(j, ac, "reference run must complete");
+  rt::ClusterConfig cc;
+  cc.nodes_per_replica = j.nodes_needed();
+  cc.spare_nodes = 2;
+  AcrRuntime runtime(ac, cc);
+  runtime.set_task_factory(j.factory());
+  runtime.setup();
+  // The rollback lands before the first commit, so the target holds no
+  // verified image and would take the checkpoint-less branch (gate itself,
+  // ask the manager for an image). The other sources need a committed
+  // image to ship or fetch.
+  double at = source == RestoreSource::Rollback
+                  ? ac.checkpoint_interval * 0.5
+                  : ref.finish_time * 0.5;
+  runtime.engine().schedule_at(at, [&runtime, source] {
+    NodeAgent& agent = runtime.agent_at(kReplica, kIndex);
+    agent.quash_restores_through(kFloor);
+    rt::Cluster& cluster = runtime.cluster();
+    switch (source) {
+      case RestoreSource::Rollback: {
+        EXPECT_FALSE(agent.has_verified());
+        wire::RestoreCmdMsg cmd{0, kFloor};
+        cluster.send_from_manager(kReplica, kIndex, wire::kRollback,
+                                  rt::pack_payload(cmd));
+        return;
+      }
+      case RestoreSource::Buddy: {
+        ASSERT_TRUE(agent.has_verified());
+        const ckpt::Image& img = agent.store().verified();
+        wire::CheckpointMsg msg{img.epoch, img.iteration, /*purpose=*/1,
+                                kFloor};
+        cluster.send_service(1 - kReplica, kIndex, kReplica, kIndex,
+                             wire::kBuddyCheckpoint, rt::pack_payload(msg),
+                             static_cast<double>(img.image.size()),
+                             img.image.buffer());
+        return;
+      }
+      case RestoreSource::Fetch: {
+        std::uint64_t epoch = runtime.tier()->newest_complete_epoch();
+        ASSERT_GT(epoch, 0u);
+        wire::RestoreCmdMsg cmd{epoch, kFloor};
+        cluster.send_from_manager(kReplica, kIndex, wire::kFetchFromDurable,
+                                  rt::pack_payload(cmd));
+        return;
+      }
+    }
+  });
+  soak::Outcome o = soak::run_and_digest(runtime, ref.finish_time * 4);
+  ASSERT_TRUE(o.summary.complete) << "a stale restore wedged the run";
+  EXPECT_EQ(o.digest, ref.digest);
+  EXPECT_EQ(o.summary.recoveries, 0u);
+  EXPECT_EQ(o.summary.l2_fetch_waves, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Source, RestoreAdmission,
+                         ::testing::Values(RestoreSource::Rollback,
+                                           RestoreSource::Buddy,
+                                           RestoreSource::Fetch),
+                         [](const auto& info) -> std::string {
+                           switch (info.param) {
+                             case RestoreSource::Rollback: return "rollback";
+                             case RestoreSource::Buddy: return "buddy";
+                             case RestoreSource::Fetch: return "fetch";
+                           }
+                           return "";
+                         });
+
 }  // namespace
 }  // namespace acr

@@ -1,17 +1,14 @@
-// Tests for the extension modules: STL pup adapters, the durable
-// checkpoint vault, CRC32-C, and the trace summarizer.
+// Tests for the extension modules: STL pup adapters, CRC32-C, and the
+// trace summarizer.
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 
 #include "acr/stats.h"
 #include "checksum/crc32c.h"
 #include "common/rng.h"
 #include "pup/checker.h"
 #include "pup/stl.h"
-#include "pup/storage.h"
 
 namespace acr {
 namespace {
@@ -91,88 +88,6 @@ TEST(StlPup, OptionalDistinguishesEmptyFromDefault) {
   pup::pup_value(pb, empty);
   pup::Checkpoint ca = pa.take(), cb = pb.take();
   EXPECT_FALSE(pup::compare_checkpoints(ca, cb).match);
-}
-
-// ---------------------------------------------------------------------------
-// Checkpoint vault.
-// ---------------------------------------------------------------------------
-
-class VaultTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("acr_vault_test_" + std::to_string(::getpid()));
-    std::filesystem::remove_all(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-
-  pup::StoredImage make_image(std::uint64_t epoch) {
-    std::vector<double> data{1.0 * epoch, 2.0, 3.0};
-    pup::StoredImage img;
-    img.epoch = epoch;
-    img.iteration = epoch * 10;
-    img.image = pup::make_checkpoint(data);
-    return img;
-  }
-
-  std::filesystem::path dir_;
-};
-
-TEST_F(VaultTest, StoreLoadRoundTrip) {
-  pup::CheckpointVault vault(dir_, "node3");
-  pup::StoredImage img = make_image(7);
-  vault.store(img);
-  auto loaded = vault.load(7);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->epoch, 7u);
-  EXPECT_EQ(loaded->iteration, 70u);
-  ASSERT_EQ(loaded->image.size(), img.image.size());
-  EXPECT_EQ(0, std::memcmp(loaded->image.bytes().data(),
-                           img.image.bytes().data(), img.image.size()));
-}
-
-TEST_F(VaultTest, MissingEpochIsNullopt) {
-  pup::CheckpointVault vault(dir_, "node3");
-  EXPECT_FALSE(vault.load(99).has_value());
-  EXPECT_FALSE(vault.load_latest().has_value());
-}
-
-TEST_F(VaultTest, LoadLatestPicksNewest) {
-  pup::CheckpointVault vault(dir_, "node3");
-  for (std::uint64_t e : {3u, 1u, 8u, 5u}) vault.store(make_image(e));
-  auto latest = vault.load_latest();
-  ASSERT_TRUE(latest.has_value());
-  EXPECT_EQ(latest->epoch, 8u);
-  EXPECT_EQ(vault.epochs_on_disk(),
-            (std::vector<std::uint64_t>{1, 3, 5, 8}));
-}
-
-TEST_F(VaultTest, CorruptFileIsDetectedAndSkipped) {
-  pup::CheckpointVault vault(dir_, "node3");
-  vault.store(make_image(4));
-  auto path = vault.store(make_image(9));
-  // Flip a payload byte of the newest file on disk.
-  {
-    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
-    f.seekp(40);
-    char c;
-    f.seekg(40);
-    f.get(c);
-    f.seekp(40);
-    f.put(static_cast<char>(c ^ 0x10));
-  }
-  EXPECT_THROW(vault.load(9), pup::StreamError);
-  // load_latest falls back to the intact epoch 4.
-  auto latest = vault.load_latest();
-  ASSERT_TRUE(latest.has_value());
-  EXPECT_EQ(latest->epoch, 4u);
-}
-
-TEST_F(VaultTest, PruneDropsOldEpochs) {
-  pup::CheckpointVault vault(dir_, "node3");
-  for (std::uint64_t e : {1u, 2u, 3u, 4u}) vault.store(make_image(e));
-  vault.prune(3);
-  EXPECT_EQ(vault.epochs_on_disk(), (std::vector<std::uint64_t>{3, 4}));
 }
 
 // ---------------------------------------------------------------------------

@@ -294,7 +294,6 @@ TEST(CkptRsScheme, DeltaRoundAdvancesParityBitwise) {
     bytes[3] ^= std::byte{0x5A};
     bytes[bytes.size() / 2] ^= std::byte{0xC3};
     img.image = pup::Checkpoint(std::move(bytes));
-    img.image.epoch = 2;
     next.push_back(std::move(img));
   }
   for (int i = 0; i < 4; ++i) {

@@ -216,10 +216,8 @@ TEST(TierAtomicity, PartialEpochIsNotFetchable) {
   // Unit-level contract behind the ladder: an epoch becomes fetchable only
   // once EVERY role of EVERY replica has published it.
   ckpt::DurableTier tier(2, 2);
-  ckpt::StoredImage img;
-  img.epoch = 1;
-  img.iteration = 10;
-  img.image = pup::Checkpoint(std::vector<std::byte>(64, std::byte{0x5A}));
+  ckpt::Image img{true, 1, 10,
+                  pup::Checkpoint(std::vector<std::byte>(64, std::byte{0x5A}))};
   for (int r = 0; r < 2; ++r)
     for (int i = 0; i < 2; ++i) tier.publish(r, i, img);
   EXPECT_EQ(tier.newest_complete_epoch(), 1u);
