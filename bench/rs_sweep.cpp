@@ -60,15 +60,10 @@ RunSummary run_point(int group_size, int parity, int kills, double kill_at) {
   AcrRuntime runtime(sweep_acr(group_size, parity), cc);
   runtime.set_task_factory(j.factory());
   runtime.setup();
-  if (kills > 0) {
-    // Near-simultaneous deaths inside group 0 of replica 0: the second
-    // and later victims fall while the first rebuild is still in flight.
-    for (int i = 0; i < kills; ++i) {
-      runtime.engine().schedule_at(kill_at + 1e-5 * i, [&runtime, i] {
-        runtime.cluster().kill_role(0, i);
-      });
-    }
-  }
+  // Near-simultaneous deaths inside group 0 of replica 0: the second and
+  // later victims fall while the first rebuild is still in flight.
+  for (int i = 0; i < kills; ++i)
+    runtime.inject(failure::Fault::kill_role(kill_at + 1e-5 * i, 0, i));
   return runtime.run(120.0);
 }
 

@@ -61,10 +61,8 @@ RunSummary run_point(double bandwidth, std::uint64_t flush_interval,
   runtime.set_task_factory(j.factory());
   runtime.setup();
   if (kill_pair) {
-    runtime.engine().schedule_at(kill_at, [&runtime] {
-      runtime.cluster().kill_role(0, 4);
-      runtime.cluster().kill_role(1, 4);
-    });
+    runtime.inject(failure::Fault::kill_role(kill_at, 0, 4));
+    runtime.inject(failure::Fault::kill_role(kill_at, 1, 4));
   }
   return runtime.run(120.0);
 }

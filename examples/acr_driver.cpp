@@ -118,8 +118,9 @@ int main(int argc, char** argv) {
               "hardware nodes per failure domain (one blade/X-line of the "
               "derived torus)");
   cli.add_double("spare-repair-time", &spare_repair_time,
-                 "mean node repair time; repaired hardware re-enters the "
-                 "spare pool (0 = dead stays dead)");
+                 "mean repair time of burst victims, which re-enter the "
+                 "spare pool; --fault-mtbf deaths are never repaired "
+                 "(0 = dead stays dead)");
   cli.add_choice("degrade", &degrade, {"abort", "shrink"},
                  "on spare-pool exhaustion: abort the job, or shrink — "
                  "double the dead role up onto a surviving node and "

@@ -86,10 +86,8 @@ int main() {
   AcrRuntime hard = make_runtime(j);
   hard.set_task_factory(j.factory());
   hard.setup();
-  hard.engine().schedule_at(0.011, [&hard] {
-    std::printf("  [0.011] node (1,3) stops responding\n");
-    hard.cluster().kill_role(1, 3);
-  });
+  std::printf("  [0.011] node (1,3) stops responding\n");
+  hard.inject(failure::Fault::kill_role(0.011, 1, 3));
   RunSummary hs = hard.run(100.0);
   std::uint64_t hard_digest = final_digest(hard, hs.finish_time);
   std::printf("complete=%d  failures detected=%llu  recoveries=%llu  final "

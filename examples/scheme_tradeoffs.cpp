@@ -57,9 +57,8 @@ Outcome run_scheme(ResilienceScheme scheme, bool inject) {
           runtime.cluster().node_at(0, 1).task(0));
       task.value_at(2, 2, 2) += 1.0;  // SDC in the (soon-to-be) healthy replica
     });
-    runtime.engine().schedule_at(0.0054, [&runtime] {
-      runtime.cluster().kill_role(1, 2);  // hard failure in the other one
-    });
+    // Hard failure in the other one.
+    runtime.inject(failure::Fault::kill_role(0.0054, 1, 2));
   }
   RunSummary s = runtime.run(100.0);
   Outcome o;

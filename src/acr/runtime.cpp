@@ -68,7 +68,7 @@ void AcrRuntime::arm_burst_injection() {
   // Lifecycle events (spare deaths, repairs, pool minima) only exist under
   // burst injection; enabling their trace here keeps burst-free runs
   // byte-identical to the pre-lifecycle framework.
-  cluster_->enable_spare_lifecycle_trace();
+  cluster_->enable_trace(rt::kTraceSpareLifecycle);
   schedule_next_burst(engine_.now());
 }
 
@@ -146,43 +146,32 @@ void AcrRuntime::schedule_next_fault(double from_time) {
       }
     }
   }
-  engine_.schedule_at(t, [this]() { inject_fault(); });
+  engine_.schedule_at(t, [this]() { fire_fault(); });
 }
 
-void AcrRuntime::inject_fault() {
-  if (manager_->job_complete() || manager_->job_failed()) return;
+void AcrRuntime::fire_fault() {
+  if (job_over()) return;
   // This firing's nature was fixed when it was scheduled; scheduling the
   // next fault overwrites next_fault_is_sdc_ with the *next* one's.
-  bool sdc_now = next_fault_is_sdc_;
+  bool sdc = next_fault_is_sdc_;
   schedule_next_fault(engine_.now());
 
   int replica = static_cast<int>(fault_rng_.bounded(2));
   int index = static_cast<int>(
       fault_rng_.bounded(static_cast<std::uint32_t>(
           cluster_->nodes_per_replica())));
-  if (!cluster_->role_alive(replica, index)) return;  // already down
-
-  bool sdc = sdc_now;
-  rt::Node& node = cluster_->node_at(replica, index);
-  if (sdc) {
-    if (node.num_tasks() == 0) return;
-    int slot = static_cast<int>(fault_rng_.bounded(
-        static_cast<std::uint32_t>(node.num_tasks())));
-    std::optional<failure::BitFlip> flip = failure::try_inject_sdc(
-        node.task(slot), fault_rng_, fault_plan_.flip_policy);
-    if (!flip) return;  // victim holds no eligible state (e.g. bare spare)
-    ++sdc_injected_;
-    cluster_->trace().record(engine_.now(), rt::TraceKind::SdcInjected,
-                             replica, index,
-                             "slot=" + std::to_string(slot) + " byte=" +
-                                 std::to_string(flip->byte_offset) + " bit=" +
-                                 std::to_string(flip->bit));
-  } else {
-    cluster_->trace().record(engine_.now(),
-                             rt::TraceKind::HardFailureInjected, replica,
-                             index);
-    cluster_->kill_role(replica, index);
+  if (!sdc) {
+    apply(failure::Fault::kill_role(engine_.now(), replica, index));
+    return;
   }
+  // The slot draw reads the victim's live task count, so a dead victim
+  // ends the firing before it.
+  if (!cluster_->role_alive(replica, index)) return;
+  int tasks = cluster_->node_at(replica, index).num_tasks();
+  if (tasks == 0) return;
+  int slot = static_cast<int>(
+      fault_rng_.bounded(static_cast<std::uint32_t>(tasks)));
+  apply(failure::Fault::flip(engine_.now(), replica, index, slot, fault_rng_));
 }
 
 void AcrRuntime::schedule_next_burst(double from_time) {
@@ -191,7 +180,7 @@ void AcrRuntime::schedule_next_burst(double from_time) {
 }
 
 void AcrRuntime::fire_burst() {
-  if (manager_->job_complete() || manager_->job_failed()) return;
+  if (job_over()) return;
   schedule_next_burst(engine_.now());
   std::vector<int> alive = cluster_->alive_hardware();
   if (alive.empty()) return;
@@ -201,34 +190,73 @@ void AcrRuntime::fire_burst() {
   // must not affect who its domain peers are.
   std::vector<failure::FollowerEvent> followers =
       burst_->plan_followers(victim, alive);
-  burst_kill(victim, "burst-seed");
-  for (const failure::FollowerEvent& f : followers) {
-    engine_.schedule_after(f.delay, [this, node = f.node]() {
-      if (manager_->job_complete() || manager_->job_failed()) return;
-      burst_kill(node, "burst-follower");
+  // A kill that lands draws its repair time then, so the repair stream
+  // advances in kill order.
+  auto strike = [this](int pid, const char* why) {
+    double now = engine_.now();
+    if (apply(failure::Fault::kill_hardware(now, pid, why)) &&
+        burst_config_.repair_mean > 0.0)
+      inject(failure::Fault::repair(now + burst_->sample_repair_time(), pid));
+  };
+  strike(victim, "burst-seed");
+  for (const failure::FollowerEvent& f : followers)
+    engine_.schedule_after(f.delay, [strike, node = f.node]() {
+      strike(node, "burst-follower");
     });
+}
+
+bool AcrRuntime::apply(const failure::Fault& f) {
+  using Kind = failure::Fault::Kind;
+  if (job_over()) return false;
+  const failure::Fault::Target& t = f.target;
+  switch (f.kind) {
+    case Kind::KillRole:
+      if (!cluster_->role_alive(t.replica, t.index)) return false;
+      cluster_->trace().record(engine_.now(),
+                               rt::TraceKind::HardFailureInjected, t.replica,
+                               t.index, f.why);
+      cluster_->kill_role(t.replica, t.index);
+      return true;
+    case Kind::KillHardware: {
+      if (!cluster_->physical_node(t.pid).alive()) return false;
+      bool was_spare = cluster_->is_pooled_spare(t.pid);
+      ++burst_kills_;
+      // The cluster writes the trace line, with f.why as its detail:
+      // SpareFailed for a pooled spare, HardFailureInjected for a role
+      // player.
+      cluster_->kill_physical(t.pid, f.why);
+      // Nothing heartbeats a pooled spare, so its death is reported to the
+      // manager out of band (the RAS log) — the adaptive interval must see
+      // correlated arrivals whether or not the victim held a role.
+      if (was_spare) manager_->note_out_of_band_failure();
+      return true;
+    }
+    case Kind::Flip: {
+      if (!cluster_->role_alive(t.replica, t.index)) return false;
+      rt::Node& node = cluster_->node_at(t.replica, t.index);
+      if (t.slot >= node.num_tasks()) return false;
+      ACR_REQUIRE(f.draws != nullptr, "a flip needs a draw stream");
+      std::optional<failure::BitFlip> flip = failure::try_inject_sdc(
+          node.task(t.slot), *f.draws, fault_plan_.flip_policy);
+      if (!flip) return false;  // no eligible state (e.g. a bare spare)
+      ++sdc_injected_;
+      cluster_->trace().record(engine_.now(), rt::TraceKind::SdcInjected,
+                               t.replica, t.index,
+                               "slot=" + std::to_string(t.slot) + " byte=" +
+                                   std::to_string(flip->byte_offset) +
+                                   " bit=" + std::to_string(flip->bit));
+      return true;
+    }
+    case Kind::Repair:
+      if (!cluster_->repair_node(t.pid)) return false;
+      manager_->note_spare_available();
+      return true;
   }
+  return false;
 }
 
-void AcrRuntime::burst_kill(int pid, const char* why) {
-  if (!cluster_->physical_node(pid).alive()) return;  // already down
-  bool was_spare = cluster_->is_pooled_spare(pid);
-  ++burst_kills_;
-  cluster_->kill_physical(pid, why);
-  // Nothing heartbeats a pooled spare, so its death is reported to the
-  // manager out of band (the RAS log) — the adaptive interval must see
-  // correlated arrivals whether or not the victim held a role.
-  if (was_spare) manager_->note_out_of_band_failure();
-  schedule_repair(pid);
-}
-
-void AcrRuntime::schedule_repair(int pid) {
-  if (burst_config_.repair_mean <= 0.0) return;
-  double dt = burst_->sample_repair_time();
-  engine_.schedule_after(dt, [this, pid]() {
-    if (manager_->job_complete() || manager_->job_failed()) return;
-    if (cluster_->repair_node(pid)) manager_->note_spare_available();
-  });
+void AcrRuntime::inject(failure::Fault f) {
+  engine_.schedule_at(f.time, [this, f = std::move(f)]() { apply(f); });
 }
 
 RunSummary AcrRuntime::run(double max_virtual_time) {

@@ -22,6 +22,7 @@
 #include "acr/predictor.h"
 #include "failure/correlated.h"
 #include "failure/distributions.h"
+#include "failure/fault.h"
 #include "failure/injector.h"
 #include "rt/cluster.h"
 #include "rt/engine.h"
@@ -78,7 +79,7 @@ struct RunSummary {
   // Correlated-burst injection and the spare-pool lifecycle (all zero, and
   // spare_low_water = configured spares, unless a burst plan is set).
   std::uint64_t burst_seeds = 0;       ///< burst seed failures fired
-  std::uint64_t burst_node_kills = 0;  ///< nodes killed (seeds + followers)
+  std::uint64_t burst_node_kills = 0;  ///< hardware kills (burst or scripted)
   std::uint64_t spare_promotions = 0;  ///< spares promoted into roles
   std::uint64_t spare_failures = 0;    ///< pooled spares that died idle
   std::uint64_t spare_repairs = 0;     ///< dead hardware repaired into pool
@@ -135,6 +136,15 @@ class AcrRuntime {
   /// (and composable with) set_fault_plan. Call any time before run().
   void set_burst_plan(const failure::BurstConfig& config);
 
+  /// Land `f` now, whatever f.time says: the one place where a fault takes
+  /// effect (DESIGN "Fault entry"). A no-op returning false once the job is
+  /// over, when the target is already dead, or when a flip finds no
+  /// eligible state; otherwise it records the injection, counts it and
+  /// tells the manager what only the injector can know.
+  bool apply(const failure::Fault& f);
+  /// Schedule apply(f) at f.time (scripted scenarios, burst repairs).
+  void inject(failure::Fault f);
+
   /// Enable the online failure predictor (§2.2): hard failures are
   /// announced `lead_time` in advance with the configured recall, and the
   /// manager schedules an immediate checkpoint on each warning (plus false
@@ -155,17 +165,17 @@ class AcrRuntime {
   /// The simulated durable tier, or nullptr when disabled — for tests.
   ckpt::DurableTier* tier() { return tier_.get(); }
 
-  std::uint64_t sdc_injected() const { return sdc_injected_; }
   std::uint64_t warnings_issued() const { return warnings_issued_; }
 
  private:
+  bool job_over() const {
+    return manager_->job_complete() || manager_->job_failed();
+  }
   void schedule_next_fault(double from_time);
-  void inject_fault();
+  void fire_fault();
   void arm_burst_injection();
   void schedule_next_burst(double from_time);
   void fire_burst();
-  void burst_kill(int pid, const char* why);
-  void schedule_repair(int pid);
   NodeAgent* install_agent(rt::Node& node);
 
   AcrConfig acr_config_;

@@ -282,8 +282,6 @@ class Cluster {
   /// trace.
   void enable_trace(std::uint32_t mask) { trace_mask_ |= mask; }
   bool trace_enabled(TraceMask bit) const { return (trace_mask_ & bit) != 0; }
-  /// Legacy alias for enable_trace(kTraceSpareLifecycle).
-  void enable_spare_lifecycle_trace() { enable_trace(kTraceSpareLifecycle); }
 
   // --- L2 durable channel -------------------------------------------------------
   /// Charge an L2 write/read issued by physical node `pid` at the current

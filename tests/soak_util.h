@@ -60,7 +60,9 @@ inline AcrConfig base_acr_config() {
 
 /// Fletcher-64 over the newest verified image of every node index (taken
 /// from whichever replica holds the higher epoch): the "answer" compared
-/// bit-for-bit across runs.
+/// bit-for-bit across runs. Live state is not the answer: a node killed
+/// between the final pack and its commit keeps a stale copy while its buddy
+/// holds the verified one, and a flip may land after the final pack.
 inline std::uint64_t verified_digest(AcrRuntime& runtime) {
   checksum::Fletcher64 f;
   for (int i = 0; i < runtime.cluster().nodes_per_replica(); ++i) {
@@ -78,15 +80,23 @@ struct Reference {
   std::size_t image_bytes = 0;
 };
 
+/// A cluster sized for `app`, with `spares` pooled spares.
+inline rt::ClusterConfig cluster_for(
+    const apps::Jacobi3DConfig& app, int spares,
+    std::uint64_t seed = rt::ClusterConfig{}.seed) {
+  rt::ClusterConfig cc;
+  cc.nodes_per_replica = app.nodes_needed();
+  cc.spare_nodes = spares;
+  cc.seed = seed;
+  return cc;
+}
+
 /// Fault-free run under `ac`: fixes the expected answer and the nominal
 /// completion time fault schedules are drawn from. Configs differ per
 /// soak, so the static caching stays at each call site.
 inline Reference make_reference(const apps::Jacobi3DConfig& app,
                                 const AcrConfig& ac, const char* what) {
-  rt::ClusterConfig cc;
-  cc.nodes_per_replica = app.nodes_needed();
-  cc.spare_nodes = 0;
-  AcrRuntime runtime(ac, cc);
+  AcrRuntime runtime(ac, cluster_for(app, 0));
   runtime.set_task_factory(app.factory());
   runtime.setup();
   RunSummary s = runtime.run(1e3);
@@ -110,6 +120,28 @@ inline failure::BurstConfig default_burst_config(double nominal_finish) {
   bc.domain_size = 4;
   bc.repair_mean = nominal_finish / 5.0;
   return bc;
+}
+
+/// A small_app() job under `ac`, set up and ready to run.
+struct Sim {
+  apps::Jacobi3DConfig app = small_app();
+  AcrRuntime runtime;
+  Sim(const AcrConfig& ac, int spares,
+      std::uint64_t seed = rt::ClusterConfig{}.seed)
+      : runtime(ac, cluster_for(app, spares, seed)) {
+    runtime.set_task_factory(app.factory());
+    runtime.setup();
+  }
+};
+
+/// True when the trace holds a `kind` event whose detail contains
+/// `detail_substr` (any detail when empty).
+inline bool trace_contains(AcrRuntime& runtime, rt::TraceKind kind,
+                           const std::string& detail_substr = "") {
+  for (const auto& e : runtime.trace().events())
+    if (e.kind == kind && e.detail.find(detail_substr) != std::string::npos)
+      return true;
+  return false;
 }
 
 struct Outcome {

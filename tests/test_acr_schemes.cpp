@@ -71,13 +71,6 @@ void corrupt(AcrRuntime& runtime, int replica, int node, int slot) {
                                    rt::TraceKind::SdcInjected, replica, node);
 }
 
-void kill(AcrRuntime& runtime, int replica, int node) {
-  runtime.cluster().trace().record(runtime.engine().now(),
-                                   rt::TraceKind::HardFailureInjected, replica,
-                                   node);
-  runtime.cluster().kill_role(replica, node);
-}
-
 class SchemeRecovery : public ::testing::TestWithParam<ResilienceScheme> {};
 
 TEST_P(SchemeRecovery, HardFailureRecoversToReferenceState) {
@@ -85,7 +78,7 @@ TEST_P(SchemeRecovery, HardFailureRecoversToReferenceState) {
   AcrRuntime runtime(fast_acr(GetParam()), cluster_cfg(j));
   runtime.set_task_factory(j.factory());
   runtime.setup();
-  runtime.engine().schedule_at(0.006, [&] { kill(runtime, 1, 2); });
+  runtime.inject(failure::Fault::kill_role(0.006, 1, 2));
   RunSummary s = runtime.run(1e3);
   ASSERT_TRUE(s.complete) << resilience_scheme_name(GetParam());
   EXPECT_EQ(s.hard_failures, 1u);
@@ -127,7 +120,7 @@ TEST(UnprotectedWindow, StrongCatchesWhatWeakCommits) {
     runtime.set_task_factory(j.factory());
     runtime.setup();
     runtime.engine().schedule_at(0.0050, [&] { corrupt(runtime, 0, 1, 0); });
-    runtime.engine().schedule_at(0.0052, [&] { kill(runtime, 1, 3); });
+    runtime.inject(failure::Fault::kill_role(0.0052, 1, 3));
     RunSummary s = runtime.run(1e3);
     EXPECT_TRUE(s.complete) << resilience_scheme_name(scheme);
     EXPECT_EQ(replica_digest(runtime, 0), replica_digest(runtime, 1));
@@ -192,9 +185,9 @@ TEST(Recovery, SecondFailureDuringRecoveryEscalates) {
   AcrRuntime runtime(fast_acr(ResilienceScheme::Medium), cluster_cfg(j, 3));
   runtime.set_task_factory(j.factory());
   runtime.setup();
-  runtime.engine().schedule_at(0.0060, [&] { kill(runtime, 1, 2); });
+  runtime.inject(failure::Fault::kill_role(0.0060, 1, 2));
   // Second failure in the *other* replica while the first is being handled.
-  runtime.engine().schedule_at(0.0085, [&] { kill(runtime, 0, 1); });
+  runtime.inject(failure::Fault::kill_role(0.0085, 0, 1));
   RunSummary s = runtime.run(1e3);
   ASSERT_TRUE(s.complete);
   EXPECT_EQ(s.hard_failures, 2u);
@@ -208,8 +201,8 @@ TEST(Recovery, BuddyPairLossRestartsFromScratch) {
   runtime.set_task_factory(j.factory());
   runtime.setup();
   // Kill both members of buddy pair 2 nearly simultaneously.
-  runtime.engine().schedule_at(0.0060, [&] { kill(runtime, 1, 2); });
-  runtime.engine().schedule_at(0.0061, [&] { kill(runtime, 0, 2); });
+  runtime.inject(failure::Fault::kill_role(0.0060, 1, 2));
+  runtime.inject(failure::Fault::kill_role(0.0061, 0, 2));
   RunSummary s = runtime.run(1e3);
   ASSERT_TRUE(s.complete);
   EXPECT_GE(s.scratch_restarts, 1u);
@@ -222,7 +215,7 @@ TEST(Recovery, SpareExhaustionFailsTheJob) {
                      cluster_cfg(j, /*spares=*/0));
   runtime.set_task_factory(j.factory());
   runtime.setup();
-  runtime.engine().schedule_at(0.006, [&] { kill(runtime, 0, 0); });
+  runtime.inject(failure::Fault::kill_role(0.006, 0, 0));
   RunSummary s = runtime.run(1e3);
   EXPECT_TRUE(s.failed);
   EXPECT_FALSE(s.complete);

@@ -137,12 +137,7 @@ TEST_P(EveryApp, SurvivesHardFailure) {
   runtime.set_task_factory(app.factory);
   runtime.setup();
   int victim = app.nodes_per_replica - 1;
-  runtime.engine().schedule_at(0.006, [&runtime, victim] {
-    runtime.cluster().trace().record(runtime.engine().now(),
-                                     rt::TraceKind::HardFailureInjected, 1,
-                                     victim);
-    runtime.cluster().kill_role(1, victim);
-  });
+  runtime.inject(failure::Fault::kill_role(0.006, 1, victim));
   RunSummary s = runtime.run(100.0);
   ASSERT_TRUE(s.complete) << app.name;
   EXPECT_EQ(s.recoveries, 1u);

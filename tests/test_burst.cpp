@@ -16,9 +16,9 @@
 
 #include "acr/runtime.h"
 #include "apps/jacobi3d.h"
-#include "checksum/fletcher.h"
 #include "failure/adaptive_interval.h"
 #include "failure/correlated.h"
+#include "soak_util.h"
 
 namespace acr {
 namespace {
@@ -155,91 +155,18 @@ TEST(AdaptiveBurst, IntervalTightensAfterBurstArrivals) {
 }
 
 // ---------------------------------------------------------------------------
-// Simulation fixtures (mirrors test_rs_soak.cpp's reference pattern).
+// Simulation fixtures (shared with the soaks: tests/soak_util.h).
 // ---------------------------------------------------------------------------
 
-apps::Jacobi3DConfig burst_app() {
-  apps::Jacobi3DConfig cfg;
-  cfg.tasks_x = cfg.tasks_y = 2;
-  cfg.tasks_z = 4;
-  cfg.block_x = cfg.block_y = cfg.block_z = 4;
-  cfg.iterations = 40;
-  cfg.slots_per_node = 2;  // 8 nodes per replica
-  cfg.seconds_per_point = 1e-5;
-  return cfg;
-}
+using soak::Sim;
+using soak::trace_contains;
+using soak::verified_digest;
 
-AcrConfig burst_acr_config() {
-  AcrConfig ac;
-  ac.scheme = ResilienceScheme::Strong;
-  ac.redundancy = ckpt::Scheme::Partner;
-  ac.checkpoint_interval = 0.003;
-  ac.heartbeat_period = 0.0004;
-  ac.heartbeat_timeout = 0.0016;
-  return ac;
-}
-
-std::uint64_t verified_digest(AcrRuntime& runtime) {
-  checksum::Fletcher64 f;
-  for (int i = 0; i < runtime.cluster().nodes_per_replica(); ++i) {
-    NodeAgent& a = runtime.agent_at(0, i);
-    NodeAgent& b = runtime.agent_at(1, i);
-    const NodeAgent& best = a.verified_epoch() >= b.verified_epoch() ? a : b;
-    f.append(best.verified_image());
-  }
-  return f.digest();
-}
-
-struct Reference {
-  std::uint64_t digest = 0;
-  double finish_time = 0.0;
-};
-
-const Reference& reference() {
-  static Reference cached = [] {
-    apps::Jacobi3DConfig j = burst_app();
-    rt::ClusterConfig cc;
-    cc.nodes_per_replica = j.nodes_needed();
-    cc.spare_nodes = 0;
-    AcrRuntime runtime(burst_acr_config(), cc);
-    runtime.set_task_factory(j.factory());
-    runtime.setup();
-    RunSummary s = runtime.run(1e3);
-    ACR_REQUIRE(s.complete, "burst reference run must complete");
-    Reference ref;
-    ref.digest = verified_digest(runtime);
-    ref.finish_time = s.finish_time;
-    return ref;
-  }();
+const soak::Reference& reference() {
+  static const soak::Reference cached = soak::make_reference(
+      soak::small_app(), soak::base_acr_config(),
+      "burst reference run must complete");
   return cached;
-}
-
-struct Sim {
-  apps::Jacobi3DConfig app;
-  AcrRuntime runtime;
-  Sim(const AcrConfig& ac, int spares, std::uint64_t seed)
-      : app(burst_app()),
-        runtime(ac, [&] {
-          rt::ClusterConfig cc;
-          cc.nodes_per_replica = burst_app().nodes_needed();
-          cc.spare_nodes = spares;
-          cc.seed = seed;
-          return cc;
-        }()) {
-    runtime.set_task_factory(app.factory());
-    runtime.setup();
-  }
-};
-
-bool trace_contains(AcrRuntime& runtime, rt::TraceKind kind,
-                    const std::string& detail_substr = "") {
-  for (const auto& e : runtime.trace().events()) {
-    if (e.kind != kind) continue;
-    if (detail_substr.empty() ||
-        e.detail.find(detail_substr) != std::string::npos)
-      return true;
-  }
-  return false;
 }
 
 // ---------------------------------------------------------------------------
@@ -249,17 +176,16 @@ bool trace_contains(AcrRuntime& runtime, rt::TraceKind kind,
 /// Spares are first-class nodes: an idle pooled spare can die (shrinking
 /// the pool without any role failure) and the accounting must show it.
 TEST(SpareLifecycle, PooledSpareCanFailIdle) {
-  Sim sim(burst_acr_config(), 2, 11);
+  Sim sim(soak::base_acr_config(), 2, 11);
   rt::Cluster& cl = sim.runtime.cluster();
-  cl.enable_spare_lifecycle_trace();
+  cl.enable_trace(rt::kTraceSpareLifecycle);
   int spare_pid = -1;
   for (int pid = 0; pid < cl.num_hardware_nodes(); ++pid)
     if (cl.is_pooled_spare(pid)) spare_pid = pid;
   ASSERT_GE(spare_pid, 0);
   EXPECT_EQ(cl.spares_remaining(), 2);
-  sim.runtime.engine().schedule_at(0.001, [&cl, spare_pid] {
-    cl.kill_physical(spare_pid, "burst-seed");
-  });
+  sim.runtime.inject(
+      failure::Fault::kill_hardware(0.001, spare_pid, "burst-seed"));
   RunSummary s = sim.runtime.run(30.0);
   ASSERT_TRUE(s.complete);
   EXPECT_EQ(cl.spares_remaining(), 1);
@@ -274,21 +200,15 @@ TEST(SpareLifecycle, PooledSpareCanFailIdle) {
 /// back to the pool exactly once — the run summary must not double-count
 /// it as both a promotion survivor and a fresh spare (satellite b).
 TEST(SpareLifecycle, PromotedThenRepairedNodeIsNotDoubleCounted) {
-  Sim sim(burst_acr_config(), 1, 12);
+  Sim sim(soak::base_acr_config(), 1, 12);
   rt::Cluster& cl = sim.runtime.cluster();
-  cl.enable_spare_lifecycle_trace();
+  cl.enable_trace(rt::kTraceSpareLifecycle);
   double mid = reference().finish_time * 0.4;
-  sim.runtime.engine().schedule_at(mid, [&sim] {
-    sim.runtime.cluster().kill_role(0, 2);
-  });
-  // Repair whatever hardware is down a bit later; the role's original
-  // player returns to the pool (its old slot now held by the spare).
-  sim.runtime.engine().schedule_at(mid + 0.004, [&sim] {
-    rt::Cluster& c = sim.runtime.cluster();
-    for (int pid = 0; pid < c.num_hardware_nodes(); ++pid)
-      if (!c.physical_node(pid).alive() && c.repair_node(pid))
-        sim.runtime.manager().note_spare_available();
-  });
+  int pid = cl.node_at(0, 2).physical_id();
+  sim.runtime.inject(failure::Fault::kill_role(mid, 0, 2));
+  // Repair it a bit later; the role's original player returns to the pool
+  // (its old slot now held by the spare).
+  sim.runtime.inject(failure::Fault::repair(mid + 0.004, pid));
   RunSummary s = sim.runtime.run(30.0);
   ASSERT_TRUE(s.complete);
   EXPECT_EQ(s.spare_promotions, 1u);
@@ -302,7 +222,7 @@ TEST(SpareLifecycle, PromotedThenRepairedNodeIsNotDoubleCounted) {
 }
 
 TEST(SpareLifecycle, RepairGuardsRejectLiveOrPooledNodes) {
-  Sim sim(burst_acr_config(), 1, 13);
+  Sim sim(soak::base_acr_config(), 1, 13);
   rt::Cluster& cl = sim.runtime.cluster();
   EXPECT_FALSE(cl.repair_node(0));  // alive
   cl.kill_physical(0, "burst-seed");
@@ -319,12 +239,11 @@ TEST(SpareLifecycle, RepairGuardsRejectLiveOrPooledNodes) {
 
 /// Pool exhausted under --degrade=abort: the legacy behavior, job fails.
 TEST(Degradation, AbortModeFailsOnPoolExhaustion) {
-  AcrConfig ac = burst_acr_config();
+  AcrConfig ac = soak::base_acr_config();
   ac.degrade = DegradeMode::Abort;
   Sim sim(ac, 0, 21);
-  sim.runtime.engine().schedule_at(reference().finish_time * 0.4, [&sim] {
-    sim.runtime.cluster().kill_role(0, 3);
-  });
+  sim.runtime.inject(
+      failure::Fault::kill_role(reference().finish_time * 0.4, 0, 3));
   RunSummary s = sim.runtime.run(30.0);
   EXPECT_FALSE(s.complete);
   EXPECT_TRUE(s.failed);
@@ -337,12 +256,11 @@ TEST(Degradation, AbortModeFailsOnPoolExhaustion) {
 /// surviving same-replica node and completes with the bitwise-correct
 /// answer (app RNG is seeded by logical position, not hardware).
 TEST(Degradation, ShrinkModeDoublesUpAndCompletes) {
-  AcrConfig ac = burst_acr_config();
+  AcrConfig ac = soak::base_acr_config();
   ac.degrade = DegradeMode::Shrink;
   Sim sim(ac, 0, 22);
-  sim.runtime.engine().schedule_at(reference().finish_time * 0.4, [&sim] {
-    sim.runtime.cluster().kill_role(0, 3);
-  });
+  sim.runtime.inject(
+      failure::Fault::kill_role(reference().finish_time * 0.4, 0, 3));
   RunSummary s = sim.runtime.run(30.0);
   ASSERT_TRUE(s.complete) << "shrink mode wedged at t=" << s.finish_time;
   EXPECT_EQ(s.roles_doubled, 1u);
@@ -356,19 +274,13 @@ TEST(Degradation, ShrinkModeDoublesUpAndCompletes) {
 /// When a repaired node refills the pool, the doubled role is relieved:
 /// the lodger retires and a real spare takes the role over (un-doubling).
 TEST(Degradation, RepairedSpareUndoublesTheRole) {
-  AcrConfig ac = burst_acr_config();
+  AcrConfig ac = soak::base_acr_config();
   ac.degrade = DegradeMode::Shrink;
   Sim sim(ac, 0, 23);
   double mid = reference().finish_time * 0.3;
-  sim.runtime.engine().schedule_at(mid, [&sim] {
-    sim.runtime.cluster().kill_role(1, 5);
-  });
-  sim.runtime.engine().schedule_at(mid + 0.005, [&sim] {
-    rt::Cluster& c = sim.runtime.cluster();
-    for (int pid = 0; pid < c.num_hardware_nodes(); ++pid)
-      if (!c.physical_node(pid).alive() && c.repair_node(pid))
-        sim.runtime.manager().note_spare_available();
-  });
+  int pid = sim.runtime.cluster().node_at(1, 5).physical_id();
+  sim.runtime.inject(failure::Fault::kill_role(mid, 1, 5));
+  sim.runtime.inject(failure::Fault::repair(mid + 0.005, pid));
   RunSummary s = sim.runtime.run(30.0);
   ASSERT_TRUE(s.complete);
   EXPECT_EQ(s.roles_doubled, 1u);
@@ -387,12 +299,10 @@ TEST(Degradation, RepairedSpareUndoublesTheRole) {
 /// redundancy: the verified image is gone from both replicas, so the job
 /// must cleanly fall back to a scratch restart — and still finish right.
 TEST(Degradation, SimultaneousBuddyPairLossFallsBackToScratch) {
-  Sim sim(burst_acr_config(), 4, 31);
+  Sim sim(soak::base_acr_config(), 4, 31);
   double mid = reference().finish_time * 0.5;
-  sim.runtime.engine().schedule_at(mid, [&sim] {
-    sim.runtime.cluster().kill_role(0, 4);
-    sim.runtime.cluster().kill_role(1, 4);
-  });
+  sim.runtime.inject(failure::Fault::kill_role(mid, 0, 4));
+  sim.runtime.inject(failure::Fault::kill_role(mid, 1, 4));
   RunSummary s = sim.runtime.run(30.0);
   ASSERT_TRUE(s.complete) << "buddy-pair loss wedged the job";
   EXPECT_GE(s.scratch_restarts, 1u);
@@ -403,16 +313,15 @@ TEST(Degradation, SimultaneousBuddyPairLossFallsBackToScratch) {
 /// Two members of one single-parity group (--ckpt-scheme=xor) die at the
 /// same instant: beyond its coverage, must degrade to scratch, not wedge.
 TEST(Degradation, SimultaneousGroupDoubleLossFallsBackToScratch) {
-  AcrConfig ac = burst_acr_config();
+  AcrConfig ac = soak::base_acr_config();
   ac.redundancy = ckpt::Scheme::Rs;
   ac.rs_parity = 1;
   ac.xor_group_size = 4;
   Sim sim(ac, 4, 32);
   double mid = reference().finish_time * 0.5;
-  sim.runtime.engine().schedule_at(mid, [&sim] {
-    sim.runtime.cluster().kill_role(0, 1);  // group {0,1,2,3}
-    sim.runtime.cluster().kill_role(0, 2);
-  });
+  // Two members of group {0,1,2,3}.
+  sim.runtime.inject(failure::Fault::kill_role(mid, 0, 1));
+  sim.runtime.inject(failure::Fault::kill_role(mid, 0, 2));
   RunSummary s = sim.runtime.run(30.0);
   ASSERT_TRUE(s.complete) << "group double-loss wedged the job";
   EXPECT_GE(s.scratch_restarts, 1u);
@@ -429,16 +338,12 @@ TEST(Degradation, SimultaneousGroupDoubleLossFallsBackToScratch) {
 /// against the new membership. The observable contract: completion with
 /// the bitwise-correct answer, never a wedge or a stale-wave revival.
 TEST(Degradation, SecondFailureMidRecoveryIsSerialized) {
-  Sim sim(burst_acr_config(), 6, 33);
+  Sim sim(soak::base_acr_config(), 6, 33);
   double mid = reference().finish_time * 0.5;
-  sim.runtime.engine().schedule_at(mid, [&sim] {
-    sim.runtime.cluster().kill_role(0, 2);
-  });
+  sim.runtime.inject(failure::Fault::kill_role(mid, 0, 2));
   // Inside the first recovery's detection+restore window: a different
   // role, different buddy column, dies while rollback commands fly.
-  sim.runtime.engine().schedule_at(mid + 0.002, [&sim] {
-    sim.runtime.cluster().kill_role(1, 6);
-  });
+  sim.runtime.inject(failure::Fault::kill_role(mid + 0.002, 1, 6));
   RunSummary s = sim.runtime.run(30.0);
   ASSERT_TRUE(s.complete) << "overlapping failures wedged the job";
   EXPECT_GE(s.hard_failures, 2u);
@@ -449,18 +354,15 @@ TEST(Degradation, SecondFailureMidRecoveryIsSerialized) {
 /// Same, under single-parity group redundancy (--ckpt-scheme=xor) with the
 /// second death mid-group-rebuild.
 TEST(Degradation, SecondFailureMidXorRebuildIsSerialized) {
-  AcrConfig ac = burst_acr_config();
+  AcrConfig ac = soak::base_acr_config();
   ac.redundancy = ckpt::Scheme::Rs;
   ac.rs_parity = 1;
   ac.xor_group_size = 4;
   Sim sim(ac, 6, 34);
   double mid = reference().finish_time * 0.5;
-  sim.runtime.engine().schedule_at(mid, [&sim] {
-    sim.runtime.cluster().kill_role(0, 1);
-  });
-  sim.runtime.engine().schedule_at(mid + 0.0015, [&sim] {
-    sim.runtime.cluster().kill_role(0, 5);  // other group of replica 0
-  });
+  sim.runtime.inject(failure::Fault::kill_role(mid, 0, 1));
+  // The other group of replica 0.
+  sim.runtime.inject(failure::Fault::kill_role(mid + 0.0015, 0, 5));
   RunSummary s = sim.runtime.run(30.0);
   ASSERT_TRUE(s.complete) << "failure mid-rebuild wedged the job";
   sim.runtime.engine().run_until(s.finish_time + 0.05);
@@ -475,7 +377,7 @@ TEST(Degradation, SecondFailureMidXorRebuildIsSerialized) {
 /// (spares included), repairs re-pool, summary counters line up with the
 /// cluster's, and the adaptive interval reacts to the burst arrivals.
 TEST(BurstEndToEnd, BurstsRepairsAndAdaptiveIntervalReact) {
-  AcrConfig ac = burst_acr_config();
+  AcrConfig ac = soak::base_acr_config();
   ac.degrade = DegradeMode::Shrink;
   ac.adaptive = true;
   ac.adaptive_config.checkpoint_cost = ac.checkpoint_interval / 20.0;
@@ -509,7 +411,7 @@ TEST(BurstEndToEnd, BurstsRepairsAndAdaptiveIntervalReact) {
 /// under the same master seed.
 TEST(BurstEndToEnd, RunsAreDeterministicPerSeed) {
   auto one = [](std::uint64_t seed) {
-    AcrConfig ac = burst_acr_config();
+    AcrConfig ac = soak::base_acr_config();
     ac.degrade = DegradeMode::Shrink;
     Sim sim(ac, 2, seed);
     failure::BurstConfig bc;

@@ -34,17 +34,11 @@ const soak::Reference& reference() {
 }
 
 soak::Outcome soak_run(std::uint64_t seed, bool inject) {
-  apps::Jacobi3DConfig j = soak::small_app();
-  rt::ClusterConfig cc;
-  cc.nodes_per_replica = j.nodes_needed();
-  cc.spare_nodes = 2;  // a shallow pool: bursts WILL exhaust it
-  cc.seed = seed;
-  AcrRuntime runtime(soak_acr_config(), cc);
-  runtime.set_task_factory(j.factory());
-  runtime.setup();
+  soak::Sim sim(soak_acr_config(), /*spares=*/2, seed);  // bursts WILL drain
   if (inject)
-    runtime.set_burst_plan(soak::default_burst_config(reference().finish_time));
-  return soak::run_and_digest(runtime);
+    sim.runtime.set_burst_plan(
+        soak::default_burst_config(reference().finish_time));
+  return soak::run_and_digest(sim.runtime);
 }
 
 class BurstSoak : public ::testing::TestWithParam<int> {};

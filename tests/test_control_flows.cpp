@@ -3,6 +3,8 @@
 // the right state.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "acr/runtime.h"
 #include "acr/stats.h"
 #include "apps/jacobi3d.h"
@@ -40,11 +42,7 @@ DriverRun run_with_kill(ResilienceScheme scheme, double kill_at) {
   run.runtime = std::make_unique<AcrRuntime>(ac, cc);
   run.runtime->set_task_factory(j.factory());
   run.runtime->setup();
-  run.runtime->engine().schedule_at(kill_at, [&rt_ = *run.runtime] {
-    rt_.cluster().trace().record(rt_.engine().now(),
-                                 rt::TraceKind::HardFailureInjected, 1, 1);
-    rt_.cluster().kill_role(1, 1);
-  });
+  run.runtime->inject(failure::Fault::kill_role(kill_at, 1, 1));
   run.summary = run.runtime->run(100.0);
   return run;
 }
@@ -177,16 +175,12 @@ TEST_P(NeedBuddyRestore, CheckpointlessRollbackIsRoutedAnImage) {
   }
   soak::Reference ref =
       soak::make_reference(j, ac, "reference run must complete");
-  rt::ClusterConfig cc;
-  cc.nodes_per_replica = j.nodes_needed();
-  cc.spare_nodes = 4;
-  AcrRuntime runtime(ac, cc);
-  runtime.set_task_factory(j.factory());
-  runtime.setup();
-  runtime.engine().schedule_at(ref.finish_time * 0.4, [&runtime] {
-    runtime.agent_at(0, 6).reset_for_restart();
-    runtime.cluster().kill_role(0, 1);
-  });
+  soak::Sim sim(ac, 4);
+  AcrRuntime& runtime = sim.runtime;
+  double at = ref.finish_time * 0.4;
+  runtime.engine().schedule_at(
+      at, [&runtime] { runtime.agent_at(0, 6).reset_for_restart(); });
+  runtime.inject(failure::Fault::kill_role(at, 0, 1));
   soak::Outcome o = soak::run_and_digest(runtime);
   ASSERT_TRUE(o.summary.complete) << "checkpoint-less rollback wedged";
   EXPECT_EQ(o.digest, ref.digest);
@@ -221,12 +215,8 @@ TEST_P(RestoreAdmission, StaleWaveIsDropped) {
   if (source == RestoreSource::Fetch) ac.tier.bandwidth = 2e9;
   soak::Reference ref =
       soak::make_reference(j, ac, "reference run must complete");
-  rt::ClusterConfig cc;
-  cc.nodes_per_replica = j.nodes_needed();
-  cc.spare_nodes = 2;
-  AcrRuntime runtime(ac, cc);
-  runtime.set_task_factory(j.factory());
-  runtime.setup();
+  soak::Sim sim(ac, 2);
+  AcrRuntime& runtime = sim.runtime;
   // The rollback lands before the first commit, so the target holds no
   // verified image and would take the checkpoint-less branch (gate itself,
   // ask the manager for an image). The other sources need a committed
@@ -286,6 +276,102 @@ INSTANTIATE_TEST_SUITE_P(Source, RestoreAdmission,
                            }
                            return "";
                          });
+
+// ---------------------------------------------------------------------------
+// Fault entry (DESIGN §13): every fault lands through AcrRuntime::apply.
+// ---------------------------------------------------------------------------
+
+TEST(FaultPath, ScriptedFaultsRecordOneInjectionEach) {
+  soak::Sim sim(soak::base_acr_config(), 4, 1);
+  Pcg32 draws(7);
+  sim.runtime.inject(failure::Fault::kill_role(0.010, 0, 1));
+  sim.runtime.inject(failure::Fault::flip(0.020, 0, 6, 1, draws));
+  sim.runtime.inject(failure::Fault::kill_role(0.030, 1, 5));
+  RunSummary s = sim.runtime.run(100.0);
+  ASSERT_TRUE(s.complete);
+  TraceSummary ts = summarize_trace(sim.runtime.trace());
+  EXPECT_EQ(ts.failures_injected, 2u);
+  EXPECT_EQ(ts.sdc_injected, 1u);
+  EXPECT_EQ(s.sdc_injected, 1u);
+  EXPECT_EQ(s.hard_failures, 2u);
+}
+
+TEST(FaultPath, RandomKillsRecordOneInjectionPerVictim) {
+  soak::Sim sim(soak::base_acr_config(), 16, 1);
+  FaultPlan plan;
+  plan.arrivals = std::make_shared<failure::RenewalProcess>(
+      std::make_shared<failure::Exponential>(0.004));
+  plan.sdc_fraction = 0.0;
+  plan.horizon = 0.04;
+  sim.runtime.set_fault_plan(plan);
+  RunSummary s = sim.runtime.run(100.0);
+  ASSERT_TRUE(s.complete);
+  // Nothing repairs a --fault-mtbf death and no role is doubled, so every
+  // landed kill leaves exactly one dead machine behind.
+  rt::Cluster& cl = sim.runtime.cluster();
+  std::size_t dead = 0;
+  for (int pid = 0; pid < cl.num_hardware_nodes(); ++pid)
+    if (!cl.physical_node(pid).alive()) ++dead;
+  EXPECT_GE(dead, 3u);
+  EXPECT_EQ(summarize_trace(sim.runtime.trace()).failures_injected, dead);
+}
+
+TEST(FaultPath, DeadTargetOrFinishedJobIsANoOp) {
+  soak::Sim sim(soak::base_acr_config(), 4, 1);
+  AcrRuntime& rt_ = sim.runtime;
+  Pcg32 draws(7);
+  bool first = false, again = true, dead_flip = true;
+  rt_.engine().schedule_at(0.010, [&] {
+    first = rt_.apply(failure::Fault::kill_role(0.010, 1, 1));
+    again = rt_.apply(failure::Fault::kill_role(0.010, 1, 1));
+    dead_flip = rt_.apply(failure::Fault::flip(0.010, 1, 1, 0, draws));
+  });
+  RunSummary s = rt_.run(100.0);
+  ASSERT_TRUE(s.complete);
+  EXPECT_TRUE(first);
+  EXPECT_FALSE(again);
+  EXPECT_FALSE(dead_flip);
+  EXPECT_EQ(rt_.trace().count(rt::TraceKind::HardFailureInjected), 1u);
+  EXPECT_EQ(rt_.trace().count(rt::TraceKind::SdcInjected), 0u);
+
+  std::size_t events = rt_.trace().events().size();
+  double now = rt_.engine().now();
+  EXPECT_FALSE(rt_.apply(failure::Fault::kill_role(now, 0, 0)));
+  EXPECT_FALSE(rt_.apply(failure::Fault::flip(now, 0, 2, 0, draws)));
+  EXPECT_TRUE(rt_.cluster().role_alive(0, 0));
+  EXPECT_EQ(rt_.trace().events().size(), events);
+}
+
+TEST(FaultPath, PooledSpareDeathReachesTheOutOfBandFeed) {
+  AcrConfig ac = soak::base_acr_config();
+  ac.adaptive = true;
+  ac.adaptive_config.checkpoint_cost = ac.checkpoint_interval / 20.0;
+  ac.adaptive_config.min_interval = ac.checkpoint_interval / 4.0;
+  ac.adaptive_config.max_interval = ac.checkpoint_interval * 8.0;
+  soak::Sim sim(ac, 2, 1);
+  AcrRuntime& rt_ = sim.runtime;
+  int spare = -1;
+  for (int pid = 0; pid < rt_.cluster().num_hardware_nodes(); ++pid)
+    if (rt_.cluster().is_pooled_spare(pid)) spare = pid;
+  ASSERT_GE(spare, 0);
+  double before = 0.0, after = 0.0;
+  bool landed = false;
+  rt_.engine().schedule_at(0.010, [&] {
+    before = rt_.manager().current_interval();
+    landed = rt_.apply(failure::Fault::kill_hardware(0.010, spare, "seed"));
+    after = rt_.manager().current_interval();
+  });
+  RunSummary s = rt_.run(100.0);
+  ASSERT_TRUE(s.complete);
+  EXPECT_TRUE(landed);
+  // No role died, so heartbeats saw nothing: only the out-of-band notice
+  // can have moved the adaptive interval off its ceiling.
+  EXPECT_EQ(s.hard_failures, 0u);
+  EXPECT_EQ(s.spare_failures, 1u);
+  EXPECT_EQ(s.burst_node_kills, 1u);
+  EXPECT_EQ(before, ac.adaptive_config.max_interval);
+  EXPECT_LT(after, before);
+}
 
 }  // namespace
 }  // namespace acr

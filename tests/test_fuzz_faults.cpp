@@ -16,6 +16,7 @@
 #include "checksum/fletcher.h"
 #include "common/rng.h"
 #include "failure/distributions.h"
+#include "soak_util.h"
 
 namespace acr {
 namespace {
@@ -39,23 +40,7 @@ std::uint64_t replica_digest(AcrRuntime& runtime, int replica) {
   return f.digest();
 }
 
-/// Digest of the job's *verified* answer. Each node's state is held by two
-/// buddies; a node killed between the final pack and its commit keeps a
-/// stale copy, but its buddy holds the verified one — exactly the
-/// redundancy the scheme provides. Take the fresher copy per node index.
-/// (Live state may also legitimately differ when a bit flip lands after
-/// the final verification pack; the verified images are what the job
-/// delivers.)
-std::uint64_t verified_digest(AcrRuntime& runtime) {
-  checksum::Fletcher64 f;
-  for (int i = 0; i < runtime.cluster().nodes_per_replica(); ++i) {
-    NodeAgent& a = runtime.agent_at(0, i);
-    NodeAgent& b = runtime.agent_at(1, i);
-    const NodeAgent& best = a.verified_epoch() >= b.verified_epoch() ? a : b;
-    f.append(best.verified_image());
-  }
-  return f.digest();
-}
+using soak::verified_digest;
 
 std::uint64_t reference_digest() {
   static std::uint64_t cached = [] {

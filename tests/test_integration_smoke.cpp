@@ -95,11 +95,7 @@ TEST(IntegrationSmoke, HardFailureIsRecovered) {
   AcrRuntime runtime(acr_cfg, small_cluster(j));
   runtime.set_task_factory(j.factory());
   runtime.setup();
-  runtime.engine().schedule_at(0.006, [&runtime]() {
-    runtime.cluster().trace().record(runtime.engine().now(),
-                                     rt::TraceKind::HardFailureInjected, 1, 2);
-    runtime.cluster().kill_role(1, 2);
-  });
+  runtime.inject(failure::Fault::kill_role(0.006, 1, 2));
   RunSummary s = runtime.run(1e4);
   EXPECT_TRUE(s.complete);
   EXPECT_EQ(s.hard_failures, 1u);
@@ -132,11 +128,7 @@ TEST(IntegrationSmoke, RecoveredRunMatchesReference) {
     AcrRuntime runtime(acr_cfg, small_cluster(j));
     runtime.set_task_factory(j.factory());
     runtime.setup();
-    runtime.engine().schedule_at(0.005, [&runtime]() {
-      runtime.cluster().trace().record(
-          runtime.engine().now(), rt::TraceKind::HardFailureInjected, 0, 3);
-      runtime.cluster().kill_role(0, 3);
-    });
+    runtime.inject(failure::Fault::kill_role(0.005, 0, 3));
     runtime.engine().schedule_at(0.009, [&runtime]() {
       auto& task = static_cast<apps::Jacobi3DTask&>(
           runtime.cluster().node_at(1, 0).task(1));

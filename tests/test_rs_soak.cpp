@@ -76,16 +76,10 @@ struct SoakOutcome {
 };
 
 SoakOutcome soak_run(std::uint64_t seed) {
-  apps::Jacobi3DConfig j = soak::small_app();
-  rt::ClusterConfig cc;
-  cc.nodes_per_replica = j.nodes_needed();
-  cc.spare_nodes = 16;
-  cc.seed = seed;
-  AcrRuntime runtime(soak_acr_config(/*tier=*/true), cc);
-  runtime.set_task_factory(j.factory());
-  runtime.setup();
+  soak::Sim sim(soak_acr_config(/*tier=*/true), 16, seed);
+  AcrRuntime& runtime = sim.runtime;
 
-  ckpt::GroupMap groups(cc.nodes_per_replica, kGroupSize);
+  ckpt::GroupMap groups(sim.app.nodes_needed(), kGroupSize);
   ACR_REQUIRE(groups.enabled(), "soak requires grouping");
   Pcg32 rng(seed, 0x2505);
   SoakOutcome o;
@@ -100,10 +94,7 @@ SoakOutcome soak_run(std::uint64_t seed) {
       double when = reference().finish_time * (0.25 + 0.70 * rng.uniform());
       double gap = 2e-4 * rng.uniform();  // second death lands mid-recovery
       for (auto [victim, at] : {std::pair{a, when}, std::pair{b, when + gap}}) {
-        runtime.engine().schedule_at(at, [&runtime, r, victim] {
-          if (!runtime.cluster().role_alive(r, victim)) return;
-          runtime.cluster().kill_role(r, victim);
-        });
+        runtime.inject(failure::Fault::kill_role(at, r, victim));
         ++o.kills;
       }
     }
@@ -139,22 +130,12 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RsSoak, ::testing::Range(0, 110));
 /// group at mid-run, `gap` apart.
 soak::Outcome run_group_kill(const AcrConfig& ac,
                              const std::vector<int>& dead, double gap) {
-  apps::Jacobi3DConfig j = soak::small_app();
-  rt::ClusterConfig cc;
-  cc.nodes_per_replica = j.nodes_needed();
-  cc.spare_nodes = 8;
-  cc.seed = 91;
-  AcrRuntime runtime(ac, cc);
-  runtime.set_task_factory(j.factory());
-  runtime.setup();
+  soak::Sim sim(ac, 8, 91);
+  AcrRuntime& runtime = sim.runtime;
   double mid = reference().finish_time * 0.5;
-  for (std::size_t i = 0; i < dead.size(); ++i) {
-    int victim = dead[i];
-    runtime.engine().schedule_at(mid + gap * static_cast<double>(i),
-                                 [&runtime, victim] {
-                                   runtime.cluster().kill_role(0, victim);
-                                 });
-  }
+  for (std::size_t i = 0; i < dead.size(); ++i)
+    runtime.inject(failure::Fault::kill_role(
+        mid + gap * static_cast<double>(i), 0, dead[i]));
   return soak::run_and_digest(runtime);
 }
 
@@ -207,37 +188,11 @@ TEST(RsTargeted, RebuildIsKernelThreadCountInvariant) {
 // Parity-1 soak: one kill per group (--ckpt-scheme=xor = rs with m = 1).
 // ---------------------------------------------------------------------------
 
-/// Wire a no-tier parity-1 runtime with `spares` spare nodes.
-struct SingleParitySim {
-  SingleParitySim(std::uint64_t seed, int spares)
-      : app(soak::small_app()),
-        runtime(soak_acr_config(/*tier=*/false, 1), cluster_config(seed,
-                                                                  spares)) {
-    runtime.set_task_factory(app.factory());
-    runtime.setup();
-  }
-  rt::ClusterConfig cluster_config(std::uint64_t seed, int spares) const {
-    rt::ClusterConfig cc;
-    cc.nodes_per_replica = app.nodes_needed();
-    cc.spare_nodes = spares;
-    cc.seed = seed;
-    return cc;
-  }
-  void kill_at(double when, int replica, int victim) {
-    runtime.engine().schedule_at(when, [this, replica, victim] {
-      if (!runtime.cluster().role_alive(replica, victim)) return;
-      runtime.cluster().kill_role(replica, victim);
-    });
-  }
-  apps::Jacobi3DConfig app;
-  AcrRuntime runtime;
-};
-
 /// One soak run: for every parity group in every replica, schedule the
 /// death of one uniformly chosen member at a uniformly chosen time within
 /// the nominal run.
 SoakOutcome single_kill_soak_run(std::uint64_t seed) {
-  SingleParitySim sim(seed, 16);
+  soak::Sim sim(soak_acr_config(/*tier=*/false, 1), 16, seed);
   ckpt::GroupMap groups(sim.app.nodes_needed(), kGroupSize);
   ACR_REQUIRE(groups.enabled(), "soak requires grouping");
   Pcg32 rng(seed, 0x50AF);
@@ -248,8 +203,8 @@ SoakOutcome single_kill_soak_run(std::uint64_t seed) {
       int victim = members[rng.bounded(
           static_cast<std::uint32_t>(members.size()))];
       // Anywhere from before the first checkpoint to just shy of the end.
-      sim.kill_at(reference(1).finish_time * (0.02 + 0.93 * rng.uniform()), r,
-                  victim);
+      double at = reference(1).finish_time * (0.02 + 0.93 * rng.uniform());
+      sim.runtime.inject(failure::Fault::kill_role(at, r, victim));
       ++o.kills;
     }
   }
@@ -281,10 +236,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, XorSoak, ::testing::Range(0, 110));
 /// Under group parity the two buddies sit in *different* groups (one per
 /// replica), so both rebuild independently from their group peers.
 TEST(XorTargeted, BuddyPairLossIsSurvivable) {
-  SingleParitySim sim(77, 8);
+  soak::Sim sim(soak_acr_config(/*tier=*/false, 1), 8, 77);
   double mid = reference(1).finish_time * 0.5;
-  sim.kill_at(mid, 0, 3);
-  sim.kill_at(mid * 1.2, 1, 3);
+  sim.runtime.inject(failure::Fault::kill_role(mid, 0, 3));
+  sim.runtime.inject(failure::Fault::kill_role(mid * 1.2, 1, 3));
   soak::Outcome o = soak::run_and_digest(sim.runtime);
   ASSERT_TRUE(o.summary.complete) << "buddy-pair loss not survived";
   EXPECT_EQ(o.digest, reference(1).digest);
@@ -296,12 +251,12 @@ TEST(XorTargeted, BuddyPairLossIsSurvivable) {
 /// manager must fall back to a scratch restart — and the job must still
 /// finish with the right answer.
 TEST(XorTargeted, TwoDeadInOneGroupFallsBackToScratch) {
-  SingleParitySim sim(78, 8);
+  soak::Sim sim(soak_acr_config(/*tier=*/false, 1), 8, 78);
   double mid = reference(1).finish_time * 0.5;
   // Same group (indices 0..3 of replica 0), near-simultaneous deaths: the
   // second falls while the first group rebuild is still in flight.
-  sim.kill_at(mid, 0, 1);
-  sim.kill_at(mid + 1e-5, 0, 2);
+  sim.runtime.inject(failure::Fault::kill_role(mid, 0, 1));
+  sim.runtime.inject(failure::Fault::kill_role(mid + 1e-5, 0, 2));
   soak::Outcome o = soak::run_and_digest(sim.runtime);
   ASSERT_TRUE(o.summary.complete) << "double-death in one group wedged the job";
   EXPECT_EQ(o.digest, reference(1).digest);
@@ -310,20 +265,12 @@ TEST(XorTargeted, TwoDeadInOneGroupFallsBackToScratch) {
 /// The local scheme keeps no cross-node redundancy at all: any hard failure
 /// after the first commit still completes, but only ever by scratch restart.
 TEST(XorTargeted, LocalSchemeRecoversOnlyFromScratch) {
-  apps::Jacobi3DConfig j = soak::small_app();
   AcrConfig ac = soak::base_acr_config();
   ac.redundancy = ckpt::Scheme::Local;
-  rt::ClusterConfig cc;
-  cc.nodes_per_replica = j.nodes_needed();
-  cc.spare_nodes = 8;
-  cc.seed = 79;
-  AcrRuntime runtime(ac, cc);
-  runtime.set_task_factory(j.factory());
-  runtime.setup();
+  soak::Sim sim(ac, 8, 79);
+  AcrRuntime& runtime = sim.runtime;
   double mid = reference(1).finish_time * 0.5;
-  runtime.engine().schedule_at(mid, [&runtime] {
-    runtime.cluster().kill_role(0, 5);
-  });
+  runtime.inject(failure::Fault::kill_role(mid, 0, 5));
   soak::Outcome o = soak::run_and_digest(runtime);
   ASSERT_TRUE(o.summary.complete);
   EXPECT_EQ(o.summary.scratch_restarts, 1u);

@@ -79,11 +79,7 @@ TEST(SemiBlocking, SurvivesHardFailure) {
   // Kill well after the first verified checkpoint (commits land late here:
   // the exaggerated transfer/compare costs stretch the pipeline).
   RunSummary s = run(true, [](AcrRuntime& runtime) {
-    runtime.engine().schedule_at(0.012, [&runtime] {
-      runtime.cluster().trace().record(
-          runtime.engine().now(), rt::TraceKind::HardFailureInjected, 1, 2);
-      runtime.cluster().kill_role(1, 2);
-    });
+    runtime.inject(failure::Fault::kill_role(0.012, 1, 2));
   });
   ASSERT_TRUE(s.complete);
   EXPECT_EQ(s.recoveries, 1u);

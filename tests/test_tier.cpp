@@ -10,96 +10,31 @@
 
 #include "acr/runtime.h"
 #include "apps/jacobi3d.h"
-#include "checksum/fletcher.h"
 #include "ckpt/tier.h"
 #include "model/acr_model.h"
+#include "soak_util.h"
 
 namespace acr {
 namespace {
 
-apps::Jacobi3DConfig tier_app() {
-  apps::Jacobi3DConfig cfg;
-  cfg.tasks_x = cfg.tasks_y = 2;
-  cfg.tasks_z = 4;
-  cfg.block_x = cfg.block_y = cfg.block_z = 4;
-  cfg.iterations = 40;
-  cfg.slots_per_node = 2;  // 8 nodes per replica
-  cfg.seconds_per_point = 1e-5;
-  return cfg;
-}
-
+// The soak workload (soak::small_app) under the soak protocol baseline,
+// with an L2 tier of `bandwidth` bytes/s (0 = off).
 AcrConfig tier_acr_config(double bandwidth = 1e9) {
-  AcrConfig ac;
-  ac.scheme = ResilienceScheme::Strong;
-  ac.redundancy = ckpt::Scheme::Partner;
-  ac.checkpoint_interval = 0.003;
-  ac.heartbeat_period = 0.0004;
-  ac.heartbeat_timeout = 0.0016;
+  AcrConfig ac = soak::base_acr_config();
   ac.tier.bandwidth = bandwidth;
   return ac;
 }
 
-std::uint64_t verified_digest(AcrRuntime& runtime) {
-  checksum::Fletcher64 f;
-  for (int i = 0; i < runtime.cluster().nodes_per_replica(); ++i) {
-    NodeAgent& a = runtime.agent_at(0, i);
-    NodeAgent& b = runtime.agent_at(1, i);
-    const NodeAgent& best = a.verified_epoch() >= b.verified_epoch() ? a : b;
-    f.append(best.verified_image());
-  }
-  return f.digest();
-}
-
-struct Reference {
-  std::uint64_t digest = 0;
-  double finish_time = 0.0;
-};
+using soak::Sim;
+using soak::trace_contains;
+using soak::verified_digest;
 
 /// Fault-free single-tier run fixing the expected answer and duration.
-const Reference& reference() {
-  static Reference cached = [] {
-    apps::Jacobi3DConfig j = tier_app();
-    rt::ClusterConfig cc;
-    cc.nodes_per_replica = j.nodes_needed();
-    cc.spare_nodes = 0;
-    AcrRuntime runtime(tier_acr_config(/*bandwidth=*/0.0), cc);
-    runtime.set_task_factory(j.factory());
-    runtime.setup();
-    RunSummary s = runtime.run(1e3);
-    ACR_REQUIRE(s.complete, "tier reference run must complete");
-    Reference ref;
-    ref.digest = verified_digest(runtime);
-    ref.finish_time = s.finish_time;
-    return ref;
-  }();
+const soak::Reference& reference() {
+  static const soak::Reference cached = soak::make_reference(
+      soak::small_app(), tier_acr_config(/*bandwidth=*/0.0),
+      "tier reference run must complete");
   return cached;
-}
-
-struct Sim {
-  apps::Jacobi3DConfig app;
-  AcrRuntime runtime;
-  Sim(const AcrConfig& ac, int spares, std::uint64_t seed)
-      : app(tier_app()), runtime(ac, [&] {
-          rt::ClusterConfig cc;
-          cc.nodes_per_replica = tier_app().nodes_needed();
-          cc.spare_nodes = spares;
-          cc.seed = seed;
-          return cc;
-        }()) {
-    runtime.set_task_factory(app.factory());
-    runtime.setup();
-  }
-};
-
-bool trace_contains(AcrRuntime& runtime, rt::TraceKind kind,
-                    const std::string& detail_substr = "") {
-  for (const auto& e : runtime.trace().events()) {
-    if (e.kind != kind) continue;
-    if (detail_substr.empty() ||
-        e.detail.find(detail_substr) != std::string::npos)
-      return true;
-  }
-  return false;
 }
 
 // ---------------------------------------------------------------------------
@@ -152,8 +87,7 @@ TEST(TierFlush, FlushIntervalSkipsEpochs) {
 TEST(TierLadder, SingleFailureUsesL1NotL2) {
   Sim sim(tier_acr_config(), 4, 11);
   double mid = reference().finish_time * 0.5;
-  sim.runtime.engine().schedule_at(
-      mid, [&sim] { sim.runtime.cluster().kill_role(0, 3); });
+  sim.runtime.inject(failure::Fault::kill_role(mid, 0, 3));
   RunSummary s = sim.runtime.run(30.0);
   ASSERT_TRUE(s.complete);
   EXPECT_GE(s.recoveries, 1u);          // partner copy handled it
@@ -171,10 +105,8 @@ TEST(TierLadder, SingleFailureUsesL1NotL2) {
 TEST(TierLadder, BuddyPairLossFetchesFromDurableInsteadOfScratch) {
   Sim sim(tier_acr_config(), 4, 31);
   double mid = reference().finish_time * 0.5;
-  sim.runtime.engine().schedule_at(mid, [&sim] {
-    sim.runtime.cluster().kill_role(0, 4);
-    sim.runtime.cluster().kill_role(1, 4);
-  });
+  sim.runtime.inject(failure::Fault::kill_role(mid, 0, 4));
+  sim.runtime.inject(failure::Fault::kill_role(mid, 1, 4));
   RunSummary s = sim.runtime.run(30.0);
   ASSERT_TRUE(s.complete) << "buddy-pair loss wedged the job";
   EXPECT_EQ(s.scratch_restarts, 0u)
@@ -196,10 +128,8 @@ TEST(TierLadder, BuddyPairLossBeforeAnyFlushFallsBackToScratch) {
   AcrConfig ac = tier_acr_config(/*bandwidth=*/10.0);  // ~7 min per image
   Sim sim(ac, 4, 31);
   double early = reference().finish_time * 0.2;
-  sim.runtime.engine().schedule_at(early, [&sim] {
-    sim.runtime.cluster().kill_role(0, 4);
-    sim.runtime.cluster().kill_role(1, 4);
-  });
+  sim.runtime.inject(failure::Fault::kill_role(early, 0, 4));
+  sim.runtime.inject(failure::Fault::kill_role(early, 1, 4));
   RunSummary s = sim.runtime.run(60.0);
   ASSERT_TRUE(s.complete);
   EXPECT_GE(s.scratch_restarts, 1u);
@@ -239,11 +169,12 @@ TEST(TierAtomicity, MidFlushDeathPublishesNothing) {
   Sim sim(ac, 4, 13);
   const int victim = 5;
   double first_commit = 0.004;  // just past the first checkpoint commit
-  sim.runtime.engine().schedule_at(first_commit + 0.02, [&sim] {
+  double kill_at = first_commit + 0.02;
+  sim.runtime.engine().schedule_at(kill_at, [&sim] {
     ASSERT_TRUE(sim.runtime.agent_at(0, victim).flush_active())
         << "test premise: the victim must be mid-flush when killed";
-    sim.runtime.cluster().kill_role(0, victim);
   });
+  sim.runtime.inject(failure::Fault::kill_role(kill_at, 0, victim));
   sim.runtime.engine().schedule_at(first_commit + 0.021, [&sim] {
     ckpt::DurableTier* tier = sim.runtime.tier();
     ASSERT_NE(tier, nullptr);
@@ -299,10 +230,8 @@ TEST(TierDrain, DrainWithLaggingFlushesScavenges) {
 TEST(TierDeterminism, FetchPathIdenticalAcrossKernelThreads) {
   Sim sim(tier_acr_config(), 4, 31);
   double mid = reference().finish_time * 0.5;
-  sim.runtime.engine().schedule_at(mid, [&sim] {
-    sim.runtime.cluster().kill_role(0, 4);
-    sim.runtime.cluster().kill_role(1, 4);
-  });
+  sim.runtime.inject(failure::Fault::kill_role(mid, 0, 4));
+  sim.runtime.inject(failure::Fault::kill_role(mid, 1, 4));
   RunSummary s = sim.runtime.run(30.0);
   ASSERT_TRUE(s.complete);
   EXPECT_GE(s.l2_fetch_waves, 1u);
@@ -323,10 +252,8 @@ TEST(TierModel, SimulatedFetchReworkWithinModelEnvelope) {
   // first-order: it ignores heartbeat detection latency and barriers).
   Sim sim(tier_acr_config(), 4, 31);
   double mid = reference().finish_time * 0.5;
-  sim.runtime.engine().schedule_at(mid, [&sim] {
-    sim.runtime.cluster().kill_role(0, 4);
-    sim.runtime.cluster().kill_role(1, 4);
-  });
+  sim.runtime.inject(failure::Fault::kill_role(mid, 0, 4));
+  sim.runtime.inject(failure::Fault::kill_role(mid, 1, 4));
   RunSummary s = sim.runtime.run(30.0);
   ASSERT_TRUE(s.complete);
   ASSERT_GE(s.l2_fetch_waves, 1u);

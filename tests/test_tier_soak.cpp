@@ -43,14 +43,8 @@ struct SoakOutcome {
 };
 
 SoakOutcome soak_run(std::uint64_t seed, bool tier) {
-  apps::Jacobi3DConfig j = soak::small_app();
-  rt::ClusterConfig cc;
-  cc.nodes_per_replica = j.nodes_needed();
-  cc.spare_nodes = 2;  // shallow pool: bursts WILL exhaust it
-  cc.seed = seed;
-  AcrRuntime runtime(soak_acr_config(tier), cc);
-  runtime.set_task_factory(j.factory());
-  runtime.setup();
+  soak::Sim sim(soak_acr_config(tier), /*spares=*/2, seed);  // bursts drain it
+  AcrRuntime& runtime = sim.runtime;
   runtime.set_burst_plan(soak::default_burst_config(reference().finish_time));
   SoakOutcome o;
   o.out = soak::run_and_digest(runtime);
