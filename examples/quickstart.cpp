@@ -37,9 +37,11 @@ class HeatRodTask final : public acr::apps::IterativeTask {
 
   void send_phase(std::uint64_t iter, int phase) override {
     if (id_ > 0)
-      send_phase_msg(addr_of(id_ - 1), iter, phase, +1, {u_.front()});
+      send_phase_msg(addr_of(id_ - 1), iter, phase, +1,
+                     std::span(&u_.front(), 1));
     if (id_ < num_tasks_ - 1)
-      send_phase_msg(addr_of(id_ + 1), iter, phase, -1, {u_.back()});
+      send_phase_msg(addr_of(id_ + 1), iter, phase, -1,
+                     std::span(&u_.back(), 1));
   }
 
   int expected_in_phase(std::uint64_t, int) const override {

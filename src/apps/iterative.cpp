@@ -102,12 +102,12 @@ void IterativeTask::pup(pup::Puper& p) {
 
 void IterativeTask::send_phase_msg(rt::TaskAddr dst, std::uint64_t iter,
                                    int phase, int sender_key,
-                                   std::vector<double> data) {
-  PhaseMsg pm;
+                                   std::span<const double> data) {
+  PhaseMsgView pm;
   pm.iter = iter;
   pm.phase = phase;
   pm.sender = sender_key;
-  pm.data = std::move(data);
+  pm.data = data;
   ctx->send(dst, /*tag=*/1, rt::pack_payload(pm));
 }
 

@@ -15,18 +15,21 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "rt/task.h"
 
 namespace acr::apps {
 
-/// Payload of every app message.
-struct PhaseMsg {
+/// Payload of every app message. Receivers unpack a PhaseMsg; senders pack
+/// a PhaseMsgView, which writes the same stream straight from their data.
+template <typename Data>
+struct BasicPhaseMsg {
   std::uint64_t iter = 0;   ///< iteration the data belongs to (1-based)
   std::int32_t phase = 0;   ///< sub-phase within the iteration
   std::int32_t sender = 0;  ///< app-defined sender key (unique per phase)
-  std::vector<double> data;
+  Data data;
 
   void pup(pup::Puper& p) {
     p | iter;
@@ -35,6 +38,8 @@ struct PhaseMsg {
     p | data;
   }
 };
+using PhaseMsg = BasicPhaseMsg<std::vector<double>>;
+using PhaseMsgView = BasicPhaseMsg<std::span<const double>>;
 
 class IterativeTask : public rt::Task {
  public:
@@ -74,9 +79,9 @@ class IterativeTask : public rt::Task {
   /// compute_phase mutates).
   virtual void pup_state(pup::Puper& p) = 0;
 
-  /// Send helper for subclasses (wraps PhaseMsg + ctx->send).
+  /// Send helper for subclasses (packs a PhaseMsgView + ctx->send).
   void send_phase_msg(rt::TaskAddr dst, std::uint64_t iter, int phase,
-                      int sender_key, std::vector<double> data);
+                      int sender_key, std::span<const double> data);
 
  private:
   void begin_phase();

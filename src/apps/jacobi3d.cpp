@@ -32,6 +32,11 @@ Jacobi3DTask::Jacobi3DTask(const Jacobi3DConfig& config, int task_id)
   tx_ = task_id % cfg_.tasks_x;
   ty_ = (task_id / cfg_.tasks_x) % cfg_.tasks_y;
   tz_ = task_id / (cfg_.tasks_x * cfg_.tasks_y);
+  for (int face = 0; face < 6; ++face) {
+    int nbr = neighbor_task(face);
+    neighbors_[static_cast<std::size_t>(face)] = nbr;
+    if (nbr >= 0) ++num_neighbors_;
+  }
 }
 
 void Jacobi3DTask::init() {
@@ -74,8 +79,9 @@ int Jacobi3DTask::neighbor_task(int face) const {
   return nx + cfg_.tasks_x * (ny + cfg_.tasks_y * nz);
 }
 
-std::vector<double> Jacobi3DTask::extract_face(int face) const {
-  std::vector<double> out;
+std::span<const double> Jacobi3DTask::extract_face(int face) const {
+  thread_local std::vector<double> out;
+  out.clear();
   auto push_plane_x = [&](int i) {
     for (int k = 0; k < cfg_.block_z; ++k)
       for (int j = 0; j < cfg_.block_y; ++j) out.push_back(u_[idx(i, j, k)]);
@@ -129,7 +135,7 @@ void Jacobi3DTask::apply_halo(int face, const std::vector<double>& data) {
 
 void Jacobi3DTask::send_phase(std::uint64_t iter, int phase) {
   for (int face = 0; face < 6; ++face) {
-    int nbr = neighbor_task(face);
+    int nbr = neighbors_[static_cast<std::size_t>(face)];
     if (nbr < 0) continue;
     rt::TaskAddr dst{nbr / cfg_.slots_per_node, nbr % cfg_.slots_per_node};
     // The receiver sees this data arriving on its opposite face.
@@ -138,10 +144,7 @@ void Jacobi3DTask::send_phase(std::uint64_t iter, int phase) {
 }
 
 int Jacobi3DTask::expected_in_phase(std::uint64_t, int) const {
-  int n = 0;
-  for (int face = 0; face < 6; ++face)
-    if (neighbor_task(face) >= 0) ++n;
-  return n;
+  return num_neighbors_;
 }
 
 double Jacobi3DTask::compute_phase(

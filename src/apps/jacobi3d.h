@@ -10,6 +10,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "apps/iterative.h"
@@ -78,7 +79,9 @@ class Jacobi3DTask final : public IterativeTask {
 
   int neighbor_task(int face) const;  ///< -1 at the domain boundary
   void zero_ghost_planes();
-  std::vector<double> extract_face(int face) const;
+  /// The boundary plane on `face`, copied into a scratch buffer shared by
+  /// the thread's tasks; valid until the next call.
+  std::span<const double> extract_face(int face) const;
   void apply_halo(int face, const std::vector<double>& data);
 
   std::size_t idx(int i, int j, int k) const {
@@ -91,6 +94,8 @@ class Jacobi3DTask final : public IterativeTask {
   Jacobi3DConfig cfg_;
   int task_id_;
   int tx_, ty_, tz_;  ///< position in the task grid
+  std::array<int, 6> neighbors_{};  ///< neighbor_task(face), fixed
+  int num_neighbors_ = 0;           ///< faces with a neighbor
   std::vector<double> u_;      ///< solution with ghosts (checkpointed)
   std::vector<double> u_new_;  ///< scratch (not checkpointed)
 };

@@ -77,7 +77,7 @@ void MiniLuleshTask::send_phase(std::uint64_t iter, int phase) {
   int stage = phase - 1;
   int partner = task_id_ ^ (1 << stage);
   send_phase_msg(addr_of(partner), iter, phase, /*sender=*/partner,
-                 {local_dt_min_});
+                 std::span(&local_dt_min_, 1));
 }
 
 int MiniLuleshTask::expected_in_phase(std::uint64_t, int phase) const {

@@ -1,6 +1,8 @@
 #include "buf/buffer.h"
 
+#include <algorithm>
 #include <cstring>
+#include <utility>
 
 namespace acr::buf {
 
@@ -111,6 +113,22 @@ Buffer BufferBuilder::take() {
   }
   retired_.front() = std::move(arena_);
   return out;
+}
+
+void BufferBuilder::reserve_slice(std::size_t n) {
+  if (arena_ && arena_->capacity() - arena_->size() >= n) return;
+  arena_ = std::make_shared<Buffer::Storage>();
+  arena_->reserve(std::max(n, kSliceArena));
+  slice_start_ = 0;
+  ++stats_.arena_allocations;
+}
+
+Buffer BufferBuilder::take_slice() {
+  ++stats_.buffers_taken;
+  std::size_t end = arena_ ? arena_->size() : 0;
+  std::size_t start = std::exchange(slice_start_, end);
+  if (end == start) return Buffer();
+  return Buffer(arena_, start, end - start);
 }
 
 }  // namespace acr::buf

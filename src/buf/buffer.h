@@ -182,14 +182,28 @@ class BufferBuilder final : public Sink {
     if (arena_) arena_->clear();
   }
 
+  // --- slice mode: many small Buffers packed densely into shared arenas ----
+  // Do not mix with take() on one builder.
+
+  /// Make room for an `n`-byte build behind the slices already taken from
+  /// the current arena; an arena without that room is left to its slices
+  /// and a fresh one (at least kSliceArena bytes) becomes current.
+  void reserve_slice(std::size_t n);
+  /// Seal the bytes written since the previous slice into a Buffer that
+  /// shares the current arena. The arena is freed with its last slice; it
+  /// is never recycled, so its bytes never change under a live slice.
+  Buffer take_slice();
+
   const Stats& stats() const { return stats_; }
 
  private:
   void ensure_arena();
 
   static constexpr std::size_t kRetiredSlots = 4;
+  static constexpr std::size_t kSliceArena = 4096;
 
   std::shared_ptr<Buffer::Storage> arena_;
+  std::size_t slice_start_ = 0;  ///< slice mode: end of the last slice
   std::array<std::shared_ptr<Buffer::Storage>, kRetiredSlots> retired_;
   Stats stats_;
 };

@@ -206,24 +206,39 @@ void Cluster::send_task(int replica, TaskAddr src, TaskAddr dst, int tag,
   m.payload = std::move(payload);
   double lat = app_latency(m.size_bytes(), jitter_rng_);
   ++in_flight_.at(static_cast<std::size_t>(replica));
-  engine_.schedule_after(lat, [this, m = std::move(m)]() mutable {
-    --in_flight_.at(static_cast<std::size_t>(m.dst_replica));
-    // Traffic from an abandoned timeline (pre-rollback) is dropped.
-    if (m.app_epoch !=
-        app_epoch_.at(static_cast<std::size_t>(m.dst_replica))) {
-      ++net_counters_.stale_epoch_drops;
-      trace_.record(engine_.now(), TraceKind::StaleMessageDropped,
-                    m.dst_replica, m.dst.node_index);
-      return;
-    }
-    int pid = role_table_[static_cast<std::size_t>(m.dst_replica)]
-                         [static_cast<std::size_t>(m.dst.node_index)];
-    if (pid < 0) {  // role unmanned: message disappears
-      ++net_counters_.unmanned_drops;
-      return;
-    }
-    nodes_[static_cast<std::size_t>(pid)]->deliver(m);
+  std::uint32_t slot = mail_.put(std::move(m));
+  engine_.schedule_after(lat, [this, slot] { deliver_task(mail_.take(slot)); });
+}
+
+void Cluster::after_compute(Node& node, double seconds,
+                            std::function<void()> fn) {
+  std::uint32_t slot =
+      continuations_.put({&node, node.incarnation(), std::move(fn)});
+  engine_.schedule_after(seconds, [this, slot] {
+    Continuation c = continuations_.take(slot);
+    // A kill or rollback in the meantime invalidates the continuation.
+    if (c.node->alive() && c.node->incarnation() == c.incarnation) c.fn();
   });
+}
+
+void Cluster::deliver_task(const Message& m) {
+  --in_flight_.at(static_cast<std::size_t>(m.dst_replica));
+  // Traffic from an abandoned timeline (pre-rollback) is dropped.
+  if (m.app_epoch != app_epoch_.at(static_cast<std::size_t>(m.dst_replica))) {
+    ++net_counters_.stale_epoch_drops;
+    trace_.record(engine_.now(), TraceKind::StaleMessageDropped,
+                  m.dst_replica, m.dst.node_index);
+    return;
+  }
+  if (!deliver_to_role(m)) ++net_counters_.unmanned_drops;
+}
+
+bool Cluster::deliver_to_role(const Message& m) {
+  int pid = role_table_[static_cast<std::size_t>(m.dst_replica)]
+                       [static_cast<std::size_t>(m.dst.node_index)];
+  if (pid < 0) return false;  // role unmanned: the message disappears
+  nodes_[static_cast<std::size_t>(pid)]->deliver(m);
+  return true;
 }
 
 void Cluster::send_service(int src_replica, int src_node, int dst_replica,
@@ -250,14 +265,9 @@ void Cluster::send_service(int src_replica, int src_node, int dst_replica,
   // cluster (the reliable layer's per-link FIFO would hold small frames
   // behind bulk ones, perturbing timing even with zero faults).
   double lat = service_latency(src_replica != dst_replica, wire);
-  engine_.schedule_after(
-      lat,
-      [this, m = std::move(m)]() mutable {
-        int pid = role_table_[static_cast<std::size_t>(m.dst_replica)]
-                             [static_cast<std::size_t>(m.dst.node_index)];
-        if (pid < 0) return;
-        nodes_[static_cast<std::size_t>(pid)]->deliver(m);
-      });
+  std::uint32_t slot = mail_.put(std::move(m));
+  engine_.schedule_after(lat,
+                         [this, slot] { deliver_to_role(mail_.take(slot)); });
 }
 
 void Cluster::send_to_manager(int src_replica, int src_node, int tag,
@@ -277,8 +287,8 @@ void Cluster::send_to_manager(int src_replica, int src_node, int tag,
     return;
   }
   double lat = service_latency(false, wire);
-  engine_.schedule_after(
-      lat, [this, m = std::move(m)]() { manager_hook_(m); });
+  std::uint32_t slot = mail_.put(std::move(m));
+  engine_.schedule_after(lat, [this, slot] { manager_hook_(mail_.take(slot)); });
 }
 
 void Cluster::send_from_manager(int dst_replica, int dst_node, int tag,
@@ -528,6 +538,9 @@ void Cluster::route_reliable(int src_endpoint, int dst_endpoint, Message m,
   w.latency = service_latency(inter, wire_bytes);
   w.crc = checksum::buffer_crc32c(m.payload);
   w.m = std::move(m);
+  // The frame may wait out several retransmit timeouts: park a copy of its
+  // payload rather than pin the arena shared by neighbouring payloads.
+  w.m.payload = buf::Buffer::copy_of(w.m.payload.bytes());
   outbox_ = std::move(w);
   transport_.send(link, outbox_->latency);
   ACR_REQUIRE(!outbox_, "transmit hook must consume the outbox");
@@ -612,10 +625,7 @@ void Cluster::dispatch_frame(net::LinkKey link,
     manager_hook_(m);
     return;
   }
-  int pid = role_table_[static_cast<std::size_t>(m.dst_replica)]
-                       [static_cast<std::size_t>(m.dst.node_index)];
-  if (pid < 0) return;
-  nodes_[static_cast<std::size_t>(pid)]->deliver(m);
+  deliver_to_role(m);
 }
 
 void Cluster::purge_rx(int endpoint) {

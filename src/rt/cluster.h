@@ -21,6 +21,7 @@
 #include "rt/engine.h"
 #include "rt/message.h"
 #include "rt/node.h"
+#include "rt/slot_pool.h"
 #include "topology/mapping.h"
 
 namespace acr::rt {
@@ -382,6 +383,16 @@ class Cluster {
   /// Drop receiver-side stashed frames on links touching a reset endpoint.
   void purge_rx(int endpoint);
 
+  /// Run `fn` after `seconds` of virtual compute on `node`, unless the node
+  /// dies or restores (its incarnation moves) in between.
+  void after_compute(Node& node, double seconds, std::function<void()> fn);
+  /// Hand a task message that reached its destination to the node playing
+  /// the role, unless its epoch is stale or the role is unmanned.
+  void deliver_task(const Message& m);
+  /// Hand `m` to the node playing its destination role. False (and the
+  /// message disappears) when the role is unmanned.
+  bool deliver_to_role(const Message& m);
+
   /// Kill one physical node (resetting its role endpoint if it plays one)
   /// and cascade to any lodgers riding its hardware.
   void kill_pid(int pid);
@@ -413,6 +424,18 @@ class Cluster {
   std::vector<std::uint64_t> app_epoch_{0, 0};
   Pcg32 jitter_rng_;
   ManagerHook manager_hook_;
+  /// A task's after_compute continuation, with the node incarnation that
+  /// scheduled it.
+  struct Continuation {
+    Node* node = nullptr;
+    std::uint64_t incarnation = 0;
+    std::function<void()> fn;
+  };
+  // Values waiting on an engine event, parked so the event's closure holds
+  // only a slot index: messages on a perfect wire until delivery, compute
+  // continuations until their virtual compute time has passed.
+  SlotPool<Message> mail_;
+  SlotPool<Continuation> continuations_;
 
   failure::NetFaultInjector net_injector_;
   net::ReliableTransport transport_;

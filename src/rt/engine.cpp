@@ -11,55 +11,71 @@ Engine::EventId Engine::schedule_at(double time, Handler fn) {
   // meaningless as virtual times. Reject both loudly.
   ACR_REQUIRE(std::isfinite(time), "event time must be finite");
   ACR_REQUIRE(time >= now_, "cannot schedule in the past");
-  EventId id = next_id_++;
-  heap_.push_back(Event{time, id, std::move(fn)});
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
+  ACR_REQUIRE(next_seq_ >> (64 - kSlotBits) == 0, "event ids exhausted");
+  ACR_REQUIRE(slots_.used() <= kSlotMask, "too many pending events");
+  std::uint32_t slot = slots_.put(Slot{0, std::move(fn)});
+  EventId id = (next_seq_++ << kSlotBits) | slot;
+  slots_[slot].id = id;
+  push_key(Key{time, id});
   return id;
 }
 
-Engine::Event Engine::pop_event() {
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  Event ev = std::move(heap_.back());
-  heap_.pop_back();
-  return ev;
-}
-
 void Engine::cancel(EventId id) {
-  if (id == 0 || id >= next_id_) return;  // never issued
-  cancelled_.insert(id);
-  // Ids of already-fired events accumulate here (watchdogs cancel stale
-  // timers long after they fired). Sweep once the backlog clearly exceeds
-  // what the pending set could account for.
-  if (cancelled_.size() > kCancelPruneMinBacklog &&
-      cancelled_.size() > kCancelPruneSlackFactor * pending())
-    prune_cancelled();
+  std::size_t slot = id & kSlotMask;
+  if (id >> kSlotBits == 0 || slot >= slots_.used() || slots_[slot].id != id)
+    return;  // never issued, already fired, or already cancelled
+  vacate(slot);
 }
 
-void Engine::prune_cancelled() {
-  std::unordered_set<EventId> live;
-  // Reserve-exact: a survivor must be both tracked and pending, so the
-  // smaller of the two counts bounds the result (cancelled_.size() alone
-  // over-reserved by the whole fired-id backlog being pruned away).
-  live.reserve(std::min(cancelled_.size(), pending()));
-  for (const Event& ev : heap_)
-    if (cancelled_.count(ev.id) > 0) live.insert(ev.id);
-  cancelled_ = std::move(live);
+void Engine::push_key(Key k) {
+  std::size_t i = heap_.size();
+  heap_.push_back(k);
+  while (i > 0) {
+    std::size_t parent = (i - 1) / kArity;
+    if (!before(k, heap_[parent])) break;
+    heap_[i] = heap_[parent];
+    i = parent;
+  }
+  heap_[i] = k;
+}
+
+Engine::Key Engine::pop_key() {
+  Key top = heap_.front();
+  Key last = heap_.back();
+  heap_.pop_back();
+  std::size_t n = heap_.size();
+  std::size_t i = 0;
+  for (std::size_t first = 1; first < n; first = kArity * i + 1) {
+    std::size_t best = first;
+    for (std::size_t c = first + 1; c < std::min(first + kArity, n); ++c)
+      if (before(heap_[c], heap_[best])) best = c;
+    if (!before(heap_[best], last)) break;
+    heap_[i] = heap_[best];
+    i = best;
+  }
+  if (n > 0) heap_[i] = last;
+  return top;
+}
+
+bool Engine::live_front() {
+  while (!heap_.empty() &&
+         slots_[heap_.front().id & kSlotMask].id != heap_.front().id)
+    pop_key();  // cancelled: its slot no longer names it
+  return !heap_.empty();
 }
 
 bool Engine::step() {
-  while (!heap_.empty()) {
-    Event ev = pop_event();
-    auto it = cancelled_.find(ev.id);
-    if (it != cancelled_.end()) {
-      cancelled_.erase(it);
-      continue;
-    }
-    now_ = ev.time;
-    ++processed_;
-    ev.fn();
-    return true;
-  }
-  return false;
+  if (!live_front()) return false;
+  Key k = pop_key();
+  // Take the handler out first: it may schedule events that reuse the
+  // slot. Meanwhile, start fetching the next event's slot.
+  Handler fn = vacate(k.id & kSlotMask);
+  if (!heap_.empty())
+    __builtin_prefetch(&slots_[heap_.front().id & kSlotMask]);
+  now_ = k.time;
+  ++processed_;
+  fn();
+  return true;
 }
 
 void Engine::run() {
@@ -70,18 +86,8 @@ void Engine::run() {
 std::size_t Engine::run_until(double t) {
   ACR_REQUIRE(t >= now_, "cannot run backwards");
   std::size_t fired = 0;
-  while (!heap_.empty()) {
-    // Drop cancelled events first so the heap front is a live event and
-    // step() cannot skip past `t` to a later one.
-    auto it = cancelled_.find(heap_.front().id);
-    if (it != cancelled_.end()) {
-      cancelled_.erase(it);
-      pop_event();
-      continue;
-    }
-    if (heap_.front().time > t) break;
-    if (step()) ++fired;
-  }
+  // Cancelled keys go first, so step() cannot skip past `t` to a later one.
+  for (; live_front() && heap_.front().time <= t; ++fired) step();
   now_ = t;
   return fired;
 }

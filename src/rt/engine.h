@@ -1,27 +1,30 @@
-// Deterministic virtual-time event engine: one binary min-heap.
+// Deterministic virtual-time event engine (§16 of DESIGN.md).
 //
 // The tasklet runtime executes *real* application code (real arrays, real
 // serialization, real bit flips) but advances a virtual clock through
 // discrete events, so a "30-minute, 512-core" experiment (Fig. 12) runs in
-// seconds of wall time and is bit-for-bit reproducible. Ties in event time
-// are broken by insertion order: EventIds increase strictly and are never
-// recycled (cancellation included), so equal-deadline events — notably the
-// reliable transport's retransmit timers, which all land on identical
-// deadlines when several frames are sent from one event — fire in the exact
-// order they were scheduled, on every platform, on every run.
+// seconds of wall time and is bit-for-bit reproducible.
 //
-// Handlers run one at a time, in global (time, id) order (§16 of
-// DESIGN.md): they mutate shared protocol state (trace log, in-flight
-// counters, the jitter RNG stream), so serialized dispatch *is* the
-// determinism contract.
+// A 4-ary min-heap of 16-byte {time, id} keys sits over a slab of handler
+// slots; sifts move keys, never closures. An EventId is a strictly
+// increasing sequence number in the high bits and the event's slot in the
+// low kSlotBits, so (time, id) order is (time, sequence) order: ties fire
+// in scheduling order, on every platform, on every run. Ids are never
+// reissued. Cancellation is a generation check: a slot records its
+// occupant's id, cancel() frees it only on a match, and a popped key whose
+// slot no longer names it is dropped. Cancelling a fired id stores nothing.
+//
+// Handlers run one at a time, in global (time, id) order: they mutate
+// shared protocol state (trace log, in-flight counters, the jitter RNG
+// stream), so serialized dispatch *is* the determinism contract.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <unordered_set>
 #include <vector>
 
 #include "common/require.h"
+#include "rt/slot_pool.h"
 
 namespace acr::rt {
 
@@ -30,15 +33,7 @@ class Engine {
   using Handler = std::function<void()>;
   using EventId = std::uint64_t;
 
-  /// cancel() sweeps the tracked-cancellation set once it exceeds
-  /// kCancelPruneMinBacklog ids AND kCancelPruneSlackFactor times the
-  /// pending-event count — below that, the set is provably bounded by the
-  /// ids a prune could not discard anyway.
-  static constexpr std::size_t kCancelPruneMinBacklog = 64;
-  static constexpr std::size_t kCancelPruneSlackFactor = 2;
-
   Engine() = default;
-
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
@@ -67,40 +62,36 @@ class Engine {
   std::size_t run_until(double t);
 
   std::size_t events_processed() const { return processed_; }
+  /// Keys in the heap, including cancelled events not yet dropped.
   std::size_t pending() const { return heap_.size(); }
-  /// Cancelled ids still being tracked (bounded; see prune_cancelled).
-  std::size_t cancelled_backlog() const { return cancelled_.size(); }
+  /// Handler slots ever used; never more than the peak of pending().
+  std::size_t slot_capacity() const { return slots_.used(); }
 
  private:
-  struct Event {
-    double time;
-    EventId id;
-    Handler fn;
-  };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.id > b.id;  // FIFO among ties
-    }
-  };
+  static constexpr int kSlotBits = 24;
+  static constexpr EventId kSlotMask = (EventId{1} << kSlotBits) - 1;
+  static constexpr std::size_t kArity = 4;
 
-  /// Pop the earliest event off the heap, MOVING it out (std::pop_heap
-  /// rotates it to the back, where it is not const like priority_queue's
-  /// top()). Handlers — and any checkpoint Buffers their closures hold —
-  /// are never copied on the hot dispatch path.
-  Event pop_event();
+  struct Key { double time; EventId id; };
+  struct Slot { EventId id = 0; Handler fn; };  ///< id: occupant's, 0 if free
 
-  /// Drop tracked cancellations that no pending event matches: their event
-  /// already fired (or never existed), so they can never be observed again.
-  /// Keeps cancelled_ bounded by the pending-event count even when callers
-  /// cancel() already-fired timer ids forever. O(pending), reserve-exact.
-  void prune_cancelled();
+  static bool before(const Key& a, const Key& b) {
+    return a.time < b.time || (a.time == b.time && a.id < b.id);
+  }
+  /// Drop cancelled keys off the heap front; true if a live event is left.
+  bool live_front();
+  /// Free a live event's slot and hand back its handler.
+  Handler vacate(std::size_t slot) {
+    slots_[slot].id = 0;
+    return slots_.take(static_cast<std::uint32_t>(slot)).fn;
+  }
+  void push_key(Key k);
+  Key pop_key();
 
-  // Binary min-heap over Event (std::push_heap/pop_heap with Later).
-  std::vector<Event> heap_;
-  std::unordered_set<EventId> cancelled_;
+  std::vector<Key> heap_;
+  SlotPool<Slot> slots_;
   double now_ = 0.0;
-  EventId next_id_ = 1;
+  EventId next_seq_ = 1;
   std::size_t processed_ = 0;
 };
 

@@ -58,19 +58,27 @@ struct Message {
   }
 };
 
-/// Builder used by pack_payload. Thread-local so consecutive payload packs
-/// recycle arenas once the in-flight messages holding them are delivered.
+/// Builder used by pack_payload, in slice mode: consecutive payloads share
+/// an arena, freed once the messages holding its slices are delivered.
+/// Thread-local so concurrent engines never share one.
 inline buf::BufferBuilder& payload_builder() {
   thread_local buf::BufferBuilder builder;
   return builder;
 }
 
-/// Encode a pup-able value as a message payload.
+/// Encode a pup-able value as a message payload: a slice of an arena shared
+/// with the payloads packed around it, sized first so the bytes go into
+/// room reserved once. A payload kept long after delivery would keep its
+/// whole arena alive; copy it out instead (see Cluster::route_reliable).
 template <typename T>
 buf::Buffer pack_payload(T& value) {
-  pup::Packer p(payload_builder());
+  pup::Sizer sizer;
+  sizer | value;
+  buf::BufferBuilder& builder = payload_builder();
+  builder.reserve_slice(sizer.size());
+  pup::Packer p(builder);
   p | value;
-  return p.take_buffer();
+  return builder.take_slice();
 }
 
 /// Decode a payload produced by pack_payload.

@@ -18,14 +18,7 @@ class NodeTaskContext final : public TaskContext {
 
   void after_compute(double seconds, std::function<void()> fn) override {
     if (!node_.alive()) return;
-    std::uint64_t inc = node_.incarnation();
-    Node* node = &node_;
-    node_.cluster().engine().schedule_after(
-        seconds,
-        [node, inc, fn = std::move(fn)]() {
-          // A kill or rollback in the meantime invalidates the continuation.
-          if (node->alive() && node->incarnation() == inc) fn();
-        });
+    node_.cluster().after_compute(node_, seconds, std::move(fn));
   }
 
   void notify_done() override {

@@ -1,11 +1,15 @@
 // Virtual-time event engine tests: (time, id) dispatch order, cancellation,
-// run_until boundaries and the cancelled-id backlog bound.
+// run_until boundaries, the handler-slab bound, and a reference model.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
+#include <string>
+#include <vector>
 
+#include "common/rng.h"
 #include "rt/engine.h"
 
 namespace acr::rt {
@@ -235,54 +239,217 @@ TEST(Engine, RunUntilEmptyQueueFastPath) {
 }
 
 TEST(Engine, CancelBacklogStaysBoundedForFiredIds) {
-  // Watchdogs cancel() timer ids that often fired long ago. The tracked-id
-  // set must not grow without bound over a long run.
+  // Watchdogs cancel() timer ids that often fired long ago. Such a cancel
+  // must store nothing, and the handler slab never holds more slots than
+  // the queue's peak pending count.
   Engine e;
   std::vector<Engine::EventId> ids;
   for (int i = 0; i < 500; ++i)
     ids.push_back(e.schedule_at(static_cast<double>(i), [] {}));
+  std::size_t peak = e.pending();
   e.run();  // everything fires; all these ids are now stale
+  std::size_t slots = e.slot_capacity();
+  EXPECT_LE(slots, peak);
   for (Engine::EventId id : ids) e.cancel(id);
-  EXPECT_LE(e.cancelled_backlog(), 65u);  // pruned against empty queue
+  EXPECT_EQ(e.slot_capacity(), slots);
+  EXPECT_EQ(e.pending(), 0u);
 
-  // Cancellation of genuinely pending events still works after pruning.
-  bool fired = false;
-  auto pending = e.schedule_after(1.0, [&] { fired = true; });
+  // Cancellation of genuinely pending events still works, and stale ids
+  // whose slots the new events reuse leave those events alone.
+  bool cancelled_fired = false;
+  bool survivor_fired = false;
+  auto doomed = e.schedule_after(1.0, [&] { cancelled_fired = true; });
+  e.schedule_after(1.0, [&] { survivor_fired = true; });
   for (Engine::EventId id : ids) e.cancel(id);  // more stale churn
-  e.cancel(pending);
+  e.cancel(doomed);
   e.run();
-  EXPECT_FALSE(fired);
+  EXPECT_FALSE(cancelled_fired);
+  EXPECT_TRUE(survivor_fired);
+  EXPECT_EQ(e.slot_capacity(), slots);  // both events reused freed slots
 }
 
 TEST(Engine, CancelAfterFireHammerHoldsTheDocumentedBound) {
   // Adversarial interleaving: keep a live pending population while
-  // relentlessly cancelling ids that already fired. After every cancel the
-  // backlog must respect the prune heuristic's own constants — it may
-  // exceed the slack-factor line only until the next cancel crosses it.
+  // relentlessly cancelling ids that already fired. Those cancels change
+  // nothing — not the slab, not the queue — and the slab never holds more
+  // slots than the peak pending count.
   Engine e;
   std::vector<Engine::EventId> fired_ids;
   std::vector<Engine::EventId> live_ids;
+  std::size_t peak = 0;
   double t = 0.0;
   for (int round = 0; round < 40; ++round) {
     for (int i = 0; i < 25; ++i)
       fired_ids.push_back(e.schedule_at(t + 0.1 + i * 0.01, [] {}));
-    // A standing population of far-future events keeps pending() > 0 so
-    // prunes cannot rely on the empty-queue degenerate case.
+    // A standing population of far-future events keeps pending() > 0.
     for (int i = 0; i < 5; ++i)
       live_ids.push_back(e.schedule_at(t + 1000.0, [] {}));
+    peak = std::max(peak, e.pending());
     t += 1.0;
     e.run_until(t);  // the 25 near events fire; the far ones stay pending
+    std::size_t slots = e.slot_capacity();
+    std::size_t pending = e.pending();
     for (Engine::EventId id : fired_ids) e.cancel(id);  // all stale now
-    std::size_t bound =
-        std::max(Engine::kCancelPruneMinBacklog,
-                 Engine::kCancelPruneSlackFactor * e.pending()) +
-        1;  // +1: the cancel that crosses the line is counted before pruning
-    EXPECT_LE(e.cancelled_backlog(), bound) << "round " << round;
+    EXPECT_EQ(e.slot_capacity(), slots) << "round " << round;
+    EXPECT_EQ(e.pending(), pending) << "round " << round;
+    EXPECT_LE(e.slot_capacity(), peak) << "round " << round;
   }
   // The far-future population was never cancelled: it must all still fire.
   std::size_t before = e.events_processed();
   e.run();
   EXPECT_EQ(e.events_processed() - before, live_ids.size());
+}
+
+// Reference model for EngineModel: an unsorted list scanned for the
+// earliest (time, sequence) entry on every step. Same API as Engine.
+class NaiveQueue {
+ public:
+  using EventId = std::uint64_t;
+
+  double now() const { return now_; }
+  std::size_t events_processed() const { return processed_; }
+
+  EventId schedule_at(double time, std::function<void()> fn) {
+    events_.push_back({time, next_id_, std::move(fn)});
+    return next_id_++;
+  }
+  EventId schedule_after(double delay, std::function<void()> fn) {
+    return schedule_at(now_ + delay, std::move(fn));
+  }
+  void cancel(EventId id) {
+    std::erase_if(events_, [id](const Entry& e) { return e.id == id; });
+  }
+  bool step() {
+    if (events_.empty()) return false;
+    auto it = earliest();
+    Entry e = std::move(*it);
+    events_.erase(it);
+    now_ = e.time;
+    ++processed_;
+    e.fn();
+    return true;
+  }
+  void run() {
+    while (step()) {
+    }
+  }
+  std::size_t run_until(double t) {
+    std::size_t fired = 0;
+    for (auto it = earliest(); it != events_.end() && it->time <= t;
+         it = earliest()) {
+      step();
+      ++fired;
+    }
+    now_ = t;
+    return fired;
+  }
+
+ private:
+  struct Entry {
+    double time;
+    EventId id;
+    std::function<void()> fn;
+  };
+  std::vector<Entry>::iterator earliest() {
+    return std::min_element(
+        events_.begin(), events_.end(), [](const Entry& a, const Entry& b) {
+          return a.time < b.time || (a.time == b.time && a.id < b.id);
+        });
+  }
+  std::vector<Entry> events_;
+  double now_ = 0.0;
+  EventId next_id_ = 1;
+  std::size_t processed_ = 0;
+};
+
+/// Drives a queue through one seeded interleaving of schedule_at,
+/// schedule_after, cancel (of pending, fired, cancelled and reused-slot
+/// ids), step, run_until, and handlers that schedule and cancel more.
+/// Everything the queue does is logged; two queues that implement the same
+/// ordering produce the same log.
+template <typename Queue>
+struct Interleaving {
+  Queue q;
+  std::vector<typename Queue::EventId> ids;  ///< by label
+  std::vector<std::string> log;
+
+  // Deadlines on a coarse grid so that ties are common.
+  static double delay(std::uint32_t r) { return 0.25 * (r % 5); }
+
+  void schedule(double time) {
+    int label = static_cast<int>(ids.size());
+    ids.push_back(q.schedule_at(time, [this, label] { fire(label); }));
+  }
+  void fire(int label) {
+    log.push_back("fire " + std::to_string(label) + " @" +
+                  std::to_string(q.now()));
+    // Handler behaviour is a pure function of the label.
+    std::uint32_t h = static_cast<std::uint32_t>(label) * 2654435761u;
+    if (h % 3 == 0) schedule(q.now() + delay(h >> 8));
+    if (h % 7 == 0 && label > 0) q.cancel(ids[(h >> 4) % ids.size()]);
+  }
+  void play(std::uint64_t seed) {
+    Pcg32 rng(seed, 17);
+    for (int op = 0; op < 120; ++op) {
+      std::uint32_t r = rng.next();
+      switch (r % 8) {
+        case 0:
+        case 1:
+          schedule(q.now() + delay(r >> 8));
+          break;
+        case 2: {
+          int label = static_cast<int>(ids.size());
+          ids.push_back(q.schedule_after(delay(r >> 8),
+                                         [this, label] { fire(label); }));
+          break;
+        }
+        case 3:
+        case 4:
+          if (!ids.empty()) q.cancel(ids[(r >> 8) % ids.size()]);
+          break;
+        case 5:
+          log.push_back("step " + std::to_string(q.step()));
+          break;
+        case 6: {
+          std::size_t n = q.run_until(q.now() + delay(r >> 8));
+          log.push_back("until " + std::to_string(n));
+          break;
+        }
+        case 7:  // ids never issued: 0 and one past the newest
+          q.cancel(0);
+          if (!ids.empty()) q.cancel(ids.back() + 1);
+          break;
+      }
+    }
+    q.run();
+    log.push_back("processed " + std::to_string(q.events_processed()) +
+                  " now " + std::to_string(q.now()));
+  }
+};
+
+TEST(EngineModel, MatchesNaiveQueue) {
+  // Cancelling an id that already fired, after a new event took over its
+  // slot, must leave the new occupant alone.
+  {
+    Engine e;
+    bool second_fired = false;
+    Engine::EventId first = e.schedule_at(1.0, [] {});
+    e.run();
+    e.schedule_at(2.0, [&] { second_fired = true; });
+    EXPECT_EQ(e.slot_capacity(), 1u);  // the second event reused the slot
+    e.cancel(first);
+    e.run();
+    EXPECT_TRUE(second_fired);
+  }
+  // Random interleavings against the reference model.
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    Interleaving<Engine> engine;
+    Interleaving<NaiveQueue> model;
+    engine.play(seed);
+    model.play(seed);
+    ASSERT_EQ(engine.log, model.log) << "seed " << seed;
+    ASSERT_EQ(engine.q.events_processed(), model.q.events_processed());
+  }
 }
 
 }  // namespace
