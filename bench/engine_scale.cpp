@@ -16,7 +16,9 @@
 // is a running maximum: the live points run first, smallest first, so each
 // figure is its own job's peak unless an earlier, smaller job left more.
 // Event counts and digests are pinned: a change to either means the
-// (time, id) dispatch order or the simulated answer moved.
+// (time, id) dispatch order or the simulated answer moved. Each live point
+// also has a peak-RSS ceiling, about 10% over what it needs, so a
+// footprint regression fails the bench too.
 //
 // Wall time is honest wall clock on whatever host runs the bench; host_cores
 // is recorded in the JSON so trajectories from different machines are not
@@ -183,6 +185,7 @@ int main() {
     int nodes;
     std::size_t events;
     std::uint64_t digest;
+    double rss_ceiling_mb = 0.0;  ///< live points only
   };
   const Expected phold[] = {
       {1024, 14001, 0x23372c34b404eda9ULL},
@@ -190,9 +193,9 @@ int main() {
       {131072, 1791370, 0x6ba04d537e784412ULL},
   };
   const Expected live[] = {
-      {1024, 509777, 0x42e957d39530ecf4ULL},
-      {4096, 2039633, 0x8d290bc397e96db6ULL},
-      {16384, 8290125, 0x10316c9215db6cc6ULL},
+      {1024, 509777, 0x42e957d39530ecf4ULL, 70.0},
+      {4096, 2039633, 0x8d290bc397e96db6ULL, 250.0},
+      {16384, 8290125, 0x10316c9215db6cc6ULL, 1000.0},
   };
   unsigned cores = std::thread::hardware_concurrency();
 
@@ -203,6 +206,7 @@ int main() {
     double wall, events_per_s, peak_rss_mb;
   };
   bool deterministic = true;
+  bool footprint_ok = true;
   auto record = [&](const Expected& e, std::vector<Point>& points,
                     std::size_t events, std::uint64_t digest, double wall,
                     double rss) {
@@ -232,6 +236,12 @@ int main() {
       std::printf("live job at nodes=%d did not complete\n", e.nodes);
     }
     record(e, live_points, r.events, r.digest, r.wall_seconds, r.peak_rss_mb);
+    if (r.peak_rss_mb > e.rss_ceiling_mb) {
+      footprint_ok = false;
+      std::printf("FOOTPRINT REGRESSION at nodes=%d: peak RSS %.1f MB, "
+                  "ceiling %.1f MB\n",
+                  e.nodes, r.peak_rss_mb, e.rss_ceiling_mb);
+    }
   }
 
   std::printf("\nPHOLD ring, %d events/node\n\n", kEventsPerNode);
@@ -276,5 +286,5 @@ int main() {
     std::fclose(out);
     std::printf("wrote BENCH_engine.json\n");
   }
-  return deterministic ? 0 : 1;
+  return deterministic && footprint_ok ? 0 : 1;
 }

@@ -183,10 +183,11 @@ void NodeAgent::quash_restores_through(std::uint64_t barrier) {
 
 void NodeAgent::heartbeat_tick() {
   if (!node_.alive()) return;
+  // One payload for every peer: the messages share its (immutable) bytes.
   wire::EpochMsg beat{epoch_};
+  buf::Buffer payload = rt::pack_payload(beat);
   for (const Peer& p : peers_)
-    send_to_agent(p.replica, p.node_index, wire::kHeartbeat,
-                  rt::pack_payload(beat));
+    send_to_agent(p.replica, p.node_index, wire::kHeartbeat, payload);
   std::uint64_t inc = heartbeat_incarnation_;
   env_.cluster->engine().schedule_after(
       env_.config->heartbeat_period, [this, inc]() {
@@ -750,6 +751,11 @@ void NodeAgent::maybe_compare() {
     pup::CompareResult r = pup::compare_streams(
         store_.candidate().image.bytes(), remote_image_.bytes(),
         env_.config->checker);
+    // A candidate equal to the buddy's image byte for byte (not merely
+    // within the checker's tolerance) drops its own copy for the buddy's
+    // buffer: the arena returns to the node's pack builder, and the epoch,
+    // once committed, is held once per index.
+    if (r.match) store_.share_candidate(remote_image_);
     finish_local_verdict(r.match);
   });
 }

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -57,10 +58,9 @@ class Jacobi3DTask final : public IterativeTask {
   /// Residual-style digest of the current solution (tests).
   double solution_norm() const;
 
-  /// Direct access to an interior grid value (i,j,k in local block
-  /// coordinates). Used by tests and examples to plant deterministic
-  /// silent corruption in data that is guaranteed to be checkpointed and
-  /// to propagate.
+  /// Direct access to a grid value (i,j,k in local block coordinates,
+  /// -1 and block_* address the ghost shell). Used by tests and examples
+  /// to plant deterministic silent corruption in checkpointed data.
   double& value_at(int i, int j, int k) { return u_[idx(i, j, k)]; }
 
  protected:
@@ -79,6 +79,13 @@ class Jacobi3DTask final : public IterativeTask {
 
   int neighbor_task(int face) const;  ///< -1 at the domain boundary
   void zero_ghost_planes();
+  /// Visit the 12 ghost edges and 8 corners as f(n, idx), n = 0, 1, ...
+  template <typename F>
+  void for_each_edge_cell(F&& f) const;
+  /// After the stencil's output block became u_: give u_ the parked edge
+  /// cells and park those of `old` (the block just swapped out), leaving
+  /// `old`'s edges zero for its next use as the stencil's output.
+  void rotate_edges(std::vector<double>& old);
   /// The boundary plane on `face`, copied into a scratch buffer shared by
   /// the thread's tasks; valid until the next call.
   std::span<const double> extract_face(int face) const;
@@ -96,8 +103,10 @@ class Jacobi3DTask final : public IterativeTask {
   int tx_, ty_, tz_;  ///< position in the task grid
   std::array<int, 6> neighbors_{};  ///< neighbor_task(face), fixed
   int num_neighbors_ = 0;           ///< faces with a neighbor
-  std::vector<double> u_;      ///< solution with ghosts (checkpointed)
-  std::vector<double> u_new_;  ///< scratch (not checkpointed)
+  std::vector<double> u_;  ///< solution with ghosts (checkpointed)
+  /// Edge and corner cells of the previous block, which come back into u_
+  /// on the next compute (DESIGN §16); empty while all are +0.0.
+  std::vector<double> parked_edges_;
 };
 
 }  // namespace acr::apps

@@ -12,6 +12,13 @@ void Store::stage_candidate(std::uint64_t epoch, std::uint64_t iteration,
   candidate_.image = std::move(image);
 }
 
+bool Store::share_candidate(const buf::Buffer& twin) {
+  if (!candidate_.valid || !candidate_.image.buffer().content_equals(twin))
+    return false;
+  candidate_.image = pup::Checkpoint(twin);
+  return true;
+}
+
 PromoteResult Store::promote(std::uint64_t epoch) {
   if (!candidate_.valid) return PromoteResult::NoCandidate;
   if (candidate_.epoch != epoch) return PromoteResult::EpochMismatch;

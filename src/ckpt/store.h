@@ -41,6 +41,13 @@ class Store {
   /// Drop the candidate (consensus aborted, rollback, or restore).
   void discard_candidate() { candidate_ = Image{}; }
 
+  /// Let the candidate hold `twin` instead of its own bytes when the two
+  /// are byte-identical (Buffer::content_equals), so an epoch both
+  /// replicas verified is held once. Stored images are never written in
+  /// place (Buffer::mutable_bytes is copy-on-write), so sharing is safe.
+  /// Returns whether the candidate now aliases `twin`.
+  bool share_candidate(const buf::Buffer& twin);
+
   /// Commit verdict for `epoch`: promote the candidate to verified iff it
   /// is valid and belongs to that epoch. A duplicated commit is harmless
   /// (NoCandidate — the slot emptied on the first promotion); a commit for

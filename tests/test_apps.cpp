@@ -4,6 +4,9 @@
 // and failure recovery reproduces the failure-free result.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <memory>
+
 #include "acr/runtime.h"
 #include "apps/hpccg.h"
 #include "apps/jacobi3d.h"
@@ -12,6 +15,8 @@
 #include "apps/minimd.h"
 #include "apps/table2.h"
 #include "checksum/fletcher.h"
+#include "rt/cluster.h"
+#include "rt/engine.h"
 
 namespace acr::apps {
 namespace {
@@ -280,6 +285,186 @@ TEST(Jacobi, PupRoundTripPreservesTask) {
   twin.pup(pb);
   pup::Checkpoint ca = pa.take(), cb = pb.take();
   EXPECT_TRUE(pup::compare_checkpoints(ca, cb).match);
+}
+
+// --- Ghost edges and corners -------------------------------------------------
+// The stencil and the halos never touch a block's 12 ghost edges and 8
+// corners, but they are checkpointed and the SDC injector can flip them. A
+// flip there shows in every other checkpoint (the task's state alternated
+// between two blocks) and is dropped by a restore. One stencil block per
+// task keeps exactly that.
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// One jacobi task per replica on a bare cluster (no ACR, no neighbors).
+/// Its stencil pass runs in the event that completes the previous
+/// iteration, so every completed iteration is one more pass.
+class LoneJacobi {
+ public:
+  explicit LoneJacobi(int bx = 4, int by = 4, int bz = 4) {
+    cfg_.tasks_x = cfg_.tasks_y = cfg_.tasks_z = 1;
+    cfg_.block_x = bx;
+    cfg_.block_y = by;
+    cfg_.block_z = bz;
+    cfg_.slots_per_node = 1;
+    cfg_.iterations = 64;
+    cfg_.seconds_per_point = 1e-5;
+    rt::ClusterConfig cc;
+    cc.nodes_per_replica = 1;
+    cc.spare_nodes = 0;
+    cluster_ = std::make_unique<rt::Cluster>(engine_, cc);
+    cluster_->set_task_factory(cfg_.factory());
+    cluster_->populate();
+    cluster_->start_application();
+    engine_.run_until(0.0);  // on_start: init and the first pass
+  }
+
+  Jacobi3DTask& task(int replica = 0) {
+    return static_cast<Jacobi3DTask&>(cluster_->node_at(replica, 0).task(0));
+  }
+
+  /// Run until both replicas' tasks have made one more stencil pass.
+  void pass() {
+    std::uint64_t done = task(0).progress();
+    while (task(0).progress() == done || task(1).progress() == done)
+      ASSERT_TRUE(engine_.step());
+  }
+
+  /// Bits of cell (i,j,k) in the task's packed image.
+  std::uint64_t packed(int i, int j, int k, int replica = 0) {
+    pup::Checkpoint image = pup::make_checkpoint(task(replica));
+    Jacobi3DTask twin(cfg_, 0);
+    pup::restore_checkpoint(twin, image);
+    return bits(twin.value_at(i, j, k));
+  }
+
+  /// Whether every ghost edge and corner cell of the packed image is +0.0.
+  bool edges_zero(int replica) {
+    const Jacobi3DConfig& c = cfg_;
+    for (int k = -1; k <= c.block_z; ++k)
+      for (int j = -1; j <= c.block_y; ++j)
+        for (int i = -1; i <= c.block_x; ++i) {
+          int ghosts = (i < 0 || i == c.block_x) + (j < 0 || j == c.block_y) +
+                       (k < 0 || k == c.block_z);
+          if (ghosts >= 2 && packed(i, j, k, replica) != 0) return false;
+        }
+    return true;
+  }
+
+  /// Pack and unpack the live task, as the SDC injector and a restore do.
+  void round_trip() {
+    pup::restore_checkpoint(task(), pup::make_checkpoint(task()));
+  }
+
+ private:
+  Jacobi3DConfig cfg_;
+  rt::Engine engine_;
+  std::unique_ptr<rt::Cluster> cluster_;
+};
+
+TEST(JacobiEdges, FlipShowsInEveryOtherPackedImage) {
+  LoneJacobi job;
+  job.pass();
+  job.task().value_at(-1, -1, 2) = 0.75;  // an x-y ghost edge
+  job.task().value_at(-1, -1, -1) = -0.0;  // a corner, sign bit flipped
+  for (int pass = 0; pass < 6; ++pass) {
+    bool carried = pass % 2 == 0;
+    EXPECT_EQ(job.packed(-1, -1, 2), bits(carried ? 0.75 : 0.0)) << pass;
+    EXPECT_EQ(job.packed(-1, -1, -1), bits(carried ? -0.0 : 0.0)) << pass;
+    // Replica 1's task runs on the same thread and never sees the flip.
+    EXPECT_EQ(job.packed(-1, -1, 2, 1), 0u) << pass;
+    EXPECT_EQ(job.packed(-1, -1, -1, 1), 0u) << pass;
+    job.pass();
+  }
+  // The cells feed no stencil: the interiors stay bitwise equal.
+  EXPECT_EQ(bits(job.task(0).solution_norm()),
+            bits(job.task(1).solution_norm()));
+}
+
+TEST(JacobiEdges, UnpackDropsAParkedFlipAndKeepsALiveOne) {
+  LoneJacobi job;
+  job.pass();
+  job.task().value_at(-1, -1, 1) = 0.75;
+  job.pass();  // the flip is parked: out of the image for one pass
+  ASSERT_EQ(job.packed(-1, -1, 1), 0u);
+  job.round_trip();
+  for (int pass = 0; pass < 6; ++pass) {
+    EXPECT_EQ(job.packed(-1, -1, 1), 0u) << pass;
+    job.pass();
+  }
+  // A flip that is in the image when it is unpacked stays, and alternates.
+  job.task().value_at(-1, -1, 1) = 0.5;
+  job.round_trip();
+  for (int pass = 0; pass < 6; ++pass) {
+    EXPECT_EQ(job.packed(-1, -1, 1), bits(pass % 2 == 0 ? 0.5 : 0.0)) << pass;
+    job.pass();
+  }
+}
+
+TEST(JacobiEdges, StencilBlockFollowsTheBlockShape) {
+  // Equal sizes, different shapes: the edge cells of one are interior
+  // cells of the other, so the thread's output block must not carry over.
+  {
+    LoneJacobi tall(4, 4, 8);
+    for (int pass = 0; pass < 3; ++pass) tall.pass();
+  }
+  LoneJacobi wide(8, 4, 4);
+  for (int pass = 0; pass < 4; ++pass) {
+    EXPECT_TRUE(wide.edges_zero(0)) << pass;
+    EXPECT_TRUE(wide.edges_zero(1)) << pass;
+    wide.pass();
+  }
+}
+
+/// Fletcher-64 of every trace event: time, kind, replica, node, detail.
+std::uint64_t trace_digest(const rt::TraceLog& trace) {
+  checksum::Fletcher64 f;
+  for (const rt::TraceEvent& e : trace.events()) {
+    std::int64_t fields[4] = {
+        static_cast<std::int64_t>(bits(e.time)), static_cast<int>(e.kind),
+        e.replica, e.node_index};
+    f.append(std::as_bytes(std::span(fields)));
+    f.append(std::as_bytes(std::span(e.detail)));
+  }
+  return f.digest();
+}
+
+TEST(JacobiEdges, EdgeFlipRunMatchesItsPinnedTraceAndAnswer) {
+  // Strong scheme, full compare: flips in a ghost edge of one replica and
+  // a corner of the other alternate in and out of the checkpoints. The
+  // trace and the final state are pinned from the two-block implementation.
+  Jacobi3DConfig cfg;
+  cfg.tasks_x = cfg.tasks_y = cfg.tasks_z = 2;
+  cfg.block_x = cfg.block_y = cfg.block_z = 4;
+  cfg.iterations = 30;
+  cfg.slots_per_node = 2;
+  cfg.seconds_per_point = 1e-5;
+  rt::ClusterConfig cc;
+  cc.nodes_per_replica = cfg.nodes_needed();
+  cc.spare_nodes = 2;
+  AcrConfig ac = fast_acr();
+  ac.scheme = ResilienceScheme::Strong;
+  ac.detection = SdcDetection::FullCompare;
+  AcrRuntime runtime(ac, cc);
+  runtime.set_task_factory(cfg.factory());
+  runtime.setup();
+  runtime.engine().run_until(0.006);
+  auto task = [&](int replica, int node, int slot) -> Jacobi3DTask& {
+    return static_cast<Jacobi3DTask&>(
+        runtime.cluster().node_at(replica, node).task(slot));
+  };
+  task(0, 1, 0).value_at(-1, -1, 2) += 1.0;
+  task(1, 2, 1).value_at(4, 4, 4) = -0.0;
+  runtime.engine().run_until(0.011);
+  task(0, 3, 1).value_at(-1, 4, 1) += 2.0;
+  RunSummary s = runtime.run(100.0);
+  ASSERT_TRUE(s.complete);
+  runtime.engine().run_until(s.finish_time + 0.05);
+  EXPECT_EQ(runtime.trace().count(rt::TraceKind::SdcDetected), 1u);
+  EXPECT_EQ(runtime.trace().events().size(), 27u);
+  EXPECT_EQ(trace_digest(runtime.trace()), 11736798089075668368ULL);
+  EXPECT_EQ(replica_digest(runtime, 0), 11062454334138548338ULL);
+  EXPECT_EQ(replica_digest(runtime, 1), 11062454334138548338ULL);
 }
 
 TEST(Table2, SpecsAreConsistent) {

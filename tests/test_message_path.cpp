@@ -1,4 +1,4 @@
-// Heap allocations on the clean-network task-message path.
+// Heap allocations and resident bytes on the clean-network message path.
 //
 // This binary replaces the global operator new with a counting one, so it
 // lives apart from acr_tests. MessagePath.* runs an 8-node driver-shaped
@@ -6,7 +6,9 @@
 // checkpoint in the run) and counts every allocation made while the job
 // runs through a window of steady iterations. Everything in the window —
 // packing, flight, delivery, buffering, compute continuations, heartbeats —
-// is charged to the task messages delivered in it.
+// is charged to the task messages delivered in it. Footprint.* counts what
+// a jacobi task and the checkpoint stores keep (live bytes, image
+// storages): exact counts, not RSS, so they do not depend on the host.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -22,18 +24,32 @@
 
 namespace {
 
-// The tests drive one engine on one thread; a plain counter suffices.
+// The tests drive one engine on one thread; plain counters suffice.
 std::uint64_t g_allocations = 0;
+std::int64_t g_live_bytes = 0;
+
+// Every block carries its size in a header, so a delete knows what it
+// frees. The header keeps malloc's 16-byte alignment.
+constexpr std::size_t kHeader = 16;
 
 }  // namespace
 
 void* operator new(std::size_t n) {
   ++g_allocations;
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  if (void* p = std::malloc(n + kHeader)) {
+    *static_cast<std::size_t*>(p) = n;
+    g_live_bytes += static_cast<std::int64_t>(n);
+    return static_cast<char*>(p) + kHeader;
+  }
   throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept {
+  if (p == nullptr) return;
+  void* block = static_cast<char*>(p) - kHeader;
+  g_live_bytes -= static_cast<std::int64_t>(*static_cast<std::size_t*>(block));
+  std::free(block);
+}
+void operator delete(void* p, std::size_t) noexcept { operator delete(p); }
 
 namespace acr {
 namespace {
@@ -128,6 +144,81 @@ TEST(MessagePath, CancellingFiredIdsAllocatesNothing) {
     for (rt::Engine::EventId id : fired) e.cancel(id);
   EXPECT_EQ(g_allocations, before);
   EXPECT_EQ(e.pending(), 100u);
+}
+
+/// A context that swallows everything: enough to run a task's on_start.
+class NullContext final : public rt::TaskContext {
+ public:
+  void send(rt::TaskAddr, int, buf::Buffer) override {}
+  void after_compute(double, std::function<void()>) override {}
+  rt::ProgressDecision report_progress(std::uint64_t) override {
+    return rt::ProgressDecision::Continue;
+  }
+  void notify_done() override {}
+  double now() const override { return 0.0; }
+  rt::TaskAddr self() const override { return {}; }
+  int replica() const override { return 0; }
+  int num_nodes() const override { return 1; }
+  bool paused() const override { return false; }
+  Pcg32 make_app_rng(std::uint64_t salt) const override { return Pcg32(salt); }
+};
+
+TEST(Footprint, JacobiTaskKeepsOneSolutionBlock) {
+  apps::Jacobi3DConfig app;
+  app.tasks_x = app.tasks_y = 2;
+  app.tasks_z = 8;
+  app.block_x = app.block_y = app.block_z = 4;
+  app.iterations = 0;  // on_start runs init() and nothing else
+  NullContext ctx;
+  apps::Jacobi3DTask task(app, 5);
+  task.ctx = &ctx;
+  std::int64_t before = g_live_bytes;
+  task.on_start();
+  // The stencil's output block is per thread, and the parked ghost edges
+  // stay unallocated while they are zero.
+  EXPECT_EQ(g_live_bytes - before,
+            static_cast<std::int64_t>(app.doubles_per_task() * sizeof(double)));
+}
+
+TEST(Footprint, StrongRunHoldsOneVerifiedImagePerIndex) {
+  apps::Jacobi3DConfig app;  // acr_driver's jacobi at 8 nodes per replica
+  app.tasks_x = app.tasks_y = 2;
+  app.tasks_z = 8;
+  app.block_x = app.block_y = app.block_z = 4;
+  app.slots_per_node = 4;
+  app.iterations = 16;
+  app.seconds_per_point = 1e-5;
+  AcrConfig ac;
+  ac.scheme = ResilienceScheme::Strong;
+  ac.detection = SdcDetection::FullCompare;
+  ac.checkpoint_interval = 0.004;
+  ac.heartbeat_period = 0.0005;
+  ac.heartbeat_timeout = 0.002;
+  rt::ClusterConfig cc;
+  cc.nodes_per_replica = app.nodes_needed();
+  cc.spare_nodes = 2;
+  AcrRuntime runtime(ac, cc);
+  runtime.set_task_factory(app.factory());
+  runtime.setup();
+  RunSummary s = runtime.run(1.0);
+  ASSERT_TRUE(s.complete);
+  runtime.engine().run_until(s.finish_time + 0.01);
+  ASSERT_GE(runtime.trace().count(rt::TraceKind::CheckpointCommitted), 2u);
+
+  // Distinct image storages across both replicas' stores.
+  std::vector<buf::Buffer> held;
+  for (int r = 0; r < 2; ++r) {
+    for (int i = 0; i < cc.nodes_per_replica; ++i) {
+      const ckpt::Store& store = runtime.agent_at(r, i).store();
+      ASSERT_TRUE(store.has_verified());
+      EXPECT_FALSE(store.has_candidate());
+      const buf::Buffer& b = store.verified().image.buffer();
+      bool seen = false;
+      for (const buf::Buffer& h : held) seen = seen || h.aliases(b);
+      if (!seen) held.push_back(b);
+    }
+  }
+  EXPECT_EQ(held.size(), static_cast<std::size_t>(cc.nodes_per_replica));
 }
 
 }  // namespace
