@@ -742,9 +742,8 @@ void Manager::handle_flush_done(const wire::FlushDoneMsg& msg,
   std::uint64_t complete = env_.tier->newest_complete_epoch();
   if (complete > l2_durable_epoch_) {
     l2_durable_epoch_ = complete;
-    if (env_.cluster->trace_enabled(rt::kTraceTier))
-      trace().record(now(), rt::TraceKind::EpochDurable, -1, -1,
-                     "epoch=" + std::to_string(complete));
+    trace().record(now(), rt::TraceKind::EpochDurable, -1, -1,
+                   "epoch=" + std::to_string(complete));
     // Older L2 epochs are strictly dominated; keep the boundary only.
     env_.tier->prune(complete);
     if (env_.config->adaptive) {
@@ -772,10 +771,9 @@ bool Manager::try_fetch_from_durable() {
   // Only THIS wave's restores may apply.
   quash_restores_through(barrier - 1);
   ++l2_fetch_waves_;
-  if (env_.cluster->trace_enabled(rt::kTraceTier))
-    trace().record(now(), rt::TraceKind::FetchStarted, -1, -1,
-                   "wave epoch=" + std::to_string(epoch) +
-                       " barrier=" + std::to_string(barrier));
+  trace().record(now(), rt::TraceKind::FetchStarted, -1, -1,
+                 "wave epoch=" + std::to_string(epoch) +
+                     " barrier=" + std::to_string(barrier));
   wire::RestoreCmdMsg cmd{epoch, barrier};
   for (int r = 0; r < 2; ++r)
     broadcast(r, wire::kFetchFromDurable, rt::pack_payload(cmd));
@@ -789,9 +787,8 @@ bool Manager::try_fetch_from_durable() {
 void Manager::request_drain() {
   if (complete_ || failed_ || drain_requested_) return;
   drain_requested_ = true;
-  if (env_.cluster->trace_enabled(rt::kTraceTier))
-    trace().record(now(), rt::TraceKind::DrainRequested, -1, -1,
-                   "verified epoch=" + std::to_string(verified_epoch_));
+  trace().record(now(), rt::TraceKind::DrainRequested, -1, -1,
+                 "verified epoch=" + std::to_string(verified_epoch_));
   if (tick_armed_) {
     env_.cluster->engine().cancel(tick_id_);
     tick_armed_ = false;
@@ -821,9 +818,8 @@ void Manager::maybe_finish_drain() {
     return;  // handle_flush_done re-enters when the drain makes progress
   }
   drained_ = true;
-  if (env_.cluster->trace_enabled(rt::kTraceTier))
-    trace().record(now(), rt::TraceKind::DrainCompleted, -1, -1,
-                   "durable epoch=" + std::to_string(l2_durable_epoch_));
+  trace().record(now(), rt::TraceKind::DrainCompleted, -1, -1,
+                 "durable epoch=" + std::to_string(l2_durable_epoch_));
 }
 
 // ---------------------------------------------------------------------------

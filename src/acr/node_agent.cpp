@@ -22,7 +22,7 @@ NodeAgent::NodeAgent(AcrEnv env, rt::Node& node)
       num_nodes_(env.cluster->nodes_per_replica()) {
   ACR_REQUIRE(node.assigned(), "agent requires an assigned node");
   done_.assign(static_cast<std::size_t>(node.num_tasks()), false);
-  make_scheme();
+  make_rs();
 }
 
 namespace {
@@ -46,72 +46,52 @@ std::size_t digest_vector_wire_bytes(std::size_t n) {
 
 }  // namespace
 
-void NodeAgent::make_scheme() {
-  switch (env_.config->redundancy) {
-    case ckpt::Scheme::Local:
-      scheme_ = std::make_unique<ckpt::LocalScheme>();
-      return;
-    case ckpt::Scheme::Partner:
-      scheme_ = std::make_unique<ckpt::PartnerScheme>();
-      return;
-    case ckpt::Scheme::Rs: {
-      const ckpt::GroupMap& groups = env_.cluster->ckpt_groups();
-      ACR_REQUIRE(groups.enabled(),
-                  "rs redundancy requires cluster checkpoint groups");
-      ckpt::RsScheme::Hooks hooks;
-      // The verify-on-rebuild CRC32C tags ride the frame header (see
-      // kDigestScalarWireBytes): they are discounted from the modelled
-      // payload.
-      hooks.send_chunk = [this](int dst, const ckpt::RsChunkMsg& msg,
-                                buf::Buffer chunk) {
-        ckpt::RsChunkMsg m = msg;
-        buf::Buffer pk = rt::pack_payload(m);
-        double wire = static_cast<double>(rt::kMessageHeaderBytes +
-                                          pk.size() + chunk.size() -
-                                          kDigestScalarWireBytes);
-        send_to_agent(replica_, dst, wire::kRsParityChunk, std::move(pk),
-                      wire, std::move(chunk));
-      };
-      hooks.send_delta_chunk = [this](int dst,
-                                      const ckpt::RsDeltaChunkMsg& msg,
-                                      buf::Buffer payload) {
-        ckpt::RsDeltaChunkMsg m = msg;
-        buf::Buffer pk = rt::pack_payload(m);
-        double wire = static_cast<double>(rt::kMessageHeaderBytes +
-                                          pk.size() + payload.size() -
-                                          kDigestScalarWireBytes);
-        send_to_agent(replica_, dst, wire::kRsParityDeltaChunk,
-                      std::move(pk), wire, std::move(payload));
-      };
-      hooks.send_piece = [this](int dst, const ckpt::RsPieceMsg& msg,
-                                buf::Buffer image) {
-        ckpt::RsPieceMsg m = msg;
-        buf::Buffer pk = rt::pack_payload(m);
-        double wire = static_cast<double>(
-            rt::kMessageHeaderBytes + pk.size() + image.size() -
-            digest_vector_wire_bytes(m.member_digests.size()));
-        send_to_agent(replica_, dst, wire::kRsRebuildPiece, std::move(pk),
-                      wire, std::move(image));
-      };
-      hooks.report_impossible = [this](std::uint64_t barrier) {
-        wire::BarrierMsg msg{barrier};
-        send_to_manager(wire::kRsRebuildImpossible, rt::pack_payload(msg));
-      };
-      hooks.restore_rebuilt = [this](ckpt::Image img, std::uint64_t barrier) {
-        restore_from(std::move(img), "rs rebuild", barrier);
-      };
-      scheme_ = std::make_unique<ckpt::RsScheme>(groups, index_,
-                                                 env_.config->rs_parity,
-                                                 std::move(hooks));
-      return;
-    }
-  }
-  ACR_REQUIRE(false, "unknown redundancy scheme");
-}
-
-ckpt::RsScheme* NodeAgent::rs_scheme() {
-  if (scheme_->kind() != ckpt::Scheme::Rs) return nullptr;
-  return static_cast<ckpt::RsScheme*>(scheme_.get());
+void NodeAgent::make_rs() {
+  if (env_.config->redundancy != ckpt::Scheme::Rs) return;
+  const ckpt::GroupMap& groups = env_.cluster->ckpt_groups();
+  ACR_REQUIRE(groups.enabled(),
+              "rs redundancy requires cluster checkpoint groups");
+  ckpt::RsScheme::Hooks hooks;
+  // The verify-on-rebuild CRC32C tags ride the frame header (see
+  // kDigestScalarWireBytes): they are discounted from the modelled payload.
+  hooks.send_chunk = [this](int dst, const ckpt::RsChunkMsg& msg,
+                            buf::Buffer chunk) {
+    ckpt::RsChunkMsg m = msg;
+    buf::Buffer pk = rt::pack_payload(m);
+    double wire = static_cast<double>(rt::kMessageHeaderBytes + pk.size() +
+                                      chunk.size() - kDigestScalarWireBytes);
+    send_to_agent(replica_, dst, wire::kRsParityChunk, std::move(pk), wire,
+                  std::move(chunk));
+  };
+  hooks.send_delta_chunk = [this](int dst, const ckpt::RsDeltaChunkMsg& msg,
+                                  buf::Buffer payload) {
+    ckpt::RsDeltaChunkMsg m = msg;
+    buf::Buffer pk = rt::pack_payload(m);
+    double wire = static_cast<double>(rt::kMessageHeaderBytes + pk.size() +
+                                      payload.size() - kDigestScalarWireBytes);
+    send_to_agent(replica_, dst, wire::kRsParityDeltaChunk, std::move(pk),
+                  wire, std::move(payload));
+  };
+  hooks.send_piece = [this](int dst, const ckpt::RsPieceMsg& msg,
+                            buf::Buffer image) {
+    ckpt::RsPieceMsg m = msg;
+    buf::Buffer pk = rt::pack_payload(m);
+    double wire = static_cast<double>(
+        rt::kMessageHeaderBytes + pk.size() + image.size() -
+        digest_vector_wire_bytes(m.member_digests.size()));
+    send_to_agent(replica_, dst, wire::kRsRebuildPiece, std::move(pk), wire,
+                  std::move(image));
+  };
+  hooks.report_impossible = [this](std::uint64_t barrier) {
+    wire::BarrierMsg msg{barrier};
+    send_to_manager(wire::kRsRebuildImpossible, rt::pack_payload(msg));
+  };
+  hooks.restore_rebuilt = [this](ckpt::Image img, std::uint64_t barrier) {
+    restore_from(std::move(img), "rs rebuild", barrier);
+  };
+  rs_ = std::make_unique<ckpt::RsScheme>(groups, index_,
+                                         env_.config->rs_parity,
+                                         env_.config->codec, std::move(hooks));
 }
 
 std::vector<int> NodeAgent::child_indices() const {
@@ -155,7 +135,7 @@ void NodeAgent::rebind_role() {
   replica_ = node_.replica();
   index_ = node_.node_index();
   num_children_ = static_cast<int>(child_indices().size());
-  make_scheme();  // the rs layout keys chunk routing off the node index
+  make_rs();  // the rs layout keys chunk routing off the node index
   invalidate_codec_bases();  // bases belong to the role, not the hardware
 }
 
@@ -168,7 +148,7 @@ void NodeAgent::reset_for_restart() {
   awaiting_go_ = false;
   node_.set_gated(false);
   store_.reset();
-  scheme_->reset();
+  if (rs_) rs_->reset();
   invalidate_codec_bases();
   pack_complete_ = false;
   have_remote_ = false;
@@ -318,10 +298,10 @@ void NodeAgent::on_service_message(const rt::Message& m) {
           rt::unpack_payload<wire::RestoreCmdMsg>(m));
     case wire::kRsRebuildSend: {
       auto cmd = rt::unpack_payload<wire::RsRebuildCmd>(m);
-      if (ckpt::RsScheme* r = rs_scheme()) {
+      if (rs_) {
         std::vector<int> dead(cmd.dead_indices.begin(),
                               cmd.dead_indices.end());
-        r->on_rebuild_request(dead, cmd.barrier, store_.verified());
+        rs_->on_rebuild_request(dead, cmd.barrier, store_.verified());
       }
       return;
     }
@@ -344,14 +324,12 @@ void NodeAgent::on_service_message(const rt::Message& m) {
       return handle_buddy_need_full(rt::unpack_payload<wire::NeedFullMsg>(m));
     case wire::kRsParityChunk: {
       auto msg = rt::unpack_payload<ckpt::RsChunkMsg>(m);
-      if (ckpt::RsScheme* r = rs_scheme())
-        r->on_chunk(m.src.node_index, msg, m.attachment);
+      if (rs_) rs_->on_chunk(m.src.node_index, msg, m.attachment);
       return;
     }
     case wire::kRsParityDeltaChunk: {
       auto msg = rt::unpack_payload<ckpt::RsDeltaChunkMsg>(m);
-      if (ckpt::RsScheme* r = rs_scheme())
-        r->on_delta_chunk(m.src.node_index, msg, m.attachment);
+      if (rs_) rs_->on_delta_chunk(m.src.node_index, msg, m.attachment);
       return;
     }
     case wire::kRsRebuildPiece: {
@@ -359,8 +337,7 @@ void NodeAgent::on_service_message(const rt::Message& m) {
       // Gate before intake: a stale piece could report the (abandoned)
       // rebuild impossible to the manager.
       if (msg.barrier <= last_restore_barrier_) return;
-      if (ckpt::RsScheme* r = rs_scheme())
-        r->on_piece(m.src.node_index, msg, m.attachment);
+      if (rs_) rs_->on_piece(m.src.node_index, msg, m.attachment);
       return;
     }
     default:
@@ -655,13 +632,12 @@ void NodeAgent::send_codec_frame_to_buddy() {
   codec_stats_.chunks_shipped += frame.map.present_chunks();
   codec_stats_.raw_bytes += image.size();
   codec_stats_.wire_bytes += frame.map.map_bytes() + frame.payload.size();
-  if (env_.cluster->trace_enabled(rt::kTraceCodec))
-    env_.cluster->trace().record(
-        now(), rt::TraceKind::DeltaShipped, replica_, index_,
-        "epoch=" + std::to_string(cand.epoch) + " chunks=" +
-            std::to_string(frame.map.present_chunks()) + "/" +
-            std::to_string(frame.map.chunks()) +
-            " bytes=" + std::to_string(frame.payload.size()));
+  env_.cluster->trace().record(
+      now(), rt::TraceKind::DeltaShipped, replica_, index_,
+      "epoch=" + std::to_string(cand.epoch) + " chunks=" +
+          std::to_string(frame.map.present_chunks()) + "/" +
+          std::to_string(frame.map.chunks()) +
+          " bytes=" + std::to_string(frame.payload.size()));
   // The chunk map travels in the pup'd payload and the encoded chunks as
   // the attachment, so bytes_on_wire=-1 charges exactly map + payload —
   // the whole point of the pipeline.
@@ -697,12 +673,11 @@ void NodeAgent::handle_buddy_delta_checkpoint(const rt::Message& m) {
       // Corrupt frame: treat exactly like a lost base and ask for a full.
     }
   }
-  buddy_base_ = CodecBase{};  // whatever base we held is not trustworthy
-  if (env_.cluster->trace_enabled(rt::kTraceCodec))
-    env_.cluster->trace().record(
-        now(), rt::TraceKind::DeltaFallback, replica_, index_,
-        "epoch=" + std::to_string(msg.epoch) +
-            " base=" + std::to_string(msg.base_epoch));
+  buddy_base_ = ckpt::DeltaBase{};  // whatever base we held is untrusted
+  env_.cluster->trace().record(now(), rt::TraceKind::DeltaFallback, replica_,
+                               index_,
+                               "epoch=" + std::to_string(msg.epoch) +
+                                   " base=" + std::to_string(msg.base_epoch));
   wire::NeedFullMsg need{0};
   send_to_agent(1 - replica_, index_, wire::kBuddyNeedFull,
                 rt::pack_payload(need));
@@ -722,8 +697,8 @@ void NodeAgent::handle_buddy_need_full(const wire::NeedFullMsg& msg) {
 }
 
 void NodeAgent::invalidate_codec_bases() {
-  codec_base_ = CodecBase{};
-  buddy_base_ = CodecBase{};
+  codec_base_ = ckpt::DeltaBase{};
+  buddy_base_ = ckpt::DeltaBase{};
   sent_base_epoch_ = 0;
   cand_digests_.clear();
   l2_base_epoch_ = 0;
@@ -799,42 +774,31 @@ void NodeAgent::handle_commit(const wire::EpochMsg& msg) {
   // unpaused by a commit addressed to its predecessor's round.
   if (msg.epoch != epoch_ || awaiting_go_) return;
   if (store_.promote(msg.epoch) == ckpt::PromoteResult::Promoted) {
-    // A new verified image exists: let the redundancy scheme protect it
-    // (no-op under local/partner — the buddy already holds its copy).
-    if (!codec_on()) {
-      scheme_->on_verified(store_.verified());
-    } else {
-      const ckpt::CodecConfig& codec = env_.config->codec;
-      // The hints point at the PREVIOUS committed image — the delta base —
-      // so they must be built before codec_base_ advances to this epoch.
-      ckpt::DeltaHints hints;
-      hints.codec = &codec;
-      hints.base_image = &codec_base_.image;
-      hints.base_digests = &codec_base_.digests;
-      hints.digests = &cand_digests_;
-      hints.base_epoch = codec_base_.epoch;
-      hints.force_full = parity_force_full_;
-      scheme_->on_verified(store_.verified(), &hints);
-      parity_force_full_ = false;
-      if (codec.delta_on()) {
-        // The committed image becomes every channel's next delta base.
-        codec_base_.epoch = msg.epoch;
-        codec_base_.image = store_.verified().image.buffer();
-        codec_base_.digests = std::move(cand_digests_);
-        cand_digests_.clear();
-        if (env_.config->detection == SdcDetection::FullCompare &&
-            !single_replica_ckpt_) {
-          if (replica_ == 0) {
-            // The buddy compared (and therefore holds) this full image.
-            sent_base_epoch_ = msg.epoch;
-          } else if (have_remote_ && remote_image_.size() > 0) {
-            // Cache the buddy's committed image: incoming delta frames are
-            // overlaid on it. Aliases the reconstructed/shipped buffer.
-            buddy_base_.epoch = msg.epoch;
-            buddy_base_.image = remote_image_;
-            buddy_base_.digests =
-                ckpt::CodecPipeline::digests(remote_image_.bytes());
-          }
+    // A new verified image exists: under rs the group parity protects it
+    // (under local/partner the buddy already holds its copy). The base is
+    // the PREVIOUS committed image, so this runs before codec_base_
+    // advances to this epoch; after a restore the round ships full.
+    if (rs_)
+      rs_->on_verified(store_.verified(),
+                       parity_force_full_ ? nullptr : &codec_base_,
+                       cand_digests_);
+    parity_force_full_ = false;
+    if (env_.config->codec.delta_on()) {
+      // The committed image becomes every channel's next delta base.
+      codec_base_.epoch = msg.epoch;
+      codec_base_.image = store_.verified().image.buffer();
+      codec_base_.digests = std::move(cand_digests_);
+      cand_digests_.clear();
+      if (env_.config->detection == SdcDetection::FullCompare &&
+          !single_replica_ckpt_) {
+        if (replica_ == 0) {
+          // The buddy compared (and therefore holds) this full image.
+          sent_base_epoch_ = msg.epoch;
+        } else if (have_remote_ && remote_image_.size() > 0) {
+          // Cache the buddy's committed image: incoming delta frames are
+          // overlaid on it. Aliases the reconstructed/shipped buffer.
+          buddy_base_.epoch = msg.epoch;
+          buddy_base_.image = remote_image_;
         }
       }
     }
@@ -857,7 +821,7 @@ void NodeAgent::handle_rollback(const wire::RestoreCmdMsg& msg) {
     // necessarily passed the comparison, so restoring it needs no traffic.
     // The partner scheme keeps the original protocol to the byte: ask the
     // manager to route the buddy's verified image here.
-    if (scheme_->kind() != ckpt::Scheme::Partner) {
+    if (env_.config->redundancy != ckpt::Scheme::Partner) {
       if (const ckpt::Image* img = store_.restorable(msg.epoch)) {
         restore_from(*img, "rollback", msg.barrier);
         return;
@@ -905,12 +869,11 @@ void NodeAgent::restore_from(ckpt::Image img, const char* why,
     // of THIS node's image may be gone with their hardware. Ship full
     // everywhere until new bases are established.
     invalidate_codec_bases();
-    // The restored image is the node's (possibly new) verified state: the
-    // redundancy scheme re-protects it. Under rs this is what re-feeds a
-    // promoted spare's group parity — every member re-sends its chunks
-    // after the rollback wave; holders that already completed this epoch
-    // ignore them.
-    scheme_->on_verified(store_.verified());
+    // The restored image is the node's (possibly new) verified state: under
+    // rs the group parity re-protects it. This is what re-feeds a promoted
+    // spare's group parity — every member re-sends its chunks after the
+    // rollback wave; holders that already completed this epoch ignore them.
+    if (rs_) rs_->on_verified(store_.verified());
     // If L2 lacks the adopted epoch for this role (a promoted spare whose
     // predecessor died mid-flush), re-drain it so the epoch converges back
     // to fully-flushed. No-op when the tier is disabled.
@@ -1035,11 +998,10 @@ void NodeAgent::start_flush(std::uint64_t epoch, bool urgent) {
   // Raw-vs-encoded accounting for the pipe (codec off: raw == the image).
   env_.cluster->l2_note_raw(static_cast<double>(store_.verified().image.size()));
   std::uint64_t seq = ++flush_seq_;
-  if (env_.cluster->trace_enabled(rt::kTraceTier))
-    env_.cluster->trace().record(
-        now(), rt::TraceKind::FlushStarted, replica_, index_,
-        "epoch=" + std::to_string(epoch) +
-            " bytes=" + std::to_string(flush_.remaining));
+  env_.cluster->trace().record(
+      now(), rt::TraceKind::FlushStarted, replica_, index_,
+      "epoch=" + std::to_string(epoch) +
+          " bytes=" + std::to_string(flush_.remaining));
   flush_next_chunk(seq);
 }
 
@@ -1089,11 +1051,10 @@ void NodeAgent::flush_next_chunk(std::uint64_t seq) {
 }
 
 void NodeAgent::finish_flush(bool published) {
-  if (env_.cluster->trace_enabled(rt::kTraceTier))
-    env_.cluster->trace().record(
-        now(), rt::TraceKind::FlushCompleted, replica_, index_,
-        "epoch=" + std::to_string(flush_.epoch) +
-            (published ? "" : " (stale, not published)"));
+  env_.cluster->trace().record(
+      now(), rt::TraceKind::FlushCompleted, replica_, index_,
+      "epoch=" + std::to_string(flush_.epoch) +
+          (published ? "" : " (stale, not published)"));
   wire::FlushDoneMsg done{
       flush_.epoch,
       static_cast<std::uint8_t>(published && flush_.urgent ? 1 : 0)};
@@ -1105,7 +1066,7 @@ void NodeAgent::supersede_flush(bool trace) {
   if (!flush_.active) return;
   ++flush_seq_;  // in-flight chunk completions fall dead
   flush_.active = false;
-  if (trace && env_.cluster->trace_enabled(rt::kTraceTier))
+  if (trace)
     env_.cluster->trace().record(now(), rt::TraceKind::FlushSuperseded,
                                  replica_, index_,
                                  "epoch=" + std::to_string(flush_.epoch));
@@ -1136,11 +1097,10 @@ void NodeAgent::handle_fetch_from_durable(const wire::RestoreCmdMsg& msg) {
     return;
   }
   node_.set_gated(true);  // the restore owns this node now
-  if (env_.cluster->trace_enabled(rt::kTraceTier))
-    env_.cluster->trace().record(
-        now(), rt::TraceKind::FetchStarted, replica_, index_,
-        "epoch=" + std::to_string(msg.epoch) +
-            " bytes=" + std::to_string(bytes));
+  env_.cluster->trace().record(
+      now(), rt::TraceKind::FetchStarted, replica_, index_,
+      "epoch=" + std::to_string(msg.epoch) +
+          " bytes=" + std::to_string(bytes));
   double delay = env_.cluster->l2_read(replica_ * num_nodes_ + index_,
                                        static_cast<double>(bytes));
   env_.cluster->engine().schedule_after(
@@ -1154,10 +1114,9 @@ void NodeAgent::handle_fetch_from_durable(const wire::RestoreCmdMsg& msg) {
           send_to_manager(wire::kFetchFailed, rt::pack_payload(fail));
           return;
         }
-        if (env_.cluster->trace_enabled(rt::kTraceTier))
-          env_.cluster->trace().record(now(), rt::TraceKind::FetchCompleted,
-                                       replica_, index_,
-                                       "epoch=" + std::to_string(epoch));
+        env_.cluster->trace().record(now(), rt::TraceKind::FetchCompleted,
+                                     replica_, index_,
+                                     "epoch=" + std::to_string(epoch));
         restore_from(std::move(img), "l2 fetch", barrier);
       });
 }

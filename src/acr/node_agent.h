@@ -6,8 +6,9 @@
 //    asynchronous max-progress and readiness reductions along a binary tree
 //    of the replica's logical node indices;
 //  * the double in-memory checkpoint store (ckpt::Store: verified +
-//    candidate epochs) and the pluggable redundancy scheme protecting it
-//    (ckpt::RedundancyScheme: local / partner / rs group parity);
+//    candidate epochs) and what protects it beyond the buddy compare: under
+//    rs, the group-parity state (ckpt::RsScheme); local and partner keep
+//    no object, and the agent reads the scheme from the config;
 //  * SDC detection — shipping the checkpoint (or its Fletcher-64 digest) to
 //    the buddy node in the other replica and comparing (§2.1, §4.1–4.2);
 //  * buddy heartbeating and no-response failure detection (§6.1);
@@ -29,7 +30,6 @@
 #include "acr/config.h"
 #include "acr/wire.h"
 #include "ckpt/codec.h"
-#include "ckpt/redundancy.h"
 #include "ckpt/rs.h"
 #include "ckpt/store.h"
 #include "ckpt/tier.h"
@@ -67,7 +67,7 @@ class NodeAgent final : public rt::NodeService {
   /// Adopt the node's current (replica, index) role. A repaired node
   /// re-enters the spare pool and may be promoted into a *different* role
   /// than the one it died in; the reused agent must re-derive its tree
-  /// position and redundancy-scheme layout before reset_for_restart().
+  /// position and rs group layout before reset_for_restart().
   /// No-op when the role is unchanged.
   void rebind_role();
 
@@ -105,8 +105,9 @@ class NodeAgent final : public rt::NodeService {
   bool flush_active() const { return flush_.active; }
   /// The double checkpoint store (verified/candidate epochs).
   const ckpt::Store& store() const { return store_; }
-  /// The redundancy scheme protecting the verified image.
-  const ckpt::RedundancyScheme& redundancy() const { return *scheme_; }
+  /// The rs group-parity state protecting the verified image; null under
+  /// local and partner.
+  const ckpt::RsScheme* rs() const { return rs_.get(); }
 
   /// Codec-pipeline traffic counters (all zero when the codec is off).
   struct CodecStats {
@@ -196,10 +197,9 @@ class NodeAgent final : public rt::NodeService {
   void refresh_done_from_tasks();
   void report_node_done_if_complete();
 
-  // Redundancy scheme plumbing.
-  void make_scheme();
-  /// The scheme as RsScheme, or nullptr under any other scheme.
-  ckpt::RsScheme* rs_scheme();
+  /// (Re)build rs_ for the current role; leaves it null unless the
+  /// config's scheme is rs.
+  void make_rs();
 
   // Heartbeats.
   void heartbeat_tick();
@@ -255,9 +255,9 @@ class NodeAgent final : public rt::NodeService {
   std::vector<bool> done_;
   bool node_done_reported_ = false;
 
-  // Checkpoint store + redundancy scheme.
+  // Checkpoint store + rs group parity (null unless the scheme is rs).
   ckpt::Store store_;
-  std::unique_ptr<ckpt::RedundancyScheme> scheme_;
+  std::unique_ptr<ckpt::RsScheme> rs_;
 
   // Two-phase restart barrier: restored, waiting for the collective go.
   bool awaiting_go_ = false;
@@ -281,18 +281,13 @@ class NodeAgent final : public rt::NodeService {
   FlushState flush_;
   std::uint64_t flush_seq_ = 0;
 
-  // Codec (delta/compress) state. A "base" is a committed image both ends
-  // of a channel agree on; deltas are only ever taken against one.
-  struct CodecBase {
-    std::uint64_t epoch = 0;  ///< 0 = no base held
-    buf::Buffer image;
-    std::vector<std::uint32_t> digests;  ///< kDigestChunk-grid CRC32Cs
-  };
+  // Codec (delta/compress) state: each channel's ckpt::DeltaBase.
   /// This node's last committed image (delta base for buddy/parity sends).
-  CodecBase codec_base_;
+  ckpt::DeltaBase codec_base_;
   /// Cached copy of the BUDDY's committed image (replica-1 compare side):
-  /// what incoming delta frames are overlaid on.
-  CodecBase buddy_base_;
+  /// what incoming delta frames are overlaid on. Its digests stay empty:
+  /// a frame names its dirty chunks itself.
+  ckpt::DeltaBase buddy_base_;
   /// Epoch of this node's image the buddy last held in full — deltas are
   /// legal only while it equals codec_base_.epoch. 0 after any fallback.
   std::uint64_t sent_base_epoch_ = 0;

@@ -102,17 +102,9 @@ void AcrRuntime::setup() {
       AcrEnv{cluster_.get(), &acr_config_, tier_.get(), &codec_memo_},
       [this](rt::Node& n) { return install_agent(n); });
   manager_->start();
-  if (acr_config_.tier.enabled()) {
-    // Tier protocol events only exist with the tier on; gating the trace
-    // here keeps no-L2 traces byte-identical to the single-tier build.
-    cluster_->enable_trace(rt::kTraceTier);
-    if (acr_config_.halt_after > 0.0)
-      engine_.schedule_at(acr_config_.halt_after,
-                          [this]() { manager_->request_drain(); });
-  }
-  // Same discipline for the codec: its trace kinds only fire when a codec
-  // stage is on, so codec-off traces stay byte-identical.
-  if (acr_config_.codec.enabled()) cluster_->enable_trace(rt::kTraceCodec);
+  if (acr_config_.tier.enabled() && acr_config_.halt_after > 0.0)
+    engine_.schedule_at(acr_config_.halt_after,
+                        [this]() { manager_->request_drain(); });
   cluster_->start_application();
   if (fault_plan_.arrivals) schedule_next_fault(0.0);
   if (burst_config_.enabled()) arm_burst_injection();
@@ -311,21 +303,21 @@ RunSummary AcrRuntime::run(double max_virtual_time) {
       // left a role unmanned (its dead player was pooled again).
       rt::Node* n = cluster_->role_node(r, i);
       if (n == nullptr) continue;
-      auto* svc = n->service();
-      if (svc == nullptr) continue;
-      const ckpt::RedundancyStats& rs =
-          static_cast<NodeAgent*>(svc)->redundancy().stats();
-      s.parity_chunks_sent += rs.parity_chunks_sent;
-      s.parity_bytes_sent += rs.parity_bytes_sent;
-      s.xor_rebuilds += rs.rebuilds_completed;
-      s.parity_rebuild_pieces += rs.rebuild_pieces_sent;
-      s.parity_rebuild_bytes += rs.rebuild_bytes_sent;
-      s.parity_rebuilds_rejected += rs.rebuilds_rejected;
-      s.parity_delta_chunks += rs.parity_delta_chunks_sent;
-      s.parity_delta_bytes += rs.parity_delta_bytes_sent;
-      s.parity_rounds_poisoned += rs.parity_rounds_poisoned;
-      const NodeAgent::CodecStats& cs =
-          static_cast<NodeAgent*>(svc)->codec_stats();
+      auto* agent = static_cast<NodeAgent*>(n->service());
+      if (agent == nullptr) continue;
+      if (const ckpt::RsScheme* rs = agent->rs()) {
+        const ckpt::RsScheme::Stats& ps = rs->stats();
+        s.parity_chunks_sent += ps.parity_chunks_sent;
+        s.parity_bytes_sent += ps.parity_bytes_sent;
+        s.xor_rebuilds += ps.rebuilds_completed;
+        s.parity_rebuild_pieces += ps.rebuild_pieces_sent;
+        s.parity_rebuild_bytes += ps.rebuild_bytes_sent;
+        s.parity_rebuilds_rejected += ps.rebuilds_rejected;
+        s.parity_delta_chunks += ps.parity_delta_chunks_sent;
+        s.parity_delta_bytes += ps.parity_delta_bytes_sent;
+        s.parity_rounds_poisoned += ps.parity_rounds_poisoned;
+      }
+      const NodeAgent::CodecStats& cs = agent->codec_stats();
       s.codec_frames += cs.frames;
       s.codec_full_frames += cs.full_frames;
       s.codec_chunks_total += cs.chunks_total;

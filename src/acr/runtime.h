@@ -64,9 +64,9 @@ struct RunSummary {
   std::uint64_t net_crc_drops = 0;     ///< frames failing CRC32C on arrival
   std::uint64_t net_stale_epoch_drops = 0;  ///< app msgs from stale epochs
   std::uint64_t net_link_failures = 0;      ///< retry budgets exhausted
-  // Checkpoint redundancy (ckpt::RedundancyScheme). The parity counters
-  // stay zero except under the rs scheme; they aggregate over the
-  // agents alive at completion. Encode-side (steady-state parity exchange)
+  // Checkpoint redundancy (ckpt::Scheme). The parity counters sum
+  // ckpt::RsScheme::Stats, so they stay zero except under the rs scheme;
+  // they aggregate over the agents alive at completion. Encode-side (steady-state parity exchange)
   // and rebuild-side (recovery waves) wire traffic are kept separate so
   // sweeps can report each scheme's cost structure accurately.
   const char* ckpt_scheme = "partner";

@@ -77,15 +77,6 @@ TraceSummary summarize_trace(const rt::TraceLog& trace) {
         ++out.failures_detected;
         detect_times.push_back(e.time);
         break;
-      case rt::TraceKind::SdcInjected:
-        ++out.sdc_injected;
-        break;
-      case rt::TraceKind::SdcDetected:
-        ++out.sdc_detected;
-        break;
-      case rt::TraceKind::Rollback:
-        ++out.rollbacks;
-        break;
       case rt::TraceKind::RecoveryStarted:
         recovery_starts.push_back(e.time);
         break;

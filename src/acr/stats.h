@@ -36,9 +36,6 @@ struct TraceSummary {
   std::vector<RecoveryTiming> recoveries;
   std::size_t failures_injected = 0;
   std::size_t failures_detected = 0;
-  std::size_t sdc_injected = 0;
-  std::size_t sdc_detected = 0;
-  std::size_t rollbacks = 0;
   double job_start = 0.0;
   double job_complete = 0.0;  ///< 0 when the job did not complete
 

@@ -65,6 +65,14 @@ struct CodecConfig {
   bool enabled() const { return delta_on() || compress_on(); }
 };
 
+/// A delta base: a committed image both ends of a channel agree on, with
+/// its chunk digests. Deltas are only ever taken against one.
+struct DeltaBase {
+  std::uint64_t epoch = 0;  ///< 0 = no base held
+  buf::Buffer image;
+  std::vector<std::uint32_t> digests;  ///< kDigestChunk-grid CRC32Cs
+};
+
 /// Which chunks of the checksum::kDigestChunk grid a frame carries.
 struct ChunkMap {
   std::uint64_t full_bytes = 0;       ///< decoded image size

@@ -34,12 +34,13 @@ std::span<const std::byte> as_bytes(const std::vector<std::uint8_t>& v) {
 }  // namespace
 
 RsScheme::RsScheme(const GroupMap& groups, int node_index, int parity,
-                   Hooks hooks)
+                   CodecConfig codec, Hooks hooks)
     : members_(groups.group_members(node_index)),
       n_(static_cast<int>(members_.size())),
       m_(parity),
       k_(n_ - parity),
       my_rank_(groups.rank_in_group(node_index)),
+      codec_(codec),
       hooks_(std::move(hooks)) {
   ACR_REQUIRE(n_ >= 2, "RS parity needs a group of at least two nodes");
   ACR_REQUIRE(m_ >= 1 && m_ < n_,
@@ -83,20 +84,18 @@ RsScheme::PendingRound& RsScheme::round_for(const std::uint64_t epoch) {
   return b;
 }
 
-void RsScheme::on_verified(const Image& img, const DeltaHints* hints) {
+void RsScheme::on_verified(const Image& img, const DeltaBase* base,
+                           std::span<const std::uint32_t> digests) {
   ACR_REQUIRE(img.valid, "parity exchange needs a valid image");
   // Delta exchange is possible only when every precondition holds; any
   // miss falls back to the full exchange (never a correctness
   // dependency). Cadence: epochs 1, 1+k, 1+2k... always go full, so a
   // holder that lost its parity history (promoted spare, shrink remap)
   // re-converges within k commits instead of poisoning rounds forever.
-  bool delta = hints != nullptr && hints->codec != nullptr &&
-               hints->codec->delta_on() && !hints->force_full &&
-               hints->base_epoch != 0 && hints->base_epoch < img.epoch &&
-               hints->base_image != nullptr &&
-               hints->base_image->size() == img.image.size() &&
-               hints->digests != nullptr && hints->base_digests != nullptr &&
-               hints->digests->size() == hints->base_digests->size() &&
+  bool delta = codec_.delta_on() && base != nullptr && base->epoch != 0 &&
+               base->epoch < img.epoch &&
+               base->image.size() == img.image.size() &&
+               digests.size() == base->digests.size() &&
                img.epoch % kParityDeltaFullCadence != 1;
   std::uint32_t digest = checksum::crc32c(img.image.bytes());
   if (!delta) {
@@ -124,9 +123,8 @@ void RsScheme::on_verified(const Image& img, const DeltaHints* hints) {
   }
 
   std::span<const std::byte> now = img.image.bytes();
-  std::span<const std::byte> base = hints->base_image->bytes();
-  const std::vector<std::uint32_t>& dg = *hints->digests;
-  const std::vector<std::uint32_t>& bdg = *hints->base_digests;
+  std::span<const std::byte> was = base->image.bytes();
+  const std::vector<std::uint32_t>& bdg = base->digests;
   for (int t = 0; t < k_; ++t) {
     int s = rs_layout::data_stripe(n_, my_rank_, t);
     auto [begin, end] = chunk_range(img.image.size(), t);
@@ -137,9 +135,9 @@ void RsScheme::on_verified(const Image& img, const DeltaHints* hints) {
     std::vector<std::uint64_t> lens;
     std::vector<std::byte> diff;
     std::size_t g0 = begin / checksum::kDigestChunk;
-    for (std::size_t g = g0; g * checksum::kDigestChunk < end && g < dg.size();
-         ++g) {
-      if (dg[g] == bdg[g]) continue;
+    for (std::size_t g = g0;
+         g * checksum::kDigestChunk < end && g < digests.size(); ++g) {
+      if (digests[g] == bdg[g]) continue;
       auto [cb, ce] = checksum::digest_chunk_range(img.image.size(), g);
       std::size_t lo = cb > begin ? cb : begin;
       std::size_t hi = ce < end ? ce : end;
@@ -154,12 +152,12 @@ void RsScheme::on_verified(const Image& img, const DeltaHints* hints) {
       std::size_t at = diff.size();
       diff.resize(at + (hi - lo));
       std::memcpy(diff.data() + at, now.data() + lo, hi - lo);
-      checksum::kernels::xor_fold_words(diff.data() + at, base.data() + lo,
+      checksum::kernels::xor_fold_words(diff.data() + at, was.data() + lo,
                                         hi - lo);
     }
     std::uint8_t encoding = 0;
     buf::Buffer payload;
-    if (hints->codec->compress_on() && !diff.empty()) {
+    if (codec_.compress_on() && !diff.empty()) {
       if (auto lz = lz_compress_if_smaller(diff)) {
         encoding = 1;
         payload = buf::Buffer::wrap(std::move(*lz));
@@ -174,7 +172,7 @@ void RsScheme::on_verified(const Image& img, const DeltaHints* hints) {
       RsDeltaChunkMsg msg;
       msg.epoch = img.epoch;
       msg.iteration = img.iteration;
-      msg.base_epoch = hints->base_epoch;
+      msg.base_epoch = base->epoch;
       msg.stripe = s;
       msg.image_size = img.image.size();
       msg.image_digest = digest;

@@ -40,16 +40,19 @@
 // callbacks; the NodeAgent owns tags and routing.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <optional>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "buf/buffer.h"
+#include "ckpt/codec.h"
 #include "ckpt/group.h"
-#include "ckpt/redundancy.h"
+#include "ckpt/store.h"
 #include "pup/pup.h"
 #include "pup/stl.h"
 
@@ -173,8 +176,27 @@ struct RsPieceMsg {
 /// number of commits instead of poisoning delta rounds forever.
 inline constexpr std::uint64_t kParityDeltaFullCadence = 4;
 
-class RsScheme final : public RedundancyScheme {
+/// The rs scheme's per-node state: one instance per node agent under rs
+/// (none under local or partner). The agent forwards verified-image events
+/// and the rs wire traffic here.
+class RsScheme final {
  public:
+  struct Stats {
+    // Encode-side wire traffic (the steady-state parity exchange).
+    std::uint64_t parity_chunks_sent = 0;
+    std::uint64_t parity_bytes_sent = 0;  ///< chunk bytes put on the wire
+    // Rebuild-side wire traffic (recovery waves only), kept separate so
+    // sweeps can report steady-state encode cost vs recovery cost.
+    std::uint64_t rebuild_pieces_sent = 0;
+    std::uint64_t rebuild_bytes_sent = 0;  ///< piece payload bytes (image+parity)
+    std::uint64_t rebuilds_completed = 0;  ///< images reassembled on this node
+    std::uint64_t rebuilds_rejected = 0;   ///< reconstructions failing the CRC
+    // Codec (delta) counters — zero unless --ckpt-delta=on.
+    std::uint64_t parity_delta_chunks_sent = 0;
+    std::uint64_t parity_delta_bytes_sent = 0;  ///< diff payload bytes shipped
+    std::uint64_t parity_rounds_poisoned = 0;   ///< delta rounds that fell back
+  };
+
   struct Hooks {
     /// Ship a parity chunk to group member `dst_index` (same replica).
     std::function<void(int dst_index, const RsChunkMsg& msg,
@@ -196,13 +218,28 @@ class RsScheme final : public RedundancyScheme {
     std::function<void(Image img, std::uint64_t barrier)> restore_rebuilt;
   };
 
-  RsScheme(const GroupMap& groups, int node_index, int parity, Hooks hooks);
+  /// `codec` is the run's codec policy; its delta stage decides whether a
+  /// round may ship diffs instead of full chunks.
+  RsScheme(const GroupMap& groups, int node_index, int parity,
+           CodecConfig codec, Hooks hooks);
 
-  Scheme kind() const override { return Scheme::Rs; }
-  void on_verified(const Image& img,
-                   const DeltaHints* hints = nullptr) override;
-  void reset() override;
-  std::size_t redundancy_bytes() const override;
+  /// A new verified image exists on this node (commit promotion or a
+  /// completed restore — the latter matters: a promoted spare's parity
+  /// died with its predecessor and must be re-fed by the group). `base` is
+  /// the previous verified image and `digests` this image's chunk digests;
+  /// the round ships diffs against the base only when the codec's delta
+  /// stage is on and the base fits (see kParityDeltaFullCadence). A null
+  /// base ships full chunks.
+  void on_verified(const Image& img, const DeltaBase* base = nullptr,
+                   std::span<const std::uint32_t> digests = {});
+
+  /// Forget all parity state (restart from scratch / re-promotion).
+  void reset();
+
+  /// Extra bytes this node holds purely for redundancy (parity blocks).
+  std::size_t redundancy_bytes() const;
+
+  const Stats& stats() const { return stats_; }
 
   /// A group member's parity chunk arrived for one of this node's parity
   /// stripes. Contributions are identity-tracked per (stripe, rank):
@@ -272,7 +309,9 @@ class RsScheme final : public RedundancyScheme {
   int m_ = 0;                 ///< parity blocks per stripe
   int k_ = 0;                 ///< data chunks per member (n - m)
   int my_rank_ = 0;
+  CodecConfig codec_;
   Hooks hooks_;
+  Stats stats_;
 
   std::map<std::uint64_t, PendingRound> building_;  ///< by epoch
   std::optional<CompleteRound> complete_;

@@ -66,15 +66,14 @@ enum class TraceKind {
 const char* trace_kind_name(TraceKind k);
 
 /// Bitset selecting which OPTIONAL trace families are recorded. Core
-/// protocol events (checkpoints, failures, recoveries) are always traced;
-/// these bits gate the chatty per-feature kinds so that runs without a
-/// feature keep a byte-identical trace (the PR 3/5 discipline). This
-/// replaces the per-feature enable_*_trace booleans — new features take a
-/// bit, not another setter.
+/// protocol events (checkpoints, failures, recoveries) are always traced,
+/// and so are kinds that only a feature's own code path records (the L2
+/// tier's flush/fetch/drain, the codec's delta-shipped/fallback): runs
+/// without the feature never reach them. A bit is needed only for a kind
+/// that would also fire without its feature — SparePoolLow fires on
+/// ordinary spare promotions, so it is recorded only under burst injection.
 enum TraceMask : std::uint32_t {
   kTraceSpareLifecycle = 1u << 0,  ///< SparePoolLow pool-minimum events
-  kTraceTier = 1u << 1,            ///< L2 flush/fetch/drain events
-  kTraceCodec = 1u << 2,           ///< codec delta-shipped/fallback events
 };
 
 struct TraceEvent {

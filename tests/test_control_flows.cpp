@@ -291,7 +291,7 @@ TEST(FaultPath, ScriptedFaultsRecordOneInjectionEach) {
   ASSERT_TRUE(s.complete);
   TraceSummary ts = summarize_trace(sim.runtime.trace());
   EXPECT_EQ(ts.failures_injected, 2u);
-  EXPECT_EQ(ts.sdc_injected, 1u);
+  EXPECT_EQ(sim.runtime.trace().count(rt::TraceKind::SdcInjected), 1u);
   EXPECT_EQ(s.sdc_injected, 1u);
   EXPECT_EQ(s.hard_failures, 2u);
 }

@@ -5,7 +5,9 @@
 // corrupted-piece tests pin the
 // verify-on-rebuild contract: a reconstruction whose CRC32C disagrees
 // with what the survivors recorded must degrade down the recovery ladder,
-// never silently promote.
+// never silently promote. The delta cases pin on_verified's gate: a round
+// ships diffs only against a base that fits, and otherwise a full round.
+// The AgentRs cases check which node agents hold an RsScheme.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +16,8 @@
 #include <memory>
 #include <vector>
 
+#include "acr/runtime.h"
+#include "apps/jacobi3d.h"
 #include "checksum/crc32c.h"
 #include "ckpt/codec.h"
 #include "ckpt/group.h"
@@ -42,8 +46,8 @@ Image make_stored(std::uint64_t epoch, std::uint64_t iteration,
 
 /// A wired group of RsScheme instances whose hooks deliver synchronously.
 struct RsMiniGroup {
-  RsMiniGroup(int nodes, int group_size, int parity)
-      : map(nodes, group_size), parity(parity) {
+  RsMiniGroup(int nodes, int group_size, int parity, CodecConfig codec = {})
+      : map(nodes, group_size), parity(parity), codec(codec) {
     for (int i = 0; i < nodes; ++i) schemes.push_back(make_scheme(i));
   }
 
@@ -79,11 +83,13 @@ struct RsMiniGroup {
       rebuilt[index] = std::move(img);
       rebuilt_barrier = barrier;
     };
-    return std::make_unique<RsScheme>(map, index, parity, std::move(hooks));
+    return std::make_unique<RsScheme>(map, index, parity, codec,
+                                      std::move(hooks));
   }
 
   GroupMap map;
   int parity;
+  CodecConfig codec;
   std::vector<std::unique_ptr<RsScheme>> schemes;
   std::map<int, Image> rebuilt;
   std::vector<std::uint64_t> impossible_barriers;
@@ -254,7 +260,7 @@ TEST(CkptRsScheme, CorruptedParityPieceIsRejectedNotPromoted) {
 TEST(CkptRsScheme, StatsSplitEncodeFromRebuildTraffic) {
   RsMiniGroup g(4, 4, 2);
   std::vector<Image> images = exchange_epoch(g, 1, 64);
-  const RedundancyStats& st = g.schemes[0]->stats();
+  const RsScheme::Stats& st = g.schemes[0]->stats();
   EXPECT_EQ(st.parity_chunks_sent, 4u);  // k=2 chunks x m=2 holders
   EXPECT_GT(st.parity_bytes_sent, 0u);
   EXPECT_EQ(st.rebuild_pieces_sent, 0u);
@@ -274,21 +280,14 @@ TEST(CkptRsScheme, ResetForgetsParity) {
   EXPECT_EQ(g.schemes[2]->redundancy_bytes(), 0u);
 }
 
-TEST(CkptRsScheme, DeltaRoundAdvancesParityBitwise) {
-  // Epoch 1 exchanges full chunks; epoch 2 ships only the dirty diff with
-  // DeltaHints, and the holders advance their seeded parity by C * diff.
-  // A double loss rebuilt from the delta-built round must still be exact.
-  RsMiniGroup g(4, 4, 2);
-  std::vector<Image> base = exchange_epoch(g, 1, 96);
-
-  CodecConfig codec;
-  codec.delta = DeltaMode::On;
+/// `base` at epoch `epoch` with a few bytes flipped (sizes unchanged).
+std::vector<Image> mutate_epoch(const std::vector<Image>& base,
+                                std::uint64_t epoch) {
   std::vector<Image> next;
-  for (int i = 0; i < 4; ++i) {
-    Image img = base[static_cast<std::size_t>(i)];
-    img.epoch = 2;
-    img.iteration = 20;
-    // Mutate a few bytes in place (sizes unchanged: delta stays legal).
+  for (const Image& b : base) {
+    Image img = b;
+    img.epoch = epoch;
+    img.iteration = epoch * 10;
     std::vector<std::byte> bytes(img.image.bytes().begin(),
                                  img.image.bytes().end());
     bytes[3] ^= std::byte{0x5A};
@@ -296,19 +295,31 @@ TEST(CkptRsScheme, DeltaRoundAdvancesParityBitwise) {
     img.image = pup::Checkpoint(std::move(bytes));
     next.push_back(std::move(img));
   }
+  return next;
+}
+
+/// One kDigestChunk-grid digest per image: the test images are smaller
+/// than one chunk.
+std::vector<std::uint32_t> digests_of(const Image& img) {
+  return {checksum::crc32c(img.image.bytes())};
+}
+
+TEST(CkptRsScheme, DeltaRoundAdvancesParityBitwise) {
+  // Epoch 1 exchanges full chunks; epoch 2 ships only the dirty diff
+  // against a DeltaBase, and the holders advance their seeded parity by
+  // C * diff. A double loss rebuilt from the delta-built round must still
+  // be exact.
+  CodecConfig codec;
+  codec.delta = DeltaMode::On;
+  RsMiniGroup g(4, 4, 2, codec);
+  std::vector<Image> base = exchange_epoch(g, 1, 96);
+  std::vector<Image> next = mutate_epoch(base, 2);
   for (int i = 0; i < 4; ++i) {
     const Image& b = base[static_cast<std::size_t>(i)];
-    const Image& n = next[static_cast<std::size_t>(i)];
-    std::vector<std::uint32_t> base_dg{checksum::crc32c(b.image.bytes())};
-    std::vector<std::uint32_t> dg{checksum::crc32c(n.image.bytes())};
-    buf::Buffer base_buf = b.image.buffer();
-    DeltaHints hints;
-    hints.codec = &codec;
-    hints.base_image = &base_buf;
-    hints.base_digests = &base_dg;
-    hints.digests = &dg;
-    hints.base_epoch = 1;
-    g.schemes[static_cast<std::size_t>(i)]->on_verified(n, &hints);
+    DeltaBase db{1, b.image.buffer(), digests_of(b)};
+    g.schemes[static_cast<std::size_t>(i)]->on_verified(
+        next[static_cast<std::size_t>(i)], &db,
+        digests_of(next[static_cast<std::size_t>(i)]));
   }
   for (const auto& s : g.schemes) {
     EXPECT_TRUE(s->parity_complete_for(2));
@@ -316,6 +327,63 @@ TEST(CkptRsScheme, DeltaRoundAdvancesParityBitwise) {
     EXPECT_EQ(s->stats().parity_rounds_poisoned, 0u);
   }
   expect_multi_rebuild(g, next, {0, 2}, 15);
+}
+
+TEST(CkptRsScheme, DeltaGateFallsBackToAFullRound) {
+  // Each row breaks one condition of on_verified's delta gate; the round
+  // must then ship full chunks and still rebuild bitwise. The control row
+  // breaks none and must ship deltas.
+  CodecConfig delta;
+  delta.delta = DeltaMode::On;
+  CodecConfig compress_only;
+  compress_only.compress = CompressMode::Lz;
+  struct Case {
+    const char* what;
+    CodecConfig codec;
+    bool null_base;
+    std::uint64_t base_epoch;
+    std::uint64_t epoch;  ///< the group completed epoch - 1 before
+    std::size_t base_extra_bytes;
+    std::size_t extra_digests;
+    bool expect_delta;
+  };
+  const Case cases[] = {
+      {"control", delta, false, 2, 3, 0, 0, true},
+      {"null base", delta, true, 2, 3, 0, 0, false},
+      {"base of another size", delta, false, 2, 3, 5, 0, false},
+      {"digest-count mismatch", delta, false, 2, 3, 0, 1, false},
+      {"cadence epoch", delta, false, 4, 5, 0, 0, false},  // 5 % 4 == 1
+      {"delta stage off", compress_only, false, 2, 3, 0, 0, false},
+      {"no base epoch", delta, false, 0, 3, 0, 0, false},
+      {"base not older", delta, false, 3, 3, 0, 0, false},
+  };
+  for (const Case& c : cases) {
+    RsMiniGroup g(4, 4, 2, c.codec);
+    std::vector<Image> base = exchange_epoch(g, c.epoch - 1, 96);
+    std::vector<Image> next = mutate_epoch(base, c.epoch);
+    for (int i = 0; i < 4; ++i) {
+      const Image& b = base[static_cast<std::size_t>(i)];
+      const Image& n = next[static_cast<std::size_t>(i)];
+      DeltaBase db{c.base_epoch, b.image.buffer(), digests_of(b)};
+      if (c.base_extra_bytes > 0) {
+        std::vector<std::byte> longer(b.image.size() + c.base_extra_bytes);
+        std::copy(b.image.bytes().begin(), b.image.bytes().end(),
+                  longer.begin());
+        db.image = buf::Buffer::wrap(std::move(longer));
+      }
+      std::vector<std::uint32_t> dg = digests_of(n);
+      dg.resize(dg.size() + c.extra_digests);
+      g.schemes[static_cast<std::size_t>(i)]->on_verified(
+          n, c.null_base ? nullptr : &db, dg);
+    }
+    for (const auto& s : g.schemes) {
+      EXPECT_TRUE(s->parity_complete_for(c.epoch)) << c.what;
+      EXPECT_EQ(s->stats().parity_delta_chunks_sent > 0, c.expect_delta)
+          << c.what;
+      EXPECT_EQ(s->stats().parity_rounds_poisoned, 0u) << c.what;
+    }
+    expect_multi_rebuild(g, next, {0, 2}, 15);
+  }
 }
 
 // --ckpt-scheme=xor is RsScheme with one parity block; these cases pin
@@ -348,3 +416,54 @@ TEST(CkptXorScheme, ParityEpochBehindVerifiedReportsImpossible) {
 
 }  // namespace
 }  // namespace acr::ckpt
+
+namespace acr {
+namespace {
+
+/// A job of six nodes per replica, set up but not run. Under rs, groups of
+/// four leave the tail group {4, 5}; one parity block fits both.
+std::unique_ptr<AcrRuntime> six_node_job(ckpt::Scheme redundancy) {
+  apps::Jacobi3DConfig app;
+  app.tasks_x = 2;
+  app.tasks_y = 3;
+  app.tasks_z = 1;
+  app.slots_per_node = 1;
+  app.block_x = app.block_y = app.block_z = 4;
+  AcrConfig ac;
+  ac.redundancy = redundancy;
+  ac.rs_parity = 1;
+  rt::ClusterConfig cc;
+  cc.nodes_per_replica = app.nodes_needed();
+  auto job = std::make_unique<AcrRuntime>(ac, cc);
+  job->set_task_factory(app.factory());
+  job->setup();
+  return job;
+}
+
+TEST(AgentRs, HeldOnlyUnderRs) {
+  for (ckpt::Scheme scheme :
+       {ckpt::Scheme::Local, ckpt::Scheme::Partner, ckpt::Scheme::Rs}) {
+    std::unique_ptr<AcrRuntime> job = six_node_job(scheme);
+    for (int r = 0; r < 2; ++r)
+      for (int i = 0; i < 6; ++i)
+        EXPECT_EQ(job->agent_at(r, i).rs() != nullptr,
+                  scheme == ckpt::Scheme::Rs)
+            << ckpt::scheme_name(scheme) << " (" << r << "," << i << ")";
+  }
+}
+
+TEST(AgentRs, RebindToANewIndexRebuildsForTheNewGroup) {
+  // A repaired node promoted into another role keeps its agent; the agent
+  // must rebuild its rs state for the new index's group.
+  std::unique_ptr<AcrRuntime> job = six_node_job(ckpt::Scheme::Rs);
+  NodeAgent& agent = job->agent_at(0, 1);
+  ASSERT_NE(agent.rs(), nullptr);
+  EXPECT_EQ(agent.rs()->group_size(), 4);
+  job->cluster().node_at(0, 1).assign(0, 5);
+  agent.rebind_role();
+  ASSERT_NE(agent.rs(), nullptr);
+  EXPECT_EQ(agent.rs()->group_size(), 2);
+}
+
+}  // namespace
+}  // namespace acr
