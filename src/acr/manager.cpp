@@ -399,11 +399,8 @@ void Manager::maybe_undouble() {
 void Manager::start_recovery(int replica, int node_index) {
   if (!promote_and_install(replica, node_index)) return;
 
-  if (redundancy() == ckpt::Scheme::Local) {
-    // No remote copy exists anywhere: the dead node's image is simply gone.
-    restart_from_scratch();
-    return;
-  }
+  // Local: no remote copy exists anywhere, the dead node's image is gone.
+  if (redundancy() == ckpt::Scheme::Local) return restart_from_scratch();
   switch (env_.config->scheme) {
     case ResilienceScheme::Strong:
       // Validation pins rs to the strong scheme.
@@ -423,26 +420,14 @@ void Manager::start_recovery(int replica, int node_index) {
 }
 
 void Manager::start_restore_wave(int replica, int node_index) {
-  if (verified_epoch_ == 0) {
-    restart_from_scratch();
-    return;
-  }
-  if (redundancy() == ckpt::Scheme::Partner &&
-      !env_.cluster->role_alive(1 - replica, node_index)) {
-    // Both members of the pair are gone: the checkpoint is lost.
-    restart_from_scratch();
-    return;
-  }
+  if (verified_epoch_ == 0) return restart_from_scratch();
   std::vector<int> dead{node_index};
   if (redundancy() == ckpt::Scheme::Rs) {
-    // A group absorbs up to rs_parity losses in ONE wave: a burst can drop
-    // a second member before its suspect report lands, and routing around
-    // it as if it were a survivor would strand the rebuild. Sweep the group
-    // for dead-but-unreported members and fold them into this wave —
-    // inserting them into dead_roles_ both widens route_rs_rebuild's dead
-    // set and makes handle_suspect_role drop their late reports. A dead set
-    // beyond the parity budget fails route_restore and falls down the
-    // ladder.
+    // A burst can drop a second group member before its suspect report
+    // lands; routing around it as a survivor would strand the rebuild. Fold
+    // the group's dead-but-unreported members into this wave: dead_roles_
+    // widens route_rs_rebuild's dead set (which applies the rs rule once
+    // this wave has its barrier) and drops their late reports.
     for (int i : env_.cluster->ckpt_groups().group_members(node_index)) {
       auto role = std::make_pair(replica, i);
       if (i == node_index || env_.cluster->role_alive(replica, i) ||
@@ -455,15 +440,15 @@ void Manager::start_restore_wave(int replica, int node_index) {
       if (!promote_and_install(replica, i)) return;
       dead.push_back(i);
     }
+  } else if (!recoverable(std::array{std::pair{replica, node_index}})) {
+    return restart_from_scratch();  // partner: the buddy's copy is gone too
   }
   rewind(static_cast<std::uint8_t>(1u << replica));
   std::uint64_t barrier = next_barrier_++;
   // The dead roles get a routed image; everyone else in the crashed replica
   // rolls back locally (Fig. 4a).
-  if (!route_restore(replica, node_index, barrier)) {
-    restart_from_scratch();
-    return;
-  }
+  if (!route_restore(replica, node_index, barrier))
+    return restart_from_scratch();
   wire::RestoreCmdMsg roll{verified_epoch_, barrier};
   for (int j = 0; j < env_.cluster->nodes_per_replica(); ++j) {
     if (std::find(dead.begin(), dead.end(), j) != dead.end()) continue;
@@ -504,7 +489,7 @@ bool Manager::route_rs_rebuild(int replica, int node_index,
     else
       survivors.push_back(i);
   }
-  if (static_cast<int>(cmd.dead_indices.size()) > env_.config->rs_parity)
+  if (!recoverable(std::array{std::pair{replica, node_index}}))
     return false;  // more losses than parity blocks: undecodable
   // A survivor that is dead-but-unreported cannot feed a piece; bail to the
   // ladder now rather than strand the wave (its report escalates anyway).
@@ -514,6 +499,14 @@ bool Manager::route_rs_rebuild(int replica, int node_index,
     env_.cluster->send_from_manager(replica, i, wire::kRsRebuildSend,
                                     rt::pack_payload(cmd));
   return true;
+}
+
+bool Manager::recoverable(std::span<const std::pair<int, int>> wave) const {
+  return ckpt::recoverable(
+      redundancy(), env_.cluster->ckpt_groups(), env_.config->rs_parity, wave,
+      [this](int r, int i) {
+        return dead_roles_.count({r, i}) || !env_.cluster->role_alive(r, i);
+      });
 }
 
 void Manager::begin_recovery_checkpoint(int crashed_replica) {
@@ -623,37 +616,16 @@ void Manager::escalate_rollback_all() {
   // Re-entrant: overlapping failures during an escalation abandon the
   // current restore wave (its barrier id) and start a fresh one that
   // covers the newly dead roles as well.
-  if (verified_epoch_ == 0 || redundancy() == ckpt::Scheme::Local) {
-    restart_from_scratch();
-    return;
-  }
+  if (verified_epoch_ == 0) return restart_from_scratch();
   // Roles needing an assisted restore: currently dead ones, plus any
   // role already under recovery — its occupant may be a freshly promoted
   // spare that holds no checkpoint yet.
   for (int r = 0; r < 2; ++r)
     for (int i = 0; i < env_.cluster->nodes_per_replica(); ++i)
       if (!env_.cluster->role_alive(r, i)) dead_roles_.insert({r, i});
+  if (!recoverable(std::vector(dead_roles_.begin(), dead_roles_.end())))
+    return restart_from_scratch();
   const ckpt::GroupMap& groups = env_.cluster->ckpt_groups();
-  if (redundancy() == ckpt::Scheme::Rs) {
-    // The rebuild is intra-replica: a buddy-pair loss is survivable, but a
-    // group can only lose as many members as it has parity blocks.
-    std::map<std::pair<int, int>, int> dead_per_group;
-    for (const auto& [r, i] : dead_roles_) {
-      if (++dead_per_group[{r, groups.group_of(i)}] > env_.config->rs_parity) {
-        restart_from_scratch();
-        return;
-      }
-    }
-  } else {
-    // Partner: if any buddy pair is fully gone, the verified checkpoint
-    // cannot be reassembled.
-    for (const auto& [r, i] : dead_roles_) {
-      if (dead_roles_.count({1 - r, i})) {
-        restart_from_scratch();
-        return;
-      }
-    }
-  }
   for (const auto& [r, i] : dead_roles_) {
     if (env_.cluster->role_alive(r, i)) continue;  // spare already in place
     if (!promote_and_install(r, i)) return;

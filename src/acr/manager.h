@@ -14,6 +14,7 @@
 #include <functional>
 #include <optional>
 #include <set>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -138,15 +139,18 @@ class Manager {
   /// `barrier`. Partner: the buddy ships its verified copy (nothing is sent
   /// when the buddy is dead too; its own watchers escalate). Rs: the group
   /// rebuild of route_rs_rebuild. False when no remote copy can be routed
-  /// (local, or an undecodable group): the caller falls down the ladder.
+  /// (local, or a failed rs rebuild): the caller falls down the ladder.
   bool route_restore(int replica, int node_index, std::uint64_t barrier);
   /// Order the group survivors of (replica, node_index) to feed rebuild
   /// pieces under `barrier`: one RsRebuildCmd per survivor names the
   /// group's WHOLE dead set (node_index plus any dead_roles_ group-mates),
-  /// so one wave covers a multi-loss burst. False when the losses exceed
-  /// the parity budget or a needed survivor is itself dead: caller falls
-  /// down the ladder.
+  /// so one wave covers a multi-loss burst. False when recoverable() fails
+  /// (more losses than parity) or when a survivor is dead but unreported,
+  /// so this wave cannot be served now: the caller falls down the ladder.
   bool route_rs_rebuild(int replica, int node_index, std::uint64_t barrier);
+  /// ckpt::recoverable over the live cluster: a role's image counts as lost
+  /// while the role is in dead_roles_ or dead.
+  bool recoverable(std::span<const std::pair<int, int>> wave) const;
   ckpt::Scheme redundancy() const { return env_.config->redundancy; }
   void begin_recovery_checkpoint(int crashed_replica);
 

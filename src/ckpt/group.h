@@ -1,14 +1,13 @@
 // Parity-group membership for the rs group-parity redundancy scheme.
 //
 // Node indices of a replica are partitioned into consecutive groups of
-// `group_size`. A trailing remainder group is kept as its own (smaller)
-// group, except that a remainder of ONE would leave a node with no parity
-// peers — parity over one member protects nothing — so a size-1 tail is
-// merged into the preceding group (its last group is group_size + 1 wide).
-// Groups never span replicas: parity exchange stays on the cheap
-// intra-replica links, and each replica can lose one node per group.
+// `group_size`. A trailing remainder of two or more is its own smaller
+// group; a remainder of ONE would have no parity peers, so it merges into
+// the preceding group (group_size + 1 wide). Groups never span replicas:
+// parity exchange stays on the cheap intra-replica links.
 #pragma once
 
+#include <utility>
 #include <vector>
 
 namespace acr::ckpt {
@@ -19,8 +18,8 @@ class GroupMap {
   GroupMap() = default;
   GroupMap(int nodes_per_replica, int group_size);
 
-  bool enabled() const { return !starts_.empty(); }
-  int num_groups() const { return static_cast<int>(starts_.size()); }
+  bool enabled() const { return groups_ > 0; }
+  int num_groups() const { return groups_; }
 
   /// Group id of a node index.
   int group_of(int node_index) const;
@@ -31,8 +30,11 @@ class GroupMap {
   int group_size_of(int node_index) const;
 
  private:
-  std::vector<int> starts_;  ///< first node index of each group
+  /// [first, last) node indices of the group containing node_index.
+  std::pair<int, int> bounds(int node_index) const;
   int nodes_ = 0;
+  int size_ = 0;
+  int groups_ = 0;
 };
 
 }  // namespace acr::ckpt

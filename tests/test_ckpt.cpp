@@ -1,14 +1,18 @@
 // Unit tests for the pluggable checkpoint layer (src/ckpt): the double
 // checkpoint Store's promotion state machine (including the edge cases a
-// racing verdict/rollback produces) and the parity GroupMap. The parity
+// racing verdict/rollback produces), the parity GroupMap and the
+// survivability rule (ckpt::recoverable). The parity
 // scheme's algebra is in test_rs_scheme.cpp; the L2 blob format is in
 // test_codec.cpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "ckpt/group.h"
+#include "ckpt/redundancy.h"
 #include "ckpt/store.h"
 #include "common/rng.h"
 
@@ -166,6 +170,84 @@ TEST(CkptGroupMap, LargerRemainderStandsAlone) {
   EXPECT_EQ(h.num_groups(), 3);
   EXPECT_EQ(h.group_size_of(7), 2);
   EXPECT_EQ(h.group_members(7), (std::vector<int>{6, 7}));
+}
+
+// ---------------------------------------------------------------------------
+// Survivability rule: one table of (wave, lost roles, expected) per scheme.
+// Roles are (replica, node index).
+// ---------------------------------------------------------------------------
+
+using Roles = std::vector<std::pair<int, int>>;
+
+struct SurvivalRow {
+  const char* what;
+  Roles wave;
+  Roles lost;
+  bool recoverable;
+};
+
+void check_table(Scheme scheme, const GroupMap& groups, int rs_parity,
+                 const std::vector<SurvivalRow>& table) {
+  for (const SurvivalRow& row : table) {
+    SCOPED_TRACE(row.what);
+    auto lost = [&row](int r, int i) {
+      return std::ranges::find(row.lost, std::pair{r, i}) != row.lost.end();
+    };
+    EXPECT_EQ(recoverable(scheme, groups, rs_parity, row.wave, lost),
+              row.recoverable);
+  }
+}
+
+TEST(CkptRecoverable, LocalRestoresNothing) {
+  check_table(Scheme::Local, GroupMap(), 0,
+              {
+                  {"empty wave", {}, {}, true},
+                  {"empty wave, roles lost", {}, {{0, 1}, {1, 1}}, true},
+                  {"one role", {{0, 3}}, {}, false},
+                  {"one role of replica 1", {{1, 0}}, {}, false},
+              });
+}
+
+TEST(CkptRecoverable, PartnerNeedsTheBuddy) {
+  check_table(Scheme::Partner, GroupMap(), 0,
+              {
+                  {"buddy alive", {{0, 3}}, {}, true},
+                  {"buddy lost", {{0, 3}}, {{1, 3}}, false},
+                  {"replica 1's buddy lost", {{1, 0}}, {{0, 0}}, false},
+                  {"buddy pair in one wave", {{0, 3}, {1, 3}}, {}, false},
+                  {"other roles lost", {{0, 3}}, {{0, 4}, {1, 2}}, true},
+                  {"two pairs, one role each", {{0, 3}, {1, 5}}, {}, true},
+                  {"second pair broken", {{0, 3}, {1, 5}}, {{0, 5}}, false},
+              });
+}
+
+TEST(CkptRecoverable, RsCountsLostMembersPerReplicaGroup) {
+  // 9 nodes in groups of 4: groups {0..3} and the merged tail {4..8}.
+  GroupMap groups(9, 4);
+  check_table(
+      Scheme::Rs, groups, 1,
+      {
+          {"one member", {{0, 2}}, {}, true},
+          {"second member of the group lost", {{0, 2}}, {{0, 1}}, false},
+          {"loss in the other group", {{0, 2}}, {{0, 5}}, true},
+          {"buddy pair lost", {{0, 2}}, {{1, 2}}, true},
+          {"same index in both replicas", {{0, 2}, {1, 2}}, {}, true},
+          {"two in one group, one wave", {{0, 0}, {0, 3}}, {}, false},
+          {"merged tail: 8 and 4 share a group", {{0, 8}}, {{0, 4}}, false},
+          {"merged tail: 8 and 3 do not", {{0, 8}}, {{0, 3}}, true},
+          {"two groups in one wave", {{0, 1}, {0, 6}}, {}, true},
+          {"two groups, second over", {{0, 1}, {0, 6}}, {{0, 7}}, false},
+          {"untouched group over budget", {{0, 1}}, {{0, 5}, {0, 6}}, true},
+      });
+  check_table(
+      Scheme::Rs, groups, 2,
+      {
+          {"two in the tail", {{0, 8}}, {{0, 4}}, true},
+          {"three in the tail", {{0, 8}}, {{0, 4}, {0, 5}}, false},
+          {"three via the wave", {{0, 8}, {0, 4}}, {{0, 5}}, false},
+          {"two per replica", {{0, 0}, {1, 0}}, {{0, 1}, {1, 1}}, true},
+          {"three in replica 1", {{1, 0}}, {{1, 1}, {1, 2}, {0, 3}}, false},
+      });
 }
 
 }  // namespace
