@@ -17,7 +17,6 @@
 #include "acr/runtime.h"
 #include "acr/stats.h"
 #include "apps/hpccg.h"
-#include "checksum/kernels.h"
 #include "apps/jacobi3d.h"
 #include "apps/leanmd.h"
 #include "apps/minilulesh.h"
@@ -61,7 +60,6 @@ int main(int argc, char** argv) {
   double l2_latency = std::nan("");  // sentinel: unset, take TierConfig default
   int flush_interval = -1;   // sentinel: unset, take the TierConfig default
   double halt_after = 0.0;
-  std::string kernel_impl = "auto";
   std::uint64_t seed = 1;
   bool trace = false;
 
@@ -150,10 +148,6 @@ int main(int argc, char** argv) {
                  "at this virtual time, stop checkpointing, drain the newest "
                  "verified epoch to the durable tier, and exit cleanly "
                  "(0 = run to completion; requires --l2-bandwidth > 0)");
-  cli.add_choice("kernel-impl", &kernel_impl, {"auto", "portable", "hw"},
-                 "data-plane CRC32C kernel: auto (cpuid), portable "
-                 "(slicing-by-8 tables), hw (SSE4.2 crc32q); digests are "
-                 "bit-identical either way");
   cli.add_uint64("seed", &seed, "master random seed");
   cli.add_flag("trace", &trace, "print the full protocol event trace");
   if (!cli.parse(argc, argv)) return 2;
@@ -192,12 +186,6 @@ int main(int argc, char** argv) {
   if (spare_repair_time < 0.0) {
     std::fprintf(stderr, "error: --spare-repair-time=%g must be >= 0\n",
                  spare_repair_time);
-    return 2;
-  }
-  if (kernel_impl == "hw" && !checksum::hw_kernels_available()) {
-    std::fprintf(stderr,
-                 "error: --kernel-impl=hw but this CPU has no SSE4.2; use "
-                 "auto or portable\n");
     return 2;
   }
   if (l2_bandwidth < 0.0) {
@@ -243,10 +231,6 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  checksum::set_kernel_impl(kernel_impl == "portable"
-                                ? checksum::KernelImpl::Portable
-                            : kernel_impl == "hw" ? checksum::KernelImpl::Hw
-                                                  : checksum::KernelImpl::Auto);
   if (xor_group_size != -1 && ckpt_scheme != "xor" && ckpt_scheme != "rs") {
     std::fprintf(stderr,
                  "error: --xor-group-size only applies to --ckpt-scheme=xor "

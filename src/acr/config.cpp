@@ -83,7 +83,6 @@ const char* validate_tier_config(const AcrConfig& config) {
     return nullptr;
   }
   if (t.latency < 0.0) return "l2 latency must be >= 0";
-  if (t.chunk_bytes == 0) return "l2 flush chunk size must be >= 1 byte";
   if (t.flush_interval == 0)
     return "flush interval must be >= 1 (flush every k-th committed epoch)";
   if (config.halt_after < 0.0) return "halt-after must be >= 0 (0 = never)";

@@ -55,9 +55,8 @@ struct AcrConfig {
   /// must fit the 256-element field label space.
   int rs_parity = 2;
 
-  /// Periodic checkpointing (disabled in HardOnly mode regardless).
-  bool periodic_checkpoints = true;
-  /// Fixed checkpoint period, seconds (used when !adaptive).
+  /// Fixed checkpoint period, seconds (used when !adaptive). HardOnly
+  /// takes no periodic checkpoints.
   double checkpoint_interval = 10.0;
 
   /// Adapt the period to the observed failure rate (§2.2, Fig. 12).

@@ -16,10 +16,6 @@ Manager::Manager(AcrEnv env, AgentInstaller installer)
       adaptive_(env.config->adaptive_config) {
   ACR_REQUIRE(env_.cluster != nullptr && env_.config != nullptr,
               "manager needs a cluster and a config");
-  if (env_.config->scheme == ResilienceScheme::Weak)
-    ACR_REQUIRE(env_.config->periodic_checkpoints,
-                "weak resilience recovers at the next periodic checkpoint; "
-                "periodic checkpointing must be enabled");
   if (const char* err = validate_redundancy_config(
           *env_.config, env_.cluster->nodes_per_replica()))
     ACR_REQUIRE(false, err);
@@ -49,9 +45,7 @@ void Manager::start() {
       [this](int sr, int sn, int dr, int dn) {
         handle_link_failure(sr, sn, dr, dn);
       });
-  if (env_.config->periodic_checkpoints &&
-      env_.config->scheme != ResilienceScheme::HardOnly)
-    schedule_tick();
+  if (env_.config->scheme != ResilienceScheme::HardOnly) schedule_tick();
   guard_tick();
 }
 
@@ -76,9 +70,7 @@ void Manager::guard_tick() {
 
 void Manager::schedule_tick() {
   if (complete_ || failed_ || drain_requested_) return;
-  if (!env_.config->periodic_checkpoints ||
-      env_.config->scheme == ResilienceScheme::HardOnly)
-    return;
+  if (env_.config->scheme == ResilienceScheme::HardOnly) return;
   if (tick_armed_) env_.cluster->engine().cancel(tick_id_);
   tick_id_ = env_.cluster->engine().schedule_after(current_interval(),
                                                    [this]() { tick(); });
@@ -116,8 +108,7 @@ void Manager::note_out_of_band_failure() {
 }
 
 void Manager::note_spare_available() {
-  if (env_.config->periodic_checkpoints &&
-      env_.config->scheme != ResilienceScheme::HardOnly)
+  if (env_.config->scheme != ResilienceScheme::HardOnly)
     return;  // the next commit relieves doubled roles at minimal cost
   maybe_undouble();
 }

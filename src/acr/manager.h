@@ -46,10 +46,10 @@ class Manager {
   /// tighten the checkpoint period just like detected role failures.
   void note_out_of_band_failure();
 
-  /// A repaired node re-entered the spare pool. If periodic checkpointing
-  /// is off, doubled roles are relieved here; otherwise the next commit
-  /// picks them up (un-doubling right after a commit loses the least
-  /// progress to its rollback).
+  /// A repaired node re-entered the spare pool. Under HardOnly (no
+  /// periodic checkpoints) doubled roles are relieved here; otherwise the
+  /// next commit picks them up (un-doubling right after a commit loses the
+  /// least progress to its rollback).
   void note_spare_available();
 
   /// Halt-control surface (--halt-after): stop starting new checkpoints,

@@ -152,7 +152,7 @@ void NodeAgent::reset_for_restart() {
   invalidate_codec_bases();
   pack_complete_ = false;
   have_remote_ = false;
-  local_verdict_done_ = false;
+  for (std::set<int>& in : reported_) in.clear();
   refresh_done_from_tasks();
   start();  // rebuilds the peer table, bumps heartbeat incarnation
 }
@@ -354,20 +354,14 @@ void NodeAgent::handle_checkpoint_request(const wire::CkptRequestMsg& msg) {
   // duplicate or a straggler from an aborted round, never a new consensus.
   if (msg.epoch <= epoch_) return;
   epoch_ = msg.epoch;
-  participants_ = msg.participants;
-  single_replica_ckpt_ = participants_ != 3;
+  single_replica_ckpt_ = msg.participants != 3;
   phase_ = Phase::Quiesce;
-  local_quiesced_ = false;
-  local_ready_ = false;
   pack_complete_ = false;
   have_remote_ = false;
-  local_verdict_done_ = false;
   subtree_match_ = true;
   subtree_mismatches_ = 0;
   num_children_ = static_cast<int>(child_indices().size());
-  progress_children_.clear();
-  ready_children_.clear();
-  verdict_children_.clear();
+  for (std::set<int>& in : reported_) in.clear();
 
   // Fig. 3 phase 2: the node's contribution to the max-progress reduction.
   // A running task is somewhere inside iteration progress+1 — it may
@@ -385,31 +379,42 @@ void NodeAgent::handle_checkpoint_request(const wire::CkptRequestMsg& msg) {
     floor = std::max(floor, p);
   }
   subtree_max_progress_ = floor;
-  local_quiesced_ = true;
   // Replay any child contributions that overtook this request (a child's
   // own request arrived earlier and its report beat ours here).
   if (auto it = progress_stash_.find(epoch_); it != progress_stash_.end()) {
     for (const auto& [child, progress] : it->second) {
       subtree_max_progress_ = std::max(subtree_max_progress_, progress);
-      progress_children_.insert(child);
+      report(Reduction::Progress, child);
     }
   }
   // Stashes at or below this epoch can never be consumed again.
   progress_stash_.erase(progress_stash_.begin(),
                         progress_stash_.upper_bound(epoch_));
-  maybe_send_progress_up();
+  report(Reduction::Progress, kSelf);
 }
 
-void NodeAgent::maybe_send_progress_up() {
-  if (!local_quiesced_ ||
-      static_cast<int>(progress_children_.size()) < num_children_)
-    return;
-  wire::ProgressMsg msg{epoch_, subtree_max_progress_};
-  if (is_root()) {
-    send_to_manager(wire::kReplicaQuiesced, rt::pack_payload(msg));
-  } else {
-    send_to_agent(replica_, parent_index(), wire::kTreeProgress,
-                  rt::pack_payload(msg));
+void NodeAgent::report(Reduction r, int who) {
+  std::set<int>& in = reported_[static_cast<std::size_t>(r)];
+  if (!in.insert(who).second) return;  // duplicate
+  if (static_cast<int>(in.size()) < num_children_ + 1) return;  // + kSelf
+  auto up = [this](auto msg, int tree_tag, int root_tag) {
+    if (is_root())
+      send_to_manager(root_tag, rt::pack_payload(msg));
+    else
+      send_to_agent(replica_, parent_index(), tree_tag, rt::pack_payload(msg));
+  };
+  switch (r) {
+    case Reduction::Progress:
+      return up(wire::ProgressMsg{epoch_, subtree_max_progress_},
+                wire::kTreeProgress, wire::kReplicaQuiesced);
+    case Reduction::Ready:
+      return up(wire::ReadyMsg{epoch_}, wire::kTreeReady,
+                wire::kReplicaReady);
+    case Reduction::Verdict:
+      return up(wire::VerdictMsg{epoch_,
+                                 static_cast<std::uint8_t>(subtree_match_),
+                                 subtree_mismatches_},
+                wire::kTreeVerdict, wire::kReplicaVerdict);
   }
 }
 
@@ -421,10 +426,11 @@ void NodeAgent::handle_tree_progress(const wire::ProgressMsg& msg, int child) {
     slot = std::max(slot, msg.max_progress);
     return;
   }
-  if (msg.epoch != epoch_ || phase_ != Phase::Quiesce) return;
-  if (!progress_children_.insert(child).second) return;  // duplicate
+  if (msg.epoch != epoch_ || phase_ != Phase::Quiesce ||
+      reported(Reduction::Progress, child))
+    return;
   subtree_max_progress_ = std::max(subtree_max_progress_, msg.max_progress);
-  maybe_send_progress_up();
+  report(Reduction::Progress, child);
 }
 
 void NodeAgent::handle_iteration_decided(const wire::IterationMsg& msg) {
@@ -442,37 +448,22 @@ void NodeAgent::handle_iteration_decided(const wire::IterationMsg& msg) {
 }
 
 void NodeAgent::check_ready() {
-  if (phase_ != Phase::RunToIteration || local_ready_) return;
+  if (phase_ != Phase::RunToIteration || reported(Reduction::Ready, kSelf))
+    return;
   for (int slot = 0; slot < node_.num_tasks(); ++slot) {
     if (done_.at(static_cast<std::size_t>(slot))) continue;
     if (!(node_.task_paused(slot) &&
           node_.task_progress(slot) >= decided_iteration_))
       return;
   }
-  local_ready_ = true;
-  maybe_send_ready_up();
-}
-
-void NodeAgent::maybe_send_ready_up() {
-  if (!local_ready_ ||
-      static_cast<int>(ready_children_.size()) < num_children_)
-    return;
-  wire::ReadyMsg msg{epoch_};
-  if (is_root()) {
-    send_to_manager(wire::kReplicaReady, rt::pack_payload(msg));
-  } else {
-    send_to_agent(replica_, parent_index(), wire::kTreeReady,
-                  rt::pack_payload(msg));
-  }
+  report(Reduction::Ready, kSelf);
 }
 
 void NodeAgent::handle_tree_ready(const wire::ReadyMsg& msg, int child) {
   // Unlike progress, readiness cannot arrive early: a child only reports
   // after kIterationDecided, which the manager sends once every root has
   // contributed — requiring this node's own request to have been handled.
-  if (msg.epoch != epoch_) return;
-  if (!ready_children_.insert(child).second) return;  // duplicate
-  maybe_send_ready_up();
+  if (msg.epoch == epoch_) report(Reduction::Ready, child);
 }
 
 // ---------------------------------------------------------------------------
@@ -709,7 +700,7 @@ void NodeAgent::invalidate_codec_bases() {
 
 void NodeAgent::maybe_compare() {
   if (replica_ != 1 || !pack_complete_ || !have_remote_ ||
-      local_verdict_done_)
+      reported(Reduction::Verdict, kSelf))
     return;
   if (env_.config->detection == SdcDetection::Checksum) {
     bool match = remote_checksum_.digest == local_digest_ &&
@@ -736,32 +727,16 @@ void NodeAgent::maybe_compare() {
 }
 
 void NodeAgent::finish_local_verdict(bool match) {
-  local_verdict_done_ = true;
   subtree_match_ = subtree_match_ && match;
   if (!match) ++subtree_mismatches_;
-  maybe_send_verdict_up();
-}
-
-void NodeAgent::maybe_send_verdict_up() {
-  if (!local_verdict_done_ ||
-      static_cast<int>(verdict_children_.size()) < num_children_)
-    return;
-  wire::VerdictMsg msg{epoch_, static_cast<std::uint8_t>(subtree_match_),
-                       subtree_mismatches_};
-  if (is_root()) {
-    send_to_manager(wire::kReplicaVerdict, rt::pack_payload(msg));
-  } else {
-    send_to_agent(replica_, parent_index(), wire::kTreeVerdict,
-                  rt::pack_payload(msg));
-  }
+  report(Reduction::Verdict, kSelf);
 }
 
 void NodeAgent::handle_tree_verdict(const wire::VerdictMsg& msg, int child) {
-  if (msg.epoch != epoch_) return;
-  if (!verdict_children_.insert(child).second) return;  // duplicate
+  if (msg.epoch != epoch_ || reported(Reduction::Verdict, child)) return;
   subtree_match_ = subtree_match_ && (msg.match != 0);
   subtree_mismatches_ += msg.mismatched_nodes;
-  maybe_send_verdict_up();
+  report(Reduction::Verdict, child);
 }
 
 // ---------------------------------------------------------------------------
@@ -1014,7 +989,7 @@ void NodeAgent::flush_next_chunk(std::uint64_t seq) {
     return;
   }
   std::uint64_t chunk =
-      std::min<std::uint64_t>(flush_.remaining, env_.config->tier.chunk_bytes);
+      std::min<std::uint64_t>(flush_.remaining, ckpt::kTierFlushChunkBytes);
   double delay = env_.cluster->l2_write(replica_ * num_nodes_ + index_,
                                         static_cast<double>(chunk));
   env_.cluster->engine().schedule_after(delay, [this, seq, chunk]() {

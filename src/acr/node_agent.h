@@ -21,6 +21,7 @@
 // broadcasts come directly from the job manager (see manager.h).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -136,9 +137,7 @@ class NodeAgent final : public rt::NodeService {
   void handle_halt();
   void handle_abort(const wire::EpochMsg& msg);
   void handle_resume();
-  // Tree reductions carry the contributing child's index: contributions are
-  // tracked as identity sets, so a duplicated control message can never
-  // double-count (idempotency under an at-least-once transport).
+  // Tree reductions carry the contributing child's index (see report()).
   void handle_tree_progress(const wire::ProgressMsg& msg, int child);
   void handle_tree_ready(const wire::ReadyMsg& msg, int child);
   void handle_tree_verdict(const wire::VerdictMsg& msg, int child);
@@ -179,11 +178,20 @@ class NodeAgent final : public rt::NodeService {
   void handle_fetch_from_durable(const wire::RestoreCmdMsg& msg);
 
   // Consensus steps.
-  void maybe_send_progress_up();
+  enum class Reduction { Progress, Ready, Verdict };  ///< Fig. 3 tree
+  static constexpr int kSelf = -1;
+  /// The one rule of all three tree reductions: count `who` (this node,
+  /// kSelf, or a tree child) toward `r`, and once this node and every child
+  /// have reported, send the subtree's value up (to the parent, or from
+  /// the root to the manager). Members count by identity, so a duplicated
+  /// report (at-least-once transport) can neither complete a reduction
+  /// early nor send it up twice.
+  void report(Reduction r, int who);
+  bool reported(Reduction r, int who) const {
+    return reported_[static_cast<std::size_t>(r)].contains(who);
+  }
   void check_ready();
-  void maybe_send_ready_up();
   void maybe_compare();
-  void maybe_send_verdict_up();
   void finish_local_verdict(bool match);
 
   // Checkpoint plumbing.
@@ -219,21 +227,15 @@ class NodeAgent final : public rt::NodeService {
   // Consensus state.
   Phase phase_ = Phase::Idle;
   std::uint64_t epoch_ = 0;
-  std::uint8_t participants_ = 3;
   bool single_replica_ckpt_ = false;
   std::uint64_t decided_iteration_ = 0;
   int num_children_ = 0;
-  /// Children whose contribution to each reduction has been counted.
-  /// Sets, not counters: a duplicated tree message must not double-count.
-  std::set<int> progress_children_;
-  std::set<int> ready_children_;
-  std::set<int> verdict_children_;
+  /// Members (kSelf, child indices) counted toward each reduction this
+  /// epoch, indexed by Reduction.
+  std::array<std::set<int>, 3> reported_;
   std::uint64_t subtree_max_progress_ = 0;
-  bool local_quiesced_ = false;
-  bool local_ready_ = false;
   bool subtree_match_ = true;
   std::uint64_t subtree_mismatches_ = 0;
-  bool local_verdict_done_ = false;
   /// A child's kTreeProgress can legitimately overtake this node's own
   /// kCheckpointRequest (they travel different links). Early contributions
   /// are stashed by epoch and replayed when the request arrives.

@@ -228,8 +228,9 @@ bool AcrRuntime::apply(const failure::Fault& f) {
       rt::Node& node = cluster_->node_at(t.replica, t.index);
       if (t.slot >= node.num_tasks()) return false;
       ACR_REQUIRE(f.draws != nullptr, "a flip needs a draw stream");
-      std::optional<failure::BitFlip> flip = failure::try_inject_sdc(
-          node.task(t.slot), *f.draws, fault_plan_.flip_policy);
+      std::optional<failure::BitFlip> flip =
+          failure::try_inject_sdc(node.task(t.slot), *f.draws,
+                                  failure::FlipPolicy::FloatingPointOnly);
       if (!flip) return false;  // no eligible state (e.g. a bare spare)
       ++sdc_injected_;
       cluster_->trace().record(engine_.now(), rt::TraceKind::SdcInjected,

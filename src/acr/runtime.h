@@ -30,18 +30,14 @@
 namespace acr {
 
 /// Fault-injection plan (§6.1): an arrival process plus the SDC/hard mix.
+/// Flips land only in floating point user data, the state that dominates
+/// checkpoints (failure::FlipPolicy::FloatingPointOnly).
 struct FaultPlan {
   std::shared_ptr<failure::ArrivalProcess> arrivals;
   /// Probability that an injected fault is an SDC bit flip (vs fail-stop).
   double sdc_fraction = 0.5;
   /// Stop injecting after this time (0 = no limit).
   double horizon = 0.0;
-  /// Where flips may land. Default mirrors the paper: the floating point
-  /// user data that dominates checkpoints. AnyPayload additionally strikes
-  /// counters/indices — corruption the framework detects at the next
-  /// comparison, but which can also derail the victim's control flow in
-  /// ways no checkpoint-based scheme can mask.
-  failure::FlipPolicy flip_policy = failure::FlipPolicy::FloatingPointOnly;
 };
 
 struct RunSummary {

@@ -53,8 +53,6 @@ class IterativeTask : public rt::Task {
   void pup(pup::Puper& p) final;
   std::uint64_t progress() const final { return iter_; }
 
-  std::uint64_t total_iterations() const { return total_iters_; }
-
  protected:
   /// Allocate and initialise application state. Called exactly once, from
   /// the first on_start (never after restores).

@@ -6,7 +6,7 @@
 // The inner loop is hardware-dispatched (kernels.h): SSE4.2 crc32q where
 // the CPU has it, a slicing-by-8 table loop otherwise. Both compute the
 // same polynomial, so every digest is bit-identical across machines and
-// --kernel-impl choices.
+// ACR_KERNEL_IMPL choices.
 #pragma once
 
 #include <cstddef>

@@ -9,9 +9,8 @@
 //      (_mm_crc32_u64, ~1 cycle per 8 bytes) and a portable slicing-by-8
 //      table fallback. The implementation is resolved once — cpuid, the
 //      ACR_KERNEL_IMPL environment variable, or an explicit
-//      set_kernel_impl() call (the driver's --kernel-impl flag) — and both
-//      produce the same polynomial, so the choice is invisible to the
-//      protocol.
+//      set_kernel_impl() call (tests and benches) — and both produce the
+//      same polynomial, so the choice is invisible to the protocol.
 //
 //   2. CRC32C combine. crc32c_combine computes crc(A ++ B) from crc(A),
 //      crc(B) and |B| with the GF(2) shift-matrix trick (apply the "advance
@@ -38,12 +37,12 @@ namespace acr::checksum {
 /// Which CRC32C inner loop to run. Auto resolves to Hw when the CPU has
 /// SSE4.2, else Portable; the ACR_KERNEL_IMPL environment variable
 /// ("portable" / "hw" / "auto") overrides Auto's default at startup, and
-/// set_kernel_impl() (the driver's --kernel-impl flag) overrides both.
+/// set_kernel_impl() overrides both.
 enum class KernelImpl { Auto, Portable, Hw };
 
 /// Re-resolve the active kernels. Requesting Hw on a machine without
-/// SSE4.2 is a fatal precondition error — callers (the driver) should
-/// check hw_kernels_available() first and fail with a proper message.
+/// SSE4.2 is a fatal precondition error — callers should check
+/// hw_kernels_available() first and fail with a proper message.
 void set_kernel_impl(KernelImpl impl);
 
 /// The last requested policy (Auto until someone calls set_kernel_impl).

@@ -39,15 +39,16 @@ struct TierConfig {
   double bandwidth = 0.0;
   /// Per-operation latency (seconds) charged before each chunk/fetch.
   double latency = 1e-4;
-  /// Flush I/O is issued in chunks of this size so it trickles underneath
-  /// protocol traffic instead of occupying the channel in one long burst.
-  std::uint64_t chunk_bytes = 256 * 1024;
   /// Flush every k-th committed epoch (1 = every epoch). Larger values
   /// trade flush traffic for a longer rollback on L2 fetch.
   std::uint64_t flush_interval = 1;
 
   bool enabled() const { return bandwidth > 0.0; }
 };
+
+/// Flush I/O is issued in chunks of this size so it trickles underneath
+/// protocol traffic instead of occupying the channel in one long burst.
+inline constexpr std::uint64_t kTierFlushChunkBytes = 256 * 1024;
 
 /// Longest delta chain an agent will grow in the tier: once the newest
 /// blob's chain reaches this many links, the next flush ships a full (or

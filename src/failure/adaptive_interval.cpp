@@ -26,7 +26,7 @@ double daly_interval(double checkpoint_cost, double mtbf) {
 
 AdaptiveIntervalController::AdaptiveIntervalController(
     const AdaptiveIntervalConfig& config)
-    : config_(config), estimator_(config.window, config.prior_mtbf) {
+    : config_(config), estimator_(config.window) {
   ACR_REQUIRE(config.min_interval > 0.0 &&
                   config.max_interval >= config.min_interval,
               "interval clamp range invalid");
@@ -46,9 +46,8 @@ double AdaptiveIntervalController::next_interval(double now) const {
   std::optional<double> m = estimator_.mtbf(now);
   if (!m) return config_.max_interval;
   double delta = config_.checkpoint_cost + flush_overhead_;
-  double tau = config_.use_daly ? daly_interval(delta, *m)
-                                : young_interval(delta, *m);
-  return std::clamp(tau, config_.min_interval, config_.max_interval);
+  return std::clamp(daly_interval(delta, *m), config_.min_interval,
+                    config_.max_interval);
 }
 
 }  // namespace acr::failure

@@ -1,6 +1,6 @@
 // Adaptive checkpoint-interval controller (§2.2).
 //
-// Combines the online MTBF estimate with the Young/Daly optimum period:
+// Combines the online MTBF estimate with Daly's optimum period:
 // after every failure (and periodically in between) the controller
 // re-derives the interval from the current failure-rate trend, clamped to
 // a sane range. This is the policy behind Fig. 12: checkpoint every ~6 s
@@ -23,9 +23,7 @@ struct AdaptiveIntervalConfig {
   double checkpoint_cost = 1.0;   ///< delta, seconds
   double min_interval = 1.0;      ///< clamp floor, seconds
   double max_interval = 3600.0;   ///< clamp ceiling, seconds
-  double prior_mtbf = 0.0;        ///< assumed MTBF before any failure (0 = none)
   std::size_t window = 8;         ///< estimator sliding window
-  bool use_daly = true;           ///< Daly vs Young formula
 };
 
 class AdaptiveIntervalController {
@@ -36,18 +34,14 @@ class AdaptiveIntervalController {
   void on_failure(double t);
 
   /// Amortized durable-tier flush cost per checkpoint period (seconds).
-  /// Added to the configured checkpoint cost when deriving the Young/Daly
+  /// Added to the configured checkpoint cost when deriving the Daly
   /// delta, so a flush-heavy tier stretches the optimal interval. 0 (the
   /// default) reproduces the single-tier controller exactly.
   void set_flush_overhead(double seconds);
 
   /// Interval to use for the next checkpoint, given the current time.
-  /// Before any failure (and with no prior) returns max_interval.
+  /// Before any failure returns max_interval.
   double next_interval(double now) const;
-
-  std::size_t failures_observed() const {
-    return estimator_.failures_observed();
-  }
 
   const AdaptiveIntervalConfig& config() const { return config_; }
 

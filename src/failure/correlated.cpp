@@ -9,6 +9,9 @@ namespace acr::failure {
 
 namespace {
 
+/// Lognormal sigma of the node repair-time distribution.
+constexpr double kRepairSigma = 0.5;
+
 /// Torus dims for N nodes with X = domain size: pack the remaining
 /// domains into a near-square Y*Z face so hop distances stay meaningful.
 topo::Torus3D derive_torus(int num_nodes, int domain_size) {
@@ -66,14 +69,10 @@ CorrelatedInjector::CorrelatedInjector(const BurstConfig& config,
     gaps = std::make_shared<Exponential>(config_.seed_mtbf);
   seeds_ = std::make_unique<RenewalProcess>(std::move(gaps));
   if (config_.repair_mean > 0.0) {
-    if (config_.repair_sigma > 0.0) {
-      // Lognormal with the requested mean: mean = exp(mu + sigma^2 / 2).
-      double sigma = config_.repair_sigma;
-      double mu = std::log(config_.repair_mean) - 0.5 * sigma * sigma;
-      repair_ = std::make_unique<LogNormal>(mu, sigma);
-    } else {
-      repair_ = std::make_unique<Exponential>(config_.repair_mean);
-    }
+    // Lognormal with the requested mean: mean = exp(mu + sigma^2 / 2).
+    double mu =
+        std::log(config_.repair_mean) - 0.5 * kRepairSigma * kRepairSigma;
+    repair_ = std::make_unique<LogNormal>(mu, kRepairSigma);
   }
 }
 

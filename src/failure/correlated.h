@@ -42,10 +42,9 @@ struct BurstConfig {
   double window = 0.002;
   /// Hardware nodes per failure domain (the X extent of the derived torus).
   int domain_size = 4;
-  /// Mean node repair time; 0 means dead hardware stays dead.
+  /// Mean node repair time; 0 means dead hardware stays dead. Repair
+  /// times are lognormal with sigma 0.5.
   double repair_mean = 0.0;
-  /// Lognormal sigma of the repair-time distribution (<= 0: exponential).
-  double repair_sigma = 0.5;
 
   bool enabled() const { return seed_mtbf > 0.0; }
 };

@@ -1,7 +1,6 @@
 #include "failure/estimator.h"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 
 #include "common/require.h"
@@ -15,82 +14,16 @@ void MtbfEstimator::record_failure(double t) {
     if (gaps_.size() > window_) gaps_.pop_front();
   }
   last_failure_ = t;
-  ++total_;
 }
 
 std::optional<double> MtbfEstimator::mtbf(double now) const {
-  if (!last_failure_) {
-    if (prior_mtbf_ > 0.0) return prior_mtbf_;
-    return std::nullopt;
-  }
+  if (!last_failure_) return std::nullopt;
   double open_gap = std::max(0.0, now - *last_failure_);
-  if (gaps_.empty()) {
-    // Single failure so far: blend the prior with the open gap if we have
-    // a prior; otherwise the open gap is the only evidence.
-    if (prior_mtbf_ > 0.0) return std::max(prior_mtbf_, open_gap);
-    return std::max(open_gap, 1e-9);
-  }
+  // Single failure so far: the open gap is the only evidence.
+  if (gaps_.empty()) return std::max(open_gap, 1e-9);
   double closed = std::accumulate(gaps_.begin(), gaps_.end(), 0.0);
   double n = static_cast<double>(gaps_.size());
   return (closed + open_gap) / n;
-}
-
-double WeibullFit::mean() const {
-  return scale * std::tgamma(1.0 + 1.0 / shape);
-}
-
-WeibullFit fit_weibull_mle(const std::vector<double>& samples,
-                           int max_iterations, double tolerance) {
-  WeibullFit fit;
-  if (samples.size() < 2) return fit;
-  for (double s : samples) ACR_REQUIRE(s > 0.0, "weibull samples must be > 0");
-
-  const double n = static_cast<double>(samples.size());
-  std::vector<double> logs(samples.size());
-  std::transform(samples.begin(), samples.end(), logs.begin(),
-                 [](double v) { return std::log(v); });
-  double mean_log = std::accumulate(logs.begin(), logs.end(), 0.0) / n;
-
-  // Profile likelihood: g(k) = sum(x^k log x)/sum(x^k) - 1/k - mean_log = 0.
-  auto g_and_dg = [&](double k, double& g, double& dg) {
-    double sum_xk = 0.0, sum_xk_lx = 0.0, sum_xk_lx2 = 0.0;
-    for (std::size_t i = 0; i < samples.size(); ++i) {
-      double xk = std::pow(samples[i], k);
-      sum_xk += xk;
-      sum_xk_lx += xk * logs[i];
-      sum_xk_lx2 += xk * logs[i] * logs[i];
-    }
-    double ratio = sum_xk_lx / sum_xk;
-    g = ratio - 1.0 / k - mean_log;
-    dg = (sum_xk_lx2 / sum_xk) - ratio * ratio + 1.0 / (k * k);
-  };
-
-  // Start from the common moment-based guess.
-  double var_log = 0.0;
-  for (double l : logs) var_log += (l - mean_log) * (l - mean_log);
-  var_log /= n;
-  double k = var_log > 0.0 ? 1.2 / std::sqrt(var_log) : 1.0;
-  k = std::clamp(k, 0.05, 50.0);
-
-  for (int it = 0; it < max_iterations; ++it) {
-    double g, dg;
-    g_and_dg(k, g, dg);
-    double step = g / dg;
-    double k_next = k - step;
-    if (k_next <= 0.0) k_next = k / 2.0;  // keep the iterate positive
-    if (std::fabs(k_next - k) < tolerance * std::max(1.0, k)) {
-      k = k_next;
-      fit.converged = true;
-      break;
-    }
-    k = k_next;
-  }
-
-  double sum_xk = 0.0;
-  for (double s : samples) sum_xk += std::pow(s, k);
-  fit.shape = k;
-  fit.scale = std::pow(sum_xk / n, 1.0 / k);
-  return fit;
 }
 
 }  // namespace acr::failure

@@ -1,5 +1,4 @@
-// Online failure-rate estimation and Weibull fitting (§2.2 "Adapting to
-// Failures").
+// Online failure-rate estimation (§2.2 "Adapting to Failures").
 //
 // ACR fits the stream of observed failures during execution and re-derives
 // the checkpoint interval from the *current* trend, so a decreasing-hazard
@@ -9,7 +8,6 @@
 #include <cstddef>
 #include <deque>
 #include <optional>
-#include <vector>
 
 namespace acr::failure {
 
@@ -22,40 +20,18 @@ namespace acr::failure {
 /// given the censored observation is n / (S + a).
 class MtbfEstimator {
  public:
-  explicit MtbfEstimator(std::size_t window = 8, double prior_mtbf = 0.0)
-      : window_(window), prior_mtbf_(prior_mtbf) {}
+  explicit MtbfEstimator(std::size_t window = 8) : window_(window) {}
 
   /// Record a failure at absolute time `t` (must be non-decreasing).
   void record_failure(double t);
 
-  /// Current MTBF estimate at time `now`. Falls back to the prior before
-  /// the first failure; returns nullopt if no prior and no failures.
+  /// Current MTBF estimate at time `now`; nullopt before the first failure.
   std::optional<double> mtbf(double now) const;
-
-  std::size_t failures_observed() const { return total_; }
 
  private:
   std::size_t window_;
-  double prior_mtbf_;
   std::deque<double> gaps_;
   std::optional<double> last_failure_;
-  std::size_t total_ = 0;
 };
-
-/// Maximum-likelihood Weibull fit of a sample of inter-failure times.
-///
-/// Solves the profile-likelihood equation for the shape k by Newton
-/// iteration, then recovers the scale in closed form. Used both as a
-/// diagnostic (is the hazard decreasing? k < 1) and to extrapolate the
-/// near-future failure rate.
-struct WeibullFit {
-  double shape = 1.0;
-  double scale = 1.0;
-  bool converged = false;
-  double mean() const;
-};
-
-WeibullFit fit_weibull_mle(const std::vector<double>& samples,
-                           int max_iterations = 100, double tolerance = 1e-10);
 
 }  // namespace acr::failure

@@ -6,6 +6,15 @@
 
 namespace acr::net {
 
+namespace {
+
+/// The timeout is floored at this multiple of the frame's one-way latency
+/// so that bulk frames (checkpoint images) in flight for several
+/// milliseconds are not spuriously retransmitted.
+constexpr double kMinTimeoutRttFactor = 3.0;
+
+}  // namespace
+
 std::uint64_t ReliableTransport::generation(LinkKey link) const {
   auto it = generations_.find(link);
   return it == generations_.end() ? 0 : it->second;
@@ -24,8 +33,8 @@ ReliableTransport::Seq ReliableTransport::send(LinkKey link,
   Seq seq = s.next_seq++;
   Pending& p = s.pending[seq];
   p.latency = one_way_latency;
-  p.timeout = std::max(cfg_.base_timeout,
-                       cfg_.min_timeout_rtt_factor * one_way_latency);
+  p.timeout =
+      std::max(cfg_.base_timeout, kMinTimeoutRttFactor * one_way_latency);
   ++stats_.data_frames;
   hooks_.transmit(link, seq, /*attempt=*/0);
   arm_timer(link, seq);
@@ -63,7 +72,7 @@ void ReliableTransport::on_timeout(LinkKey link, Seq seq) {
   // Exponential backoff, capped — but never below the frame's flight-time
   // floor (bulk frames legitimately take several base_timeouts to arrive).
   double floor =
-      std::max(cfg_.base_timeout, cfg_.min_timeout_rtt_factor * p.latency);
+      std::max(cfg_.base_timeout, kMinTimeoutRttFactor * p.latency);
   p.timeout = std::min(std::max(cfg_.max_timeout, floor),
                        p.timeout * cfg_.backoff);
   hooks_.transmit(link, seq, p.attempts);

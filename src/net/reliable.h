@@ -58,12 +58,9 @@ struct ReliableConfig {
   double base_timeout = 5e-4;
   /// Timeout multiplier per retransmit.
   double backoff = 2.0;
-  /// Backoff cap (seconds); the per-frame floor below can raise it.
+  /// Backoff cap (seconds). Every timeout is also floored at three times
+  /// the frame's one-way latency, which can raise it past this cap.
   double max_timeout = 8e-3;
-  /// The timeout is floored at this multiple of the frame's one-way latency
-  /// so that bulk frames (checkpoint images) in flight for several
-  /// milliseconds are not spuriously retransmitted.
-  double min_timeout_rtt_factor = 3.0;
   /// Receive window: frames more than this far ahead of the window base are
   /// dropped unacked (sender retransmits them once the base catches up).
   std::uint64_t window = 1024;

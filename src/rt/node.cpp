@@ -26,7 +26,7 @@ class NodeTaskContext final : public TaskContext {
   }
 
   ProgressDecision report_progress(std::uint64_t iters) override {
-    node_.note_progress(slot_, iters);
+    node_.progress_.at(static_cast<std::size_t>(slot_)) = iters;
     ProgressDecision d = ProgressDecision::Continue;
     if (node_.service() != nullptr)
       d = node_.service()->on_progress(slot_, iters);
@@ -86,7 +86,6 @@ void Node::create_tasks() {
   contexts_.clear();
   paused_.assign(tasks_.size(), false);
   progress_.assign(tasks_.size(), 0);
-  max_progress_ = 0;
   for (std::size_t slot = 0; slot < tasks_.size(); ++slot) {
     contexts_.push_back(
         std::make_unique<NodeTaskContext>(*this, static_cast<int>(slot)));
@@ -123,12 +122,6 @@ void Node::unpause_all() {
   for (int slot = 0; slot < num_tasks(); ++slot) unpause_task(slot);
 }
 
-void Node::note_progress(int slot, std::uint64_t iters) {
-  auto s = static_cast<std::size_t>(slot);
-  progress_.at(s) = iters;
-  if (iters > max_progress_) max_progress_ = iters;
-}
-
 pup::Checkpoint Node::pack_state(buf::Sink* digest_sink) {
   pup::Packer p(pack_builder_);
   p.tee(digest_sink);
@@ -149,11 +142,8 @@ void Node::restore_state(const pup::Checkpoint& c) {
   ++incarnation_;  // stale continuations must not fire into restored state
   // Rebuild the progress ledger from the restored task states: the old
   // values describe a future that was rolled back.
-  max_progress_ = 0;
-  for (std::size_t slot = 0; slot < tasks_.size(); ++slot) {
+  for (std::size_t slot = 0; slot < tasks_.size(); ++slot)
     progress_[slot] = tasks_[slot]->progress();
-    if (progress_[slot] > max_progress_) max_progress_ = progress_[slot];
-  }
 }
 
 void Node::resume_all_tasks() {

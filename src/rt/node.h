@@ -79,8 +79,6 @@ class Node {
   /// Clear the pause flag and schedule on_resume().
   void unpause_task(int slot);
   void unpause_all();
-  /// Highest progress reported by any local task so far.
-  std::uint64_t max_local_progress() const { return max_progress_; }
   std::uint64_t task_progress(int slot) const {
     return progress_.at(static_cast<std::size_t>(slot));
   }
@@ -110,8 +108,6 @@ class Node {
  private:
   friend class NodeTaskContext;
 
-  void note_progress(int slot, std::uint64_t iters);
-
   Cluster& cluster_;
   int physical_id_;
   int replica_ = -1;
@@ -124,7 +120,6 @@ class Node {
   std::vector<std::unique_ptr<TaskContext>> contexts_;
   std::vector<bool> paused_;
   std::vector<std::uint64_t> progress_;
-  std::uint64_t max_progress_ = 0;
   std::unique_ptr<NodeService> service_;
   /// Checkpoint pack arena, reused across epochs (see pack_state).
   buf::BufferBuilder pack_builder_;

@@ -183,9 +183,7 @@ TEST(Hpccg, ResidualDecreasesMonotonically) {
   cc.nodes_per_replica = cfg.nodes_needed();
   cc.spare_nodes = 0;
   AcrConfig ac = fast_acr();
-  ac.periodic_checkpoints = false;
   ac.scheme = ResilienceScheme::Strong;
-  ac.periodic_checkpoints = true;
   ac.checkpoint_interval = 1e6;  // effectively none; pure solve
   AcrRuntime runtime(ac, cc);
   runtime.set_task_factory(cfg.factory());

@@ -103,11 +103,6 @@ TEST(MtbfEstimator, NoDataNoPriorIsEmpty) {
   EXPECT_FALSE(e.mtbf(10.0).has_value());
 }
 
-TEST(MtbfEstimator, PriorUsedBeforeFirstFailure) {
-  MtbfEstimator e(4, 123.0);
-  EXPECT_DOUBLE_EQ(*e.mtbf(10.0), 123.0);
-}
-
 TEST(MtbfEstimator, TracksWindowedGaps) {
   MtbfEstimator e(3);
   for (double t : {10.0, 20.0, 30.0, 40.0}) e.record_failure(t);
@@ -124,28 +119,6 @@ TEST(MtbfEstimator, WindowForgetsOldGaps) {
   e.record_failure(1001.0);
   e.record_failure(1002.0);
   EXPECT_NEAR(*e.mtbf(1002.0), 1.0, 1e-12);
-}
-
-TEST(WeibullMle, RecoversParameters) {
-  Pcg32 rng(9, 1);
-  Weibull truth(0.6, 40.0);
-  std::vector<double> samples;
-  for (int i = 0; i < 4000; ++i) samples.push_back(truth.sample(rng));
-  WeibullFit fit = fit_weibull_mle(samples);
-  EXPECT_TRUE(fit.converged);
-  EXPECT_NEAR(fit.shape, 0.6, 0.05);
-  EXPECT_NEAR(fit.scale, 40.0, 4.0);
-  EXPECT_NEAR(fit.mean(), truth.mean(), truth.mean() * 0.1);
-}
-
-TEST(WeibullMle, RecoversIncreasingHazardToo) {
-  Pcg32 rng(10, 1);
-  Weibull truth(2.5, 10.0);
-  std::vector<double> samples;
-  for (int i = 0; i < 4000; ++i) samples.push_back(truth.sample(rng));
-  WeibullFit fit = fit_weibull_mle(samples);
-  EXPECT_TRUE(fit.converged);
-  EXPECT_NEAR(fit.shape, 2.5, 0.2);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 // Kernel-layer tests: hardware/portable CRC32C equivalence, digest combine
 // algebra, the chunk-digest grid, and bitwise-identical driver scenarios
-// across every --kernel-impl choice.
+// across every ACR_KERNEL_IMPL choice.
 #include <gtest/gtest.h>
 
 #include <algorithm>

@@ -153,7 +153,6 @@ TEST(Node, PackRestoreRoundTripsTaskState) {
   EXPECT_GT(node.incarnation(), inc_before);
   EXPECT_EQ(f.task(0, 0, 0).iter_, 5u);
   EXPECT_EQ(node.task_progress(0), 5u);
-  EXPECT_EQ(node.max_local_progress(), 5u);
 }
 
 TEST(Node, BuddyNodesPackIdenticalState) {
