@@ -49,10 +49,10 @@ class HeatRodTask final : public acr::apps::IterativeTask {
   }
 
   double compute_phase(std::uint64_t, int,
-                       const std::map<int, std::vector<double>>& msgs)
-      override {
-    double left = id_ == 0 ? 100.0 : msgs.at(-1)[0];
-    double right = id_ == num_tasks_ - 1 ? 0.0 : msgs.at(+1)[0];
+                       acr::apps::Inbox msgs) override {
+    // The inbox is sorted by sender key: -1 (left) before +1 (right).
+    double left = id_ == 0 ? 100.0 : msgs.front().data[0];
+    double right = id_ == num_tasks_ - 1 ? 0.0 : msgs.back().data[0];
     std::vector<double> next(u_.size());
     for (std::size_t i = 0; i < u_.size(); ++i) {
       double l = i == 0 ? left : u_[i - 1];

@@ -151,8 +151,7 @@ void HpccgTask::apply_beta_update() {
   ++cg_steps_done_;
 }
 
-double HpccgTask::compute_phase(
-    std::uint64_t, int phase, const std::map<int, std::vector<double>>& msgs) {
+double HpccgTask::compute_phase(std::uint64_t, int phase, Inbox msgs) {
   if (phase == 0) {
     // Install halos: sender -1 = data from the lower neighbor (our k=-1
     // ghost plane), +1 = upper neighbor (k=nz ghost plane).
@@ -182,7 +181,7 @@ double HpccgTask::compute_phase(
 
   bool first_ladder = phase <= stages_;
   ACR_REQUIRE(msgs.size() == 1, "butterfly stage expects one partner message");
-  const std::vector<double>& v = msgs.begin()->second;
+  std::span<const double> v = msgs[0].data;
   double flops = 4.0;
   if (first_ladder) {
     red1_[0] += v[0];

@@ -46,8 +46,7 @@ class HpccgTask final : public IterativeTask {
   void init() override;
   void send_phase(std::uint64_t iter, int phase) override;
   int expected_in_phase(std::uint64_t iter, int phase) const override;
-  double compute_phase(std::uint64_t iter, int phase,
-                       const std::map<int, std::vector<double>>& msgs) override;
+  double compute_phase(std::uint64_t iter, int phase, Inbox msgs) override;
   int num_phases() const override { return 1 + 2 * stages_; }
   void pup_state(pup::Puper& p) override;
 

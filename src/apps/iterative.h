@@ -11,35 +11,32 @@
 // products). In each phase the task sends messages, waits for the expected
 // incoming set, computes, and moves on; completing the last phase completes
 // the iteration.
+//
+// A phase message's payload is the pup record stream of
+//   U64 iter, I32 phase, I32 sender, Size n, then F64 x n when n > 0
+// (iter is 1-based; the sender key is app-defined and unique per phase).
+// It is written and read directly, without a pup traversal.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <span>
+#include <tuple>
 #include <vector>
 
+#include "buf/buffer.h"
 #include "rt/task.h"
 
 namespace acr::apps {
 
-/// Payload of every app message. Receivers unpack a PhaseMsg; senders pack
-/// a PhaseMsgView, which writes the same stream straight from their data.
-template <typename Data>
-struct BasicPhaseMsg {
-  std::uint64_t iter = 0;   ///< iteration the data belongs to (1-based)
-  std::int32_t phase = 0;   ///< sub-phase within the iteration
-  std::int32_t sender = 0;  ///< app-defined sender key (unique per phase)
-  Data data;
-
-  void pup(pup::Puper& p) {
-    p | iter;
-    p | phase;
-    p | sender;
-    p | data;
-  }
+/// One received phase message, as compute_phase sees it.
+struct InboxMsg {
+  std::int32_t sender = 0;
+  std::span<const double> data;
 };
-using PhaseMsg = BasicPhaseMsg<std::vector<double>>;
-using PhaseMsgView = BasicPhaseMsg<std::span<const double>>;
+
+/// The messages of one (iteration, phase), sorted by sender key. The data
+/// lives in scratch storage that is valid until compute_phase returns.
+using Inbox = std::span<const InboxMsg>;
 
 class IterativeTask : public rt::Task {
  public:
@@ -49,6 +46,8 @@ class IterativeTask : public rt::Task {
   // --- rt::Task ---------------------------------------------------------------
   void on_start() final;
   void on_resume() final;
+  /// Decodes the payload and buffers it. A malformed payload throws
+  /// pup::StreamError, stale or not.
   void on_message(const rt::Message& m) final;
   void pup(pup::Puper& p) final;
   std::uint64_t progress() const final { return iter_; }
@@ -66,10 +65,9 @@ class IterativeTask : public rt::Task {
   virtual int expected_in_phase(std::uint64_t iter, int phase) const = 0;
 
   /// Perform the real computation for the phase using the received
-  /// messages (keyed by sender). Returns the *virtual* compute cost in
-  /// seconds charged to the clock. Must be deterministic.
-  virtual double compute_phase(std::uint64_t iter, int phase,
-                               const std::map<int, std::vector<double>>& msgs) = 0;
+  /// messages. Returns the *virtual* compute cost in seconds charged to
+  /// the clock. Must be deterministic.
+  virtual double compute_phase(std::uint64_t iter, int phase, Inbox msgs) = 0;
 
   virtual int num_phases() const { return 1; }
 
@@ -77,14 +75,29 @@ class IterativeTask : public rt::Task {
   /// compute_phase mutates).
   virtual void pup_state(pup::Puper& p) = 0;
 
-  /// Send helper for subclasses (packs a PhaseMsgView + ctx->send).
+  /// Send helper for subclasses: encodes the message into a payload slice
+  /// and hands it to ctx->send.
   void send_phase_msg(rt::TaskAddr dst, std::uint64_t iter, int phase,
                       int sender_key, std::span<const double> data);
 
  private:
+  /// A buffered message. `data` is the payload's F64 bytes, shared with
+  /// the payload rather than copied.
+  struct Held {
+    std::uint64_t iter = 0;
+    std::int32_t phase = 0;
+    std::int32_t sender = 0;
+    buf::Buffer data;
+
+    auto key() const { return std::tie(iter, phase, sender); }
+  };
+
   void begin_phase();
   void try_compute();
   void finish_phase();
+  /// Buffer a message in key order; it replaces one with the same key.
+  void hold(Held h);
+  void pup_buffer(pup::Puper& p);
 
   std::uint64_t total_iters_;
   std::uint64_t iter_ = 0;  ///< completed iterations
@@ -96,12 +109,12 @@ class IterativeTask : public rt::Task {
   bool initialized_ = false;
   bool computing_ = false;  ///< transient; always false at iteration ends
 
-  /// Early-arrival buffer: (iter, phase) -> sender -> payload. Part of the
-  /// checkpoint (empty at consistent cuts for lock-step apps, but the
-  /// framework does not rely on that).
-  std::map<std::pair<std::uint64_t, std::int32_t>,
-           std::map<std::int32_t, std::vector<double>>>
-      buffer_;
+  /// Early-arrival buffer, sorted by (iter, phase, sender); its capacity is
+  /// freed whenever it empties. Part of the checkpoint (empty at
+  /// consistent cuts for lock-step apps, but the framework does not rely on
+  /// that), pupped as the stream of a
+  /// map<(iter, phase), map<sender, vector<double>>>.
+  std::vector<Held> buffer_;
 };
 
 }  // namespace acr::apps

@@ -108,7 +108,7 @@ std::span<const double> Jacobi3DTask::extract_face(int face) const {
   return out;
 }
 
-void Jacobi3DTask::apply_halo(int face, const std::vector<double>& data) {
+void Jacobi3DTask::apply_halo(int face, std::span<const double> data) {
   std::size_t n = 0;
   auto pull_plane_x = [&](int i_ghost) {
     for (int k = 0; k < cfg_.block_z; ++k)
@@ -150,8 +150,7 @@ int Jacobi3DTask::expected_in_phase(std::uint64_t, int) const {
   return num_neighbors_;
 }
 
-double Jacobi3DTask::compute_phase(
-    std::uint64_t, int, const std::map<int, std::vector<double>>& msgs) {
+double Jacobi3DTask::compute_phase(std::uint64_t, int, Inbox msgs) {
   for (const auto& [face, data] : msgs) apply_halo(face, data);
   // The stencil's output block is shared by the thread's tasks: its
   // interior is fully rewritten here and its ghost planes are zeroed below,

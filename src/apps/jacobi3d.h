@@ -67,8 +67,7 @@ class Jacobi3DTask final : public IterativeTask {
   void init() override;
   void send_phase(std::uint64_t iter, int phase) override;
   int expected_in_phase(std::uint64_t iter, int phase) const override;
-  double compute_phase(std::uint64_t iter, int phase,
-                       const std::map<int, std::vector<double>>& msgs) override;
+  double compute_phase(std::uint64_t iter, int phase, Inbox msgs) override;
   void pup_state(pup::Puper& p) override;
 
  private:
@@ -89,7 +88,7 @@ class Jacobi3DTask final : public IterativeTask {
   /// The boundary plane on `face`, copied into a scratch buffer shared by
   /// the thread's tasks; valid until the next call.
   std::span<const double> extract_face(int face) const;
-  void apply_halo(int face, const std::vector<double>& data);
+  void apply_halo(int face, std::span<const double> data);
 
   std::size_t idx(int i, int j, int k) const {
     // Ghost layer of one point on each side.

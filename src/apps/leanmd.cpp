@@ -112,8 +112,7 @@ int LeanMdTask::expected_in_phase(std::uint64_t, int) const {
   return n;
 }
 
-double LeanMdTask::force_and_integrate(
-    const std::map<int, std::vector<double>>& ghosts) {
+double LeanMdTask::force_and_integrate(Inbox ghosts) {
   std::size_t n = ids_.size();
   std::vector<double> fx(n, 0.0), fy(n, 0.0), fz(n, 0.0);
   double cutoff2 = cfg_.cutoff * cfg_.cutoff;
@@ -195,8 +194,7 @@ double LeanMdTask::force_and_integrate(
   return pairs;
 }
 
-double LeanMdTask::compute_phase(
-    std::uint64_t, int phase, const std::map<int, std::vector<double>>& msgs) {
+double LeanMdTask::compute_phase(std::uint64_t, int phase, Inbox msgs) {
   if (phase == 0) {
     double pairs = force_and_integrate(msgs);
     return (pairs + static_cast<double>(ids_.size())) * cfg_.seconds_per_pair;

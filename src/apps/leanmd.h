@@ -47,8 +47,7 @@ class LeanMdTask final : public IterativeTask {
   void init() override;
   void send_phase(std::uint64_t iter, int phase) override;
   int expected_in_phase(std::uint64_t iter, int phase) const override;
-  double compute_phase(std::uint64_t iter, int phase,
-                       const std::map<int, std::vector<double>>& msgs) override;
+  double compute_phase(std::uint64_t iter, int phase, Inbox msgs) override;
   int num_phases() const override { return 2; }
   void pup_state(pup::Puper& p) override;
 
@@ -61,7 +60,7 @@ class LeanMdTask final : public IterativeTask {
   double z_hi() const { return (task_id_ + 1) * cfg_.slab_width; }
 
   /// Force/integration step; returns the number of pairs evaluated.
-  double force_and_integrate(const std::map<int, std::vector<double>>& ghosts);
+  double force_and_integrate(Inbox ghosts);
   void sort_atoms_by_id();
 
   LeanMdConfig cfg_;

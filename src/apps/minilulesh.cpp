@@ -90,8 +90,7 @@ int MiniLuleshTask::expected_in_phase(std::uint64_t, int phase) const {
   return 1;
 }
 
-void MiniLuleshTask::hydro_step(
-    const std::map<int, std::vector<double>>& halos) {
+void MiniLuleshTask::hydro_step(Inbox halos) {
   const double gamma_eos = 1.4;
   const double qq = 0.06;  // artificial viscosity coefficient
   std::size_t ne = cfg_.elements_per_task();
@@ -101,9 +100,9 @@ void MiniLuleshTask::hydro_step(
   std::vector<double> ghost_hi(3 * node_plane(), 0.0);
   for (const auto& [sender, data] : halos) {
     if (sender < 0)
-      ghost_lo = data;
+      ghost_lo.assign(data.begin(), data.end());
     else
-      ghost_hi = data;
+      ghost_hi.assign(data.begin(), data.end());
   }
 
   // Element update: EOS + viscosity from a divergence proxy built out of
@@ -173,8 +172,7 @@ void MiniLuleshTask::hydro_step(
   }
 }
 
-double MiniLuleshTask::compute_phase(
-    std::uint64_t, int phase, const std::map<int, std::vector<double>>& msgs) {
+double MiniLuleshTask::compute_phase(std::uint64_t, int phase, Inbox msgs) {
   if (phase == 0) {
     hydro_step(msgs);
     if (stages_ == 0) dt_ = std::min(local_dt_min_, 1e-2);
@@ -182,7 +180,7 @@ double MiniLuleshTask::compute_phase(
            cfg_.seconds_per_element;
   }
   ACR_REQUIRE(msgs.size() == 1, "dt butterfly expects one partner message");
-  local_dt_min_ = std::min(local_dt_min_, msgs.begin()->second[0]);
+  local_dt_min_ = std::min(local_dt_min_, msgs[0].data[0]);
   if (phase == stages_) dt_ = std::min(local_dt_min_, 1e-2);
   return 1e-7;
 }

@@ -47,8 +47,7 @@ class MiniLuleshTask final : public IterativeTask {
   void init() override;
   void send_phase(std::uint64_t iter, int phase) override;
   int expected_in_phase(std::uint64_t iter, int phase) const override;
-  double compute_phase(std::uint64_t iter, int phase,
-                       const std::map<int, std::vector<double>>& msgs) override;
+  double compute_phase(std::uint64_t iter, int phase, Inbox msgs) override;
   int num_phases() const override { return 1 + stages_; }
   void pup_state(pup::Puper& p) override;
 
@@ -64,7 +63,7 @@ class MiniLuleshTask final : public IterativeTask {
                         task % cfg_.slots_per_node};
   }
 
-  void hydro_step(const std::map<int, std::vector<double>>& halos);
+  void hydro_step(Inbox halos);
 
   MiniLuleshConfig cfg_;
   int task_id_;

@@ -92,8 +92,7 @@ int MiniMdTask::expected_in_phase(std::uint64_t, int) const {
   return n;
 }
 
-double MiniMdTask::compute_phase(
-    std::uint64_t iter, int, const std::map<int, std::vector<double>>& msgs) {
+double MiniMdTask::compute_phase(std::uint64_t iter, int, Inbox msgs) {
   if (rebuild_step(iter)) {
     rebuild_neighbor_list();
     last_rebuild_iter_ = iter;

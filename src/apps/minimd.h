@@ -43,8 +43,7 @@ class MiniMdTask final : public IterativeTask {
   void init() override;
   void send_phase(std::uint64_t iter, int phase) override;
   int expected_in_phase(std::uint64_t iter, int phase) const override;
-  double compute_phase(std::uint64_t iter, int phase,
-                       const std::map<int, std::vector<double>>& msgs) override;
+  double compute_phase(std::uint64_t iter, int phase, Inbox msgs) override;
   void pup_state(pup::Puper& p) override;
 
  private:

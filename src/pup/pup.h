@@ -191,19 +191,6 @@ inline void pup_value(Puper& p, std::vector<T>& v) {
   }
 }
 
-/// A read-only range sizes and packs exactly like a std::vector holding
-/// it, so a sender can write a vector's stream without copying into one.
-/// It cannot be unpacked into.
-template <typename T>
-  requires std::is_arithmetic_v<T>
-inline void pup_value(Puper& p, std::span<const T>& v) {
-  ACR_REQUIRE(!p.is_unpacking(), "cannot unpack into a read-only span");
-  std::uint64_t n = v.size();
-  p.size_value(n);
-  // Sizing and packing only read through the pointer.
-  if (n > 0) p.array(const_cast<T*>(v.data()), v.size());
-}
-
 template <typename T, std::size_t N>
 inline void pup_value(Puper& p, std::array<T, N>& a) {
   if constexpr (std::is_arithmetic_v<T>) {

@@ -317,6 +317,7 @@ class Cluster {
   struct NetCounters {
     std::uint64_t stale_epoch_drops = 0;  ///< app msgs from abandoned epochs
     std::uint64_t unmanned_drops = 0;     ///< app msgs to vacated roles
+    std::uint64_t gated_drops = 0;  ///< app msgs at a node's restart gate
     std::uint64_t crc_drops = 0;          ///< frames failing CRC32C on arrival
     std::uint64_t dead_endpoint_drops = 0;  ///< frames arriving at a dead NIC
     std::uint64_t link_failures = 0;      ///< retry budgets exhausted

@@ -1,11 +1,14 @@
 #include "rt/node.h"
 
+#include <utility>
+
 #include "common/logging.h"
 #include "rt/cluster.h"
 
 namespace acr::rt {
 
-/// TaskContext implementation bound to one (node, slot).
+/// TaskContext implementation bound to one (node, slot). It owns the
+/// task's pause flag, which the node sets and clears.
 class NodeTaskContext final : public TaskContext {
  public:
   NodeTaskContext(Node& node, int slot) : node_(node), slot_(slot) {}
@@ -30,7 +33,7 @@ class NodeTaskContext final : public TaskContext {
     ProgressDecision d = ProgressDecision::Continue;
     if (node_.service() != nullptr)
       d = node_.service()->on_progress(slot_, iters);
-    if (d == ProgressDecision::Pause) node_.pause_task(slot_);
+    if (d == ProgressDecision::Pause) paused_ = true;
     return d;
   }
 
@@ -38,7 +41,7 @@ class NodeTaskContext final : public TaskContext {
   TaskAddr self() const override { return TaskAddr{node_.node_index(), slot_}; }
   int replica() const override { return node_.replica(); }
   int num_nodes() const override { return node_.cluster().nodes_per_replica(); }
-  bool paused() const override { return node_.task_paused(slot_); }
+  bool paused() const override { return paused_; }
 
   Pcg32 make_app_rng(std::uint64_t salt) const override {
     // Seeded by logical position only: buddy tasks in the two replicas draw
@@ -52,8 +55,11 @@ class NodeTaskContext final : public TaskContext {
   }
 
  private:
+  friend class Node;
+
   Node& node_;
   int slot_;
+  bool paused_ = false;
 };
 
 Node::Node(Cluster& cluster, int physical_id)
@@ -84,7 +90,6 @@ void Node::create_tasks() {
   ++incarnation_;
   tasks_ = cluster_.task_factory()(replica_, node_index_);
   contexts_.clear();
-  paused_.assign(tasks_.size(), false);
   progress_.assign(tasks_.size(), 0);
   for (std::size_t slot = 0; slot < tasks_.size(); ++slot) {
     contexts_.push_back(
@@ -105,10 +110,17 @@ void Node::start_tasks() {
   }
 }
 
+bool Node::task_paused(int slot) const {
+  return contexts_.at(static_cast<std::size_t>(slot))->paused_;
+}
+
+void Node::pause_task(int slot) {
+  contexts_.at(static_cast<std::size_t>(slot))->paused_ = true;
+}
+
 void Node::unpause_task(int slot) {
   auto s = static_cast<std::size_t>(slot);
-  if (!paused_.at(s)) return;
-  paused_[s] = false;
+  if (!std::exchange(contexts_.at(s)->paused_, false)) return;
   Task* t = tasks_.at(s).get();
   std::uint64_t inc = incarnation_;
   cluster_.engine().schedule_after(
@@ -149,7 +161,7 @@ void Node::restore_state(const pup::Checkpoint& c) {
 void Node::resume_all_tasks() {
   std::uint64_t inc = incarnation_;
   for (std::size_t slot = 0; slot < tasks_.size(); ++slot) {
-    paused_[slot] = false;
+    contexts_[slot]->paused_ = false;
     Task* t = tasks_[slot].get();
     cluster_.engine().schedule_after(
         0.0,
@@ -169,7 +181,10 @@ void Node::deliver(const Message& m) {
     if (service_) service_->on_service_message(m);
     return;
   }
-  if (gated_) return;  // restart barrier: pre-resume app traffic is stale
+  if (gated_) {  // restart barrier: pre-resume app traffic is stale
+    ++cluster_.net_counters_.gated_drops;
+    return;
+  }
   auto slot = static_cast<std::size_t>(m.dst.slot);
   if (slot >= tasks_.size()) {
     log_warn("rt") << "dropping message for missing slot " << m.dst.slot

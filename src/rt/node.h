@@ -1,4 +1,4 @@
-// Virtual node: hosts tasks, a pause ledger, and the per-node ACR service
+// Virtual node: hosts tasks, their pause flags, and the per-node ACR service
 // agent. Provides the checkpoint pack/restore entry points the agent uses.
 #pragma once
 
@@ -13,6 +13,7 @@
 namespace acr::rt {
 
 class Cluster;
+class NodeTaskContext;
 
 /// Per-node protocol hook implemented by the ACR node agent.
 class NodeService {
@@ -57,7 +58,8 @@ class Node {
 
   /// Restart barrier gate: while gated, task-level messages are dropped
   /// (they belong to the timeline abandoned by the restore and will be
-  /// re-sent after the resume barrier); service messages still flow.
+  /// re-sent after the resume barrier) and counted in the cluster's
+  /// NetCounters::gated_drops; service messages still flow.
   bool gated() const { return gated_; }
   void set_gated(bool gated) { gated_ = gated; }
 
@@ -72,10 +74,8 @@ class Node {
   void start_tasks();
 
   // --- pause control (checkpoint consensus) ---------------------------------
-  bool task_paused(int slot) const {
-    return paused_.at(static_cast<std::size_t>(slot));
-  }
-  void pause_task(int slot) { paused_.at(static_cast<std::size_t>(slot)) = true; }
+  bool task_paused(int slot) const;
+  void pause_task(int slot);
   /// Clear the pause flag and schedule on_resume().
   void unpause_task(int slot);
   void unpause_all();
@@ -117,8 +117,8 @@ class Node {
   std::uint64_t incarnation_ = 0;
 
   std::vector<std::unique_ptr<Task>> tasks_;
-  std::vector<std::unique_ptr<TaskContext>> contexts_;
-  std::vector<bool> paused_;
+  /// One per task; each holds its task's pause flag.
+  std::vector<std::unique_ptr<NodeTaskContext>> contexts_;
   std::vector<std::uint64_t> progress_;
   std::unique_ptr<NodeService> service_;
   /// Checkpoint pack arena, reused across epochs (see pack_state).

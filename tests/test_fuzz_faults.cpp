@@ -317,5 +317,50 @@ TEST_P(NetStorm, NodeFaultsUnderLossyNetworkSurviveOrFailCleanly) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, NetStorm, ::testing::Range(0, 20));
 
+/// Task messages dropped at a node's restart gate in the first 20 ms of
+/// acr_driver's default jacobi job (8 nodes per replica, strong, partner)
+/// with --iterations 20 --fault-mtbf 0.01 --sdc-fraction 1.0 --seed 8 and
+/// the given --net-loss.
+std::uint64_t wedge_repro_gated_drops(double net_loss) {
+  apps::Jacobi3DConfig j;
+  j.tasks_x = j.tasks_y = 2;
+  j.tasks_z = 8;
+  j.block_x = j.block_y = j.block_z = 4;
+  j.slots_per_node = 4;
+  j.iterations = 20;
+  j.seconds_per_point = 1e-5;
+  AcrConfig ac;
+  ac.scheme = ResilienceScheme::Strong;
+  ac.checkpoint_interval = 0.004;
+  ac.heartbeat_period = 0.0005;
+  ac.heartbeat_timeout = 0.002;
+  rt::ClusterConfig cc;
+  cc.nodes_per_replica = 8;
+  cc.spare_nodes = 4;
+  cc.seed = 8;
+  cc.net_faults.drop_rate = net_loss;
+  AcrRuntime runtime(ac, cc);
+  runtime.set_task_factory(j.factory());
+  runtime.setup();
+  FaultPlan plan;
+  plan.arrivals = std::make_shared<failure::RenewalProcess>(
+      std::make_shared<failure::Exponential>(0.01));
+  plan.sdc_fraction = 1.0;
+  runtime.set_fault_plan(plan);
+  runtime.run(0.02);
+  return runtime.cluster().net_counters().gated_drops;
+}
+
+// A lossy network delays one node's kResume behind a retransmit, and its
+// resumed neighbours' next halos reach it while it is still gated. Those
+// drops are what wedge this run; the counter makes them visible.
+TEST(GateDrops, LossyWedgeReproDropsHalosAtTheGate) {
+  EXPECT_GT(wedge_repro_gated_drops(0.01), 0u);
+}
+
+TEST(GateDrops, CleanNetworkTwinDropsNone) {
+  EXPECT_EQ(wedge_repro_gated_drops(0.0), 0u);
+}
+
 }  // namespace
 }  // namespace acr

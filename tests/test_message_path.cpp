@@ -129,6 +129,57 @@ TEST(MessagePath, SteadyIterationsAllocateAtMostFourTimesPerMessage) {
   EXPECT_LE(per_message, 4.0);
 }
 
+/// Allocations per task message over the same steady window as the test
+/// above.
+double steady_allocations_per_message() {
+  apps::Jacobi3DConfig app;  // acr_driver's jacobi at 8 nodes per replica
+  app.tasks_x = app.tasks_y = 2;
+  app.tasks_z = 8;
+  app.block_x = app.block_y = app.block_z = 4;
+  app.slots_per_node = 4;
+  app.iterations = 40;
+  app.seconds_per_point = 1e-5;
+  AcrConfig ac;
+  ac.scheme = ResilienceScheme::Strong;
+  ac.detection = SdcDetection::FullCompare;
+  ac.checkpoint_interval = 1.0;  // past the end of the job: no checkpoint
+  ac.heartbeat_period = 0.0005;
+  ac.heartbeat_timeout = 0.002;
+  rt::ClusterConfig cc;
+  cc.nodes_per_replica = app.nodes_needed();
+  cc.spare_nodes = 2;
+  cc.seed = 1;
+
+  std::uint64_t delivered = 0;
+  rt::Cluster::TaskFactory inner = app.factory();
+  AcrRuntime runtime(ac, cc);
+  runtime.set_task_factory([&](int replica, int node_index) {
+    std::vector<std::unique_ptr<rt::Task>> tasks;
+    for (auto& t : inner(replica, node_index))
+      tasks.push_back(std::make_unique<CountingTask>(std::move(t), delivered));
+    return tasks;
+  });
+  runtime.setup();
+  runtime.engine().run_until(0.005);
+  std::uint64_t allocs0 = g_allocations;
+  std::uint64_t delivered0 = delivered;
+  runtime.engine().run_until(0.019);
+  std::uint64_t allocs = g_allocations - allocs0;
+  std::uint64_t messages = delivered - delivered0;
+  EXPECT_GT(messages, 15u * 2u * 120u);
+  return static_cast<double>(allocs) / static_cast<double>(messages);
+}
+
+// A phase message is encoded into a shared payload arena and held as a
+// slice of it until its phase computes: the steady path allocates only
+// the arenas, one inbox vector per task and phase, and what the protocol
+// around it (heartbeats, progress reports) needs.
+TEST(MessagePath, SteadyIterationsAllocateAtMostHalfPerMessage) {
+  double per_message = steady_allocations_per_message();
+  std::printf("%.2f allocations per task message\n", per_message);
+  EXPECT_LE(per_message, 0.5);
+}
+
 TEST(MessagePath, CancellingFiredIdsAllocatesNothing) {
   // Watchdogs cancel timers that fired long ago. Such a cancel must store
   // nothing: no tracked-id set, no slab or queue growth.
