@@ -269,7 +269,7 @@ RunSummary AcrRuntime::run(double max_virtual_time) {
   s.recoveries = manager_->recoveries_completed();
   s.scratch_restarts = manager_->scratch_restarts();
   const failure::NetFaultCounters& nf = cluster_->net_fault_counters();
-  const net::LinkStats& ls = cluster_->link_stats();
+  const net::LinkStats& ls = cluster_->transport().stats();
   const rt::Cluster::NetCounters& nc = cluster_->net_counters();
   s.net_frames = nf.frames;
   s.net_drops = nf.drops;
@@ -278,7 +278,7 @@ RunSummary AcrRuntime::run(double max_virtual_time) {
   s.net_retransmits = ls.retransmits;
   s.net_crc_drops = nc.crc_drops;
   s.net_stale_epoch_drops = nc.stale_epoch_drops;
-  s.net_link_failures = nc.link_failures;
+  s.net_link_failures = ls.gave_up;
   s.ckpt_scheme = ckpt::scheme_name(acr_config_.redundancy);
   const rt::Cluster::SpareCounters& sc = cluster_->spare_counters();
   s.burst_seeds = burst_seeds_;

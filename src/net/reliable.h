@@ -7,22 +7,25 @@
 //
 //   sender                                   receiver
 //   ------                                   --------
-//   seq = next_seq++                         on data(seq):
+//   seq = next_seq++; hold frame             on data(seq, frame):
 //   transmit(seq); arm timer                   ack(seq) always
 //   on timeout: attempts++                     if seq below window base or
-//     attempts > budget -> give_up                already buffered: dup, done
-//     else retransmit, backoff*=2 (capped)     else buffer; deliver the
-//   on ack(seq): cancel timer, release           in-order run from base
+//     attempts > budget -> give_up, drop          already buffered: dup, done
+//     else retransmit, backoff*=2 (capped)     else buffer a copy; hand up
+//   on ack(seq): cancel timer, drop frame        the in-order run from base
 //
-// The class is message-agnostic: it tracks sequence numbers and timers and
-// calls back through `Hooks` for everything environment-specific (actual
-// transmission, timer scheduling, delivery, payload storage). That keeps
-// `net` free of a dependency on `rt` — the cluster owns the payload store
-// and the event engine and wires them in.
+// The transport is the one owner of every frame in flight: the sender's
+// pending entry holds the frame from `send` until its ack, give-up or
+// `reset_endpoint`, and the receiver's out-of-order buffer holds a copy
+// from arrival until it is handed up in order. It is a template on the
+// frame type and calls back through `Hooks` for everything
+// environment-specific (the wire, timer scheduling, hand-up). That keeps
+// `net` free of a dependency on `rt` — the cluster supplies its message as
+// the frame and wires in the event engine and the lossy wire.
 //
 // Two robustness details shaped the design:
-//   - Link generations. When an endpoint dies and a spare is promoted, the
-//     promoted node must not be confused by in-flight frames or acks from
+//   - Link generations. When an endpoint dies and a spare is promoted,
+//     the promoted node must not be confused by in-flight frames or acks from
 //     its predecessor's conversations. `reset_endpoint` bumps a per-link
 //     generation; stale-generation frames are discarded on arrival.
 //   - Window-base healing. A sender that gives up on frame N abandons it,
@@ -34,10 +37,13 @@
 // virtual-time event schedule) is identical across platforms and runs.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <set>
+#include <utility>
+
+#include "common/require.h"
 
 namespace acr::net {
 
@@ -77,6 +83,7 @@ struct LinkStats {
   std::uint64_t gave_up = 0;         ///< frames abandoned after retry budget
 };
 
+template <class Frame>
 class ReliableTransport {
  public:
   using TimerId = std::uint64_t;
@@ -88,17 +95,18 @@ class ReliableTransport {
     std::function<TimerId(double delay, std::function<void()> fn)> schedule;
     /// Cancel a previously scheduled timer (no-op if already fired).
     std::function<void(TimerId)> cancel;
-    /// Put frame `seq` on the wire (attempt 0 = first transmission).
-    std::function<void(LinkKey, Seq, int attempt)> transmit;
+    /// Put one copy of the held `frame` on the wire (attempt 0 = first
+    /// transmission); `latency` is the one-way flight time given to send().
+    std::function<void(LinkKey, Seq, const Frame& frame, double latency,
+                       int attempt)>
+        transmit;
     /// Put an ack for `seq` on the (reverse) wire.
     std::function<void(LinkKey, Seq)> send_ack;
     /// Frame `seq` is next in order: hand it up to the application.
-    std::function<void(LinkKey, Seq)> deliver;
-    /// The retry budget for `seq` is exhausted; the link is declared failed.
+    std::function<void(LinkKey, Seq, Frame frame)> deliver;
+    /// The retry budget for `seq` is exhausted and its frame dropped; the
+    /// link is declared failed.
     std::function<void(LinkKey, Seq)> give_up;
-    /// The payload for `seq` is no longer needed (acked, given up, or the
-    /// endpoint was reset); the owner may free its stored copy.
-    std::function<void(LinkKey, Seq)> release;
   };
 
   ReliableTransport(const ReliableConfig& cfg, Hooks hooks)
@@ -109,35 +117,131 @@ class ReliableTransport {
 
   /// Current link generation (stamped into frames by the owner and checked
   /// on arrival against the receiving end's view).
-  std::uint64_t generation(LinkKey link) const;
+  std::uint64_t generation(LinkKey link) const {
+    auto it = generations_.find(link);
+    return it == generations_.end() ? 0 : it->second;
+  }
 
   /// The sender's lowest unacked sequence (frames below it were delivered or
   /// abandoned). Stamped into data frames so the receiver can heal holes.
-  Seq window_base(LinkKey link) const;
+  Seq window_base(LinkKey link) const {
+    auto it = senders_.find(link);
+    if (it == senders_.end()) return 1;
+    if (it->second.pending.empty()) return it->second.next_seq;
+    return it->second.pending.begin()->first;
+  }
 
-  /// Begin reliable transmission of a new frame; returns its sequence
-  /// number. `one_way_latency` is the frame's nominal flight time and floors
-  /// the retransmit timeout.
-  Seq send(LinkKey link, double one_way_latency);
+  /// Begin reliable transmission of `frame`, which the sender holds until
+  /// it is acked, given up or its endpoint reset; returns its sequence
+  /// number. `one_way_latency` is the frame's nominal flight time and
+  /// floors the retransmit timeout.
+  Seq send(LinkKey link, Frame frame, double one_way_latency) {
+    SenderState& s = senders_[link];
+    Seq seq = s.next_seq++;
+    Pending& p = s.pending[seq];
+    p.frame = std::move(frame);
+    p.latency = one_way_latency;
+    p.timeout = timeout_floor(one_way_latency);
+    ++stats_.data_frames;
+    hooks_.transmit(link, seq, p.frame, p.latency, /*attempt=*/0);
+    arm_timer(link, seq);
+    return seq;
+  }
 
-  /// A data frame arrived at `link.dst`. `sender_base` is the window base it
-  /// carried; `generation` the link generation it was stamped with.
+  /// The frame the sender of `link` still holds under `seq`, or nullptr
+  /// once it was acked, given up or reset.
+  const Frame* pending_frame(LinkKey link, Seq seq) const {
+    auto sit = senders_.find(link);
+    if (sit == senders_.end()) return nullptr;
+    auto pit = sit->second.pending.find(seq);
+    return pit == sit->second.pending.end() ? nullptr : &pit->second.frame;
+  }
+
+  /// A copy of data frame `seq` arrived at `link.dst`. `sender_base` is the
+  /// window base it carried; `gen` the link generation it was stamped with.
+  /// The frame is taken by value: the caller's copy may be the sender's
+  /// held frame, which a hand-up during the hole healing below may reset.
   void on_data_frame(LinkKey link, Seq seq, Seq sender_base,
-                     std::uint64_t generation);
+                     std::uint64_t gen, Frame frame) {
+    if (gen != generation(link)) {
+      ++stats_.stale_generation;
+      return;  // frame from a dead incarnation of this link: no ack
+    }
+    ReceiverState& r = receivers_[link];
+    // Heal abandoned holes: the sender's base has moved past sequences it
+    // gave up on; anything below it will never arrive, so skip forward,
+    // delivering any frames we had buffered along the way.
+    advance(link, r, sender_base);
+    if (seq >= r.base + cfg_.window) return;  // beyond window: drop, no ack
+    // Ack every acceptable data frame, duplicates included — the original
+    // ack may have been lost, and the sender needs one to stop
+    // retransmitting.
+    hooks_.send_ack(link, seq);
+    if (seq < r.base || r.buffered.contains(seq)) {
+      ++stats_.dup_frames;
+      return;
+    }
+    r.buffered.emplace(seq, std::move(frame));
+    advance(link, r);  // deliver the in-order run starting at base
+  }
 
   /// An ack arrived back at `link.src`.
-  void on_ack_frame(LinkKey link, Seq seq, std::uint64_t generation);
+  void on_ack_frame(LinkKey link, Seq seq, std::uint64_t gen) {
+    if (gen != generation(link)) {
+      ++stats_.stale_generation;
+      return;
+    }
+    auto sit = senders_.find(link);
+    if (sit == senders_.end()) return;
+    auto pit = sit->second.pending.find(seq);
+    if (pit == sit->second.pending.end()) return;  // duplicate ack
+    hooks_.cancel(pit->second.timer);
+    sit->second.pending.erase(pit);
+    ++stats_.acks_delivered;
+  }
 
   /// The endpoint died (or a spare took over its role): abandon all
-  /// conversations touching it, release their payloads without escalation,
-  /// and bump generations so stragglers from the old incarnation are inert.
-  void reset_endpoint(int endpoint);
+  /// conversations touching it, dropping the frames held for them without
+  /// escalation, and bump generations so stragglers from the old
+  /// incarnation are inert.
+  void reset_endpoint(int endpoint) {
+    for (auto& [link, s] : senders_) {
+      if (link.src != endpoint && link.dst != endpoint) continue;
+      for (auto& [seq, p] : s.pending) hooks_.cancel(p.timer);
+      s.pending.clear();
+      s.next_seq = 1;
+      ++generations_[link];
+    }
+    for (auto& [link, r] : receivers_) {
+      if (link.src != endpoint && link.dst != endpoint) continue;
+      r.base = 1;
+      r.buffered.clear();
+      ++generations_[link];
+    }
+  }
 
-  /// Outstanding unacked frames across all links (test/debug aid).
-  std::size_t in_flight() const;
+  /// Frames the senders hold, unacked, across all links.
+  std::size_t in_flight() const {
+    std::size_t n = 0;
+    for (const auto& [link, s] : senders_) n += s.pending.size();
+    return n;
+  }
+
+  /// Frames the receivers hold out of order, not yet handed up.
+  std::size_t buffered() const {
+    std::size_t n = 0;
+    for (const auto& [link, r] : receivers_) n += r.buffered.size();
+    return n;
+  }
 
  private:
+  /// The timeout is floored at this multiple of the frame's one-way latency
+  /// so that bulk frames (checkpoint images) in flight for several
+  /// milliseconds are not spuriously retransmitted.
+  static constexpr double kMinTimeoutRttFactor = 3.0;
+
   struct Pending {
+    Frame frame;
     int attempts = 0;       ///< retransmits performed so far
     double timeout = 0.0;   ///< current retransmit timeout
     double latency = 0.0;   ///< nominal one-way flight time
@@ -148,12 +252,63 @@ class ReliableTransport {
     std::map<Seq, Pending> pending;
   };
   struct ReceiverState {
-    Seq base = 1;             ///< next in-order sequence expected
-    std::set<Seq> buffered;   ///< received out of order, not yet delivered
+    Seq base = 1;  ///< next in-order sequence expected
+    std::map<Seq, Frame> buffered;  ///< received out of order, not handed up
   };
 
-  void arm_timer(LinkKey link, Seq seq);
-  void on_timeout(LinkKey link, Seq seq);
+  double timeout_floor(double latency) const {
+    return std::max(cfg_.base_timeout, kMinTimeoutRttFactor * latency);
+  }
+
+  void arm_timer(LinkKey link, Seq seq) {
+    auto sit = senders_.find(link);
+    ACR_REQUIRE(sit != senders_.end(), "arm_timer on unknown link");
+    auto pit = sit->second.pending.find(seq);
+    ACR_REQUIRE(pit != sit->second.pending.end(), "arm_timer on unknown seq");
+    pit->second.timer =
+        hooks_.schedule(pit->second.timeout, [this, link, seq] {
+          on_timeout(link, seq);
+        });
+  }
+
+  void on_timeout(LinkKey link, Seq seq) {
+    auto sit = senders_.find(link);
+    if (sit == senders_.end()) return;  // endpoint reset raced the timer
+    auto pit = sit->second.pending.find(seq);
+    if (pit == sit->second.pending.end()) return;  // acked meanwhile
+    Pending& p = pit->second;
+    ++p.attempts;
+    if (p.attempts > cfg_.retry_budget) {
+      ++stats_.gave_up;
+      sit->second.pending.erase(pit);
+      hooks_.give_up(link, seq);
+      return;
+    }
+    ++stats_.retransmits;
+    // Exponential backoff, capped — but never below the frame's flight-time
+    // floor (bulk frames legitimately take several base_timeouts to arrive).
+    double floor = timeout_floor(p.latency);
+    p.timeout = std::min(std::max(cfg_.max_timeout, floor),
+                         p.timeout * cfg_.backoff);
+    hooks_.transmit(link, seq, p.frame, p.latency, p.attempts);
+    arm_timer(link, seq);
+  }
+
+  /// Move the receive base up to `upto` and on past every buffered frame,
+  /// handing the buffered frames up in sequence order. A hand-up may reset
+  /// this link's endpoint; the loop then goes on from the reset base.
+  void advance(LinkKey link, ReceiverState& r, Seq upto = 0) {
+    while (r.base < upto || r.buffered.contains(r.base)) {
+      auto it = r.buffered.find(r.base);
+      if (it != r.buffered.end()) {
+        Frame frame = std::move(it->second);
+        r.buffered.erase(it);
+        ++stats_.delivered;
+        hooks_.deliver(link, r.base, std::move(frame));
+      }
+      ++r.base;
+    }
+  }
 
   ReliableConfig cfg_;
   Hooks hooks_;

@@ -101,8 +101,7 @@ void Cluster::populate() {
       Node& n = *nodes_[static_cast<std::size_t>(next)];
       n.assign(r, i);
       n.create_tasks();
-      role_table_[static_cast<std::size_t>(r)][static_cast<std::size_t>(i)] =
-          next;
+      role_pid(r, i) = next;
       ++next;
     }
   }
@@ -119,15 +118,13 @@ void Cluster::start_application() {
 }
 
 Node& Cluster::node_at(int replica, int node_index) {
-  int pid = role_table_.at(static_cast<std::size_t>(replica))
-                .at(static_cast<std::size_t>(node_index));
+  int pid = role_pid(replica, node_index);
   ACR_REQUIRE(pid >= 0, "role is unmanned");
   return *nodes_[static_cast<std::size_t>(pid)];
 }
 
 bool Cluster::role_alive(int replica, int node_index) {
-  int pid = role_table_.at(static_cast<std::size_t>(replica))
-                .at(static_cast<std::size_t>(node_index));
+  int pid = role_pid(replica, node_index);
   return pid >= 0 && nodes_[static_cast<std::size_t>(pid)]->alive();
 }
 
@@ -143,8 +140,7 @@ std::vector<int> Cluster::alive_hardware() const {
 }
 
 Node* Cluster::role_node(int replica, int node_index) {
-  int pid = role_table_.at(static_cast<std::size_t>(replica))
-                .at(static_cast<std::size_t>(node_index));
+  int pid = role_pid(replica, node_index);
   return pid >= 0 ? nodes_[static_cast<std::size_t>(pid)].get() : nullptr;
 }
 
@@ -157,8 +153,7 @@ std::vector<std::pair<int, int>> Cluster::doubled_roles() {
   std::vector<std::pair<int, int>> out;
   for (int r = 0; r < 2; ++r) {
     for (int i = 0; i < config_.nodes_per_replica; ++i) {
-      int pid = role_table_[static_cast<std::size_t>(r)]
-                           [static_cast<std::size_t>(i)];
+      int pid = role_pid(r, i);
       if (pid >= 0 && is_lodger(pid) &&
           nodes_[static_cast<std::size_t>(pid)]->alive())
         out.emplace_back(r, i);
@@ -234,8 +229,7 @@ void Cluster::deliver_task(const Message& m) {
 }
 
 bool Cluster::deliver_to_role(const Message& m) {
-  int pid = role_table_[static_cast<std::size_t>(m.dst_replica)]
-                       [static_cast<std::size_t>(m.dst.node_index)];
+  int pid = role_pid(m.dst_replica, m.dst.node_index);
   if (pid < 0) return false;  // role unmanned: the message disappears
   nodes_[static_cast<std::size_t>(pid)]->deliver(m);
   return true;
@@ -302,23 +296,18 @@ void Cluster::kill_pid(int pid) {
   if (!n.alive()) return;
   n.kill();
   // The NIC dies with the node: abandon its reliable conversations (their
-  // payloads are released without give-up escalation — the death itself is
+  // frames are dropped without give-up escalation — the death itself is
   // detected by heartbeats/RAS, not by retry exhaustion) and bump link
   // generations so in-flight frames from the dead incarnation are inert.
-  if (n.assigned() &&
-      role_table_[static_cast<std::size_t>(n.replica())]
-                 [static_cast<std::size_t>(n.node_index())] == pid) {
+  if (n.assigned() && role_pid(n.replica(), n.node_index()) == pid)
     transport_.reset_endpoint(role_endpoint(n.replica(), n.node_index()));
-    purge_rx(role_endpoint(n.replica(), n.node_index()));
-  }
   // Lodgers share their host's hardware: its death is theirs too.
   for (const auto& [lodger, host] : lodger_host_)
     if (host == pid) kill_pid(lodger);
 }
 
 void Cluster::kill_role(int replica, int node_index) {
-  int pid = role_table_.at(static_cast<std::size_t>(replica))
-                .at(static_cast<std::size_t>(node_index));
+  int pid = role_pid(replica, node_index);
   if (pid < 0) return;
   kill_pid(pid);
 }
@@ -341,9 +330,7 @@ void Cluster::kill_physical(int pid, const std::string& why) {
     note_pool_level();
     return;
   }
-  if (n.assigned() &&
-      role_table_[static_cast<std::size_t>(n.replica())]
-                 [static_cast<std::size_t>(n.node_index())] == pid) {
+  if (n.assigned() && role_pid(n.replica(), n.node_index()) == pid) {
     trace_.record(engine_.now(), TraceKind::HardFailureInjected, n.replica(),
                   n.node_index(), why);
     kill_pid(pid);
@@ -362,8 +349,7 @@ bool Cluster::repair_node(int pid) {
   // stays unmanned (a revived node must not silently resurrect a role the
   // manager believes dead — recovery re-mans it via promotion).
   if (n.assigned()) {
-    auto& slot = role_table_.at(static_cast<std::size_t>(n.replica()))
-                     .at(static_cast<std::size_t>(n.node_index()));
+    int& slot = role_pid(n.replica(), n.node_index());
     if (slot == pid) slot = -1;
     n.assign(-1, -1);
   }
@@ -378,22 +364,24 @@ bool Cluster::repair_node(int pid) {
   return true;
 }
 
-Node* Cluster::promote_spare(int replica, int node_index) {
-  if (spare_pool_.empty()) return nullptr;
+Node& Cluster::seat(int pid, int replica, int node_index) {
   // Fresh incarnation of the role: its links must not inherit sequence
   // state or in-flight traffic addressed to the predecessor.
   transport_.reset_endpoint(role_endpoint(replica, node_index));
-  purge_rx(role_endpoint(replica, node_index));
-  int pid = spare_pool_.back();
-  spare_pool_.pop_back();
-  int old = role_table_.at(static_cast<std::size_t>(replica))
-                .at(static_cast<std::size_t>(node_index));
-  if (old >= 0) nodes_[static_cast<std::size_t>(old)]->assign(-1, -1);
+  int& slot = role_pid(replica, node_index);
+  if (slot >= 0) nodes_[static_cast<std::size_t>(slot)]->assign(-1, -1);
   Node& n = *nodes_[static_cast<std::size_t>(pid)];
   n.assign(replica, node_index);
-  role_table_[static_cast<std::size_t>(replica)]
-             [static_cast<std::size_t>(node_index)] = pid;
-  n.create_tasks();  // fresh tasks; state arrives from the buddy checkpoint
+  slot = pid;
+  n.create_tasks();  // fresh tasks; state arrives from the restore
+  return n;
+}
+
+Node* Cluster::promote_spare(int replica, int node_index) {
+  if (spare_pool_.empty()) return nullptr;
+  int pid = spare_pool_.back();
+  spare_pool_.pop_back();
+  Node& n = seat(pid, replica, node_index);
   ++spare_counters_.promotions;
   note_pool_level();
   return &n;
@@ -424,8 +412,7 @@ Node* Cluster::double_up(int replica, int node_index) {
   int best_load = 0;
   for (int i = 0; i < config_.nodes_per_replica; ++i) {
     if (i == node_index || !role_alive(replica, i)) continue;
-    int hw = resolve_host(role_table_[static_cast<std::size_t>(replica)]
-                                     [static_cast<std::size_t>(i)]);
+    int hw = resolve_host(role_pid(replica, i));
     int load = lodger_load(hw);
     if (host < 0 || load < best_load) {
       host = hw;
@@ -433,20 +420,10 @@ Node* Cluster::double_up(int replica, int node_index) {
     }
   }
   if (host < 0) return nullptr;  // the whole replica is gone
-  // Fresh incarnation of the role, same link hygiene as a spare promotion.
-  transport_.reset_endpoint(role_endpoint(replica, node_index));
-  purge_rx(role_endpoint(replica, node_index));
   int pid = static_cast<int>(nodes_.size());
   nodes_.push_back(std::make_unique<Node>(*this, pid));
   lodger_host_[pid] = host;
-  int old = role_table_.at(static_cast<std::size_t>(replica))
-                .at(static_cast<std::size_t>(node_index));
-  if (old >= 0) nodes_[static_cast<std::size_t>(old)]->assign(-1, -1);
-  Node& n = *nodes_[static_cast<std::size_t>(pid)];
-  n.assign(replica, node_index);
-  role_table_[static_cast<std::size_t>(replica)]
-             [static_cast<std::size_t>(node_index)] = pid;
-  n.create_tasks();
+  Node& n = seat(pid, replica, node_index);
   ++spare_counters_.roles_doubled;
   trace_.record(engine_.now(), TraceKind::RoleDoubled, replica, node_index,
                 "host-pid=" + std::to_string(host));
@@ -454,16 +431,14 @@ Node* Cluster::double_up(int replica, int node_index) {
 }
 
 bool Cluster::retire_lodger(int replica, int node_index) {
-  int pid = role_table_.at(static_cast<std::size_t>(replica))
-                .at(static_cast<std::size_t>(node_index));
+  int& slot = role_pid(replica, node_index);
+  int pid = slot;
   if (pid < 0 || !is_lodger(pid)) return false;
   Node& n = *nodes_[static_cast<std::size_t>(pid)];
   if (n.alive()) n.kill();
   n.assign(-1, -1);
-  role_table_[static_cast<std::size_t>(replica)]
-             [static_cast<std::size_t>(node_index)] = -1;
+  slot = -1;
   transport_.reset_endpoint(role_endpoint(replica, node_index));
-  purge_rx(role_endpoint(replica, node_index));
   ++spare_counters_.roles_undoubled;
   trace_.record(engine_.now(), TraceKind::RoleUndoubled, replica, node_index,
                 "host-pid=" +
@@ -472,9 +447,9 @@ bool Cluster::retire_lodger(int replica, int node_index) {
 }
 
 // ---------------------------------------------------------------------------
-// Reliable transport glue: the cluster owns the payload store, the lossy
-// wire (fault injector + engine events), and the hand-up to nodes/manager;
-// the transport owns sequences, acks, timers, and the receive window.
+// Reliable transport glue: the cluster owns the lossy wire (fault injector +
+// engine events) and the hand-up to nodes/manager; the transport owns the
+// frames in flight, sequences, acks, timers, and the receive window.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -482,28 +457,28 @@ namespace {
 constexpr double kAckWireBytes = static_cast<double>(kMessageHeaderBytes);
 }  // namespace
 
-bool Cluster::endpoint_alive(int endpoint) {
-  if (endpoint == kManagerEndpoint) return true;
-  int replica = endpoint / config_.nodes_per_replica;
-  int node = endpoint % config_.nodes_per_replica;
-  return role_alive(replica, node);
+std::pair<int, int> Cluster::endpoint_role(int endpoint) const {
+  if (endpoint == kManagerEndpoint) return {-1, -1};
+  return {endpoint / config_.nodes_per_replica,
+          endpoint % config_.nodes_per_replica};
 }
 
-net::ReliableTransport::Hooks Cluster::make_transport_hooks() {
-  net::ReliableTransport::Hooks h;
+bool Cluster::endpoint_alive(int endpoint) {
+  auto [replica, node] = endpoint_role(endpoint);
+  return replica < 0 || role_alive(replica, node);  // the manager never dies
+}
+
+Cluster::Transport::Hooks Cluster::make_transport_hooks() {
+  Transport::Hooks h;
   h.schedule = [this](double delay, std::function<void()> fn) {
     return engine_.schedule_after(delay, std::move(fn));
   };
-  h.cancel = [this](net::ReliableTransport::TimerId id) { engine_.cancel(id); };
-  h.transmit = [this](net::LinkKey link, net::ReliableTransport::Seq seq,
-                      int attempt) {
-    if (outbox_) {
-      wire_store_.emplace(std::make_pair(link, seq), std::move(*outbox_));
-      outbox_.reset();
-    }
-    transmit_frame(link, seq, attempt);
+  h.cancel = [this](Transport::TimerId id) { engine_.cancel(id); };
+  h.transmit = [this](net::LinkKey link, Transport::Seq seq,
+                      const WireFrame& frame, double latency, int) {
+    transmit_frame(link, seq, frame, latency);
   };
-  h.send_ack = [this](net::LinkKey link, net::ReliableTransport::Seq seq) {
+  h.send_ack = [this](net::LinkKey link, Transport::Seq seq) {
     // Acks ride the reverse wire: small frames, subject to loss and delay
     // (duplication/corruption of a bare ack is folded into the loss rate).
     auto d = net_injector_.decide(link.dst, link.src, 0);
@@ -517,47 +492,38 @@ net::ReliableTransport::Hooks Cluster::make_transport_hooks() {
         lat + d.extra_delay,
         [this, link, seq, gen] { transport_.on_ack_frame(link, seq, gen); });
   };
-  h.deliver = [this](net::LinkKey link, net::ReliableTransport::Seq seq) {
-    dispatch_frame(link, seq);
+  h.deliver = [this](net::LinkKey link, Transport::Seq, WireFrame frame) {
+    if (link.dst == kManagerEndpoint)
+      manager_hook_(frame.m);
+    else
+      deliver_to_role(frame.m);
   };
-  h.give_up = [this](net::LinkKey link, net::ReliableTransport::Seq seq) {
-    link_gave_up(link, seq);
-  };
-  h.release = [this](net::LinkKey link, net::ReliableTransport::Seq seq) {
-    wire_store_.erase(std::make_pair(link, seq));
+  h.give_up = [this](net::LinkKey link, Transport::Seq) {
+    link_gave_up(link);
   };
   return h;
 }
 
 void Cluster::route_reliable(int src_endpoint, int dst_endpoint, Message m,
                              double wire_bytes) {
-  net::LinkKey link{src_endpoint, dst_endpoint};
   bool inter = m.src_replica >= 0 && m.dst_replica >= 0 &&
                m.src_replica != m.dst_replica;
-  WireMsg w;
-  w.latency = service_latency(inter, wire_bytes);
-  w.crc = checksum::buffer_crc32c(m.payload);
-  w.m = std::move(m);
-  // The frame may wait out several retransmit timeouts: park a copy of its
+  // The frame may wait out several retransmit timeouts: hold a copy of its
   // payload rather than pin the arena shared by neighbouring payloads.
-  w.m.payload = buf::Buffer::copy_of(w.m.payload.bytes());
-  outbox_ = std::move(w);
-  transport_.send(link, outbox_->latency);
-  ACR_REQUIRE(!outbox_, "transmit hook must consume the outbox");
+  m.payload = buf::Buffer::copy_of(m.payload.bytes());
+  std::uint32_t crc = checksum::buffer_crc32c(m.payload);
+  transport_.send({src_endpoint, dst_endpoint}, WireFrame{std::move(m), crc},
+                  service_latency(inter, wire_bytes));
 }
 
-void Cluster::transmit_frame(net::LinkKey link,
-                             net::ReliableTransport::Seq seq, int attempt) {
-  (void)attempt;
-  auto it = wire_store_.find(std::make_pair(link, seq));
-  if (it == wire_store_.end()) return;  // released while a retransmit raced
-  const WireMsg& w = it->second;
-  auto d = net_injector_.decide(link.src, link.dst, w.m.payload.size());
+void Cluster::transmit_frame(net::LinkKey link, Transport::Seq seq,
+                             const WireFrame& frame, double latency) {
+  auto d = net_injector_.decide(link.src, link.dst, frame.m.payload.size());
   std::uint64_t gen = transport_.generation(link);
-  net::ReliableTransport::Seq base = transport_.window_base(link);
+  Transport::Seq base = transport_.window_base(link);
   if (!d.drop) {
     engine_.schedule_after(
-        w.latency + d.extra_delay,
+        latency + d.extra_delay,
         [this, link, seq, base, gen, d] {
           frame_arrived(link, seq, base, gen, d.corrupt, d.corrupt_byte,
                         d.corrupt_bit);
@@ -565,23 +531,22 @@ void Cluster::transmit_frame(net::LinkKey link,
   }
   if (d.duplicate) {
     engine_.schedule_after(
-        w.latency + d.dup_extra_delay,
+        latency + d.dup_extra_delay,
         [this, link, seq, base, gen] {
           frame_arrived(link, seq, base, gen, false, 0, 0);
         });
   }
 }
 
-void Cluster::frame_arrived(net::LinkKey link,
-                            net::ReliableTransport::Seq seq,
-                            net::ReliableTransport::Seq sender_base,
+void Cluster::frame_arrived(net::LinkKey link, Transport::Seq seq,
+                            Transport::Seq sender_base,
                             std::uint64_t generation, bool corrupt,
                             std::size_t corrupt_byte, int corrupt_bit) {
-  auto it = wire_store_.find(std::make_pair(link, seq));
-  // Already released: the sender got its ack (or reset); this copy is a
-  // straggler nobody is waiting for.
-  if (it == wire_store_.end()) return;
-  const WireMsg& w = it->second;
+  // The copy's bytes are the frame its sender still holds under (link,
+  // seq). Released (the sender got its ack, gave up or reset): this copy is
+  // a straggler nobody is waiting for.
+  const WireFrame* w = transport_.pending_frame(link, seq);
+  if (w == nullptr) return;
   // Integrity check against the send-time CRC32C. The conditioned CRC is
   // affine in the message bits, so the damaged frame's CRC is the clean CRC
   // xor the flipped bit's contribution — no payload copy, no rescan (the
@@ -589,15 +554,15 @@ void Cluster::frame_arrived(net::LinkKey link,
   // per corrupted frame). The delta of a single-bit flip is never zero
   // (CRC32C detects all 1-bit errors), so this reaches the same verdict.
   if (corrupt) {
-    if (w.m.payload.empty()) {
+    if (w->m.payload.empty()) {
       // Nothing but header to corrupt: the frame fails framing outright.
       ++net_counters_.crc_drops;
       return;
     }
     std::uint32_t damaged_crc =
-        w.crc ^ checksum::crc32c_flip_delta(w.m.payload.size(), corrupt_byte,
-                                            corrupt_bit);
-    if (damaged_crc != w.crc) {
+        w->crc ^ checksum::crc32c_flip_delta(w->m.payload.size(),
+                                             corrupt_byte, corrupt_bit);
+    if (damaged_crc != w->crc) {
       ++net_counters_.crc_drops;
       return;  // dropped at the NIC: no ack, retransmit covers it
     }
@@ -607,52 +572,12 @@ void Cluster::frame_arrived(net::LinkKey link,
     ++net_counters_.dead_endpoint_drops;
     return;
   }
-  // Stash the payload receiver-side before the transport decides its fate:
-  // the sender may release its copy (on ack) while this frame is still
-  // buffered behind a hole. Only current-generation frames are stashed.
-  if (generation == transport_.generation(link))
-    rx_store_.insert_or_assign(std::make_pair(link, seq), w.m);
-  transport_.on_data_frame(link, seq, sender_base, generation);
+  transport_.on_data_frame(link, seq, sender_base, generation, *w);
 }
 
-void Cluster::dispatch_frame(net::LinkKey link,
-                             net::ReliableTransport::Seq seq) {
-  auto it = rx_store_.find(std::make_pair(link, seq));
-  ACR_REQUIRE(it != rx_store_.end(), "delivered frame has no stored payload");
-  Message m = std::move(it->second);
-  rx_store_.erase(it);
-  if (link.dst == kManagerEndpoint) {
-    manager_hook_(m);
-    return;
-  }
-  deliver_to_role(m);
-}
-
-void Cluster::purge_rx(int endpoint) {
-  for (auto it = rx_store_.begin(); it != rx_store_.end();) {
-    if (it->first.first.src == endpoint || it->first.first.dst == endpoint)
-      it = rx_store_.erase(it);
-    else
-      ++it;
-  }
-}
-
-void Cluster::link_gave_up(net::LinkKey link,
-                           net::ReliableTransport::Seq seq) {
-  (void)seq;
-  ++net_counters_.link_failures;
-  auto decode = [this](int ep, int& replica, int& node) {
-    if (ep == kManagerEndpoint) {
-      replica = -1;
-      node = -1;
-    } else {
-      replica = ep / config_.nodes_per_replica;
-      node = ep % config_.nodes_per_replica;
-    }
-  };
-  int sr, sn, dr, dn;
-  decode(link.src, sr, sn);
-  decode(link.dst, dr, dn);
+void Cluster::link_gave_up(net::LinkKey link) {
+  auto [sr, sn] = endpoint_role(link.src);
+  auto [dr, dn] = endpoint_role(link.dst);
   trace_.record(engine_.now(), TraceKind::LinkFailure, dr, dn);
   // If either end is dead, the retry exhaustion is just a symptom of the
   // node failure, which heartbeats/RAS detect and recover on their own.

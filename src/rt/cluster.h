@@ -8,7 +8,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -320,10 +319,18 @@ class Cluster {
     std::uint64_t gated_drops = 0;  ///< app msgs at a node's restart gate
     std::uint64_t crc_drops = 0;          ///< frames failing CRC32C on arrival
     std::uint64_t dead_endpoint_drops = 0;  ///< frames arriving at a dead NIC
-    std::uint64_t link_failures = 0;      ///< retry budgets exhausted
   };
   const NetCounters& net_counters() const { return net_counters_; }
-  const net::LinkStats& link_stats() const { return transport_.stats(); }
+
+  /// A service message riding the reliable transport, which holds it from
+  /// send until ack (the retransmit source) and, at the receiver, from
+  /// arrival until in-order hand-up.
+  struct WireFrame {
+    Message m;
+    std::uint32_t crc = 0;  ///< CRC32C of the payload at send time
+  };
+  using Transport = net::ReliableTransport<WireFrame>;
+  const Transport& transport() const { return transport_; }
   const failure::NetFaultCounters& net_fault_counters() const {
     return net_injector_.counters();
   }
@@ -348,13 +355,17 @@ class Cluster {
   friend class Node;
   friend class NodeTaskContext;
 
-  /// A message riding the reliable transport, parked until acked/abandoned
-  /// (the retransmit source). Keyed by (link, seq) in wire_store_.
-  struct WireMsg {
-    Message m;
-    double latency = 0.0;     ///< nominal one-way flight time
-    std::uint32_t crc = 0;    ///< CRC32C of the payload at send time
-  };
+  /// role_table_[replica][node_index]: the physical id playing the role,
+  /// -1 when unmanned.
+  int& role_pid(int replica, int node_index) {
+    return role_table_.at(static_cast<std::size_t>(replica))
+        .at(static_cast<std::size_t>(node_index));
+  }
+  /// Seat physical node `pid` in (replica, node_index) as a fresh
+  /// incarnation of the role: the role's links are reset, the old player is
+  /// unassigned, and `pid` takes the role-table slot with fresh (empty)
+  /// tasks.
+  Node& seat(int pid, int replica, int node_index);
 
   // Endpoint ids for the reliable transport: -1 is the manager, roles map
   // densely to replica * nodes_per_replica + node_index.
@@ -363,25 +374,24 @@ class Cluster {
   }
   static constexpr int kManagerEndpoint = -1;
 
-  net::ReliableTransport::Hooks make_transport_hooks();
+  /// Inverse of role_endpoint: the (replica, node_index) of an endpoint,
+  /// (-1, -1) for the manager.
+  std::pair<int, int> endpoint_role(int endpoint) const;
+  bool endpoint_alive(int endpoint);
+
+  Transport::Hooks make_transport_hooks();
   /// Enqueue `m` on the reliable transport for link (src -> dst endpoints).
   void route_reliable(int src_endpoint, int dst_endpoint, Message m,
                       double wire_bytes);
   /// Put one copy of frame (link, seq) on the lossy wire.
-  void transmit_frame(net::LinkKey link, net::ReliableTransport::Seq seq,
-                      int attempt);
+  void transmit_frame(net::LinkKey link, Transport::Seq seq,
+                      const WireFrame& frame, double latency);
   /// A data-frame copy reached the destination NIC.
-  void frame_arrived(net::LinkKey link, net::ReliableTransport::Seq seq,
-                     net::ReliableTransport::Seq sender_base,
-                     std::uint64_t generation, bool corrupt,
-                     std::size_t corrupt_byte, int corrupt_bit);
-  /// The transport delivered frame (link, seq) in order: hand it up.
-  void dispatch_frame(net::LinkKey link, net::ReliableTransport::Seq seq);
-  /// The transport gave up on frame (link, seq): escalate if both ends live.
-  void link_gave_up(net::LinkKey link, net::ReliableTransport::Seq seq);
-  bool endpoint_alive(int endpoint);
-  /// Drop receiver-side stashed frames on links touching a reset endpoint.
-  void purge_rx(int endpoint);
+  void frame_arrived(net::LinkKey link, Transport::Seq seq,
+                     Transport::Seq sender_base, std::uint64_t generation,
+                     bool corrupt, std::size_t corrupt_byte, int corrupt_bit);
+  /// The transport gave up on a frame of `link`: escalate if both ends live.
+  void link_gave_up(net::LinkKey link);
 
   /// Run `fn` after `seconds` of virtual compute on `node`, unless the node
   /// dies or restores (its incarnation moves) in between.
@@ -438,20 +448,7 @@ class Cluster {
   SlotPool<Continuation> continuations_;
 
   failure::NetFaultInjector net_injector_;
-  net::ReliableTransport transport_;
-  /// Staging slot for the message being handed to transport_.send(); the
-  /// transmit hook files it into wire_store_ once the sequence is known.
-  std::optional<WireMsg> outbox_;
-  /// std::map: references stay valid across inserts (delivery re-enters
-  /// send paths), and iteration order is deterministic.
-  std::map<std::pair<net::LinkKey, net::ReliableTransport::Seq>, WireMsg>
-      wire_store_;
-  /// Receiver-side copy of frames that reached the NIC, held until the
-  /// transport delivers them in order. Separate from wire_store_ because
-  /// the sender may release its copy (ack received) while the receiver is
-  /// still buffering the frame behind a hole.
-  std::map<std::pair<net::LinkKey, net::ReliableTransport::Seq>, Message>
-      rx_store_;
+  Transport transport_;
   NetCounters net_counters_;
   LinkFailureHook link_failure_hook_;
 };

@@ -4,7 +4,9 @@
 // rt::Engine: the harness's hooks decide per-frame whether a transmission
 // reaches the far end, with what extra latency, and whether acks survive
 // the return trip. This mirrors how rt::Cluster wires the transport in,
-// minus payloads — the transport itself never sees message bytes.
+// with a plain integer as the frame instead of a message: each send()
+// numbers its frame, so every hand-up can be checked against what was sent
+// under that sequence.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -17,7 +19,8 @@
 namespace acr::net {
 namespace {
 
-using Seq = ReliableTransport::Seq;
+using Transport = ReliableTransport<int>;
+using Seq = Transport::Seq;
 
 /// Single-link scripted wire. Frames flow src=0 -> dst=1.
 struct Harness {
@@ -39,23 +42,41 @@ struct Harness {
   bool duplicate_arrivals = false;
 
   std::vector<Seq> delivered;
-  std::vector<Seq> released;
   std::vector<Seq> gave_up;
   std::vector<double> transmit_times;  ///< every (re)transmission instant
   std::map<Seq, int> attempts_seen;
 
-  ReliableTransport transport;
+  Transport transport;
 
   Harness() : transport(cfg, hooks()) {}
   explicit Harness(const ReliableConfig& c) : cfg(c), transport(cfg, hooks()) {}
 
-  ReliableTransport::Hooks hooks() {
-    ReliableTransport::Hooks h;
+  int next_frame = 1000;
+  std::map<Seq, int> frames_sent;  ///< the frame last sent under each seq
+
+  /// Reliably send a freshly numbered frame.
+  Seq send(double one_way_latency) {
+    int frame = next_frame++;
+    Seq seq = transport.send(link, frame, one_way_latency);
+    frames_sent[seq] = frame;
+    EXPECT_EQ(*transport.pending_frame(link, seq), frame);
+    return seq;
+  }
+  Seq send() { return send(latency); }
+
+  /// Whether the sender still holds frame `seq`.
+  bool held(Seq seq) const {
+    return transport.pending_frame(link, seq) != nullptr;
+  }
+
+  Transport::Hooks hooks() {
+    Transport::Hooks h;
     h.schedule = [this](double delay, std::function<void()> fn) {
       return engine.schedule_after(delay, std::move(fn));
     };
-    h.cancel = [this](ReliableTransport::TimerId id) { engine.cancel(id); };
-    h.transmit = [this](LinkKey l, Seq seq, int attempt) {
+    h.cancel = [this](Transport::TimerId id) { engine.cancel(id); };
+    h.transmit = [this](LinkKey l, Seq seq, const int& frame, double,
+                        int attempt) {
       transmit_times.push_back(engine.now());
       attempts_seen[seq] = attempt;
       if (lose_frame(seq, attempt)) return;
@@ -66,9 +87,11 @@ struct Harness {
       double flight = latency + extra_delay(seq, attempt);
       int copies = duplicate_arrivals ? 2 : 1;
       for (int c = 0; c < copies; ++c)
-        engine.schedule_after(flight + c * latency, [this, l, seq, base, gen] {
-          transport.on_data_frame(l, seq, base, gen);
-        });
+        engine.schedule_after(flight + c * latency,
+                              [this, l, seq, base, gen, frame] {
+                                transport.on_data_frame(l, seq, base, gen,
+                                                        frame);
+                              });
     };
     h.send_ack = [this](LinkKey l, Seq seq) {
       if (lose_acks) return;
@@ -77,21 +100,29 @@ struct Harness {
         transport.on_ack_frame(l, seq, gen);
       });
     };
-    h.deliver = [this](LinkKey, Seq seq) { delivered.push_back(seq); };
-    h.give_up = [this](LinkKey, Seq seq) { gave_up.push_back(seq); };
-    h.release = [this](LinkKey, Seq seq) { released.push_back(seq); };
+    h.deliver = [this](LinkKey, Seq seq, int frame) {
+      delivered.push_back(seq);
+      EXPECT_EQ(frame, frames_sent.at(seq)) << "seq " << seq;
+    };
+    h.give_up = [this](LinkKey l, Seq seq) {
+      gave_up.push_back(seq);
+      // The frame is dropped before the link is declared failed.
+      EXPECT_EQ(transport.pending_frame(l, seq), nullptr);
+    };
     return h;
   }
 };
 
 TEST(ReliableTransport, CleanWireDeliversInOrder) {
   Harness h;
-  for (int i = 0; i < 10; ++i) h.transport.send(h.link, h.latency);
+  for (int i = 0; i < 10; ++i) h.send();
   h.engine.run();
   ASSERT_EQ(h.delivered.size(), 10u);
   for (Seq s = 1; s <= 10; ++s) EXPECT_EQ(h.delivered[s - 1], s);
   EXPECT_EQ(h.transport.in_flight(), 0u);
-  EXPECT_EQ(h.released.size(), 10u);
+  // Every frame was dropped by its ack, and none is left at the receiver.
+  for (Seq s = 1; s <= 10; ++s) EXPECT_FALSE(h.held(s)) << "seq " << s;
+  EXPECT_EQ(h.transport.buffered(), 0u);
   EXPECT_TRUE(h.gave_up.empty());
   EXPECT_EQ(h.transport.stats().retransmits, 0u);
 }
@@ -102,7 +133,7 @@ TEST(ReliableTransport, RetransmitsRecoverLostFrames) {
   h.lose_frame = [](Seq seq, int attempt) {
     return attempt == 0 && seq % 3 == 0;
   };
-  for (int i = 0; i < 12; ++i) h.transport.send(h.link, h.latency);
+  for (int i = 0; i < 12; ++i) h.send();
   h.engine.run();
   ASSERT_EQ(h.delivered.size(), 12u);
   for (Seq s = 1; s <= 12; ++s) EXPECT_EQ(h.delivered[s - 1], s);
@@ -116,7 +147,7 @@ TEST(ReliableTransport, ReorderedFramesDeliverInOrder) {
   h.extra_delay = [&](Seq seq, int) {
     return (seq % 2 == 1) ? 20 * h.latency : 0.0;
   };
-  for (int i = 0; i < 10; ++i) h.transport.send(h.link, h.latency);
+  for (int i = 0; i < 10; ++i) h.send();
   h.engine.run();
   ASSERT_EQ(h.delivered.size(), 10u);
   for (Seq s = 1; s <= 10; ++s) EXPECT_EQ(h.delivered[s - 1], s);
@@ -125,7 +156,7 @@ TEST(ReliableTransport, ReorderedFramesDeliverInOrder) {
 TEST(ReliableTransport, DuplicatesSuppressedDeliveredOnce) {
   Harness h;
   h.duplicate_arrivals = true;
-  for (int i = 0; i < 8; ++i) h.transport.send(h.link, h.latency);
+  for (int i = 0; i < 8; ++i) h.send();
   h.engine.run();
   ASSERT_EQ(h.delivered.size(), 8u);
   for (Seq s = 1; s <= 8; ++s) EXPECT_EQ(h.delivered[s - 1], s);
@@ -135,7 +166,7 @@ TEST(ReliableTransport, DuplicatesSuppressedDeliveredOnce) {
 TEST(ReliableTransport, LostAcksCauseDupFramesNotDupDelivery) {
   Harness h;
   h.lose_acks = true;
-  h.transport.send(h.link, h.latency);
+  h.send();
   // Let a few retransmit rounds fire, then let acks through.
   h.engine.run_until(3 * h.cfg.base_timeout);
   h.lose_acks = false;
@@ -150,12 +181,13 @@ TEST(ReliableTransport, GiveUpAfterRetryBudgetReleasesPayload) {
   cfg.retry_budget = 4;
   Harness h(cfg);
   h.lose_frame = [](Seq, int) { return true; };  // black-hole link
-  h.transport.send(h.link, h.latency);
+  h.send();
+  h.engine.run_until(h.cfg.base_timeout / 2);
+  EXPECT_TRUE(h.held(1));
   h.engine.run();
   ASSERT_EQ(h.gave_up.size(), 1u);
   EXPECT_EQ(h.gave_up[0], 1u);
-  ASSERT_EQ(h.released.size(), 1u);
-  EXPECT_EQ(h.released[0], 1u);
+  EXPECT_FALSE(h.held(1));  // the give-up dropped the frame
   // First transmission + retry_budget retransmits.
   EXPECT_EQ(h.transmit_times.size(), 1u + 4u);
   EXPECT_EQ(h.transport.in_flight(), 0u);
@@ -170,7 +202,7 @@ TEST(ReliableTransport, BackoffGrowsGeometricallyAndCaps) {
   cfg.max_timeout = 4e-3;
   Harness h(cfg);
   h.lose_frame = [](Seq, int) { return true; };
-  h.transport.send(h.link, h.latency);
+  h.send();
   h.engine.run();
   ASSERT_EQ(h.transmit_times.size(), 9u);
   std::vector<double> gaps;
@@ -189,7 +221,7 @@ TEST(ReliableTransport, TimeoutFlooredByFrameLatency) {
   // A bulk frame in flight for 10x base_timeout must not be retransmitted
   // before it can possibly have been acked.
   double slow = 10 * h.cfg.base_timeout;
-  h.transport.send(h.link, slow);
+  h.send(slow);
   h.engine.run();
   EXPECT_EQ(h.transport.stats().retransmits, 0u);
   ASSERT_EQ(h.delivered.size(), 1u);
@@ -201,24 +233,26 @@ TEST(ReliableTransport, WindowBaseHealsAbandonedHole) {
   Harness h(cfg);
   // Frame 1 is black-holed; 2 and 3 arrive and are buffered behind it.
   h.lose_frame = [](Seq seq, int) { return seq == 1; };
-  h.transport.send(h.link, h.latency);
-  h.transport.send(h.link, h.latency);
-  h.transport.send(h.link, h.latency);
+  h.send();
+  h.send();
+  h.send();
   h.engine.run();
   // Sender gave up on 1; 2 and 3 were acked while buffered.
   ASSERT_EQ(h.gave_up.size(), 1u);
   EXPECT_EQ(h.gave_up[0], 1u);
   EXPECT_TRUE(h.delivered.empty());  // still holed at the receiver
+  EXPECT_EQ(h.transport.buffered(), 2u);
   // The next frame carries an advanced window base; the receiver skips the
   // abandoned hole and flushes the buffered run.
   h.lose_frame = [](Seq, int) { return false; };
-  h.transport.send(h.link, h.latency);
+  h.send();
   h.engine.run();
   ASSERT_EQ(h.delivered.size(), 3u);
   EXPECT_EQ(h.delivered[0], 2u);
   EXPECT_EQ(h.delivered[1], 3u);
   EXPECT_EQ(h.delivered[2], 4u);
   EXPECT_EQ(h.transport.in_flight(), 0u);
+  EXPECT_EQ(h.transport.buffered(), 0u);
 }
 
 TEST(ReliableTransport, FarAheadFramesDroppedUnacked) {
@@ -229,7 +263,7 @@ TEST(ReliableTransport, FarAheadFramesDroppedUnacked) {
   h.extra_delay = [&](Seq seq, int attempt) {
     return (seq == 1 && attempt == 0) ? 50 * h.latency : 0.0;
   };
-  for (int i = 0; i < 8; ++i) h.transport.send(h.link, h.latency);
+  for (int i = 0; i < 8; ++i) h.send();
   h.engine.run();
   // Everything is eventually delivered in order (frames beyond the window
   // were dropped unacked, then retransmitted once the base advanced).
@@ -241,15 +275,36 @@ TEST(ReliableTransport, FarAheadFramesDroppedUnacked) {
 TEST(ReliableTransport, ResetEndpointReleasesWithoutEscalation) {
   Harness h;
   h.lose_frame = [](Seq, int) { return true; };  // receiver is dead
-  h.transport.send(h.link, h.latency);
-  h.transport.send(h.link, h.latency);
+  h.send();
+  h.send();
   h.engine.run_until(h.cfg.base_timeout / 2);
   EXPECT_EQ(h.transport.in_flight(), 2u);
+  EXPECT_TRUE(h.held(1));
+  EXPECT_TRUE(h.held(2));
   h.transport.reset_endpoint(1);
   EXPECT_EQ(h.transport.in_flight(), 0u);
-  EXPECT_EQ(h.released.size(), 2u);
+  EXPECT_FALSE(h.held(1));
+  EXPECT_FALSE(h.held(2));
   EXPECT_TRUE(h.gave_up.empty());  // endpoint death is not a link failure
   h.engine.run();                  // pending retransmit timers must be inert
+  EXPECT_TRUE(h.gave_up.empty());
+}
+
+TEST(ReliableTransport, ResetEndpointDropsFramesBufferedAtReceiver) {
+  Harness h;
+  // Frame 1 is black-holed, so 2 and 3 wait at the receiver behind it.
+  h.lose_frame = [](Seq seq, int) { return seq == 1; };
+  h.send();
+  h.send();
+  h.send();
+  h.engine.run_until(h.cfg.base_timeout / 2);
+  EXPECT_EQ(h.transport.buffered(), 2u);
+  EXPECT_TRUE(h.held(1));
+  h.transport.reset_endpoint(0);  // the sending end dies
+  EXPECT_EQ(h.transport.buffered(), 0u);
+  EXPECT_EQ(h.transport.in_flight(), 0u);
+  h.engine.run();
+  EXPECT_TRUE(h.delivered.empty());
   EXPECT_TRUE(h.gave_up.empty());
 }
 
@@ -260,7 +315,7 @@ TEST(ReliableTransport, StaleGenerationFramesAreIgnored) {
   h.extra_delay = [&](Seq, int attempt) {
     return attempt == 0 ? 5 * h.latency : 0.0;
   };
-  h.transport.send(h.link, h.latency);
+  h.send();
   h.engine.run_until(h.latency);  // frame is on the wire
   h.transport.reset_endpoint(1);
   std::uint64_t stale_before = h.transport.stats().stale_generation;
@@ -269,7 +324,7 @@ TEST(ReliableTransport, StaleGenerationFramesAreIgnored) {
   EXPECT_TRUE(h.delivered.empty());
   // The new incarnation's seq 1 is a fresh conversation.
   h.extra_delay = [](Seq, int) { return 0.0; };
-  Seq s = h.transport.send(h.link, h.latency);
+  Seq s = h.send();
   EXPECT_EQ(s, 1u);
   h.engine.run();
   ASSERT_EQ(h.delivered.size(), 1u);

@@ -229,6 +229,61 @@ TEST(Cluster, RejectsMoreThanOneEngineLane) {
   EXPECT_NO_THROW(Cluster c(accepted, cfg));
 }
 
+/// Service agent that counts the messages handed up to it and keeps none.
+class CountingService final : public NodeService {
+ public:
+  explicit CountingService(int& count) : count_(count) {}
+  void on_service_message(const Message&) override { ++count_; }
+  ProgressDecision on_progress(int, std::uint64_t) override {
+    return ProgressDecision::Continue;
+  }
+  void on_task_done(int) override {}
+
+ private:
+  int& count_;
+};
+
+TEST(Cluster, DuplicatingWireLeavesNoCopyOfDeliveredFrames) {
+  Engine engine;
+  ClusterConfig cfg;
+  cfg.nodes_per_replica = 3;
+  cfg.spare_nodes = 0;
+  // Every frame is duplicated, and the copy lands right behind the
+  // original: it reaches the receiver after the hand-up but before the
+  // sender has its ack, so the copy still matches a held frame.
+  cfg.net_faults.dup_rate = 1.0;
+  cfg.net_faults.reorder_max_extra = 1e-7;
+  Cluster cluster(engine, cfg);
+  cluster.set_task_factory(probe_factory(1));
+  cluster.populate();
+  int handed_up = 0;
+  for (int r = 0; r < 2; ++r)
+    for (int n = 0; n < 3; ++n)
+      cluster.node_at(r, n).set_service(
+          std::make_unique<CountingService>(handed_up));
+
+  std::vector<buf::Buffer> attachments;
+  for (int i = 0; i < 12; ++i) {
+    std::vector<std::byte> image(512 + static_cast<std::size_t>(i),
+                                 static_cast<std::byte>(i));
+    attachments.push_back(buf::Buffer::copy_of(image));
+    std::vector<std::byte> header(16, std::byte{0x5A});
+    cluster.send_service(i % 2, i % 3, (i + 1) % 2, (i + 2) % 3, 9,
+                         buf::Buffer::copy_of(header), -1.0,
+                         attachments.back());
+  }
+  engine.run();
+
+  EXPECT_EQ(handed_up, 12);
+  EXPECT_EQ(cluster.transport().stats().delivered, 12u);
+  EXPECT_GT(cluster.transport().stats().dup_frames, 0u);
+  EXPECT_EQ(cluster.transport().in_flight(), 0u);
+  EXPECT_EQ(cluster.transport().buffered(), 0u);
+  // Nothing but the test holds an attachment once the wire is quiet.
+  for (std::size_t i = 0; i < attachments.size(); ++i)
+    EXPECT_EQ(attachments[i].owners(), 1) << "attachment " << i;
+}
+
 TEST(Cluster, AppRngIsReplicaIndependent) {
   Fixture f;
   Pcg32 a = f.task(0, 2, 1).ctx->make_app_rng(5);

@@ -50,6 +50,13 @@ FEATURES = {
                        "--fault-mtbf=0.03",
     "lossy-net": "--net-loss=0.01 --net-dup=0.005 --net-reorder=0.01 "
                  "--net-corrupt=0.002 --fault-mtbf=0.03 --spares=10",
+    # Endpoint resets (spare promotion, doubling, un-doubling) under a
+    # lossy wire.
+    "lossy-rs-burst": "--ckpt-scheme=rs --nodes=16 --burst-mtbf=0.03 "
+                      "--burst-follow=0.6 --spare-repair-time=0.01 "
+                      "--degrade=shrink --l2-bandwidth=2e9 "
+                      "--net-loss=0.01 --net-dup=0.005 --net-reorder=0.01 "
+                      "--net-corrupt=0.002",
 }
 
 SEEDS = [1, 2, 3]
