@@ -115,8 +115,8 @@ SweepPoint run_point(const std::string& app_name, const AppConfig& app,
   p.mode = mode;
   p.scheme = scheme;
   p.summary = runtime.run(120.0);
-  p.l2_written = runtime.cluster().l2_stats().bytes_written;
-  p.l2_raw = runtime.cluster().l2_stats().bytes_raw_written;
+  p.l2_written = runtime.tier()->bytes_written();
+  p.l2_raw = runtime.tier()->bytes_raw_written();
   return p;
 }
 

@@ -73,6 +73,12 @@ const char* validate_redundancy_config(const AcrConfig& config,
   return "unknown redundancy scheme";
 }
 
+ckpt::GroupMap parity_groups(const AcrConfig& config, int nodes_per_replica) {
+  return ckpt::GroupMap(
+      nodes_per_replica,
+      config.redundancy == ckpt::Scheme::Rs ? config.xor_group_size : 0);
+}
+
 const char* validate_tier_config(const AcrConfig& config) {
   const ckpt::TierConfig& t = config.tier;
   if (t.bandwidth < 0.0) return "l2 bandwidth must be >= 0 (0 disables)";

@@ -1,6 +1,7 @@
 // ACR framework configuration.
 #pragma once
 
+#include "ckpt/group.h"
 #include "ckpt/redundancy.h"
 #include "ckpt/tier.h"
 #include "failure/adaptive_interval.h"
@@ -117,6 +118,10 @@ struct AcrConfig {
 /// Manager's construction-time ACR_REQUIREs).
 const char* validate_redundancy_config(const AcrConfig& config,
                                        int nodes_per_replica);
+
+/// Parity-group membership of a replica's node indices: groups of
+/// `xor_group_size` under rs, disabled (empty) under local and partner.
+ckpt::GroupMap parity_groups(const AcrConfig& config, int nodes_per_replica);
 
 /// Check durable-tier coherence: returns nullptr when valid, else a
 /// human-readable reason (shared by the driver's CLI validation and the

@@ -24,10 +24,7 @@ Manager::Manager(AcrEnv env, AgentInstaller installer)
   if (env_.config->tier.enabled())
     ACR_REQUIRE(env_.tier != nullptr,
                 "tier enabled but no DurableTier attached to the env");
-}
-
-bool Manager::tier_enabled() const {
-  return env_.tier != nullptr && env_.config->tier.enabled();
+  groups_ = parity_groups(*env_.config, env_.cluster->nodes_per_replica());
 }
 
 double Manager::now() const { return env_.cluster->engine().now(); }
@@ -419,7 +416,7 @@ void Manager::start_restore_wave(int replica, int node_index) {
     // the group's dead-but-unreported members into this wave: dead_roles_
     // widens route_rs_rebuild's dead set (which applies the rs rule once
     // this wave has its barrier) and drops their late reports.
-    for (int i : env_.cluster->ckpt_groups().group_members(node_index)) {
+    for (int i : groups_.group_members(node_index)) {
       auto role = std::make_pair(replica, i);
       if (i == node_index || env_.cluster->role_alive(replica, i) ||
           dead_roles_.count(role))
@@ -470,11 +467,10 @@ bool Manager::route_restore(int replica, int node_index,
 
 bool Manager::route_rs_rebuild(int replica, int node_index,
                                std::uint64_t barrier) {
-  const ckpt::GroupMap& groups = env_.cluster->ckpt_groups();
   wire::RsRebuildCmd cmd;
   cmd.barrier = barrier;
   std::vector<int> survivors;
-  for (int i : groups.group_members(node_index)) {
+  for (int i : groups_.group_members(node_index)) {
     if (i == node_index || dead_roles_.count({replica, i}))
       cmd.dead_indices.push_back(i);
     else
@@ -494,7 +490,7 @@ bool Manager::route_rs_rebuild(int replica, int node_index,
 
 bool Manager::recoverable(std::span<const std::pair<int, int>> wave) const {
   return ckpt::recoverable(
-      redundancy(), env_.cluster->ckpt_groups(), env_.config->rs_parity, wave,
+      redundancy(), groups_, env_.config->rs_parity, wave,
       [this](int r, int i) {
         return dead_roles_.count({r, i}) || !env_.cluster->role_alive(r, i);
       });
@@ -616,7 +612,6 @@ void Manager::escalate_rollback_all() {
       if (!env_.cluster->role_alive(r, i)) dead_roles_.insert({r, i});
   if (!recoverable(std::vector(dead_roles_.begin(), dead_roles_.end())))
     return restart_from_scratch();
-  const ckpt::GroupMap& groups = env_.cluster->ckpt_groups();
   for (const auto& [r, i] : dead_roles_) {
     if (env_.cluster->role_alive(r, i)) continue;  // spare already in place
     if (!promote_and_install(r, i)) return;
@@ -642,7 +637,7 @@ void Manager::escalate_rollback_all() {
         env_.cluster->send_from_manager(r, i, wire::kRollback,
                                         rt::pack_payload(roll));
       } else if (redundancy() != ckpt::Scheme::Rs ||
-                 rs_routed_groups.insert({r, groups.group_of(i)}).second) {
+                 rs_routed_groups.insert({r, groups_.group_of(i)}).second) {
         bool routed = route_restore(r, i, barrier);
         ACR_REQUIRE(routed, "escalation with an unrebuildable group");
       }
@@ -691,7 +686,7 @@ void Manager::restart_from_scratch(bool allow_fetch) {
 
 void Manager::maybe_request_flush(std::uint64_t epoch,
                                   std::uint8_t participants) {
-  if (!tier_enabled()) return;
+  if (env_.tier == nullptr) return;
   if (committed_ % env_.config->tier.flush_interval != 0) return;
   wire::FlushCmdMsg msg{epoch, 0};
   broadcast_participants(participants, wire::kFlushCommand,
@@ -700,7 +695,7 @@ void Manager::maybe_request_flush(std::uint64_t epoch,
 
 void Manager::handle_flush_done(const wire::FlushDoneMsg& msg,
                                 int src_replica, int src_node) {
-  if (!tier_enabled()) return;
+  if (env_.tier == nullptr) return;
   if (msg.scavenged) ++l2_scavenges_;
   std::uint64_t complete = env_.tier->newest_complete_epoch();
   if (complete > l2_durable_epoch_) {
@@ -724,7 +719,7 @@ void Manager::handle_flush_done(const wire::FlushDoneMsg& msg,
 }
 
 bool Manager::try_fetch_from_durable() {
-  if (!tier_enabled()) return false;
+  if (env_.tier == nullptr) return false;
   std::uint64_t epoch = env_.tier->newest_complete_epoch();
   if (epoch == 0) return false;
   // A fetch wave is a full-job relaunch served from L2: every dead role
@@ -762,7 +757,7 @@ void Manager::request_drain() {
 void Manager::maybe_finish_drain() {
   if (!drain_requested_ || drained_ || complete_ || failed_) return;
   if (ckpt_ || recovery_ || weak_recovery_pending_) return;
-  if (tier_enabled() && verified_epoch_ != 0 &&
+  if (env_.tier != nullptr && verified_epoch_ != 0 &&
       l2_durable_epoch_ < verified_epoch_) {
     // The newest verified epoch is not fully durable yet: push urgent
     // (scavenge-class) flushes to exactly the roles whose blobs are

@@ -187,9 +187,9 @@ class Manager {
   void restart_from_scratch(bool allow_fetch = true);
   bool promote_and_install(int replica, int node_index);
 
-  // Durable tier (all no-ops unless env_.tier attached AND config tier
-  // enabled — the gate keeping no-L2 runs byte-identical).
-  bool tier_enabled() const;
+  // Durable tier (all no-ops unless env_.tier is attached, which happens
+  // exactly when the config enables it — the gate keeping no-L2 runs
+  // byte-identical).
   /// After the `epoch` commit: order the committing replicas to drain their
   /// new verified images to L2 (every flush_interval-th commit).
   void maybe_request_flush(std::uint64_t epoch, std::uint8_t participants);
@@ -239,6 +239,8 @@ class Manager {
   AcrEnv env_;
   AgentInstaller installer_;
   failure::AdaptiveIntervalController adaptive_;
+  /// rs parity-group membership (disabled under local and partner).
+  ckpt::GroupMap groups_;
 
   std::optional<ActiveCheckpoint> ckpt_;
   std::optional<ActiveRecovery> recovery_;

@@ -48,9 +48,6 @@ std::size_t digest_vector_wire_bytes(std::size_t n) {
 
 void NodeAgent::make_rs() {
   if (env_.config->redundancy != ckpt::Scheme::Rs) return;
-  const ckpt::GroupMap& groups = env_.cluster->ckpt_groups();
-  ACR_REQUIRE(groups.enabled(),
-              "rs redundancy requires cluster checkpoint groups");
   ckpt::RsScheme::Hooks hooks;
   // The verify-on-rebuild CRC32C tags ride the frame header (see
   // kDigestScalarWireBytes): they are discounted from the modelled payload.
@@ -89,9 +86,9 @@ void NodeAgent::make_rs() {
   hooks.restore_rebuilt = [this](ckpt::Image img, std::uint64_t barrier) {
     restore_from(std::move(img), "rs rebuild", barrier);
   };
-  rs_ = std::make_unique<ckpt::RsScheme>(groups, index_,
-                                         env_.config->rs_parity,
-                                         env_.config->codec, std::move(hooks));
+  rs_ = std::make_unique<ckpt::RsScheme>(
+      parity_groups(*env_.config, num_nodes_), index_, env_.config->rs_parity,
+      env_.config->codec, std::move(hooks));
 }
 
 std::vector<int> NodeAgent::child_indices() const {
@@ -779,7 +776,7 @@ void NodeAgent::handle_commit(const wire::EpochMsg& msg) {
     }
     // An in-flight flush of the previous epoch is now pointless: the next
     // kFlushCommand targets the new verified image.
-    if (tier_enabled() && flush_.active && flush_.epoch < msg.epoch)
+    if (env_.tier != nullptr && flush_.active && flush_.epoch < msg.epoch)
       supersede_flush(/*trace=*/true);
   }
   phase_ = Phase::Idle;
@@ -897,17 +894,13 @@ void NodeAgent::handle_resume() {
 // Durable tier: async flush (L1 -> L2 drain) and fetch (L2 -> L1 restore).
 // ---------------------------------------------------------------------------
 
-bool NodeAgent::tier_enabled() const {
-  return env_.tier != nullptr && env_.config->tier.enabled();
-}
-
 void NodeAgent::handle_flush_command(const wire::FlushCmdMsg& msg) {
-  if (!tier_enabled()) return;
+  if (env_.tier == nullptr) return;
   start_flush(msg.epoch, msg.urgent != 0);
 }
 
 void NodeAgent::start_flush(std::uint64_t epoch, bool urgent) {
-  if (!tier_enabled() || !node_.alive()) return;
+  if (env_.tier == nullptr || !node_.alive()) return;
   // Only the CURRENT verified image may drain: a stale command for an epoch
   // this node no longer holds (or never promoted) is unservable.
   if (!store_.has_verified() || store_.verified().epoch != epoch) return;
@@ -971,7 +964,8 @@ void NodeAgent::start_flush(std::uint64_t epoch, bool urgent) {
           ? ckpt::encoded_image_bytes(store_.verified().image.size())
           : flush_.blob.size();
   // Raw-vs-encoded accounting for the pipe (codec off: raw == the image).
-  env_.cluster->l2_note_raw(static_cast<double>(store_.verified().image.size()));
+  env_.tier->note_raw_write(
+      static_cast<double>(store_.verified().image.size()));
   std::uint64_t seq = ++flush_seq_;
   env_.cluster->trace().record(
       now(), rt::TraceKind::FlushStarted, replica_, index_,
@@ -990,8 +984,8 @@ void NodeAgent::flush_next_chunk(std::uint64_t seq) {
   }
   std::uint64_t chunk =
       std::min<std::uint64_t>(flush_.remaining, ckpt::kTierFlushChunkBytes);
-  double delay = env_.cluster->l2_write(replica_ * num_nodes_ + index_,
-                                        static_cast<double>(chunk));
+  double delay = env_.tier->write(replica_, index_, now(),
+                                  static_cast<double>(chunk));
   env_.cluster->engine().schedule_after(delay, [this, seq, chunk]() {
     if (seq != flush_seq_ || !flush_.active) return;
     if (!node_.alive()) {
@@ -1048,7 +1042,7 @@ void NodeAgent::supersede_flush(bool trace) {
 }
 
 void NodeAgent::maybe_reflush_after_restore() {
-  if (!tier_enabled()) return;
+  if (env_.tier == nullptr) return;
   std::uint64_t epoch = store_.verified().epoch;
   if (epoch == 0 || env_.tier->has(replica_, index_, epoch)) return;
   start_flush(epoch, /*urgent=*/false);
@@ -1057,7 +1051,7 @@ void NodeAgent::maybe_reflush_after_restore() {
 void NodeAgent::handle_fetch_from_durable(const wire::RestoreCmdMsg& msg) {
   // Gate before the read: the node gates itself and the L2 read is charged.
   if (msg.barrier <= last_restore_barrier_) return;
-  if (!tier_enabled()) return;
+  if (env_.tier == nullptr) return;
   // The wave's epoch is authoritative now; any background flush is moot.
   supersede_flush(/*trace=*/true);
   // chain_bytes == blob_bytes for a full image; for a delta blob it adds
@@ -1076,8 +1070,8 @@ void NodeAgent::handle_fetch_from_durable(const wire::RestoreCmdMsg& msg) {
       now(), rt::TraceKind::FetchStarted, replica_, index_,
       "epoch=" + std::to_string(msg.epoch) +
           " bytes=" + std::to_string(bytes));
-  double delay = env_.cluster->l2_read(replica_ * num_nodes_ + index_,
-                                       static_cast<double>(bytes));
+  double delay = env_.tier->read(replica_, index_, now(),
+                                 static_cast<double>(bytes));
   env_.cluster->engine().schedule_after(
       delay, [this, epoch = msg.epoch, barrier = msg.barrier]() {
         if (!node_.alive()) return;

@@ -44,8 +44,9 @@ namespace acr {
 struct AcrEnv {
   rt::Cluster* cluster = nullptr;
   const AcrConfig* config = nullptr;
-  /// Simulated L2 durable tier; null (or config->tier disabled) = the
-  /// single-tier protocol, byte-identical to builds without the tier.
+  /// Simulated L2 durable tier, attached exactly when config->tier is
+  /// enabled; null = the single-tier protocol, byte-identical to builds
+  /// without the tier.
   ckpt::DurableTier* tier = nullptr;
   /// The run's compress-stage memo, shared by every agent so a chunk both
   /// replicas carry is compressed once; null = no memo.
@@ -160,9 +161,8 @@ class NodeAgent final : public rt::NodeService {
   /// restore — the moments the ISSUE's invalidation rules name.
   void invalidate_codec_bases();
 
-  // Durable-tier plumbing (all no-ops unless env_.tier is attached AND
-  // config->tier.enabled() — the gate that keeps no-L2 runs byte-identical).
-  bool tier_enabled() const;
+  // Durable-tier plumbing (all no-ops unless env_.tier is attached — the
+  // gate that keeps no-L2 runs byte-identical).
   void handle_flush_command(const wire::FlushCmdMsg& msg);
   /// Begin (or short-circuit) the chunked drain of the verified image of
   /// `epoch` to L2. Publication happens only after the LAST chunk's I/O.

@@ -7,32 +7,14 @@
 
 namespace acr {
 
-namespace {
-/// The cluster's checkpoint-group map exists exactly when the group-parity
-/// scheme (rs) needs it; other schemes leave grouping disabled.
-rt::ClusterConfig with_ckpt_groups(rt::ClusterConfig c,
-                                   const AcrConfig& acr) {
-  c.ckpt_group_size =
-      acr.redundancy == ckpt::Scheme::Rs ? acr.xor_group_size : 0;
-  // The durable tier's cost model lives in the cluster (per-node busy-until
-  // pipes turned into DES events); mirror the ACR-level knobs into it.
-  if (acr.tier.enabled()) {
-    c.l2.bandwidth = acr.tier.bandwidth;
-    c.l2.latency = acr.tier.latency;
-  }
-  return c;
-}
-}  // namespace
-
 AcrRuntime::AcrRuntime(const AcrConfig& acr_config,
                        const rt::ClusterConfig& cluster_config)
     : acr_config_(acr_config),
-      cluster_(std::make_unique<rt::Cluster>(
-          engine_, with_ckpt_groups(cluster_config, acr_config))),
+      cluster_(std::make_unique<rt::Cluster>(engine_, cluster_config)),
       fault_rng_(cluster_config.seed ^ 0xFA17ULL, 0xD15EA5E) {
   if (acr_config_.tier.enabled())
     tier_ = std::make_unique<ckpt::DurableTier>(
-        2, cluster_config.nodes_per_replica);
+        acr_config_.tier, 2, cluster_config.nodes_per_replica);
 }
 
 AcrRuntime::~AcrRuntime() = default;
@@ -68,7 +50,7 @@ void AcrRuntime::arm_burst_injection() {
   // Lifecycle events (spare deaths, repairs, pool minima) only exist under
   // burst injection; enabling their trace here keeps burst-free runs
   // byte-identical to the pre-lifecycle framework.
-  cluster_->enable_trace(rt::kTraceSpareLifecycle);
+  cluster_->trace_pool_minima();
   schedule_next_burst(engine_.now());
 }
 
@@ -229,8 +211,7 @@ bool AcrRuntime::apply(const failure::Fault& f) {
       if (t.slot >= node.num_tasks()) return false;
       ACR_REQUIRE(f.draws != nullptr, "a flip needs a draw stream");
       std::optional<failure::BitFlip> flip =
-          failure::try_inject_sdc(node.task(t.slot), *f.draws,
-                                  failure::FlipPolicy::FloatingPointOnly);
+          failure::try_inject_sdc(node.task(t.slot), *f.draws);
       if (!flip) return false;  // no eligible state (e.g. a bare spare)
       ++sdc_injected_;
       cluster_->trace().record(engine_.now(), rt::TraceKind::SdcInjected,

@@ -31,7 +31,7 @@ namespace acr {
 
 /// Fault-injection plan (§6.1): an arrival process plus the SDC/hard mix.
 /// Flips land only in floating point user data, the state that dominates
-/// checkpoints (failure::FlipPolicy::FloatingPointOnly).
+/// checkpoints (failure::flip_random_payload_bit).
 struct FaultPlan {
   std::shared_ptr<failure::ArrivalProcess> arrivals;
   /// Probability that an injected fault is an SDC bit flip (vs fail-stop).

@@ -1,10 +1,38 @@
 #include "ckpt/tier.h"
 
+#include <algorithm>
 #include <set>
 
 #include "common/require.h"
 
 namespace acr::ckpt {
+
+DurableTier::DurableTier(const TierConfig& config, int replicas,
+                         int roles_per_replica)
+    : config_(config),
+      replicas_(replicas),
+      roles_(roles_per_replica),
+      busy_until_(static_cast<std::size_t>(replicas * roles_per_replica),
+                  0.0) {}
+
+double DurableTier::charge(int replica, int index, double now, double bytes) {
+  ACR_REQUIRE(replica >= 0 && replica < replicas_, "tier I/O: bad replica");
+  ACR_REQUIRE(index >= 0 && index < roles_, "tier I/O: bad node index");
+  double& busy = busy_until_[static_cast<std::size_t>(replica * roles_ + index)];
+  double start = std::max(now, busy);
+  double service = config_.latency + bytes / config_.bandwidth;
+  busy = start + service;
+  return busy - now;
+}
+
+double DurableTier::write(int replica, int index, double now, double bytes) {
+  bytes_written_ += bytes;
+  return charge(replica, index, now, bytes);
+}
+
+double DurableTier::read(int replica, int index, double now, double bytes) {
+  return charge(replica, index, now, bytes);
+}
 
 void DurableTier::publish(int replica, int index, const Image& img) {
   ACR_REQUIRE(replica >= 0 && replica < replicas_, "tier publish: bad replica");

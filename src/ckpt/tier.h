@@ -8,9 +8,10 @@
 // scratch or restoring from a slower durable level (the SCR / CRAFT
 // multi-level story). DurableTier models that level: a store of
 // self-validating blobs (vault.h: header + payload + Fletcher-64 trailer)
-// keyed by (replica, node index, epoch). The tier itself is passive and
-// costless; the TIME of every write/read is charged separately through the
-// cluster's net::L2ChannelModel, and the protocol around it (async flush
+// keyed by (replica, node index, epoch), plus the level's cost model: one
+// busy-until pipe per role that turns each write/read into a delay. The
+// pipe is pure arithmetic over virtual time — the caller schedules the
+// completion as a DES event — and the protocol around it (async flush
 // chunking, fetch waves, scavenge on drain) lives in acr::Manager /
 // acr::NodeAgent.
 //
@@ -32,10 +33,11 @@
 namespace acr::ckpt {
 
 /// Configuration for the durable tier. `bandwidth == 0` disables the tier
-/// entirely — every tier code path in the protocol is gated on enabled(),
-/// which is what keeps no-L2 runs byte-identical to the single-tier build.
+/// entirely — no DurableTier is built, and every tier code path in the
+/// protocol is gated on its presence, which is what keeps no-L2 runs
+/// byte-identical to the single-tier build.
 struct TierConfig {
-  /// Per-node drain bandwidth to L2 in bytes/second. 0 = tier disabled.
+  /// Per-role drain bandwidth to L2 in bytes/second. 0 = tier disabled.
   double bandwidth = 0.0;
   /// Per-operation latency (seconds) charged before each chunk/fetch.
   double latency = 1e-4;
@@ -56,7 +58,8 @@ inline constexpr std::uint64_t kTierFlushChunkBytes = 256 * 1024;
 /// how many ancestors a single lost blob can orphan.
 inline constexpr std::uint64_t kTierMaxChain = 8;
 
-/// In-memory model of the durable store's contents plus lifetime counters.
+/// In-memory model of the durable store's contents, its per-role I/O pipe
+/// and lifetime counters.
 class DurableTier {
  public:
   struct Key {
@@ -71,8 +74,28 @@ class DurableTier {
   };
 
   /// `roles_per_replica * replicas` publishes make an epoch complete.
-  DurableTier(int replicas, int roles_per_replica)
-      : replicas_(replicas), roles_(roles_per_replica) {}
+  /// The pipe charges `config.latency + bytes / config.bandwidth` per
+  /// operation, so write/read need an enabled config.
+  DurableTier(const TierConfig& config, int replicas, int roles_per_replica);
+
+  // --- I/O pipe ---------------------------------------------------------------
+  /// Seconds from `now` until a write of `bytes` by role (replica, index)
+  /// finishes: each role drains through its own pipe, so the operation
+  /// starts at max(now, the role's busy-until) and then takes latency +
+  /// bytes/bandwidth.
+  double write(int replica, int index, double now, double bytes);
+  /// Same for a read (fetch path). Reads share the role's pipe with writes.
+  double read(int replica, int index, double now, double bytes);
+  /// Account (without charging time for) the raw image bytes behind a
+  /// write sequence — called once per flush with the decoded size.
+  void note_raw_write(double bytes) { bytes_raw_written_ += bytes; }
+  /// Bytes charged by write().
+  double bytes_written() const { return bytes_written_; }
+  /// Pre-codec image bytes the writes stood for. With the checkpoint codec
+  /// off this tracks the raw size of every image offered to the pipe; with
+  /// delta/compression on, bytes_written falls below it and the gap is the
+  /// codec's saving at the durable tier.
+  double bytes_raw_written() const { return bytes_raw_written_; }
 
   /// Install a node's image for an epoch (called once per flush, after the
   /// final chunk's modeled I/O completes). Re-publishing the same key (a
@@ -136,9 +159,15 @@ class DurableTier {
   };
 
   Image decode_chain(int replica, int index, std::uint64_t epoch, int depth);
+  double charge(int replica, int index, double now, double bytes);
 
+  TierConfig config_;
   int replicas_;
   int roles_;
+  /// busy_until_[replica * roles_ + index]: when the role's pipe frees up.
+  std::vector<double> busy_until_;
+  double bytes_written_ = 0.0;
+  double bytes_raw_written_ = 0.0;
   std::map<Key, Blob> blobs_;
   std::uint64_t publishes_ = 0;
   std::uint64_t fetches_ = 0;

@@ -39,18 +39,13 @@ std::size_t elem_size_of(pup::Tag tag) {
   throw pup::StreamError("unknown tag in injector");
 }
 
-bool eligible(pup::Tag tag, FlipPolicy policy) {
-  if (tag == pup::Tag::OptionsPush || tag == pup::Tag::OptionsPop ||
-      tag == pup::Tag::Size)
-    return false;  // framework metadata, never user data
-  if (policy == FlipPolicy::FloatingPointOnly)
-    return tag == pup::Tag::F32 || tag == pup::Tag::F64;
-  return true;
+bool eligible(pup::Tag tag) {
+  return tag == pup::Tag::F32 || tag == pup::Tag::F64;
 }
 
-/// Collect [offset, length) spans of flippable payload under `policy`.
+/// Collect [offset, length) spans of flippable payload.
 std::vector<std::pair<std::size_t, std::size_t>> payload_spans(
-    std::span<const std::byte> stream, FlipPolicy policy) {
+    std::span<const std::byte> stream) {
   std::vector<std::pair<std::size_t, std::size_t>> spans;
   std::size_t pos = 0;
   while (pos < stream.size()) {
@@ -65,7 +60,7 @@ std::vector<std::pair<std::size_t, std::size_t>> payload_spans(
     std::size_t payload = static_cast<std::size_t>(n) * elem_size_of(tag);
     ACR_REQUIRE(pos + payload <= stream.size(),
                 "malformed stream payload in injector");
-    if (eligible(tag, policy) && payload > 0) spans.emplace_back(pos, payload);
+    if (eligible(tag) && payload > 0) spans.emplace_back(pos, payload);
     pos += payload;
   }
   return spans;
@@ -73,16 +68,14 @@ std::vector<std::pair<std::size_t, std::size_t>> payload_spans(
 
 }  // namespace
 
-std::size_t payload_bytes(std::span<const std::byte> stream,
-                          FlipPolicy policy) {
+std::size_t payload_bytes(std::span<const std::byte> stream) {
   std::size_t total = 0;
-  for (const auto& [off, len] : payload_spans(stream, policy)) total += len;
+  for (const auto& [off, len] : payload_spans(stream)) total += len;
   return total;
 }
 
-BitFlip flip_random_payload_bit(std::span<std::byte> stream, Pcg32& rng,
-                                FlipPolicy policy) {
-  auto spans = payload_spans(stream, policy);
+BitFlip flip_random_payload_bit(std::span<std::byte> stream, Pcg32& rng) {
+  auto spans = payload_spans(stream);
   std::size_t total = 0;
   for (const auto& [off, len] : spans) total += len;
   ACR_REQUIRE(total > 0, "stream has no payload bytes to corrupt");

@@ -2,9 +2,10 @@
 //
 // * SDC: "flips a randomly selected bit in the user data that will be
 //   checkpointed". We realize exactly that — serialize the victim object
-//   with PUP, flip one random bit inside a *payload* region (record headers
-//   excluded, so the flip lands in user data rather than framing), and
-//   deserialize back into the live object.
+//   with PUP, flip one random bit inside the payload of a floating point
+//   record (record headers and integer records excluded, so the flip lands
+//   in user data rather than framing or control state), and deserialize
+//   back into the live object.
 // * Hard errors are modelled by the runtime as no-response nodes (see
 //   acr::rt); this header only provides the shared arrival machinery.
 #pragma once
@@ -24,37 +25,26 @@ struct BitFlip {
   unsigned bit = 0;
 };
 
-/// Which stream records a flip may land in.
-enum class FlipPolicy {
-  /// Only floating point payloads (F32/F64) — the bulk "user data" of HPC
-  /// applications and what the paper's injector effectively corrupts.
-  /// Flips here silently distort results without deranging control flow.
-  FloatingPointOnly,
-  /// Any payload byte, including integer counters and indices. Such flips
-  /// can send the victim's control flow arbitrarily off the rails — a
-  /// stress mode beyond the paper's experiments.
-  AnyPayload,
-};
-
 /// Flip one uniformly random bit among the eligible payload bytes of a PUP
-/// stream. Returns the flip location. Requires at least one eligible byte.
-BitFlip flip_random_payload_bit(std::span<std::byte> stream, Pcg32& rng,
-                                FlipPolicy policy = FlipPolicy::AnyPayload);
+/// stream: those of floating point records (F32/F64), the bulk "user data"
+/// of HPC applications and what the paper's injector effectively corrupts.
+/// Such flips silently distort results without deranging control flow;
+/// integer counters, indices and framework records are never touched.
+/// Returns the flip location. Requires at least one eligible byte.
+BitFlip flip_random_payload_bit(std::span<std::byte> stream, Pcg32& rng);
 
-/// Byte count eligible for flips under `policy` (exposed for tests and for
-/// exhaustive flip sweeps in property tests).
-std::size_t payload_bytes(std::span<const std::byte> stream,
-                          FlipPolicy policy = FlipPolicy::AnyPayload);
+/// Byte count eligible for flips (exposed for tests and for exhaustive flip
+/// sweeps in property tests).
+std::size_t payload_bytes(std::span<const std::byte> stream);
 
 /// Convenience: run the serialize–flip–deserialize cycle on a pup-able
 /// object, corrupting its live state exactly as checkpointing would see it.
 /// Requires at least one eligible byte (throws RequireError otherwise);
 /// use try_inject_sdc when the victim's eligibility is unknown.
 template <typename T>
-BitFlip inject_sdc(T& victim, Pcg32& rng,
-                   FlipPolicy policy = FlipPolicy::AnyPayload) {
+BitFlip inject_sdc(T& victim, Pcg32& rng) {
   pup::Checkpoint image = pup::make_checkpoint(victim);
-  BitFlip flip = flip_random_payload_bit(image.mutable_bytes(), rng, policy);
+  BitFlip flip = flip_random_payload_bit(image.mutable_bytes(), rng);
   pup::restore_checkpoint(victim, image);
   return flip;
 }
@@ -63,11 +53,10 @@ BitFlip inject_sdc(T& victim, Pcg32& rng,
 /// payload (e.g. a freshly created, still-empty task on a spare node — a
 /// flip into unallocated state is physically a no-op anyway).
 template <typename T>
-std::optional<BitFlip> try_inject_sdc(T& victim, Pcg32& rng,
-                                      FlipPolicy policy) {
+std::optional<BitFlip> try_inject_sdc(T& victim, Pcg32& rng) {
   pup::Checkpoint image = pup::make_checkpoint(victim);
-  if (payload_bytes(image.bytes(), policy) == 0) return std::nullopt;
-  BitFlip flip = flip_random_payload_bit(image.mutable_bytes(), rng, policy);
+  if (payload_bytes(image.bytes()) == 0) return std::nullopt;
+  BitFlip flip = flip_random_payload_bit(image.mutable_bytes(), rng);
   pup::restore_checkpoint(victim, image);
   return flip;
 }

@@ -49,29 +49,4 @@ double LinkLoadModel::phase_time(const NetworkParams& p) const {
          p.beta() * max_link_bytes();
 }
 
-double L2ChannelModel::charge(int node, double now, double bytes) {
-  if (busy_until_.size() <= static_cast<std::size_t>(node))
-    busy_until_.resize(static_cast<std::size_t>(node) + 1, 0.0);
-  double& busy = busy_until_[static_cast<std::size_t>(node)];
-  double start = std::max(now, busy);
-  stats_.queue_wait += start - now;
-  double service =
-      params_.latency + (params_.bandwidth > 0.0 ? bytes / params_.bandwidth
-                                                 : 0.0);
-  busy = start + service;
-  return busy - now;
-}
-
-double L2ChannelModel::write(int node, double now, double bytes) {
-  stats_.writes += 1;
-  stats_.bytes_written += bytes;
-  return charge(node, now, bytes);
-}
-
-double L2ChannelModel::read(int node, double now, double bytes) {
-  stats_.reads += 1;
-  stats_.bytes_read += bytes;
-  return charge(node, now, bytes);
-}
-
 }  // namespace acr::net

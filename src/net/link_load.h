@@ -1,4 +1,8 @@
-// Link-level traffic model over a 3D torus.
+// Machine cost parameters and a link-level traffic model over a 3D torus.
+//
+// NetworkParams holds the alpha-beta-gamma costs the cluster charges for
+// messages and for checkpoint pack/compare/unpack. (The L2 durable tier's
+// per-role I/O pipe is part of the tier itself, ckpt::DurableTier.)
 //
 // The checkpoint-transfer and restart-transfer costs in the paper (Figs. 6,
 // 8, 10) are dominated by contention on the links between the two replicas:
@@ -38,60 +42,6 @@ struct NetworkParams {
   double unpack_bandwidth = 60.0e6;
 
   double beta() const { return 1.0 / link_bandwidth; }
-};
-
-/// Cost parameters of the simulated L2 durable channel (burst buffer /
-/// parallel FS ingest pipe). Each node drains through its own pipe, so the
-/// model queues per node rather than per torus link.
-struct L2Params {
-  /// Per-node L2 bandwidth, bytes/second. 0 disables the durable tier.
-  double bandwidth = 0.0;
-  /// Per-operation setup latency, seconds.
-  double latency = 1e-4;
-};
-
-/// Per-node busy-until queue for L2 I/O: an operation issued at `now`
-/// completes at max(now, busy_until[node]) + latency + bytes/bandwidth.
-/// Purely arithmetic — the caller (rt::Cluster) turns the returned delay
-/// into a DES event, which keeps flush scheduling deterministic at any
-/// kernel-thread count.
-class L2ChannelModel {
- public:
-  struct Stats {
-    std::uint64_t writes = 0;
-    std::uint64_t reads = 0;
-    double bytes_written = 0.0;
-    double bytes_read = 0.0;
-    /// Pre-codec image bytes the writes stood for. With the checkpoint
-    /// codec off this tracks the raw size of every image offered to the
-    /// pipe; with delta/compression on, bytes_written falls below it and
-    /// the gap is the codec's saving at the durable tier.
-    double bytes_raw_written = 0.0;
-    /// Aggregate time operations spent waiting behind earlier I/O on the
-    /// same node's pipe (queueing delay, not service time).
-    double queue_wait = 0.0;
-  };
-
-  explicit L2ChannelModel(L2Params params) : params_(params) {}
-
-  /// Seconds from `now` until a write of `bytes` issued by `node` finishes.
-  double write(int node, double now, double bytes);
-  /// Same for a read (fetch path). Reads share the node's pipe with writes.
-  double read(int node, double now, double bytes);
-
-  /// Account (without charging time for) the raw image bytes behind a
-  /// write sequence — called once per flush with the decoded size.
-  void note_raw_write(double bytes) { stats_.bytes_raw_written += bytes; }
-
-  const Stats& stats() const { return stats_; }
-  const L2Params& params() const { return params_; }
-
- private:
-  double charge(int node, double now, double bytes);
-
-  L2Params params_;
-  std::vector<double> busy_until_;
-  Stats stats_;
 };
 
 class LinkLoadModel {

@@ -64,8 +64,6 @@ const TraceEvent* TraceLog::find_first(TraceKind kind, double t) const {
 Cluster::Cluster(Engine& engine, const ClusterConfig& config)
     : engine_(engine),
       config_(config),
-      ckpt_groups_(config.nodes_per_replica, config.ckpt_group_size),
-      l2_channel_(config.l2),
       jitter_rng_(config.seed, 77),
       net_injector_(config.net_faults, config.seed ^ 0x9E7FA017C0FFEE11ULL),
       transport_(config.reliable, make_transport_hooks()) {
@@ -166,17 +164,9 @@ void Cluster::note_pool_level() {
   int level = static_cast<int>(spare_pool_.size());
   if (level >= spare_counters_.low_water) return;
   spare_counters_.low_water = level;
-  if (trace_enabled(kTraceSpareLifecycle))
+  if (trace_pool_minima_)
     trace_.record(engine_.now(), TraceKind::SparePoolLow, -1, -1,
                   "remaining=" + std::to_string(level));
-}
-
-double Cluster::l2_write(int pid, double bytes) {
-  return l2_channel_.write(pid, engine_.now(), bytes);
-}
-
-double Cluster::l2_read(int pid, double bytes) {
-  return l2_channel_.read(pid, engine_.now(), bytes);
 }
 
 double Cluster::app_latency(std::size_t bytes, Pcg32& jitter_rng) {

@@ -12,7 +12,6 @@
 #include <utility>
 #include <vector>
 
-#include "ckpt/group.h"
 #include "common/rng.h"
 #include "failure/net_faults.h"
 #include "net/link_load.h"
@@ -64,17 +63,6 @@ enum class TraceKind {
 
 const char* trace_kind_name(TraceKind k);
 
-/// Bitset selecting which OPTIONAL trace families are recorded. Core
-/// protocol events (checkpoints, failures, recoveries) are always traced,
-/// and so are kinds that only a feature's own code path records (the L2
-/// tier's flush/fetch/drain, the codec's delta-shipped/fallback): runs
-/// without the feature never reach them. A bit is needed only for a kind
-/// that would also fire without its feature — SparePoolLow fires on
-/// ordinary spare promotions, so it is recorded only under burst injection.
-enum TraceMask : std::uint32_t {
-  kTraceSpareLifecycle = 1u << 0,  ///< SparePoolLow pool-minimum events
-};
-
 struct TraceEvent {
   double time = 0.0;
   TraceKind kind{};
@@ -124,16 +112,6 @@ struct ClusterConfig {
   failure::NetFaultConfig net_faults;
   /// Reliable-delivery tuning (retry budget, timeouts, window).
   net::ReliableConfig reliable;
-
-  /// Checkpoint parity-group width (ckpt layer, rs scheme): consecutive
-  /// node indices of each replica form groups of this size for parity
-  /// exchange and rebuild routing. <= 0 disables grouping (local/partner
-  /// schemes need none).
-  int ckpt_group_size = 0;
-
-  /// Simulated L2 durable-tier channel (per-node burst-buffer pipe).
-  /// bandwidth == 0 leaves the tier's cost model unused.
-  net::L2Params l2;
 
   /// Retired event-queue shard count. The engine is one serial heap, so
   /// a value above 1 is a RequireError. The field stays because the
@@ -190,10 +168,6 @@ class Cluster {
   /// Node playing (replica, node_index), or nullptr when the role is
   /// unmanned (node_at REQUIREs instead — use this where vacancy is legal).
   Node* role_node(int replica, int node_index);
-
-  /// Checkpoint parity-group membership (per replica; groups never span
-  /// replicas). Empty/disabled unless ckpt_group_size was configured.
-  const ckpt::GroupMap& ckpt_groups() const { return ckpt_groups_; }
 
   // --- messaging ---------------------------------------------------------------
   /// Task-to-task within a replica. The payload Buffer is shared, not
@@ -275,26 +249,14 @@ class Cluster {
   };
   const SpareCounters& spare_counters() const { return spare_counters_; }
 
-  // --- optional trace families --------------------------------------------------
-  /// Turn on the trace families selected by `mask` (TraceMask bits OR-ed).
-  /// All are off by default so runs without a feature keep a byte-identical
-  /// trace.
-  void enable_trace(std::uint32_t mask) { trace_mask_ |= mask; }
-  bool trace_enabled(TraceMask bit) const { return (trace_mask_ & bit) != 0; }
-
-  // --- L2 durable channel -------------------------------------------------------
-  /// Charge an L2 write/read issued by physical node `pid` at the current
-  /// virtual time; returns the delay until the operation completes (per-node
-  /// busy-until queueing + latency + bytes/bandwidth). Pure arithmetic over
-  /// virtual time — callers schedule the completion as a DES event, so L2
-  /// traffic is deterministic at any kernel-thread count.
-  double l2_write(int pid, double bytes);
-  double l2_read(int pid, double bytes);
-  /// Record the raw (pre-codec) size behind a flush; no time is charged.
-  void l2_note_raw(double bytes) { l2_channel_.note_raw_write(bytes); }
-  const net::L2ChannelModel::Stats& l2_stats() const {
-    return l2_channel_.stats();
-  }
+  // --- optional trace --------------------------------------------------------------
+  /// Record SparePoolLow at each new pool minimum. Core protocol events are
+  /// always traced, and so are kinds only a feature's own code path records
+  /// (the L2 tier's flush/fetch/drain, the codec's delta frames). Pool
+  /// minima also fire on ordinary spare promotions, so they are off by
+  /// default and turned on only under burst injection, which keeps
+  /// burst-free traces byte-identical.
+  void trace_pool_minima() { trace_pool_minima_ = true; }
 
   // --- manager channel -----------------------------------------------------------
   // The job-level ACR manager (failure handling, checkpoint timing) is a
@@ -417,7 +379,6 @@ class Cluster {
   ClusterConfig config_;
   TraceLog trace_;
   TaskFactory factory_;
-  ckpt::GroupMap ckpt_groups_;
 
   std::vector<std::unique_ptr<Node>> nodes_;
   /// role_table_[replica][node_index] -> physical id (-1 when unmanned).
@@ -428,8 +389,7 @@ class Cluster {
   /// Entries persist after a lodger dies; liveness decides relevance.
   std::map<int, int> lodger_host_;
   SpareCounters spare_counters_;
-  std::uint32_t trace_mask_ = 0;
-  net::L2ChannelModel l2_channel_;
+  bool trace_pool_minima_ = false;
   std::vector<int> in_flight_{0, 0};
   std::vector<std::uint64_t> app_epoch_{0, 0};
   Pcg32 jitter_rng_;

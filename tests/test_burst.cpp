@@ -178,7 +178,7 @@ const soak::Reference& reference() {
 TEST(SpareLifecycle, PooledSpareCanFailIdle) {
   Sim sim(soak::base_acr_config(), 2, 11);
   rt::Cluster& cl = sim.runtime.cluster();
-  cl.enable_trace(rt::kTraceSpareLifecycle);
+  cl.trace_pool_minima();
   int spare_pid = -1;
   for (int pid = 0; pid < cl.num_hardware_nodes(); ++pid)
     if (cl.is_pooled_spare(pid)) spare_pid = pid;
@@ -202,7 +202,7 @@ TEST(SpareLifecycle, PooledSpareCanFailIdle) {
 TEST(SpareLifecycle, PromotedThenRepairedNodeIsNotDoubleCounted) {
   Sim sim(soak::base_acr_config(), 1, 12);
   rt::Cluster& cl = sim.runtime.cluster();
-  cl.enable_trace(rt::kTraceSpareLifecycle);
+  cl.trace_pool_minima();
   double mid = reference().finish_time * 0.4;
   int pid = cl.node_at(0, 2).physical_id();
   sim.runtime.inject(failure::Fault::kill_role(mid, 0, 2));

@@ -704,7 +704,7 @@ buf::Buffer publish_chain(DurableTier& tier, int k, std::uint64_t seed) {
 }
 
 TEST(TierChain, FetchReconstructsThroughDeltaChain) {
-  DurableTier tier(1, 1);
+  DurableTier tier(TierConfig{}, 1, 1);
   buf::Buffer expect = publish_chain(tier, 4, 20);
   EXPECT_EQ(tier.delta_publishes(), 3u);
   EXPECT_EQ(tier.chain_length(0, 0, 4), 4u);
@@ -721,7 +721,7 @@ TEST(TierChain, BrokenChainYieldsNulloptNotGarbage) {
   // A delta blob published into a tier that never saw its base epoch:
   // fetch must fail cleanly (pushing the wave to an older rung), never
   // fabricate an image.
-  DurableTier no_base(1, 1);
+  DurableTier no_base(TierConfig{}, 1, 1);
   CodecPipeline pipe(config(true, true));
   buf::Buffer img = test_image(22, 1);
   DeltaBlob blob;
@@ -737,7 +737,7 @@ TEST(TierChain, BrokenChainYieldsNulloptNotGarbage) {
 }
 
 TEST(TierChain, PruneKeepsAncestorsOfLiveDeltas) {
-  DurableTier tier(1, 1);
+  DurableTier tier(TierConfig{}, 1, 1);
   buf::Buffer expect = publish_chain(tier, 3, 23);
   tier.prune(3);  // would drop epochs 1 and 2 — but 3 needs them
   Image got = tier.fetch(0, 0, 3);

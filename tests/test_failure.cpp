@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "failure/adaptive_interval.h"
 #include "failure/distributions.h"
@@ -204,7 +205,22 @@ TEST(Injector, FlipChangesExactlyOneBitOfUserData) {
       bits_changed += std::popcount(diff);
     }
     EXPECT_EQ(bits_changed, 1) << "trial " << trial;
-    EXPECT_LT(flip.byte_offset, before.size());
+    // The stream ends with the doubles' 24 payload bytes, then the
+    // counter's record (a 9-byte header and 8 bytes): the flip must land
+    // in the doubles.
+    std::size_t counter_record = 9 + sizeof(std::uint64_t);
+    std::size_t doubles_end = before.size() - counter_record;
+    EXPECT_GE(flip.byte_offset, doubles_end - 3 * sizeof(double))
+        << "trial " << trial;
+    EXPECT_LT(flip.byte_offset, doubles_end) << "trial " << trial;
+    // And in the live object: one double changed, never the U64 counter.
+    EXPECT_EQ(w.counter, v.counter) << "trial " << trial;
+    ASSERT_EQ(w.data.size(), v.data.size());
+    int doubles_changed = 0;
+    for (std::size_t i = 0; i < v.data.size(); ++i)
+      doubles_changed +=
+          std::memcmp(&w.data[i], &v.data[i], sizeof(double)) != 0;
+    EXPECT_EQ(doubles_changed, 1) << "trial " << trial;
   }
 }
 
@@ -212,10 +228,20 @@ TEST(Injector, PayloadBytesExcludesHeaders) {
   Victim v;
   v.data = {1.0, 2.0, 3.0};
   pup::Checkpoint c = pup::make_checkpoint(v);
-  // Flippable payload: 24 B of doubles + the 8 B counter = 32. The
-  // vector's length record (Tag::Size) is framework structure, excluded.
-  EXPECT_EQ(payload_bytes(c.bytes()), 32u);
-  EXPECT_GT(c.size(), 32u);
+  // Flippable payload: the 24 B of doubles. The vector's length record
+  // (Tag::Size) is framework structure and the U64 counter is control
+  // state; both are excluded.
+  EXPECT_EQ(payload_bytes(c.bytes()), 24u);
+  EXPECT_GT(c.size(), 24u + 8u);
+}
+
+TEST(Injector, IntegerOnlyStateHasNothingToFlip) {
+  Victim v;
+  v.counter = 77;
+  Pcg32 rng(14, 1);
+  EXPECT_EQ(payload_bytes(pup::make_checkpoint(v).bytes()), 0u);
+  EXPECT_FALSE(try_inject_sdc(v, rng).has_value());
+  EXPECT_EQ(v.counter, 77u);
 }
 
 TEST(Injector, RejectsEmptyStream) {

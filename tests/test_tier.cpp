@@ -145,7 +145,7 @@ TEST(TierLadder, BuddyPairLossBeforeAnyFlushFallsBackToScratch) {
 TEST(TierAtomicity, PartialEpochIsNotFetchable) {
   // Unit-level contract behind the ladder: an epoch becomes fetchable only
   // once EVERY role of EVERY replica has published it.
-  ckpt::DurableTier tier(2, 2);
+  ckpt::DurableTier tier(ckpt::TierConfig{}, 2, 2);
   ckpt::Image img{true, 1, 10,
                   pup::Checkpoint(std::vector<std::byte>(64, std::byte{0x5A}))};
   for (int r = 0; r < 2; ++r)
@@ -159,6 +159,47 @@ TEST(TierAtomicity, PartialEpochIsNotFetchable) {
       << "a partially-flushed epoch must fall back to the previous one";
   tier.publish(1, 1, img);
   EXPECT_EQ(tier.newest_complete_epoch(), 2u);
+}
+
+// ---------------------------------------------------------------------------
+// The tier's I/O pipe: one busy-until queue per role.
+// ---------------------------------------------------------------------------
+
+TEST(TierPipe, QueuesEachRoleBehindItsOwnEarlierIo) {
+  ckpt::TierConfig cfg;
+  cfg.bandwidth = 1000.0;  // bytes/s
+  cfg.latency = 0.5;       // s
+  ckpt::DurableTier tier(cfg, 2, 2);
+  // Idle role: latency + bytes/bandwidth; the pipe is busy until t = 12.5.
+  EXPECT_DOUBLE_EQ(tier.write(0, 1, 10.0, 2000.0), 0.5 + 2000.0 / 1000.0);
+  // Issued at t = 11 while the first is in flight: starts at 12.5, takes
+  // 1.5 s, done at 14.
+  EXPECT_DOUBLE_EQ(tier.write(0, 1, 11.0, 1000.0), 14.0 - 11.0);
+  // A read shares the role's queue: starts at 14, done at 15.
+  EXPECT_DOUBLE_EQ(tier.read(0, 1, 12.0, 500.0), 15.0 - 12.0);
+  // Every other role, in either replica, has its own idle pipe.
+  EXPECT_DOUBLE_EQ(tier.write(0, 0, 12.0, 1000.0), 1.5);
+  EXPECT_DOUBLE_EQ(tier.write(1, 1, 12.0, 1000.0), 1.5);
+  EXPECT_DOUBLE_EQ(tier.read(1, 0, 12.0, 1000.0), 1.5);
+  // Once the queue drains, the role is idle again.
+  EXPECT_DOUBLE_EQ(tier.write(0, 1, 20.0, 0.0), 0.5);
+}
+
+TEST(TierPipe, CountsWrittenAndRawBytes) {
+  ckpt::TierConfig cfg;
+  cfg.bandwidth = 1e6;
+  ckpt::DurableTier tier(cfg, 2, 2);
+  EXPECT_EQ(tier.bytes_written(), 0.0);
+  EXPECT_EQ(tier.bytes_raw_written(), 0.0);
+  tier.write(0, 0, 0.0, 300.0);
+  tier.write(1, 1, 0.0, 200.0);
+  tier.read(0, 0, 0.0, 4000.0);  // reads are not writes
+  EXPECT_EQ(tier.bytes_written(), 500.0);
+  tier.note_raw_write(700.0);
+  tier.note_raw_write(800.0);
+  EXPECT_EQ(tier.bytes_raw_written(), 1500.0);
+  EXPECT_EQ(tier.bytes_written(), 500.0)
+      << "noting raw bytes charges no write";
 }
 
 TEST(TierAtomicity, MidFlushDeathPublishesNothing) {

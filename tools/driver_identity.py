@@ -31,8 +31,9 @@ APPS = ["jacobi", "hpccg", "lulesh", "leanmd", "minimd"]
 
 # Each feature reaches a different part of the protocol; together they
 # cover both detection modes, all four recovery schemes, the adaptive
-# interval, every redundancy scheme, the codec, the durable tier, burst
-# failures with repair, and the reliable transport on a lossy network.
+# interval, every redundancy scheme, the codec, the durable tier (flush,
+# fetch waves and drain), burst failures with repair, and the reliable
+# transport on a lossy network.
 FEATURES = {
     "strong-sdc": "--fault-mtbf=0.03 --sdc-fraction=0.6",
     "checksum": "--detection=checksum --fault-mtbf=0.02 --sdc-fraction=0.5 "
@@ -57,6 +58,13 @@ FEATURES = {
                       "--degrade=shrink --l2-bandwidth=2e9 "
                       "--net-loss=0.01 --net-dup=0.005 --net-reorder=0.01 "
                       "--net-corrupt=0.002",
+    # L2 fetch waves as the main recovery path: local redundancy has no
+    # remote copy, so most hard failures fall through to the durable tier.
+    # The only row that sets the tier's latency, flush interval and a
+    # drain (--halt-after).
+    "local-tier-fetch": "--ckpt-scheme=local --l2-bandwidth=5e8 "
+                        "--l2-latency=2e-4 --flush-interval=2 "
+                        "--halt-after=0.2 --fault-mtbf=0.02 --spares=10",
 }
 
 SEEDS = [1, 2, 3]
