@@ -6,8 +6,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "acr/runtime.h"
-#include "apps/jacobi3d.h"
+#include "acr/scenario.h"
 #include "common/stats.h"
 #include "common/table.h"
 
@@ -28,20 +27,17 @@ int main() {
     j.slots_per_node = 2;
     j.seconds_per_point = 5e-6;  // ~1.1 ms per iteration
 
-    rt::ClusterConfig cc;
-    cc.nodes_per_replica = j.nodes_needed();
-    cc.spare_nodes = 0;
-    cc.app_jitter = jitter;
+    Scenario job;
+    job.app = j;
+    job.cluster.spare_nodes = 0;
+    job.cluster.app_jitter = jitter;
+    job.acr.checkpoint_interval = 0.012;
+    job.acr.heartbeat_period = 0.002;
+    job.acr.heartbeat_timeout = 0.01;
+    job.max_virtual_time = 60.0;
 
-    AcrConfig ac;
-    ac.checkpoint_interval = 0.012;
-    ac.heartbeat_period = 0.002;
-    ac.heartbeat_timeout = 0.01;
-
-    AcrRuntime runtime(ac, cc);
-    runtime.set_task_factory(j.factory());
-    runtime.setup();
-    RunSummary s = runtime.run(60.0);
+    JobResult r = run(job);
+    const RunSummary& s = r.summary;
     if (!s.complete) {
       std::printf("run with jitter %.2f did not complete!\n", jitter);
       return 1;
@@ -50,7 +46,7 @@ int main() {
     // Pair each CheckpointRequested with the following CheckpointPacked.
     RunningStats consensus;
     double request_time = -1.0;
-    for (const auto& e : runtime.trace().events()) {
+    for (const auto& e : r.runtime->trace().events()) {
       if (e.kind == rt::TraceKind::CheckpointRequested) request_time = e.time;
       if (e.kind == rt::TraceKind::CheckpointPacked && request_time >= 0.0) {
         consensus.add(e.time - request_time);

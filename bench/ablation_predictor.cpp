@@ -10,8 +10,7 @@
 //      with the predictor off vs on.
 #include <cstdio>
 
-#include "acr/runtime.h"
-#include "apps/jacobi3d.h"
+#include "acr/scenario.h"
 #include "common/table.h"
 #include "failure/distributions.h"
 
@@ -27,31 +26,26 @@ RunSummary live_run(bool with_predictor, double recall, std::uint64_t seed) {
   j.iterations = 120;
   j.slots_per_node = 2;
   j.seconds_per_point = 1e-5;
-  AcrConfig ac;
-  ac.scheme = ResilienceScheme::Strong;
-  ac.checkpoint_interval = 0.02;  // sparse: rework dominates
-  ac.heartbeat_period = 0.0005;
-  ac.heartbeat_timeout = 0.002;
-  rt::ClusterConfig cc;
-  cc.nodes_per_replica = j.nodes_needed();
-  cc.spare_nodes = 24;
-  cc.seed = seed;
-  AcrRuntime runtime(ac, cc);
-  runtime.set_task_factory(j.factory());
-  runtime.setup();
+  Scenario job;
+  job.app = j;
+  job.acr.scheme = ResilienceScheme::Strong;
+  job.acr.checkpoint_interval = 0.02;  // sparse: rework dominates
+  job.acr.heartbeat_period = 0.0005;
+  job.acr.heartbeat_timeout = 0.002;
+  job.cluster.spare_nodes = 24;
+  job.cluster.seed = seed;
   if (with_predictor) {
     PredictorConfig pred;
     pred.recall = recall;
     pred.precision = 0.8;
     pred.lead_time = 0.001;
-    runtime.set_predictor(pred);
+    job.predictor = pred;
   }
-  FaultPlan plan;
-  plan.arrivals = std::make_shared<failure::RenewalProcess>(
+  job.faults.arrivals = std::make_shared<failure::RenewalProcess>(
       std::make_shared<failure::Exponential>(0.02));
-  plan.sdc_fraction = 0.0;
-  runtime.set_fault_plan(plan);
-  return runtime.run(60.0);
+  job.faults.sdc_fraction = 0.0;
+  job.max_virtual_time = 60.0;
+  return run(job).summary;
 }
 
 }  // namespace

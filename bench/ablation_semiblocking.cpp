@@ -8,9 +8,8 @@
 // sweeping the modelled transfer/compare cost.
 #include <cstdio>
 
-#include "acr/runtime.h"
+#include "acr/scenario.h"
 #include "acr/stats.h"
-#include "apps/jacobi3d.h"
 #include "common/table.h"
 
 using namespace acr;
@@ -24,7 +23,7 @@ struct Result {
   bool ok = false;
 };
 
-Result run(bool semi_blocking, double compare_bw, double link_bw) {
+Result run_case(bool semi_blocking, double compare_bw, double link_bw) {
   apps::Jacobi3DConfig j;
   j.tasks_x = j.tasks_y = j.tasks_z = 2;
   j.block_x = j.block_y = j.block_z = 8;
@@ -32,27 +31,25 @@ Result run(bool semi_blocking, double compare_bw, double link_bw) {
   j.slots_per_node = 2;
   j.seconds_per_point = 2e-6;
 
-  AcrConfig ac;
-  ac.checkpoint_interval = 0.002;
-  ac.heartbeat_period = 0.0005;
-  ac.heartbeat_timeout = 0.002;
-  ac.semi_blocking = semi_blocking;
+  Scenario job;
+  job.app = j;
+  job.acr.checkpoint_interval = 0.002;
+  job.acr.heartbeat_period = 0.0005;
+  job.acr.heartbeat_timeout = 0.002;
+  job.acr.semi_blocking = semi_blocking;
+  job.cluster.spare_nodes = 1;
+  job.cluster.net.compare_bandwidth = compare_bw;
+  job.cluster.net.link_bandwidth = link_bw;
+  job.max_virtual_time = 100.0;
 
-  rt::ClusterConfig cc;
-  cc.nodes_per_replica = j.nodes_needed();
-  cc.spare_nodes = 1;
-  cc.net.compare_bandwidth = compare_bw;
-  cc.net.link_bandwidth = link_bw;
-
-  AcrRuntime runtime(ac, cc);
-  runtime.set_task_factory(j.factory());
-  runtime.setup();
-  RunSummary s = runtime.run(100.0);
+  JobResult done = run(job);
+  const RunSummary& s = done.summary;
   Result r;
   r.ok = s.complete;
   r.total_time = s.finish_time;
   r.checkpoints = s.checkpoints;
-  r.ckpt_fraction = summarize_trace(runtime.trace()).checkpoint_time_fraction();
+  r.ckpt_fraction =
+      summarize_trace(done.runtime->trace()).checkpoint_time_fraction();
   return r;
 }
 
@@ -70,8 +67,8 @@ int main() {
     double compare_bw, link_bw;
   };
   for (Case c : {Case{250e6, 425e6}, Case{25e6, 80e6}, Case{5e6, 20e6}}) {
-    Result blocking = run(false, c.compare_bw, c.link_bw);
-    Result semi = run(true, c.compare_bw, c.link_bw);
+    Result blocking = run_case(false, c.compare_bw, c.link_bw);
+    Result semi = run_case(true, c.compare_bw, c.link_bw);
     if (!blocking.ok || !semi.ok) {
       std::printf("a configuration did not complete!\n");
       return 1;

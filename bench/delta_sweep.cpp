@@ -26,9 +26,7 @@
 #include <thread>
 #include <vector>
 
-#include "acr/runtime.h"
-#include "apps/jacobi3d.h"
-#include "apps/leanmd.h"
+#include "acr/scenario.h"
 #include "common/table.h"
 #include "model/acr_model.h"
 
@@ -99,24 +97,23 @@ AcrConfig sweep_acr(const std::string& mode, const std::string& scheme,
   return ac;
 }
 
-template <typename AppConfig>
 SweepPoint run_point(const std::string& app_name, const AppConfig& app,
                      const std::string& mode, const std::string& scheme,
                      double checkpoint_interval) {
-  rt::ClusterConfig cc;
-  cc.nodes_per_replica = app.nodes_needed();
-  cc.spare_nodes = 0;
-  cc.seed = 42;
-  AcrRuntime runtime(sweep_acr(mode, scheme, checkpoint_interval), cc);
-  runtime.set_task_factory(app.factory());
-  runtime.setup();
+  Scenario job;
+  job.app = app;
+  job.acr = sweep_acr(mode, scheme, checkpoint_interval);
+  job.cluster.spare_nodes = 0;
+  job.cluster.seed = 42;
+  job.max_virtual_time = 120.0;
+  JobResult r = run(job);
   SweepPoint p;
   p.app = app_name;
   p.mode = mode;
   p.scheme = scheme;
-  p.summary = runtime.run(120.0);
-  p.l2_written = runtime.tier()->bytes_written();
-  p.l2_raw = runtime.tier()->bytes_raw_written();
+  p.summary = r.summary;
+  p.l2_written = r.runtime->tier()->bytes_written();
+  p.l2_raw = r.runtime->tier()->bytes_raw_written();
   return p;
 }
 

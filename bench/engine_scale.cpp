@@ -5,11 +5,11 @@
 // cancel/rearm churn) on the bare engine at 1k/16k/131k nodes. A running
 // digest folds every dispatch (node, sequence, time bits).
 //
-// Live halo: acr_driver's fault-free jacobi (2x2xN tasks of 4^3 points, 4
-// per node, strong scheme, full compare) through AcrRuntime at 1k/4k/16k
-// nodes per replica — the whole message path: queue, delivery, app
-// handlers, heartbeats and two checkpoints. Its digest is the job's verified
-// answer. The 1k point is perfbench's halo-1k job at seed 1.
+// Live halo: acr_driver's fault-free jacobi scenario (2x2xN tasks of 4^3
+// points, 4 per node, strong scheme, full compare) at 1k/4k/16k nodes per
+// replica — the whole message path: queue, delivery, app handlers,
+// heartbeats and two checkpoints. Its digest is the job's verified answer.
+// The 1k point is perfbench's halo-1k job at seed 1.
 //
 // Per point: wall time and events/s (the perf trajectory, written to
 // BENCH_engine.json), plus the process's peak RSS for the live points. That
@@ -29,12 +29,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <string>
 #include <thread>
 #include <vector>
 
-#include "acr/runtime.h"
-#include "apps/jacobi3d.h"
-#include "checksum/fletcher.h"
+#include "acr/scenario.h"
 #include "common/rng.h"
 #include "rt/engine.h"
 
@@ -129,47 +128,23 @@ struct LiveResult {
   double peak_rss_mb = 0.0;
 };
 
-/// One fault-free driver-shaped jacobi job (perfbench's halo workload, seed
-/// 1) at `nodes` nodes per replica; wall time covers setup and the run.
+/// acr_driver's fault-free jacobi job at `nodes` nodes per replica and 8
+/// iterations (perfbench's halo workload, seed 1); wall time covers setup,
+/// the run and the settle before the digest.
 LiveResult run_live_halo(int nodes) {
-  apps::Jacobi3DConfig app;
-  app.tasks_x = app.tasks_y = 2;
-  app.tasks_z = nodes;
-  app.block_x = app.block_y = app.block_z = 4;
-  app.slots_per_node = 4;
-  app.iterations = 8;
-  app.seconds_per_point = 1e-5;
-  AcrConfig ac;
-  ac.scheme = ResilienceScheme::Strong;
-  ac.detection = SdcDetection::FullCompare;
-  ac.checkpoint_interval = 0.004;
-  ac.heartbeat_period = 0.0005;
-  ac.heartbeat_timeout = 0.002;
-  rt::ClusterConfig cc;
-  cc.nodes_per_replica = app.nodes_needed();
-  cc.spare_nodes = 4;
-  cc.seed = 1;
+  std::string nodes_flag = "--nodes=" + std::to_string(nodes);
+  const char* argv[] = {"engine_scale", nodes_flag.c_str(), "--iterations=8"};
+  std::string error;
+  Scenario scenario = parse_driver_flags(3, argv, &error)->scenario;
 
   LiveResult r;
   auto t0 = std::chrono::steady_clock::now();
-  AcrRuntime runtime(ac, cc);
-  runtime.set_task_factory(app.factory());
-  runtime.setup();
-  RunSummary s = runtime.run(1.0);
+  JobResult job = run(scenario);
   auto t1 = std::chrono::steady_clock::now();
-  r.complete = s.complete;
-  r.events = runtime.engine().events_processed();
+  r.complete = job.summary.complete;
+  r.events = job.events;
+  r.digest = job.digest;
   r.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
-  // Let the final commit's messages land, then digest the verified answer:
-  // the newest verified image of every node index.
-  runtime.engine().run_until(s.finish_time + 0.002);
-  checksum::Fletcher64 f;
-  for (int i = 0; i < cc.nodes_per_replica; ++i) {
-    NodeAgent& a = runtime.agent_at(0, i);
-    NodeAgent& b = runtime.agent_at(1, i);
-    f.append((a.verified_epoch() >= b.verified_epoch() ? a : b).verified_image());
-  }
-  r.digest = f.digest();
   rusage ru{};
   getrusage(RUSAGE_SELF, &ru);
   r.peak_rss_mb = static_cast<double>(ru.ru_maxrss) / 1024.0;

@@ -11,8 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "acr/runtime.h"
-#include "apps/jacobi3d.h"
+#include "acr/scenario.h"
 #include "common/table.h"
 #include "failure/distributions.h"
 
@@ -29,12 +28,12 @@ int main() {
   j.slots_per_node = 2;  // 16 nodes per replica
   j.seconds_per_point = 2.5e-4;  // ~16 ms per iteration
 
-  rt::ClusterConfig cc;
-  cc.nodes_per_replica = j.nodes_needed();
-  cc.spare_nodes = 48;
-  cc.seed = 20130101;
+  Scenario job;
+  job.app = j;
+  job.cluster.spare_nodes = 48;
+  job.cluster.seed = 20130101;
 
-  AcrConfig ac;
+  AcrConfig& ac = job.acr;
   ac.scheme = ResilienceScheme::Strong;
   ac.adaptive = true;
   ac.adaptive_config.checkpoint_cost = 0.08;
@@ -45,17 +44,14 @@ int main() {
   ac.heartbeat_period = 0.004;
   ac.heartbeat_timeout = 0.016;
 
-  AcrRuntime runtime(ac, cc);
-  runtime.set_task_factory(j.factory());
-  runtime.setup();
-
   // Weibull process, shape 0.6; scale chosen for ~19 failures over ~20 s
   // of virtual time: Lambda(T) = (T/s)^0.6 = 19 -> s = T / 19^(1/0.6).
-  FaultPlan plan;
-  plan.arrivals = std::make_shared<failure::WeibullProcess>(0.6, 0.145);
-  plan.sdc_fraction = 0.0;
-  plan.horizon = 20.0;  // the paper's run has ~19 failures, front-loaded
-  runtime.set_fault_plan(plan);
+  job.faults.arrivals = std::make_shared<failure::WeibullProcess>(0.6, 0.145);
+  job.faults.sdc_fraction = 0.0;
+  job.faults.horizon = 20.0;  // the paper's run has ~19 failures, front-loaded
+
+  std::unique_ptr<AcrRuntime> started = start(job);
+  AcrRuntime& runtime = *started;
 
   // Probe the controller's chosen interval through the run.
   std::vector<std::pair<double, double>> probes;

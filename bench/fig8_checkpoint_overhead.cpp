@@ -11,8 +11,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "acr/runtime.h"
-#include "apps/jacobi3d.h"
+#include "acr/scenario.h"
 #include "common/table.h"
 #include "failure/distributions.h"
 #include "sim/phase_model.h"
@@ -46,7 +45,9 @@ void redundancy_scheme_sweep() {
       j.iterations = 60;
       j.slots_per_node = 2;
       j.seconds_per_point = 1e-5;
-      AcrConfig ac;
+      Scenario job;
+      job.app = j;
+      AcrConfig& ac = job.acr;
       ac.scheme = ResilienceScheme::Strong;
       ac.redundancy = sp.scheme;
       ac.xor_group_size = 4;
@@ -54,22 +55,17 @@ void redundancy_scheme_sweep() {
       ac.checkpoint_interval = 0.01;
       ac.heartbeat_period = 0.0004;  // prompt detection, as in the fuzz suite
       ac.heartbeat_timeout = 0.0016;
-      rt::ClusterConfig cc;
-      cc.nodes_per_replica = j.nodes_needed();
-      cc.spare_nodes = 16;
-      cc.seed = 42;
-      AcrRuntime runtime(ac, cc);
-      runtime.set_task_factory(j.factory());
-      runtime.setup();
+      job.cluster.spare_nodes = 16;
+      job.cluster.seed = 42;
       if (mtbf > 0.0) {
-        FaultPlan plan;
-        plan.arrivals = std::make_shared<failure::RenewalProcess>(
+        job.faults.arrivals = std::make_shared<failure::RenewalProcess>(
             std::make_shared<failure::Exponential>(mtbf));
-        plan.sdc_fraction = 0.0;
-        plan.horizon = 0.3;  // storm across most of the run, then let it finish
-        runtime.set_fault_plan(plan);
+        job.faults.sdc_fraction = 0.0;
+        // Storm across most of the run, then let it finish.
+        job.faults.horizon = 0.3;
       }
-      RunSummary s = runtime.run(60.0);
+      job.max_virtual_time = 60.0;
+      RunSummary s = run(job).summary;
       table.add_row(
           {sp.label, mtbf > 0.0 ? "hard" : "none",
            s.complete ? "complete" : (s.failed ? "failed" : "wedged"),

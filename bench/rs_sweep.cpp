@@ -10,8 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "acr/runtime.h"
-#include "apps/jacobi3d.h"
+#include "acr/scenario.h"
 #include "ckpt/group.h"
 #include "common/table.h"
 
@@ -52,19 +51,18 @@ AcrConfig sweep_acr(int group_size, int parity) {
 }
 
 RunSummary run_point(int group_size, int parity, int kills, double kill_at) {
-  apps::Jacobi3DConfig j = sweep_app();
-  rt::ClusterConfig cc;
-  cc.nodes_per_replica = j.nodes_needed();
-  cc.spare_nodes = 8;
-  cc.seed = 42;
-  AcrRuntime runtime(sweep_acr(group_size, parity), cc);
-  runtime.set_task_factory(j.factory());
-  runtime.setup();
+  Scenario job;
+  job.app = sweep_app();
+  job.acr = sweep_acr(group_size, parity);
+  job.cluster.spare_nodes = 8;
+  job.cluster.seed = 42;
   // Near-simultaneous deaths inside group 0 of replica 0: the second and
   // later victims fall while the first rebuild is still in flight.
   for (int i = 0; i < kills; ++i)
-    runtime.inject(failure::Fault::kill_role(kill_at + 1e-5 * i, 0, i));
-  return runtime.run(120.0);
+    job.scripted.push_back(
+        failure::Fault::kill_role(kill_at + 1e-5 * i, 0, i));
+  job.max_virtual_time = 120.0;
+  return run(job).summary;
 }
 
 }  // namespace

@@ -10,8 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "acr/runtime.h"
-#include "apps/jacobi3d.h"
+#include "acr/scenario.h"
 #include "common/table.h"
 #include "model/acr_model.h"
 
@@ -52,19 +51,16 @@ AcrConfig sweep_acr(double bandwidth, std::uint64_t flush_interval) {
 
 RunSummary run_point(double bandwidth, std::uint64_t flush_interval,
                      bool kill_pair, double kill_at) {
-  apps::Jacobi3DConfig j = sweep_app();
-  rt::ClusterConfig cc;
-  cc.nodes_per_replica = j.nodes_needed();
-  cc.spare_nodes = 4;
-  cc.seed = 42;
-  AcrRuntime runtime(sweep_acr(bandwidth, flush_interval), cc);
-  runtime.set_task_factory(j.factory());
-  runtime.setup();
-  if (kill_pair) {
-    runtime.inject(failure::Fault::kill_role(kill_at, 0, 4));
-    runtime.inject(failure::Fault::kill_role(kill_at, 1, 4));
-  }
-  return runtime.run(120.0);
+  Scenario job;
+  job.app = sweep_app();
+  job.acr = sweep_acr(bandwidth, flush_interval);
+  job.cluster.spare_nodes = 4;
+  job.cluster.seed = 42;
+  if (kill_pair)
+    job.scripted = {failure::Fault::kill_role(kill_at, 0, 4),
+                    failure::Fault::kill_role(kill_at, 1, 4)};
+  job.max_virtual_time = 120.0;
+  return run(job).summary;
 }
 
 }  // namespace

@@ -8,8 +8,7 @@
 // Build & run:  ./build/examples/adaptive_md
 #include <cstdio>
 
-#include "acr/runtime.h"
-#include "apps/leanmd.h"
+#include "acr/scenario.h"
 #include "failure/distributions.h"
 
 using namespace acr;
@@ -22,11 +21,11 @@ int main() {
   md.iterations = 600;
   md.seconds_per_pair = 2e-6;
 
-  rt::ClusterConfig cc;
-  cc.nodes_per_replica = md.nodes_needed();
-  cc.spare_nodes = 16;
+  Scenario job;
+  job.app = md;
+  job.cluster.spare_nodes = 16;
 
-  AcrConfig ac;
+  AcrConfig& ac = job.acr;
   ac.scheme = ResilienceScheme::Strong;
   ac.adaptive = true;
   ac.adaptive_config.checkpoint_cost = 2e-3;
@@ -36,15 +35,12 @@ int main() {
   ac.heartbeat_period = 0.001;
   ac.heartbeat_timeout = 0.004;
 
-  AcrRuntime runtime(ac, cc);
-  runtime.set_task_factory(md.factory());
-  runtime.setup();
+  job.faults.arrivals = std::make_shared<failure::WeibullProcess>(0.6, 0.05);
+  job.faults.sdc_fraction = 0.25;  // a quarter of the injected faults are flips
+  job.faults.horizon = 0.6;        // the machine eventually settles
 
-  FaultPlan plan;
-  plan.arrivals = std::make_shared<failure::WeibullProcess>(0.6, 0.05);
-  plan.sdc_fraction = 0.25;  // a quarter of the injected faults are flips
-  plan.horizon = 0.6;        // the machine eventually settles
-  runtime.set_fault_plan(plan);
+  std::unique_ptr<AcrRuntime> started = start(job);
+  AcrRuntime& runtime = *started;
 
   // Sample the controller's interval throughout the run.
   std::vector<std::pair<double, double>> samples;

@@ -13,8 +13,7 @@
 // Build & run:  ./build/examples/scheme_tradeoffs
 #include <cstdio>
 
-#include "acr/runtime.h"
-#include "apps/jacobi3d.h"
+#include "acr/scenario.h"
 #include "checksum/fletcher.h"
 
 using namespace acr;
@@ -39,18 +38,15 @@ struct Outcome {
 };
 
 Outcome run_scheme(ResilienceScheme scheme, bool inject) {
-  apps::Jacobi3DConfig j = jacobi_config();
-  AcrConfig ac;
-  ac.scheme = scheme;
-  ac.checkpoint_interval = 0.004;
-  ac.heartbeat_period = 0.0005;
-  ac.heartbeat_timeout = 0.002;
-  rt::ClusterConfig cc;
-  cc.nodes_per_replica = j.nodes_needed();
-  cc.spare_nodes = 2;
-  AcrRuntime runtime(ac, cc);
-  runtime.set_task_factory(j.factory());
-  runtime.setup();
+  Scenario job;
+  job.app = jacobi_config();
+  job.acr.scheme = scheme;
+  job.acr.checkpoint_interval = 0.004;
+  job.acr.heartbeat_period = 0.0005;
+  job.acr.heartbeat_timeout = 0.002;
+  job.cluster.spare_nodes = 2;
+  std::unique_ptr<AcrRuntime> started = start(job);
+  AcrRuntime& runtime = *started;
   if (inject) {
     runtime.engine().schedule_at(0.0052, [&runtime] {
       auto& task = static_cast<apps::Jacobi3DTask&>(

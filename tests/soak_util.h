@@ -1,20 +1,18 @@
 // Shared harness for the fault-soak binaries (xor/burst/tier/delta/rs).
 //
 // Every soak pins the same contract — seeded fault schedules complete with
-// the bitwise fault-free answer — against a different subsystem. The
-// boilerplate they share (the jacobi soak workload, the verified-answer
-// digest, the fault-free reference run, the run-then-digest epilogue, the
-// rack-style burst plan, and the trace scans) lives here; each soak keeps
-// only its own configuration and assertions.
+// the bitwise fault-free answer — against a different subsystem. What they
+// share (the jacobi soak workloads and job, the fault-free reference run,
+// the rack-style burst plan, and the trace scans) lives here; each soak
+// keeps only its own scenario and assertions, and runs it through
+// run(Scenario), which also digests the verified answer.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
 
-#include "acr/runtime.h"
-#include "apps/jacobi3d.h"
-#include "checksum/fletcher.h"
+#include "acr/scenario.h"
 #include "failure/correlated.h"
 
 namespace acr::soak {
@@ -58,20 +56,18 @@ inline AcrConfig base_acr_config() {
   return ac;
 }
 
-/// Fletcher-64 over the newest verified image of every node index (taken
-/// from whichever replica holds the higher epoch): the "answer" compared
-/// bit-for-bit across runs. Live state is not the answer: a node killed
-/// between the final pack and its commit keeps a stale copy while its buddy
-/// holds the verified one, and a flip may land after the final pack.
-inline std::uint64_t verified_digest(AcrRuntime& runtime) {
-  checksum::Fletcher64 f;
-  for (int i = 0; i < runtime.cluster().nodes_per_replica(); ++i) {
-    NodeAgent& a = runtime.agent_at(0, i);
-    NodeAgent& b = runtime.agent_at(1, i);
-    const NodeAgent& best = a.verified_epoch() >= b.verified_epoch() ? a : b;
-    f.append(best.verified_image());
-  }
-  return f.digest();
+/// A soak job: `app` under `ac` with `spares` pooled spares, capped at 30 s
+/// of virtual time.
+inline Scenario job(const AcrConfig& ac, int spares,
+                    std::uint64_t seed = rt::ClusterConfig{}.seed,
+                    const apps::Jacobi3DConfig& app = small_app()) {
+  Scenario s;
+  s.app = app;
+  s.acr = ac;
+  s.cluster.spare_nodes = spares;
+  s.cluster.seed = seed;
+  s.max_virtual_time = 30.0;
+  return s;
 }
 
 struct Reference {
@@ -80,31 +76,16 @@ struct Reference {
   std::size_t image_bytes = 0;
 };
 
-/// A cluster sized for `app`, with `spares` pooled spares.
-inline rt::ClusterConfig cluster_for(
-    const apps::Jacobi3DConfig& app, int spares,
-    std::uint64_t seed = rt::ClusterConfig{}.seed) {
-  rt::ClusterConfig cc;
-  cc.nodes_per_replica = app.nodes_needed();
-  cc.spare_nodes = spares;
-  cc.seed = seed;
-  return cc;
-}
-
-/// Fault-free run under `ac`: fixes the expected answer and the nominal
+/// Fault-free run of `clean`: fixes the expected answer and the nominal
 /// completion time fault schedules are drawn from. Configs differ per
 /// soak, so the static caching stays at each call site.
-inline Reference make_reference(const apps::Jacobi3DConfig& app,
-                                const AcrConfig& ac, const char* what) {
-  AcrRuntime runtime(ac, cluster_for(app, 0));
-  runtime.set_task_factory(app.factory());
-  runtime.setup();
-  RunSummary s = runtime.run(1e3);
-  ACR_REQUIRE(s.complete, what);
+inline Reference make_reference(const Scenario& clean, const char* what) {
+  JobResult r = run(clean);
+  ACR_REQUIRE(r.summary.complete, what);
   Reference ref;
-  ref.digest = verified_digest(runtime);
-  ref.finish_time = s.finish_time;
-  ref.image_bytes = runtime.agent_at(0, 0).verified_image().size();
+  ref.digest = r.digest;
+  ref.finish_time = r.summary.finish_time;
+  ref.image_bytes = r.runtime->agent_at(0, 0).verified_image().size();
   return ref;
 }
 
@@ -122,18 +103,6 @@ inline failure::BurstConfig default_burst_config(double nominal_finish) {
   return bc;
 }
 
-/// A small_app() job under `ac`, set up and ready to run.
-struct Sim {
-  apps::Jacobi3DConfig app = small_app();
-  AcrRuntime runtime;
-  Sim(const AcrConfig& ac, int spares,
-      std::uint64_t seed = rt::ClusterConfig{}.seed)
-      : runtime(ac, cluster_for(app, spares, seed)) {
-    runtime.set_task_factory(app.factory());
-    runtime.setup();
-  }
-};
-
 /// True when the trace holds a `kind` event whose detail contains
 /// `detail_substr` (any detail when empty).
 inline bool trace_contains(AcrRuntime& runtime, rt::TraceKind kind,
@@ -142,24 +111,6 @@ inline bool trace_contains(AcrRuntime& runtime, rt::TraceKind kind,
     if (e.kind == kind && e.detail.find(detail_substr) != std::string::npos)
       return true;
   return false;
-}
-
-struct Outcome {
-  RunSummary summary;
-  std::uint64_t digest = 0;
-};
-
-/// Run to completion (or the cap), drain the post-completion events, and
-/// digest the verified answer.
-inline Outcome run_and_digest(AcrRuntime& runtime,
-                              double max_virtual_time = 30.0) {
-  Outcome out;
-  out.summary = runtime.run(max_virtual_time);
-  if (out.summary.complete) {
-    runtime.engine().run_until(out.summary.finish_time + 0.05);
-    out.digest = verified_digest(runtime);
-  }
-  return out;
 }
 
 /// True when a burst wiped every host of a replica (pool empty, nobody to

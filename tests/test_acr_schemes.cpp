@@ -3,8 +3,7 @@
 // unprotected-window trade-off, escalation, and adaptivity.
 #include <gtest/gtest.h>
 
-#include "acr/runtime.h"
-#include "apps/jacobi3d.h"
+#include "acr/scenario.h"
 #include "checksum/fletcher.h"
 #include "failure/distributions.h"
 
@@ -34,11 +33,15 @@ AcrConfig fast_acr(ResilienceScheme scheme) {
   return cfg;
 }
 
-rt::ClusterConfig cluster_cfg(const apps::Jacobi3DConfig& j, int spares = 2) {
-  rt::ClusterConfig cfg;
-  cfg.nodes_per_replica = j.nodes_needed();
-  cfg.spare_nodes = spares;
-  return cfg;
+/// `app` under `ac` with `spares` spares, set up and ready to run.
+std::unique_ptr<AcrRuntime> start_job(const AcrConfig& ac, int spares = 2,
+                                      const apps::Jacobi3DConfig& app =
+                                          jacobi_cfg()) {
+  Scenario s;
+  s.app = app;
+  s.acr = ac;
+  s.cluster.spare_nodes = spares;
+  return start(s);
 }
 
 std::uint64_t replica_digest(AcrRuntime& runtime, int replica) {
@@ -52,10 +55,8 @@ std::uint64_t replica_digest(AcrRuntime& runtime, int replica) {
 
 std::uint64_t reference_digest() {
   static std::uint64_t cached = [] {
-    apps::Jacobi3DConfig j = jacobi_cfg();
-    AcrRuntime runtime(fast_acr(ResilienceScheme::Strong), cluster_cfg(j));
-    runtime.set_task_factory(j.factory());
-    runtime.setup();
+    auto job = start_job(fast_acr(ResilienceScheme::Strong));
+    AcrRuntime& runtime = *job;
     RunSummary s = runtime.run(1e3);
     ACR_REQUIRE(s.complete, "reference run must complete");
     return replica_digest(runtime, 0);
@@ -74,10 +75,8 @@ void corrupt(AcrRuntime& runtime, int replica, int node, int slot) {
 class SchemeRecovery : public ::testing::TestWithParam<ResilienceScheme> {};
 
 TEST_P(SchemeRecovery, HardFailureRecoversToReferenceState) {
-  apps::Jacobi3DConfig j = jacobi_cfg();
-  AcrRuntime runtime(fast_acr(GetParam()), cluster_cfg(j));
-  runtime.set_task_factory(j.factory());
-  runtime.setup();
+  auto job = start_job(fast_acr(GetParam()));
+  AcrRuntime& runtime = *job;
   runtime.inject(failure::Fault::kill_role(0.006, 1, 2));
   RunSummary s = runtime.run(1e3);
   ASSERT_TRUE(s.complete) << resilience_scheme_name(GetParam());
@@ -115,10 +114,8 @@ INSTANTIATE_TEST_SUITE_P(AllSchemes, SchemeRecovery,
 ///    with each other but NOT with the reference.
 TEST(UnprotectedWindow, StrongCatchesWhatWeakCommits) {
   auto run_scenario = [&](ResilienceScheme scheme) {
-    apps::Jacobi3DConfig j = jacobi_cfg();
-    AcrRuntime runtime(fast_acr(scheme), cluster_cfg(j));
-    runtime.set_task_factory(j.factory());
-    runtime.setup();
+    auto job = start_job(fast_acr(scheme));
+    AcrRuntime& runtime = *job;
     runtime.engine().schedule_at(0.0050, [&] { corrupt(runtime, 0, 1, 0); });
     runtime.inject(failure::Fault::kill_role(0.0052, 1, 3));
     RunSummary s = runtime.run(1e3);
@@ -143,12 +140,10 @@ TEST(UnprotectedWindow, StrongCatchesWhatWeakCommits) {
 }
 
 TEST(Detection, ChecksumModeDetectsSdc) {
-  apps::Jacobi3DConfig j = jacobi_cfg();
   AcrConfig cfg = fast_acr(ResilienceScheme::Strong);
   cfg.detection = SdcDetection::Checksum;
-  AcrRuntime runtime(cfg, cluster_cfg(j));
-  runtime.set_task_factory(j.factory());
-  runtime.setup();
+  auto job = start_job(cfg);
+  AcrRuntime& runtime = *job;
   runtime.engine().schedule_at(0.005, [&] { corrupt(runtime, 1, 0, 1); });
   RunSummary s = runtime.run(1e3);
   ASSERT_TRUE(s.complete);
@@ -157,11 +152,9 @@ TEST(Detection, ChecksumModeDetectsSdc) {
 }
 
 TEST(Detection, CorruptionBeforeFirstCheckpointRestartsFromScratch) {
-  apps::Jacobi3DConfig j = jacobi_cfg();
   AcrConfig cfg = fast_acr(ResilienceScheme::Strong);
-  AcrRuntime runtime(cfg, cluster_cfg(j));
-  runtime.set_task_factory(j.factory());
-  runtime.setup();
+  auto job = start_job(cfg);
+  AcrRuntime& runtime = *job;
   runtime.engine().schedule_at(0.001, [&] { corrupt(runtime, 0, 0, 0); });
   RunSummary s = runtime.run(1e3);
   ASSERT_TRUE(s.complete);
@@ -170,10 +163,8 @@ TEST(Detection, CorruptionBeforeFirstCheckpointRestartsFromScratch) {
 }
 
 TEST(HardOnly, NoPeriodicCheckpoints) {
-  apps::Jacobi3DConfig j = jacobi_cfg();
-  AcrRuntime runtime(fast_acr(ResilienceScheme::HardOnly), cluster_cfg(j));
-  runtime.set_task_factory(j.factory());
-  runtime.setup();
+  auto job = start_job(fast_acr(ResilienceScheme::HardOnly));
+  AcrRuntime& runtime = *job;
   RunSummary s = runtime.run(1e3);
   ASSERT_TRUE(s.complete);
   EXPECT_EQ(s.checkpoints, 0u);
@@ -181,10 +172,8 @@ TEST(HardOnly, NoPeriodicCheckpoints) {
 }
 
 TEST(Recovery, SecondFailureDuringRecoveryEscalates) {
-  apps::Jacobi3DConfig j = jacobi_cfg();
-  AcrRuntime runtime(fast_acr(ResilienceScheme::Medium), cluster_cfg(j, 3));
-  runtime.set_task_factory(j.factory());
-  runtime.setup();
+  auto job = start_job(fast_acr(ResilienceScheme::Medium), 3);
+  AcrRuntime& runtime = *job;
   runtime.inject(failure::Fault::kill_role(0.0060, 1, 2));
   // Second failure in the *other* replica while the first is being handled.
   runtime.inject(failure::Fault::kill_role(0.0085, 0, 1));
@@ -196,10 +185,8 @@ TEST(Recovery, SecondFailureDuringRecoveryEscalates) {
 }
 
 TEST(Recovery, BuddyPairLossRestartsFromScratch) {
-  apps::Jacobi3DConfig j = jacobi_cfg();
-  AcrRuntime runtime(fast_acr(ResilienceScheme::Strong), cluster_cfg(j, 3));
-  runtime.set_task_factory(j.factory());
-  runtime.setup();
+  auto job = start_job(fast_acr(ResilienceScheme::Strong), 3);
+  AcrRuntime& runtime = *job;
   // Kill both members of buddy pair 2 nearly simultaneously.
   runtime.inject(failure::Fault::kill_role(0.0060, 1, 2));
   runtime.inject(failure::Fault::kill_role(0.0061, 0, 2));
@@ -210,11 +197,8 @@ TEST(Recovery, BuddyPairLossRestartsFromScratch) {
 }
 
 TEST(Recovery, SpareExhaustionFailsTheJob) {
-  apps::Jacobi3DConfig j = jacobi_cfg();
-  AcrRuntime runtime(fast_acr(ResilienceScheme::Strong),
-                     cluster_cfg(j, /*spares=*/0));
-  runtime.set_task_factory(j.factory());
-  runtime.setup();
+  auto job = start_job(fast_acr(ResilienceScheme::Strong), /*spares=*/0);
+  AcrRuntime& runtime = *job;
   runtime.inject(failure::Fault::kill_role(0.006, 0, 0));
   RunSummary s = runtime.run(1e3);
   EXPECT_TRUE(s.failed);
@@ -230,9 +214,8 @@ TEST(Adaptivity, IntervalTracksWeibullFailureRate) {
   cfg.adaptive_config.min_interval = 0.002;
   cfg.adaptive_config.max_interval = 0.05;
   cfg.adaptive_config.window = 4;
-  AcrRuntime runtime(cfg, cluster_cfg(j, 8));
-  runtime.set_task_factory(j.factory());
-  runtime.setup();
+  auto job = start_job(cfg, 8, j);
+  AcrRuntime& runtime = *job;
   // Decreasing-hazard hard failures (Fig. 12: Weibull shape 0.6).
   FaultPlan plan;
   plan.arrivals = std::make_shared<failure::WeibullProcess>(0.6, 0.004);

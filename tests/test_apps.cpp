@@ -7,12 +7,7 @@
 #include <bit>
 #include <memory>
 
-#include "acr/runtime.h"
-#include "apps/hpccg.h"
-#include "apps/jacobi3d.h"
-#include "apps/leanmd.h"
-#include "apps/minilulesh.h"
-#include "apps/minimd.h"
+#include "acr/scenario.h"
 #include "apps/table2.h"
 #include "checksum/fletcher.h"
 #include "rt/cluster.h"
@@ -38,10 +33,19 @@ std::uint64_t replica_digest(AcrRuntime& runtime, int replica) {
   return f.digest();
 }
 
+/// `app` under `ac` with `spares` spares, set up and ready to run.
+std::unique_ptr<AcrRuntime> start_app(const AppConfig& app, int spares,
+                                      const AcrConfig& ac = fast_acr()) {
+  Scenario s;
+  s.app = app;
+  s.acr = ac;
+  s.cluster.spare_nodes = spares;
+  return start(s);
+}
+
 struct AppCase {
   const char* name;
-  rt::Cluster::TaskFactory factory;
-  int nodes_per_replica;
+  AppConfig config;
 };
 
 AppCase make_case(int which) {
@@ -53,7 +57,7 @@ AppCase make_case(int which) {
       cfg.iterations = 16;
       cfg.slots_per_node = 2;
       cfg.seconds_per_point = 1e-5;
-      return {"Jacobi3D-charm", cfg.factory(), cfg.nodes_needed()};
+      return {"Jacobi3D-charm", cfg};
     }
     case 1: {
       Jacobi3DConfig cfg;  // AMPI flavour: one rank-task per node
@@ -63,7 +67,7 @@ AppCase make_case(int which) {
       cfg.iterations = 16;
       cfg.slots_per_node = 1;
       cfg.seconds_per_point = 1e-5;
-      return {"Jacobi3D-ampi", cfg.factory(), cfg.nodes_needed()};
+      return {"Jacobi3D-ampi", cfg};
     }
     case 2: {
       HpccgConfig cfg;
@@ -71,7 +75,7 @@ AppCase make_case(int which) {
       cfg.num_tasks = 4;
       cfg.iterations = 12;
       cfg.seconds_per_flop = 1e-7;
-      return {"HPCCG", cfg.factory(), cfg.nodes_needed()};
+      return {"HPCCG", cfg};
     }
     case 3: {
       MiniLuleshConfig cfg;
@@ -79,7 +83,7 @@ AppCase make_case(int which) {
       cfg.num_tasks = 4;
       cfg.iterations = 12;
       cfg.seconds_per_element = 2e-5;
-      return {"MiniLulesh", cfg.factory(), cfg.nodes_needed()};
+      return {"MiniLulesh", cfg};
     }
     case 4: {
       LeanMdConfig cfg;
@@ -88,7 +92,7 @@ AppCase make_case(int which) {
       cfg.slots_per_node = 2;
       cfg.iterations = 12;
       cfg.seconds_per_pair = 1e-5;
-      return {"LeanMD", cfg.factory(), cfg.nodes_needed()};
+      return {"LeanMD", cfg};
     }
     default: {
       MiniMdConfig cfg;
@@ -96,7 +100,7 @@ AppCase make_case(int which) {
       cfg.num_tasks = 4;
       cfg.iterations = 12;
       cfg.seconds_per_pair = 1e-5;
-      return {"miniMD", cfg.factory(), cfg.nodes_needed()};
+      return {"miniMD", cfg};
     }
   }
 }
@@ -105,12 +109,8 @@ class EveryApp : public ::testing::TestWithParam<int> {};
 
 TEST_P(EveryApp, RunsUnderAcrWithIdenticalReplicas) {
   AppCase app = make_case(GetParam());
-  rt::ClusterConfig cc;
-  cc.nodes_per_replica = app.nodes_per_replica;
-  cc.spare_nodes = 1;
-  AcrRuntime runtime(fast_acr(), cc);
-  runtime.set_task_factory(app.factory);
-  runtime.setup();
+  auto job = start_app(app.config, 1);
+  AcrRuntime& runtime = *job;
   RunSummary s = runtime.run(100.0);
   ASSERT_TRUE(s.complete) << app.name;
   EXPECT_FALSE(s.failed);
@@ -124,24 +124,19 @@ TEST_P(EveryApp, RunsUnderAcrWithIdenticalReplicas) {
 
 TEST_P(EveryApp, SurvivesHardFailure) {
   AppCase app = make_case(GetParam());
-  rt::ClusterConfig cc;
-  cc.nodes_per_replica = app.nodes_per_replica;
-  cc.spare_nodes = 2;
 
   std::uint64_t reference;
   {
-    AcrRuntime runtime(fast_acr(), cc);
-    runtime.set_task_factory(app.factory);
-    runtime.setup();
+    auto job = start_app(app.config, 2);
+    AcrRuntime& runtime = *job;
     RunSummary s = runtime.run(100.0);
     ASSERT_TRUE(s.complete);
     runtime.engine().run_until(s.finish_time + 0.05);
     reference = replica_digest(runtime, 0);
   }
-  AcrRuntime runtime(fast_acr(), cc);
-  runtime.set_task_factory(app.factory);
-  runtime.setup();
-  int victim = app.nodes_per_replica - 1;
+  auto job = start_app(app.config, 2);
+  AcrRuntime& runtime = *job;
+  int victim = runtime.cluster().nodes_per_replica() - 1;
   runtime.inject(failure::Fault::kill_role(0.006, 1, victim));
   RunSummary s = runtime.run(100.0);
   ASSERT_TRUE(s.complete) << app.name;
@@ -179,15 +174,11 @@ TEST(Hpccg, ResidualDecreasesMonotonically) {
   cfg.num_tasks = 4;
   cfg.iterations = 10;
   cfg.seconds_per_flop = 1e-7;
-  rt::ClusterConfig cc;
-  cc.nodes_per_replica = cfg.nodes_needed();
-  cc.spare_nodes = 0;
   AcrConfig ac = fast_acr();
   ac.scheme = ResilienceScheme::Strong;
   ac.checkpoint_interval = 1e6;  // effectively none; pure solve
-  AcrRuntime runtime(ac, cc);
-  runtime.set_task_factory(cfg.factory());
-  runtime.setup();
+  auto job = start_app(cfg, 0, ac);
+  AcrRuntime& runtime = *job;
   RunSummary s = runtime.run(100.0);
   ASSERT_TRUE(s.complete);
   auto tasks = run_app_collect<HpccgTask>(runtime);
@@ -208,12 +199,8 @@ TEST(LeanMd, AtomsAreConservedAcrossMigration) {
   cfg.slots_per_node = 2;
   cfg.iterations = 15;
   cfg.seconds_per_pair = 1e-5;
-  rt::ClusterConfig cc;
-  cc.nodes_per_replica = cfg.nodes_needed();
-  cc.spare_nodes = 0;
-  AcrRuntime runtime(fast_acr(), cc);
-  runtime.set_task_factory(cfg.factory());
-  runtime.setup();
+  auto job = start_app(cfg, 0);
+  AcrRuntime& runtime = *job;
   RunSummary s = runtime.run(100.0);
   ASSERT_TRUE(s.complete);
   auto tasks = run_app_collect<LeanMdTask>(runtime);
@@ -228,12 +215,8 @@ TEST(MiniLulesh, ShockPropagatesAndEnergyStaysFinite) {
   cfg.num_tasks = 4;
   cfg.iterations = 12;
   cfg.seconds_per_element = 2e-5;
-  rt::ClusterConfig cc;
-  cc.nodes_per_replica = cfg.nodes_needed();
-  cc.spare_nodes = 0;
-  AcrRuntime runtime(fast_acr(), cc);
-  runtime.set_task_factory(cfg.factory());
-  runtime.setup();
+  auto job = start_app(cfg, 0);
+  AcrRuntime& runtime = *job;
   RunSummary s = runtime.run(100.0);
   ASSERT_TRUE(s.complete);
   auto tasks = run_app_collect<MiniLuleshTask>(runtime);
@@ -253,12 +236,8 @@ TEST(MiniMd, NeighborListsAreBuiltAndUsed) {
   cfg.num_tasks = 4;
   cfg.iterations = 8;
   cfg.seconds_per_pair = 1e-5;
-  rt::ClusterConfig cc;
-  cc.nodes_per_replica = cfg.nodes_needed();
-  cc.spare_nodes = 0;
-  AcrRuntime runtime(fast_acr(), cc);
-  runtime.set_task_factory(cfg.factory());
-  runtime.setup();
+  auto job = start_app(cfg, 0);
+  AcrRuntime& runtime = *job;
   RunSummary s = runtime.run(100.0);
   ASSERT_TRUE(s.complete);
   auto tasks = run_app_collect<MiniMdTask>(runtime);
@@ -437,15 +416,11 @@ TEST(JacobiEdges, EdgeFlipRunMatchesItsPinnedTraceAndAnswer) {
   cfg.iterations = 30;
   cfg.slots_per_node = 2;
   cfg.seconds_per_point = 1e-5;
-  rt::ClusterConfig cc;
-  cc.nodes_per_replica = cfg.nodes_needed();
-  cc.spare_nodes = 2;
   AcrConfig ac = fast_acr();
   ac.scheme = ResilienceScheme::Strong;
   ac.detection = SdcDetection::FullCompare;
-  AcrRuntime runtime(ac, cc);
-  runtime.set_task_factory(cfg.factory());
-  runtime.setup();
+  auto job = start_app(cfg, 2, ac);
+  AcrRuntime& runtime = *job;
   runtime.engine().run_until(0.006);
   auto task = [&](int replica, int node, int slot) -> Jacobi3DTask& {
     return static_cast<Jacobi3DTask&>(

@@ -14,8 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "acr/runtime.h"
-#include "apps/jacobi3d.h"
 #include "failure/adaptive_interval.h"
 #include "failure/correlated.h"
 #include "soak_util.h"
@@ -158,13 +156,11 @@ TEST(AdaptiveBurst, IntervalTightensAfterBurstArrivals) {
 // Simulation fixtures (shared with the soaks: tests/soak_util.h).
 // ---------------------------------------------------------------------------
 
-using soak::Sim;
 using soak::trace_contains;
-using soak::verified_digest;
 
 const soak::Reference& reference() {
   static const soak::Reference cached = soak::make_reference(
-      soak::small_app(), soak::base_acr_config(),
+      soak::job(soak::base_acr_config(), 0),
       "burst reference run must complete");
   return cached;
 }
@@ -176,54 +172,58 @@ const soak::Reference& reference() {
 /// Spares are first-class nodes: an idle pooled spare can die (shrinking
 /// the pool without any role failure) and the accounting must show it.
 TEST(SpareLifecycle, PooledSpareCanFailIdle) {
-  Sim sim(soak::base_acr_config(), 2, 11);
-  rt::Cluster& cl = sim.runtime.cluster();
+  std::unique_ptr<AcrRuntime> runtime =
+      start(soak::job(soak::base_acr_config(), 2, 11));
+  rt::Cluster& cl = runtime->cluster();
   cl.trace_pool_minima();
   int spare_pid = -1;
   for (int pid = 0; pid < cl.num_hardware_nodes(); ++pid)
     if (cl.is_pooled_spare(pid)) spare_pid = pid;
   ASSERT_GE(spare_pid, 0);
   EXPECT_EQ(cl.spares_remaining(), 2);
-  sim.runtime.inject(
+  runtime->inject(
       failure::Fault::kill_hardware(0.001, spare_pid, "burst-seed"));
-  RunSummary s = sim.runtime.run(30.0);
+  JobResult r = finish(std::move(runtime), 30.0);
+  const RunSummary& s = r.summary;
   ASSERT_TRUE(s.complete);
   EXPECT_EQ(cl.spares_remaining(), 1);
   EXPECT_EQ(s.spare_failures, 1u);
   EXPECT_EQ(s.spare_low_water, 1);
   EXPECT_EQ(s.spare_promotions, 0u);
   EXPECT_EQ(s.hard_failures, 0u);  // no *role* ever failed
-  EXPECT_TRUE(trace_contains(sim.runtime, rt::TraceKind::SpareFailed));
+  EXPECT_TRUE(trace_contains(*r.runtime, rt::TraceKind::SpareFailed));
 }
 
 /// A node that is promoted, dies in its role, and is then repaired goes
 /// back to the pool exactly once — the run summary must not double-count
 /// it as both a promotion survivor and a fresh spare (satellite b).
 TEST(SpareLifecycle, PromotedThenRepairedNodeIsNotDoubleCounted) {
-  Sim sim(soak::base_acr_config(), 1, 12);
-  rt::Cluster& cl = sim.runtime.cluster();
+  std::unique_ptr<AcrRuntime> runtime =
+      start(soak::job(soak::base_acr_config(), 1, 12));
+  rt::Cluster& cl = runtime->cluster();
   cl.trace_pool_minima();
   double mid = reference().finish_time * 0.4;
   int pid = cl.node_at(0, 2).physical_id();
-  sim.runtime.inject(failure::Fault::kill_role(mid, 0, 2));
+  runtime->inject(failure::Fault::kill_role(mid, 0, 2));
   // Repair it a bit later; the role's original player returns to the pool
   // (its old slot now held by the spare).
-  sim.runtime.inject(failure::Fault::repair(mid + 0.004, pid));
-  RunSummary s = sim.runtime.run(30.0);
+  runtime->inject(failure::Fault::repair(mid + 0.004, pid));
+  JobResult r = finish(std::move(runtime), 30.0);
+  const RunSummary& s = r.summary;
   ASSERT_TRUE(s.complete);
   EXPECT_EQ(s.spare_promotions, 1u);
   EXPECT_EQ(s.spare_repairs, 1u);
   EXPECT_EQ(s.spare_low_water, 0);
   // One spare was consumed, one body was repaired into the pool: net 1.
   EXPECT_EQ(cl.spares_remaining(), 1);
-  EXPECT_TRUE(trace_contains(sim.runtime, rt::TraceKind::NodeRepaired));
-  sim.runtime.engine().run_until(s.finish_time + 0.05);
-  EXPECT_EQ(verified_digest(sim.runtime), reference().digest);
+  EXPECT_TRUE(trace_contains(*r.runtime, rt::TraceKind::NodeRepaired));
+  EXPECT_EQ(r.digest, reference().digest);
 }
 
 TEST(SpareLifecycle, RepairGuardsRejectLiveOrPooledNodes) {
-  Sim sim(soak::base_acr_config(), 1, 13);
-  rt::Cluster& cl = sim.runtime.cluster();
+  std::unique_ptr<AcrRuntime> runtime =
+      start(soak::job(soak::base_acr_config(), 1, 13));
+  rt::Cluster& cl = runtime->cluster();
   EXPECT_FALSE(cl.repair_node(0));  // alive
   cl.kill_physical(0, "burst-seed");
   EXPECT_TRUE(cl.repair_node(0));
@@ -237,18 +237,26 @@ TEST(SpareLifecycle, RepairGuardsRejectLiveOrPooledNodes) {
 // Shrink-to-survive.
 // ---------------------------------------------------------------------------
 
+/// A soak job under `degrade` with `spares` spares and the given kills.
+Scenario kill_job(DegradeMode degrade, int spares, std::uint64_t seed,
+                  std::vector<failure::Fault> kills) {
+  AcrConfig ac = soak::base_acr_config();
+  ac.degrade = degrade;
+  Scenario s = soak::job(ac, spares, seed);
+  s.scripted = std::move(kills);
+  return s;
+}
+
 /// Pool exhausted under --degrade=abort: the legacy behavior, job fails.
 TEST(Degradation, AbortModeFailsOnPoolExhaustion) {
-  AcrConfig ac = soak::base_acr_config();
-  ac.degrade = DegradeMode::Abort;
-  Sim sim(ac, 0, 21);
-  sim.runtime.inject(
-      failure::Fault::kill_role(reference().finish_time * 0.4, 0, 3));
-  RunSummary s = sim.runtime.run(30.0);
+  double at = reference().finish_time * 0.4;
+  JobResult r = run(kill_job(DegradeMode::Abort, 0, 21,
+                             {failure::Fault::kill_role(at, 0, 3)}));
+  const RunSummary& s = r.summary;
   EXPECT_FALSE(s.complete);
   EXPECT_TRUE(s.failed);
   EXPECT_EQ(s.roles_doubled, 0u);
-  EXPECT_TRUE(trace_contains(sim.runtime, rt::TraceKind::JobComplete,
+  EXPECT_TRUE(trace_contains(*r.runtime, rt::TraceKind::JobComplete,
                              "FAILED: spare pool exhausted"));
 }
 
@@ -256,39 +264,35 @@ TEST(Degradation, AbortModeFailsOnPoolExhaustion) {
 /// surviving same-replica node and completes with the bitwise-correct
 /// answer (app RNG is seeded by logical position, not hardware).
 TEST(Degradation, ShrinkModeDoublesUpAndCompletes) {
-  AcrConfig ac = soak::base_acr_config();
-  ac.degrade = DegradeMode::Shrink;
-  Sim sim(ac, 0, 22);
-  sim.runtime.inject(
-      failure::Fault::kill_role(reference().finish_time * 0.4, 0, 3));
-  RunSummary s = sim.runtime.run(30.0);
+  double at = reference().finish_time * 0.4;
+  JobResult r = run(kill_job(DegradeMode::Shrink, 0, 22,
+                             {failure::Fault::kill_role(at, 0, 3)}));
+  const RunSummary& s = r.summary;
   ASSERT_TRUE(s.complete) << "shrink mode wedged at t=" << s.finish_time;
   EXPECT_EQ(s.roles_doubled, 1u);
   EXPECT_EQ(s.roles_undoubled, 0u);  // no repair ever arrived
-  EXPECT_FALSE(sim.runtime.cluster().doubled_roles().empty());
-  EXPECT_TRUE(trace_contains(sim.runtime, rt::TraceKind::RoleDoubled));
-  sim.runtime.engine().run_until(s.finish_time + 0.05);
-  EXPECT_EQ(verified_digest(sim.runtime), reference().digest);
+  EXPECT_FALSE(r.runtime->cluster().doubled_roles().empty());
+  EXPECT_TRUE(trace_contains(*r.runtime, rt::TraceKind::RoleDoubled));
+  EXPECT_EQ(r.digest, reference().digest);
 }
 
 /// When a repaired node refills the pool, the doubled role is relieved:
 /// the lodger retires and a real spare takes the role over (un-doubling).
 TEST(Degradation, RepairedSpareUndoublesTheRole) {
-  AcrConfig ac = soak::base_acr_config();
-  ac.degrade = DegradeMode::Shrink;
-  Sim sim(ac, 0, 23);
+  std::unique_ptr<AcrRuntime> runtime =
+      start(kill_job(DegradeMode::Shrink, 0, 23, {}));
   double mid = reference().finish_time * 0.3;
-  int pid = sim.runtime.cluster().node_at(1, 5).physical_id();
-  sim.runtime.inject(failure::Fault::kill_role(mid, 1, 5));
-  sim.runtime.inject(failure::Fault::repair(mid + 0.005, pid));
-  RunSummary s = sim.runtime.run(30.0);
+  int pid = runtime->cluster().node_at(1, 5).physical_id();
+  runtime->inject(failure::Fault::kill_role(mid, 1, 5));
+  runtime->inject(failure::Fault::repair(mid + 0.005, pid));
+  JobResult r = finish(std::move(runtime), 30.0);
+  const RunSummary& s = r.summary;
   ASSERT_TRUE(s.complete);
   EXPECT_EQ(s.roles_doubled, 1u);
   EXPECT_EQ(s.roles_undoubled, 1u);
-  EXPECT_TRUE(sim.runtime.cluster().doubled_roles().empty());
-  EXPECT_TRUE(trace_contains(sim.runtime, rt::TraceKind::RoleUndoubled));
-  sim.runtime.engine().run_until(s.finish_time + 0.05);
-  EXPECT_EQ(verified_digest(sim.runtime), reference().digest);
+  EXPECT_TRUE(r.runtime->cluster().doubled_roles().empty());
+  EXPECT_TRUE(trace_contains(*r.runtime, rt::TraceKind::RoleUndoubled));
+  EXPECT_EQ(r.digest, reference().digest);
 }
 
 // ---------------------------------------------------------------------------
@@ -299,34 +303,36 @@ TEST(Degradation, RepairedSpareUndoublesTheRole) {
 /// redundancy: the verified image is gone from both replicas, so the job
 /// must cleanly fall back to a scratch restart — and still finish right.
 TEST(Degradation, SimultaneousBuddyPairLossFallsBackToScratch) {
-  Sim sim(soak::base_acr_config(), 4, 31);
   double mid = reference().finish_time * 0.5;
-  sim.runtime.inject(failure::Fault::kill_role(mid, 0, 4));
-  sim.runtime.inject(failure::Fault::kill_role(mid, 1, 4));
-  RunSummary s = sim.runtime.run(30.0);
-  ASSERT_TRUE(s.complete) << "buddy-pair loss wedged the job";
-  EXPECT_GE(s.scratch_restarts, 1u);
-  sim.runtime.engine().run_until(s.finish_time + 0.05);
-  EXPECT_EQ(verified_digest(sim.runtime), reference().digest);
+  JobResult r = run(kill_job(DegradeMode::Abort, 4, 31,
+                             {failure::Fault::kill_role(mid, 0, 4),
+                              failure::Fault::kill_role(mid, 1, 4)}));
+  ASSERT_TRUE(r.summary.complete) << "buddy-pair loss wedged the job";
+  EXPECT_GE(r.summary.scratch_restarts, 1u);
+  EXPECT_EQ(r.digest, reference().digest);
+}
+
+/// A soak job under single-parity group redundancy (--ckpt-scheme=xor).
+Scenario xor_job(int spares, std::uint64_t seed,
+                 std::vector<failure::Fault> kills) {
+  Scenario s = kill_job(DegradeMode::Abort, spares, seed, std::move(kills));
+  s.acr.redundancy = ckpt::Scheme::Rs;
+  s.acr.rs_parity = 1;
+  s.acr.xor_group_size = 4;
+  return s;
 }
 
 /// Two members of one single-parity group (--ckpt-scheme=xor) die at the
 /// same instant: beyond its coverage, must degrade to scratch, not wedge.
 TEST(Degradation, SimultaneousGroupDoubleLossFallsBackToScratch) {
-  AcrConfig ac = soak::base_acr_config();
-  ac.redundancy = ckpt::Scheme::Rs;
-  ac.rs_parity = 1;
-  ac.xor_group_size = 4;
-  Sim sim(ac, 4, 32);
   double mid = reference().finish_time * 0.5;
   // Two members of group {0,1,2,3}.
-  sim.runtime.inject(failure::Fault::kill_role(mid, 0, 1));
-  sim.runtime.inject(failure::Fault::kill_role(mid, 0, 2));
-  RunSummary s = sim.runtime.run(30.0);
-  ASSERT_TRUE(s.complete) << "group double-loss wedged the job";
-  EXPECT_GE(s.scratch_restarts, 1u);
-  sim.runtime.engine().run_until(s.finish_time + 0.05);
-  EXPECT_EQ(verified_digest(sim.runtime), reference().digest);
+  JobResult r = run(xor_job(4, 32,
+                            {failure::Fault::kill_role(mid, 0, 1),
+                             failure::Fault::kill_role(mid, 0, 2)}));
+  ASSERT_TRUE(r.summary.complete) << "group double-loss wedged the job";
+  EXPECT_GE(r.summary.scratch_restarts, 1u);
+  EXPECT_EQ(r.digest, reference().digest);
 }
 
 // ---------------------------------------------------------------------------
@@ -338,35 +344,28 @@ TEST(Degradation, SimultaneousGroupDoubleLossFallsBackToScratch) {
 /// against the new membership. The observable contract: completion with
 /// the bitwise-correct answer, never a wedge or a stale-wave revival.
 TEST(Degradation, SecondFailureMidRecoveryIsSerialized) {
-  Sim sim(soak::base_acr_config(), 6, 33);
   double mid = reference().finish_time * 0.5;
-  sim.runtime.inject(failure::Fault::kill_role(mid, 0, 2));
-  // Inside the first recovery's detection+restore window: a different
-  // role, different buddy column, dies while rollback commands fly.
-  sim.runtime.inject(failure::Fault::kill_role(mid + 0.002, 1, 6));
-  RunSummary s = sim.runtime.run(30.0);
-  ASSERT_TRUE(s.complete) << "overlapping failures wedged the job";
-  EXPECT_GE(s.hard_failures, 2u);
-  sim.runtime.engine().run_until(s.finish_time + 0.05);
-  EXPECT_EQ(verified_digest(sim.runtime), reference().digest);
+  // The second kill lands inside the first recovery's detection+restore
+  // window: a different role, different buddy column, dies while rollback
+  // commands fly.
+  JobResult r = run(kill_job(DegradeMode::Abort, 6, 33,
+                             {failure::Fault::kill_role(mid, 0, 2),
+                              failure::Fault::kill_role(mid + 0.002, 1, 6)}));
+  ASSERT_TRUE(r.summary.complete) << "overlapping failures wedged the job";
+  EXPECT_GE(r.summary.hard_failures, 2u);
+  EXPECT_EQ(r.digest, reference().digest);
 }
 
 /// Same, under single-parity group redundancy (--ckpt-scheme=xor) with the
 /// second death mid-group-rebuild.
 TEST(Degradation, SecondFailureMidXorRebuildIsSerialized) {
-  AcrConfig ac = soak::base_acr_config();
-  ac.redundancy = ckpt::Scheme::Rs;
-  ac.rs_parity = 1;
-  ac.xor_group_size = 4;
-  Sim sim(ac, 6, 34);
   double mid = reference().finish_time * 0.5;
-  sim.runtime.inject(failure::Fault::kill_role(mid, 0, 1));
-  // The other group of replica 0.
-  sim.runtime.inject(failure::Fault::kill_role(mid + 0.0015, 0, 5));
-  RunSummary s = sim.runtime.run(30.0);
-  ASSERT_TRUE(s.complete) << "failure mid-rebuild wedged the job";
-  sim.runtime.engine().run_until(s.finish_time + 0.05);
-  EXPECT_EQ(verified_digest(sim.runtime), reference().digest);
+  // The second kill is in the other group of replica 0.
+  JobResult r = run(xor_job(6, 34,
+                            {failure::Fault::kill_role(mid, 0, 1),
+                             failure::Fault::kill_role(mid + 0.0015, 0, 5)}));
+  ASSERT_TRUE(r.summary.complete) << "failure mid-rebuild wedged the job";
+  EXPECT_EQ(r.digest, reference().digest);
 }
 
 // ---------------------------------------------------------------------------
@@ -377,32 +376,30 @@ TEST(Degradation, SecondFailureMidXorRebuildIsSerialized) {
 /// (spares included), repairs re-pool, summary counters line up with the
 /// cluster's, and the adaptive interval reacts to the burst arrivals.
 TEST(BurstEndToEnd, BurstsRepairsAndAdaptiveIntervalReact) {
-  AcrConfig ac = soak::base_acr_config();
-  ac.degrade = DegradeMode::Shrink;
+  Scenario job = kill_job(DegradeMode::Shrink, 2, 41, {});
+  AcrConfig& ac = job.acr;
   ac.adaptive = true;
   ac.adaptive_config.checkpoint_cost = ac.checkpoint_interval / 20.0;
   ac.adaptive_config.min_interval = ac.checkpoint_interval / 4.0;
   ac.adaptive_config.max_interval = ac.checkpoint_interval * 8.0;
-  Sim sim(ac, 2, 41);
-  failure::BurstConfig bc;
-  bc.seed_mtbf = 0.01;
-  bc.follow_prob = 0.6;
-  bc.window = 0.001;
-  bc.domain_size = 4;
-  bc.repair_mean = 0.02;
-  sim.runtime.set_burst_plan(bc);
-  RunSummary s = sim.runtime.run(30.0);
+  job.bursts.seed_mtbf = 0.01;
+  job.bursts.follow_prob = 0.6;
+  job.bursts.window = 0.001;
+  job.bursts.domain_size = 4;
+  job.bursts.repair_mean = 0.02;
+  JobResult r = run(job);
+  const RunSummary& s = r.summary;
   ASSERT_TRUE(s.complete || s.failed);  // must decide, never wedge
   EXPECT_GE(s.burst_seeds, 1u);
   EXPECT_GE(s.burst_node_kills, s.burst_seeds);
-  const rt::Cluster::SpareCounters& sc = sim.runtime.cluster().spare_counters();
+  const rt::Cluster::SpareCounters& sc = r.runtime->cluster().spare_counters();
   EXPECT_EQ(s.spare_promotions, sc.promotions);
   EXPECT_EQ(s.spare_repairs, sc.repairs);
   EXPECT_EQ(s.spare_failures, sc.spare_failures);
   EXPECT_EQ(s.spare_low_water, sc.low_water);
   if (s.burst_node_kills > 0) {
     // The estimator saw the burst arrivals: interval off its ceiling.
-    EXPECT_LT(sim.runtime.manager().current_interval(),
+    EXPECT_LT(r.runtime->manager().current_interval(),
               ac.adaptive_config.max_interval);
   }
 }
@@ -411,23 +408,15 @@ TEST(BurstEndToEnd, BurstsRepairsAndAdaptiveIntervalReact) {
 /// under the same master seed.
 TEST(BurstEndToEnd, RunsAreDeterministicPerSeed) {
   auto one = [](std::uint64_t seed) {
-    AcrConfig ac = soak::base_acr_config();
-    ac.degrade = DegradeMode::Shrink;
-    Sim sim(ac, 2, seed);
-    failure::BurstConfig bc;
-    bc.seed_mtbf = 0.012;
-    bc.follow_prob = 0.5;
-    bc.domain_size = 4;
-    bc.repair_mean = 0.025;
-    sim.runtime.set_burst_plan(bc);
-    RunSummary s = sim.runtime.run(30.0);
-    std::uint64_t digest = 0;
-    if (s.complete) {
-      sim.runtime.engine().run_until(s.finish_time + 0.05);
-      digest = verified_digest(sim.runtime);
-    }
+    Scenario job = kill_job(DegradeMode::Shrink, 2, seed, {});
+    job.bursts.seed_mtbf = 0.012;
+    job.bursts.follow_prob = 0.5;
+    job.bursts.domain_size = 4;
+    job.bursts.repair_mean = 0.025;
+    JobResult r = run(job);
+    const RunSummary& s = r.summary;
     return std::make_tuple(s.complete, s.finish_time, s.burst_node_kills,
-                           s.roles_doubled, s.spare_repairs, digest);
+                           s.roles_doubled, s.spare_repairs, r.digest);
   };
   EXPECT_EQ(one(55), one(55));
   EXPECT_NE(one(55), one(56));

@@ -11,8 +11,6 @@
 // Runs under the `burst-soak` ctest label (CI runs it with ASan/UBSan).
 #include <gtest/gtest.h>
 
-#include "acr/runtime.h"
-#include "apps/jacobi3d.h"
 #include "soak_util.h"
 
 namespace acr {
@@ -28,24 +26,23 @@ AcrConfig soak_acr_config() {
 /// Fault-free run fixing the expected answer and nominal duration.
 const soak::Reference& reference() {
   static soak::Reference cached = soak::make_reference(
-      soak::small_app(), soak_acr_config(),
+      soak::job(soak_acr_config(), 0),
       "burst soak reference run must complete");
   return cached;
 }
 
-soak::Outcome soak_run(std::uint64_t seed, bool inject) {
-  soak::Sim sim(soak_acr_config(), /*spares=*/2, seed);  // bursts WILL drain
-  if (inject)
-    sim.runtime.set_burst_plan(
-        soak::default_burst_config(reference().finish_time));
-  return soak::run_and_digest(sim.runtime);
+JobResult soak_run(std::uint64_t seed, bool inject) {
+  // Bursts WILL drain the 2-spare pool.
+  Scenario s = soak::job(soak_acr_config(), /*spares=*/2, seed);
+  if (inject) s.bursts = soak::default_burst_config(reference().finish_time);
+  return run(s);
 }
 
 class BurstSoak : public ::testing::TestWithParam<int> {};
 
 TEST_P(BurstSoak, ShrinkToSurviveMakesForwardProgressBitwise) {
   std::uint64_t seed = 430000 + static_cast<std::uint64_t>(GetParam()) * 7717;
-  soak::Outcome o = soak_run(seed, /*inject=*/true);
+  JobResult o = soak_run(seed, /*inject=*/true);
   ASSERT_TRUE(o.summary.complete)
       << "aborted or wedged at t=" << o.summary.finish_time << " (seed "
       << seed << ", kills=" << o.summary.burst_node_kills
@@ -63,7 +60,7 @@ class BurstSoakControl : public ::testing::TestWithParam<int> {};
 
 TEST_P(BurstSoakControl, CleanSeedsMatchReferenceBitwise) {
   std::uint64_t seed = 990000 + static_cast<std::uint64_t>(GetParam()) * 131;
-  soak::Outcome o = soak_run(seed, /*inject=*/false);
+  JobResult o = soak_run(seed, /*inject=*/false);
   ASSERT_TRUE(o.summary.complete);
   EXPECT_EQ(o.summary.burst_node_kills, 0u);
   EXPECT_EQ(o.summary.roles_doubled, 0u);

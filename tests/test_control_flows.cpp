@@ -5,9 +5,7 @@
 
 #include <memory>
 
-#include "acr/runtime.h"
 #include "acr/stats.h"
-#include "apps/jacobi3d.h"
 #include "soak_util.h"
 
 namespace acr {
@@ -23,28 +21,17 @@ apps::Jacobi3DConfig app_cfg() {
   return cfg;
 }
 
-struct DriverRun {
-  std::unique_ptr<AcrRuntime> runtime;
-  RunSummary summary;
-};
-
-DriverRun run_with_kill(ResilienceScheme scheme, double kill_at) {
-  apps::Jacobi3DConfig j = app_cfg();
-  AcrConfig ac;
-  ac.scheme = scheme;
-  ac.checkpoint_interval = 0.005;
-  ac.heartbeat_period = 0.0005;
-  ac.heartbeat_timeout = 0.002;
-  rt::ClusterConfig cc;
-  cc.nodes_per_replica = j.nodes_needed();
-  cc.spare_nodes = 2;
-  DriverRun run;
-  run.runtime = std::make_unique<AcrRuntime>(ac, cc);
-  run.runtime->set_task_factory(j.factory());
-  run.runtime->setup();
-  run.runtime->inject(failure::Fault::kill_role(kill_at, 1, 1));
-  run.summary = run.runtime->run(100.0);
-  return run;
+JobResult run_with_kill(ResilienceScheme scheme, double kill_at) {
+  Scenario s;
+  s.app = app_cfg();
+  s.acr.scheme = scheme;
+  s.acr.checkpoint_interval = 0.005;
+  s.acr.heartbeat_period = 0.0005;
+  s.acr.heartbeat_timeout = 0.002;
+  s.cluster.spare_nodes = 2;
+  s.scripted = {failure::Fault::kill_role(kill_at, 1, 1)};
+  s.max_virtual_time = 100.0;
+  return run(s);
 }
 
 /// First event of `kind` at or after time `t` (several protocol steps can
@@ -67,7 +54,7 @@ double last_commit_before(const rt::TraceLog& log, double t) {
 TEST(ControlFlow, StrongRollsBackWithoutNewCheckpoint) {
   // Fig. 5b: the crashed replica restarts from the checkpoint at T1; no
   // recovery checkpoint is taken between detection and recovery-complete.
-  DriverRun run = run_with_kill(ResilienceScheme::Strong, 0.012);
+  JobResult run = run_with_kill(ResilienceScheme::Strong, 0.012);
   ASSERT_TRUE(run.summary.complete);
   const auto& log = run.runtime->trace();
   const auto* detected =
@@ -90,7 +77,7 @@ TEST(ControlFlow, StrongRollsBackWithoutNewCheckpoint) {
 TEST(ControlFlow, MediumTakesImmediateRecoveryCheckpoint) {
   // Fig. 5c: detection triggers a (recovery) checkpoint right away, well
   // before the next periodic tick would have fired.
-  DriverRun run = run_with_kill(ResilienceScheme::Medium, 0.012);
+  JobResult run = run_with_kill(ResilienceScheme::Medium, 0.012);
   ASSERT_TRUE(run.summary.complete);
   const auto& log = run.runtime->trace();
   const auto* detected =
@@ -111,7 +98,7 @@ TEST(ControlFlow, MediumTakesImmediateRecoveryCheckpoint) {
 TEST(ControlFlow, WeakWaitsForNextPeriodicCheckpoint) {
   // Fig. 5d: nothing happens at detection; recovery rides the next
   // periodic checkpoint (~interval after the last commit).
-  DriverRun run = run_with_kill(ResilienceScheme::Weak, 0.012);
+  JobResult run = run_with_kill(ResilienceScheme::Weak, 0.012);
   ASSERT_TRUE(run.summary.complete);
   const auto& log = run.runtime->trace();
   const auto* detected =
@@ -133,7 +120,7 @@ TEST(ControlFlow, WeakWaitsForNextPeriodicCheckpoint) {
 TEST(ControlFlow, HardOnlyRecoversWithoutPeriodicCheckpoints) {
   // Fig. 5a: no periodic checkpointing at all; the failure triggers the
   // one and only (recovery) checkpoint.
-  DriverRun run = run_with_kill(ResilienceScheme::HardOnly, 0.012);
+  JobResult run = run_with_kill(ResilienceScheme::HardOnly, 0.012);
   ASSERT_TRUE(run.summary.complete);
   const auto& log = run.runtime->trace();
   std::size_t requests = log.count(rt::TraceKind::CheckpointRequested);
@@ -145,7 +132,7 @@ TEST(ControlFlow, HardOnlyRecoversWithoutPeriodicCheckpoints) {
 }
 
 TEST(ControlFlow, RecoveryLatencyIsBoundedByDetectionPlusTransfer) {
-  DriverRun run = run_with_kill(ResilienceScheme::Strong, 0.012);
+  JobResult run = run_with_kill(ResilienceScheme::Strong, 0.012);
   ASSERT_TRUE(run.summary.complete);
   TraceSummary ts = summarize_trace(run.runtime->trace());
   ASSERT_EQ(ts.recoveries.size(), 1u);
@@ -166,7 +153,6 @@ TEST(ControlFlow, RecoveryLatencyIsBoundedByDetectionPlusTransfer) {
 class NeedBuddyRestore : public ::testing::TestWithParam<ckpt::Scheme> {};
 
 TEST_P(NeedBuddyRestore, CheckpointlessRollbackIsRoutedAnImage) {
-  apps::Jacobi3DConfig j = soak::small_app();
   AcrConfig ac = soak::base_acr_config();
   ac.redundancy = GetParam();
   if (ac.redundancy == ckpt::Scheme::Rs) {
@@ -174,14 +160,14 @@ TEST_P(NeedBuddyRestore, CheckpointlessRollbackIsRoutedAnImage) {
     ac.rs_parity = 2;
   }
   soak::Reference ref =
-      soak::make_reference(j, ac, "reference run must complete");
-  soak::Sim sim(ac, 4);
-  AcrRuntime& runtime = sim.runtime;
+      soak::make_reference(soak::job(ac, 0), "reference run must complete");
+  std::unique_ptr<AcrRuntime> job = start(soak::job(ac, 4));
+  AcrRuntime& runtime = *job;
   double at = ref.finish_time * 0.4;
   runtime.engine().schedule_at(
       at, [&runtime] { runtime.agent_at(0, 6).reset_for_restart(); });
   runtime.inject(failure::Fault::kill_role(at, 0, 1));
-  soak::Outcome o = soak::run_and_digest(runtime);
+  JobResult o = finish(std::move(job), 30.0);
   ASSERT_TRUE(o.summary.complete) << "checkpoint-less rollback wedged";
   EXPECT_EQ(o.digest, ref.digest);
   EXPECT_EQ(o.summary.recoveries, 1u);
@@ -210,13 +196,12 @@ TEST_P(RestoreAdmission, StaleWaveIsDropped) {
   constexpr int kReplica = 1;
   constexpr int kIndex = 3;
   const RestoreSource source = GetParam();
-  apps::Jacobi3DConfig j = soak::small_app();
   AcrConfig ac = soak::base_acr_config();
   if (source == RestoreSource::Fetch) ac.tier.bandwidth = 2e9;
   soak::Reference ref =
-      soak::make_reference(j, ac, "reference run must complete");
-  soak::Sim sim(ac, 2);
-  AcrRuntime& runtime = sim.runtime;
+      soak::make_reference(soak::job(ac, 0), "reference run must complete");
+  std::unique_ptr<AcrRuntime> job = start(soak::job(ac, 2));
+  AcrRuntime& runtime = *job;
   // The rollback lands before the first commit, so the target holds no
   // verified image and would take the checkpoint-less branch (gate itself,
   // ask the manager for an image). The other sources need a committed
@@ -257,7 +242,7 @@ TEST_P(RestoreAdmission, StaleWaveIsDropped) {
       }
     }
   });
-  soak::Outcome o = soak::run_and_digest(runtime, ref.finish_time * 4);
+  JobResult o = finish(std::move(job), ref.finish_time * 4);
   ASSERT_TRUE(o.summary.complete) << "a stale restore wedged the run";
   EXPECT_EQ(o.digest, ref.digest);
   EXPECT_EQ(o.summary.recoveries, 0u);
@@ -282,43 +267,44 @@ INSTANTIATE_TEST_SUITE_P(Source, RestoreAdmission,
 // ---------------------------------------------------------------------------
 
 TEST(FaultPath, ScriptedFaultsRecordOneInjectionEach) {
-  soak::Sim sim(soak::base_acr_config(), 4, 1);
+  Scenario job = soak::job(soak::base_acr_config(), 4, 1);
   Pcg32 draws(7);
-  sim.runtime.inject(failure::Fault::kill_role(0.010, 0, 1));
-  sim.runtime.inject(failure::Fault::flip(0.020, 0, 6, 1, draws));
-  sim.runtime.inject(failure::Fault::kill_role(0.030, 1, 5));
-  RunSummary s = sim.runtime.run(100.0);
+  job.scripted = {failure::Fault::kill_role(0.010, 0, 1),
+                  failure::Fault::flip(0.020, 0, 6, 1, draws),
+                  failure::Fault::kill_role(0.030, 1, 5)};
+  job.max_virtual_time = 100.0;
+  JobResult r = run(job);
+  const RunSummary& s = r.summary;
   ASSERT_TRUE(s.complete);
-  TraceSummary ts = summarize_trace(sim.runtime.trace());
+  TraceSummary ts = summarize_trace(r.runtime->trace());
   EXPECT_EQ(ts.failures_injected, 2u);
-  EXPECT_EQ(sim.runtime.trace().count(rt::TraceKind::SdcInjected), 1u);
+  EXPECT_EQ(r.runtime->trace().count(rt::TraceKind::SdcInjected), 1u);
   EXPECT_EQ(s.sdc_injected, 1u);
   EXPECT_EQ(s.hard_failures, 2u);
 }
 
 TEST(FaultPath, RandomKillsRecordOneInjectionPerVictim) {
-  soak::Sim sim(soak::base_acr_config(), 16, 1);
-  FaultPlan plan;
-  plan.arrivals = std::make_shared<failure::RenewalProcess>(
+  Scenario job = soak::job(soak::base_acr_config(), 16, 1);
+  job.faults.arrivals = std::make_shared<failure::RenewalProcess>(
       std::make_shared<failure::Exponential>(0.004));
-  plan.sdc_fraction = 0.0;
-  plan.horizon = 0.04;
-  sim.runtime.set_fault_plan(plan);
-  RunSummary s = sim.runtime.run(100.0);
-  ASSERT_TRUE(s.complete);
+  job.faults.sdc_fraction = 0.0;
+  job.faults.horizon = 0.04;
+  job.max_virtual_time = 100.0;
+  JobResult r = run(job);
+  ASSERT_TRUE(r.summary.complete);
   // Nothing repairs a --fault-mtbf death and no role is doubled, so every
   // landed kill leaves exactly one dead machine behind.
-  rt::Cluster& cl = sim.runtime.cluster();
+  rt::Cluster& cl = r.runtime->cluster();
   std::size_t dead = 0;
   for (int pid = 0; pid < cl.num_hardware_nodes(); ++pid)
     if (!cl.physical_node(pid).alive()) ++dead;
   EXPECT_GE(dead, 3u);
-  EXPECT_EQ(summarize_trace(sim.runtime.trace()).failures_injected, dead);
+  EXPECT_EQ(summarize_trace(r.runtime->trace()).failures_injected, dead);
 }
 
 TEST(FaultPath, DeadTargetOrFinishedJobIsANoOp) {
-  soak::Sim sim(soak::base_acr_config(), 4, 1);
-  AcrRuntime& rt_ = sim.runtime;
+  auto job = start(soak::job(soak::base_acr_config(), 4, 1));
+  AcrRuntime& rt_ = *job;
   Pcg32 draws(7);
   bool first = false, again = true, dead_flip = true;
   rt_.engine().schedule_at(0.010, [&] {
@@ -348,8 +334,8 @@ TEST(FaultPath, PooledSpareDeathReachesTheOutOfBandFeed) {
   ac.adaptive_config.checkpoint_cost = ac.checkpoint_interval / 20.0;
   ac.adaptive_config.min_interval = ac.checkpoint_interval / 4.0;
   ac.adaptive_config.max_interval = ac.checkpoint_interval * 8.0;
-  soak::Sim sim(ac, 2, 1);
-  AcrRuntime& rt_ = sim.runtime;
+  std::unique_ptr<AcrRuntime> job = start(soak::job(ac, 2, 1));
+  AcrRuntime& rt_ = *job;
   int spare = -1;
   for (int pid = 0; pid < rt_.cluster().num_hardware_nodes(); ++pid)
     if (rt_.cluster().is_pooled_spare(pid)) spare = pid;

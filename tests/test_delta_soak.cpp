@@ -17,8 +17,6 @@
 // Runs under the `delta-soak` ctest label (CI runs it with ASan/UBSan).
 #include <gtest/gtest.h>
 
-#include "acr/runtime.h"
-#include "apps/jacobi3d.h"
 #include "checksum/kernels.h"
 #include "failure/distributions.h"
 #include "soak_util.h"
@@ -38,33 +36,33 @@ AcrConfig soak_acr_config(bool codec) {
   return ac;
 }
 
+/// The multi-chunk soak job with `spares` spares.
+Scenario soak_job(bool codec, int spares,
+                  std::uint64_t seed = rt::ClusterConfig{}.seed) {
+  return soak::job(soak_acr_config(codec), spares, seed,
+                   soak::multi_chunk_app());
+}
+
 /// Fault-free, codec-off run fixing the expected answer (and checking the
 /// app is big enough to make delta meaningful).
 const soak::Reference& reference() {
   static soak::Reference cached = soak::make_reference(
-      soak::multi_chunk_app(), soak_acr_config(/*codec=*/false),
+      soak_job(/*codec=*/false, 0),
       "delta soak reference run must complete");
   return cached;
 }
 
 struct SoakOutcome {
-  soak::Outcome out;
+  JobResult out;
   bool hardware_annihilated = false;
 };
 
 SoakOutcome soak_run(std::uint64_t seed, bool codec) {
-  apps::Jacobi3DConfig j = soak::multi_chunk_app();
-  rt::ClusterConfig cc;
-  cc.nodes_per_replica = j.nodes_needed();
-  cc.spare_nodes = 2;
-  cc.seed = seed;
-  AcrRuntime runtime(soak_acr_config(codec), cc);
-  runtime.set_task_factory(j.factory());
-  runtime.setup();
-  runtime.set_burst_plan(soak::default_burst_config(reference().finish_time));
+  Scenario s = soak_job(codec, 2, seed);
+  s.bursts = soak::default_burst_config(reference().finish_time);
   SoakOutcome o;
-  o.out = soak::run_and_digest(runtime);
-  o.hardware_annihilated = soak::hardware_annihilated(runtime);
+  o.out = run(s);
+  o.hardware_annihilated = soak::hardware_annihilated(*o.out.runtime);
   return o;
 }
 
@@ -122,20 +120,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DeltaSoakControl, ::testing::Range(0, 10));
 /// fixed seed; the restored node's codec bases are invalidated, its next
 /// buddy frame is a legacy full transfer, and the answer stays bitwise.
 TEST(DeltaSoak, FullImageFallbackAfterBaseLoss) {
-  apps::Jacobi3DConfig j = soak::multi_chunk_app();
-  rt::ClusterConfig cc;
-  cc.nodes_per_replica = j.nodes_needed();
-  cc.spare_nodes = 2;
-  cc.seed = 424242;
-  AcrRuntime runtime(soak_acr_config(/*codec=*/true), cc);
-  runtime.set_task_factory(j.factory());
-  runtime.setup();
-  FaultPlan plan;
-  plan.arrivals = std::make_shared<failure::RenewalProcess>(
+  Scenario s = soak_job(/*codec=*/true, 2, 424242);
+  s.faults.arrivals = std::make_shared<failure::RenewalProcess>(
       std::make_shared<failure::Exponential>(reference().finish_time / 2.0));
-  plan.sdc_fraction = 0.0;  // hard failures: the base-loss trigger
-  runtime.set_fault_plan(plan);
-  soak::Outcome o = soak::run_and_digest(runtime);
+  s.faults.sdc_fraction = 0.0;  // hard failures: the base-loss trigger
+  JobResult o = run(s);
   ASSERT_TRUE(o.summary.complete);
   EXPECT_GE(o.summary.recoveries, 1u) << "drill needs at least one restore";
   EXPECT_EQ(o.digest, reference().digest);

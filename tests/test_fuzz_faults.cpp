@@ -9,10 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 #include <tuple>
 
-#include "acr/runtime.h"
-#include "apps/jacobi3d.h"
 #include "checksum/fletcher.h"
 #include "common/rng.h"
 #include "failure/distributions.h"
@@ -20,17 +19,6 @@
 
 namespace acr {
 namespace {
-
-apps::Jacobi3DConfig fuzz_app() {
-  apps::Jacobi3DConfig cfg;
-  cfg.tasks_x = cfg.tasks_y = 2;
-  cfg.tasks_z = 4;
-  cfg.block_x = cfg.block_y = cfg.block_z = 4;
-  cfg.iterations = 40;
-  cfg.slots_per_node = 2;  // 8 nodes per replica
-  cfg.seconds_per_point = 1e-5;
-  return cfg;
-}
 
 /// Digest of a replica's live state (reference run: no faults in flight).
 std::uint64_t replica_digest(AcrRuntime& runtime, int replica) {
@@ -40,66 +28,50 @@ std::uint64_t replica_digest(AcrRuntime& runtime, int replica) {
   return f.digest();
 }
 
-using soak::verified_digest;
+/// The fault-free verified digest of `app` under `scheme` with the
+/// default heartbeats and a 3 ms checkpoint interval.
+std::uint64_t clean_digest(const apps::Jacobi3DConfig& app,
+                           ResilienceScheme scheme, const char* what) {
+  Scenario s;
+  s.app = app;
+  s.acr.scheme = scheme;
+  s.acr.checkpoint_interval = 0.003;
+  JobResult r = run(s);
+  ACR_REQUIRE(r.summary.complete, what);
+  return r.digest;
+}
 
 std::uint64_t reference_digest() {
   static std::uint64_t cached = [] {
-    apps::Jacobi3DConfig j = fuzz_app();
-    AcrConfig ac;
-    ac.checkpoint_interval = 0.003;
-    rt::ClusterConfig cc;
-    cc.nodes_per_replica = j.nodes_needed();
-    cc.spare_nodes = 0;
-    AcrRuntime runtime(ac, cc);
-    runtime.set_task_factory(j.factory());
-    runtime.setup();
-    RunSummary s = runtime.run(1e3);
-    ACR_REQUIRE(s.complete, "fuzz reference run must complete");
+    Scenario s;
+    s.app = soak::small_app();
+    s.acr.checkpoint_interval = 0.003;
+    JobResult r = run(s);
+    ACR_REQUIRE(r.summary.complete, "fuzz reference run must complete");
     // Live state and verified images agree in a fault-free run; digest the
     // verified images so the comparison is like-for-like.
-    std::uint64_t live = replica_digest(runtime, 0);
-    std::uint64_t verified = verified_digest(runtime);
-    ACR_REQUIRE(live == verified, "reference live/verified divergence");
-    return verified;
+    ACR_REQUIRE(replica_digest(*r.runtime, 0) == r.digest,
+                "reference live/verified divergence");
+    return r.digest;
   }();
   return cached;
 }
 
-struct FuzzOutcome {
-  RunSummary summary;
-  std::uint64_t digest = 0;
-};
-
-FuzzOutcome fuzz_run(ResilienceScheme scheme, std::uint64_t seed,
-                     double fault_mtbf, double sdc_fraction) {
-  apps::Jacobi3DConfig j = fuzz_app();
-  AcrConfig ac;
+/// A fuzz job: `app` under `scheme` with the soak heartbeats.
+Scenario fuzz_job(const apps::Jacobi3DConfig& app, ResilienceScheme scheme,
+                  int spares, std::uint64_t seed) {
+  AcrConfig ac = soak::base_acr_config();
   ac.scheme = scheme;
-  ac.checkpoint_interval = 0.003;
-  ac.heartbeat_period = 0.0004;
-  ac.heartbeat_timeout = 0.0016;
-  rt::ClusterConfig cc;
-  cc.nodes_per_replica = j.nodes_needed();
-  cc.spare_nodes = 16;
-  cc.seed = seed;
-  AcrRuntime runtime(ac, cc);
-  runtime.set_task_factory(j.factory());
-  runtime.setup();
-  FaultPlan plan;
-  plan.arrivals = std::make_shared<failure::RenewalProcess>(
-      std::make_shared<failure::Exponential>(fault_mtbf));
-  plan.sdc_fraction = sdc_fraction;
-  runtime.set_fault_plan(plan);
+  return soak::job(ac, spares, seed, app);
+}
 
-  FuzzOutcome out;
-  out.summary = runtime.run(/*max_virtual_time=*/30.0);
-  if (out.summary.complete) {
-    // Let the in-flight commit/promotion messages of the final
-    // verification land before reading the verified images.
-    runtime.engine().run_until(out.summary.finish_time + 0.05);
-    out.digest = verified_digest(runtime);
-  }
-  return out;
+JobResult fuzz_run(ResilienceScheme scheme, std::uint64_t seed,
+                   double fault_mtbf, double sdc_fraction) {
+  Scenario s = fuzz_job(soak::small_app(), scheme, 16, seed);
+  s.faults.arrivals = std::make_shared<failure::RenewalProcess>(
+      std::make_shared<failure::Exponential>(fault_mtbf));
+  s.faults.sdc_fraction = sdc_fraction;
+  return run(s);
 }
 
 class FaultFuzz : public ::testing::TestWithParam<int> {};
@@ -107,8 +79,8 @@ class FaultFuzz : public ::testing::TestWithParam<int> {};
 TEST_P(FaultFuzz, StrongSchemeNeverCommitsWrongAnswer) {
   std::uint64_t seed = 1000 + static_cast<std::uint64_t>(GetParam()) * 7919;
   // Mixed faults arriving a few times per checkpoint-interval-decade.
-  FuzzOutcome o = fuzz_run(ResilienceScheme::Strong, seed,
-                           /*fault_mtbf=*/0.008, /*sdc_fraction=*/0.5);
+  JobResult o = fuzz_run(ResilienceScheme::Strong, seed,
+                         /*fault_mtbf=*/0.008, /*sdc_fraction=*/0.5);
   // Never hang: either done or failed by spare exhaustion.
   ASSERT_TRUE(o.summary.complete || o.summary.failed)
       << "wedged at t=" << o.summary.finish_time << " (seed " << seed << ")";
@@ -121,8 +93,8 @@ TEST_P(FaultFuzz, MediumAndWeakNeverHang) {
   std::uint64_t seed = 5000 + static_cast<std::uint64_t>(GetParam()) * 104729;
   for (ResilienceScheme scheme :
        {ResilienceScheme::Medium, ResilienceScheme::Weak}) {
-    FuzzOutcome o = fuzz_run(scheme, seed, /*fault_mtbf=*/0.010,
-                             /*sdc_fraction=*/0.3);
+    JobResult o = fuzz_run(scheme, seed, /*fault_mtbf=*/0.010,
+                           /*sdc_fraction=*/0.3);
     ASSERT_TRUE(o.summary.complete || o.summary.failed)
         << resilience_scheme_name(scheme) << " wedged (seed " << seed << ")";
     if (o.summary.complete) {
@@ -136,8 +108,8 @@ TEST_P(FaultFuzz, MediumAndWeakNeverHang) {
 
 TEST_P(FaultFuzz, HardFailureStormIsSurvivedOrFailsCleanly) {
   std::uint64_t seed = 9000 + static_cast<std::uint64_t>(GetParam()) * 31337;
-  FuzzOutcome o = fuzz_run(ResilienceScheme::Strong, seed,
-                           /*fault_mtbf=*/0.004, /*sdc_fraction=*/0.0);
+  JobResult o = fuzz_run(ResilienceScheme::Strong, seed,
+                         /*fault_mtbf=*/0.004, /*sdc_fraction=*/0.0);
   ASSERT_TRUE(o.summary.complete || o.summary.failed) << "seed " << seed;
   if (o.summary.complete) {
     EXPECT_EQ(o.digest, reference_digest()) << "seed " << seed;
@@ -157,8 +129,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FaultFuzz, ::testing::Range(0, 10));
 // bitwise identical to a fault-free run's.
 // ---------------------------------------------------------------------------
 
-/// Smaller app than fuzz_app(): the network fuzz sweeps 200+ seeds, so each
-/// run must stay cheap. 8 tasks on 4 nodes per replica.
+/// Smaller app than soak::small_app(): the network fuzz sweeps 200+ seeds, so
+/// each run must stay cheap. 8 tasks on 4 nodes per replica.
 apps::Jacobi3DConfig net_fuzz_app() {
   apps::Jacobi3DConfig cfg;
   cfg.tasks_x = cfg.tasks_y = 2;
@@ -177,19 +149,8 @@ std::uint64_t net_reference_digest(ResilienceScheme scheme) {
   static std::map<ResilienceScheme, std::uint64_t> cached;
   auto it = cached.find(scheme);
   if (it != cached.end()) return it->second;
-  apps::Jacobi3DConfig j = net_fuzz_app();
-  AcrConfig ac;
-  ac.scheme = scheme;
-  ac.checkpoint_interval = 0.003;
-  rt::ClusterConfig cc;
-  cc.nodes_per_replica = j.nodes_needed();
-  cc.spare_nodes = 0;
-  AcrRuntime runtime(ac, cc);
-  runtime.set_task_factory(j.factory());
-  runtime.setup();
-  RunSummary s = runtime.run(1e3);
-  ACR_REQUIRE(s.complete, "net fuzz reference run must complete");
-  std::uint64_t digest = verified_digest(runtime);
+  std::uint64_t digest = clean_digest(net_fuzz_app(), scheme,
+                                      "net fuzz reference run must complete");
   cached[scheme] = digest;
   return digest;
 }
@@ -237,43 +198,26 @@ class ProgressMonotonicitySampler {
 /// to 5%, duplication up to 3%, extra-latency reordering up to 30%, bit
 /// corruption up to 2%. `fault_mtbf > 0` additionally injects node faults
 /// (and disarms the monotonicity assertion).
-FuzzOutcome net_fuzz_run(ResilienceScheme scheme, std::uint64_t seed,
-                         double fault_mtbf, int* monotone_violations) {
-  apps::Jacobi3DConfig j = net_fuzz_app();
-  AcrConfig ac;
-  ac.scheme = scheme;
-  ac.checkpoint_interval = 0.003;
-  ac.heartbeat_period = 0.0004;
-  ac.heartbeat_timeout = 0.0016;
-  rt::ClusterConfig cc;
-  cc.nodes_per_replica = j.nodes_needed();
-  cc.spare_nodes = fault_mtbf > 0.0 ? 16 : 2;
-  cc.seed = seed;
+JobResult net_fuzz_run(ResilienceScheme scheme, std::uint64_t seed,
+                       double fault_mtbf, int* monotone_violations) {
+  Scenario s =
+      fuzz_job(net_fuzz_app(), scheme, fault_mtbf > 0.0 ? 16 : 2, seed);
   Pcg32 rates(seed, 0x4E7F);
-  cc.net_faults.drop_rate = 0.05 * rates.uniform();
-  cc.net_faults.dup_rate = 0.03 * rates.uniform();
-  cc.net_faults.reorder_rate = 0.30 * rates.uniform();
-  cc.net_faults.corrupt_rate = 0.02 * rates.uniform();
-  cc.net_faults.reorder_max_extra = 5e-5 + 2e-4 * rates.uniform();
-  AcrRuntime runtime(ac, cc);
-  runtime.set_task_factory(j.factory());
-  runtime.setup();
+  failure::NetFaultConfig& nf = s.cluster.net_faults;
+  nf.drop_rate = 0.05 * rates.uniform();
+  nf.dup_rate = 0.03 * rates.uniform();
+  nf.reorder_rate = 0.30 * rates.uniform();
+  nf.corrupt_rate = 0.02 * rates.uniform();
+  nf.reorder_max_extra = 5e-5 + 2e-4 * rates.uniform();
   if (fault_mtbf > 0.0) {
-    FaultPlan plan;
-    plan.arrivals = std::make_shared<failure::RenewalProcess>(
+    s.faults.arrivals = std::make_shared<failure::RenewalProcess>(
         std::make_shared<failure::Exponential>(fault_mtbf));
-    plan.sdc_fraction = 0.3;
-    runtime.set_fault_plan(plan);
+    s.faults.sdc_fraction = 0.3;
   }
-  ProgressMonotonicitySampler sampler(runtime, 2.5e-4);
+  std::unique_ptr<AcrRuntime> runtime = start(s);
+  ProgressMonotonicitySampler sampler(*runtime, 2.5e-4);
   if (monotone_violations) sampler.start();
-
-  FuzzOutcome out;
-  out.summary = runtime.run(/*max_virtual_time=*/30.0);
-  if (out.summary.complete) {
-    runtime.engine().run_until(out.summary.finish_time + 0.05);
-    out.digest = verified_digest(runtime);
-  }
+  JobResult out = finish(std::move(runtime), s.max_virtual_time);
   if (monotone_violations) *monotone_violations = sampler.violations();
   return out;
 }
@@ -287,7 +231,7 @@ TEST_P(NetFuzz, LossyNetworkIsInvisibleToTheJob) {
                             : param % 3 == 1 ? ResilienceScheme::Medium
                                              : ResilienceScheme::Weak;
   int violations = -1;
-  FuzzOutcome o = net_fuzz_run(scheme, seed, /*fault_mtbf=*/0.0, &violations);
+  JobResult o = net_fuzz_run(scheme, seed, /*fault_mtbf=*/0.0, &violations);
   ASSERT_TRUE(o.summary.complete)
       << resilience_scheme_name(scheme) << " wedged at t="
       << o.summary.finish_time << " (seed " << seed << ")";
@@ -305,8 +249,8 @@ class NetStorm : public ::testing::TestWithParam<int> {};
 
 TEST_P(NetStorm, NodeFaultsUnderLossyNetworkSurviveOrFailCleanly) {
   std::uint64_t seed = 80000 + static_cast<std::uint64_t>(GetParam()) * 26947;
-  FuzzOutcome o = net_fuzz_run(ResilienceScheme::Strong, seed,
-                               /*fault_mtbf=*/0.008, nullptr);
+  JobResult o = net_fuzz_run(ResilienceScheme::Strong, seed,
+                             /*fault_mtbf=*/0.008, nullptr);
   ASSERT_TRUE(o.summary.complete || o.summary.failed)
       << "wedged at t=" << o.summary.finish_time << " (seed " << seed << ")";
   if (o.summary.complete) {
@@ -322,33 +266,16 @@ INSTANTIATE_TEST_SUITE_P(Seeds, NetStorm, ::testing::Range(0, 20));
 /// with --iterations 20 --fault-mtbf 0.01 --sdc-fraction 1.0 --seed 8 and
 /// the given --net-loss.
 std::uint64_t wedge_repro_gated_drops(double net_loss) {
-  apps::Jacobi3DConfig j;
-  j.tasks_x = j.tasks_y = 2;
-  j.tasks_z = 8;
-  j.block_x = j.block_y = j.block_z = 4;
-  j.slots_per_node = 4;
-  j.iterations = 20;
-  j.seconds_per_point = 1e-5;
-  AcrConfig ac;
-  ac.scheme = ResilienceScheme::Strong;
-  ac.checkpoint_interval = 0.004;
-  ac.heartbeat_period = 0.0005;
-  ac.heartbeat_timeout = 0.002;
-  rt::ClusterConfig cc;
-  cc.nodes_per_replica = 8;
-  cc.spare_nodes = 4;
-  cc.seed = 8;
-  cc.net_faults.drop_rate = net_loss;
-  AcrRuntime runtime(ac, cc);
-  runtime.set_task_factory(j.factory());
-  runtime.setup();
-  FaultPlan plan;
-  plan.arrivals = std::make_shared<failure::RenewalProcess>(
-      std::make_shared<failure::Exponential>(0.01));
-  plan.sdc_fraction = 1.0;
-  runtime.set_fault_plan(plan);
-  runtime.run(0.02);
-  return runtime.cluster().net_counters().gated_drops;
+  std::string loss = "--net-loss=" + std::to_string(net_loss);
+  const char* argv[] = {"acr_driver",       "--iterations=20",
+                        "--fault-mtbf=0.01", "--sdc-fraction=1.0",
+                        "--seed=8",          loss.c_str()};
+  std::string error;
+  std::optional<DriverFlags> flags = parse_driver_flags(6, argv, &error);
+  ACR_REQUIRE(flags.has_value(), error.c_str());
+  std::unique_ptr<AcrRuntime> runtime = start(flags->scenario);
+  runtime->run(0.02);
+  return runtime->cluster().net_counters().gated_drops;
 }
 
 // A lossy network delays one node's kResume behind a retransmit, and its

@@ -7,8 +7,9 @@
 // both keep two copies.
 #include <gtest/gtest.h>
 
-#include "acr/runtime.h"
-#include "apps/jacobi3d.h"
+#include <memory>
+
+#include "acr/scenario.h"
 
 namespace acr {
 namespace {
@@ -34,22 +35,21 @@ AcrConfig strong(SdcDetection detection) {
 }
 
 struct Job {
-  apps::Jacobi3DConfig app = jacobi_cfg();
-  AcrRuntime runtime;
+  std::unique_ptr<AcrRuntime> owner;
+  AcrRuntime& runtime;
 
-  explicit Job(const AcrConfig& ac) : runtime(ac, cluster_cfg(app)) {
-    runtime.set_task_factory(app.factory());
-    runtime.setup();
+  explicit Job(const AcrConfig& ac)
+      : owner(start(scenario(ac))), runtime(*owner) {}
+
+  static Scenario scenario(const AcrConfig& ac) {
+    Scenario s;
+    s.app = jacobi_cfg();
+    s.acr = ac;
+    s.cluster.spare_nodes = 2;
+    return s;
   }
 
-  static rt::ClusterConfig cluster_cfg(const apps::Jacobi3DConfig& app) {
-    rt::ClusterConfig cc;
-    cc.nodes_per_replica = app.nodes_needed();
-    cc.spare_nodes = 2;
-    return cc;
-  }
-
-  int nodes() const { return app.nodes_needed(); }
+  int nodes() const { return runtime.cluster().nodes_per_replica(); }
 
   /// Run to completion, then let the final commit land everywhere.
   void finish() {

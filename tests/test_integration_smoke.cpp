@@ -3,15 +3,15 @@
 // Jacobi3D mini-app.
 #include <gtest/gtest.h>
 
-#include "acr/runtime.h"
-#include "apps/jacobi3d.h"
+#include "acr/scenario.h"
 #include "checksum/fletcher.h"
 #include "failure/injector.h"
 
 namespace acr {
 namespace {
 
-apps::Jacobi3DConfig small_jacobi() {
+/// A small Jacobi3D job with 2 spares and frequent checkpoints.
+Scenario small_job() {
   apps::Jacobi3DConfig cfg;
   cfg.tasks_x = 2;
   cfg.tasks_y = 2;
@@ -22,14 +22,13 @@ apps::Jacobi3DConfig small_jacobi() {
   cfg.iterations = 30;
   cfg.slots_per_node = 2;   // 4 nodes per replica
   cfg.seconds_per_point = 1e-5;
-  return cfg;
-}
-
-rt::ClusterConfig small_cluster(const apps::Jacobi3DConfig& j) {
-  rt::ClusterConfig cfg;
-  cfg.nodes_per_replica = j.nodes_needed();
-  cfg.spare_nodes = 2;
-  return cfg;
+  Scenario s;
+  s.app = cfg;
+  s.acr.checkpoint_interval = 0.002;
+  s.acr.heartbeat_period = 0.001;
+  s.acr.heartbeat_timeout = 0.005;
+  s.cluster.spare_nodes = 2;
+  return s;
 }
 
 /// Digest of the application state of one replica (for cross-run checks).
@@ -43,14 +42,8 @@ std::uint64_t replica_digest(AcrRuntime& runtime, int replica) {
 }
 
 TEST(IntegrationSmoke, FailureFreeRunCompletes) {
-  apps::Jacobi3DConfig j = small_jacobi();
-  AcrConfig acr_cfg;
-  acr_cfg.checkpoint_interval = 0.002;
-  acr_cfg.heartbeat_period = 0.001;
-  acr_cfg.heartbeat_timeout = 0.005;
-  AcrRuntime runtime(acr_cfg, small_cluster(j));
-  runtime.set_task_factory(j.factory());
-  runtime.setup();
+  auto job = start(small_job());
+  AcrRuntime& runtime = *job;
   RunSummary s = runtime.run(1e4);
   EXPECT_TRUE(s.complete);
   EXPECT_FALSE(s.failed);
@@ -62,14 +55,8 @@ TEST(IntegrationSmoke, FailureFreeRunCompletes) {
 }
 
 TEST(IntegrationSmoke, InjectedSdcIsDetectedAndRepaired) {
-  apps::Jacobi3DConfig j = small_jacobi();
-  AcrConfig acr_cfg;
-  acr_cfg.checkpoint_interval = 0.002;
-  acr_cfg.heartbeat_period = 0.001;
-  acr_cfg.heartbeat_timeout = 0.005;
-  AcrRuntime runtime(acr_cfg, small_cluster(j));
-  runtime.set_task_factory(j.factory());
-  runtime.setup();
+  auto job = start(small_job());
+  AcrRuntime& runtime = *job;
   // Corrupt an interior solution value in replica 0, node 1, slot 0 — data
   // that is checkpointed and propagates, so detection is guaranteed.
   runtime.engine().schedule_at(0.004, [&runtime]() {
@@ -86,16 +73,11 @@ TEST(IntegrationSmoke, InjectedSdcIsDetectedAndRepaired) {
 }
 
 TEST(IntegrationSmoke, HardFailureIsRecovered) {
-  apps::Jacobi3DConfig j = small_jacobi();
-  AcrConfig acr_cfg;
-  acr_cfg.checkpoint_interval = 0.002;
-  acr_cfg.heartbeat_period = 0.001;
-  acr_cfg.heartbeat_timeout = 0.005;
-  acr_cfg.scheme = ResilienceScheme::Strong;
-  AcrRuntime runtime(acr_cfg, small_cluster(j));
-  runtime.set_task_factory(j.factory());
-  runtime.setup();
-  runtime.inject(failure::Fault::kill_role(0.006, 1, 2));
+  Scenario crash = small_job();
+  crash.acr.scheme = ResilienceScheme::Strong;
+  crash.scripted = {failure::Fault::kill_role(0.006, 1, 2)};
+  auto job = start(crash);
+  AcrRuntime& runtime = *job;
   RunSummary s = runtime.run(1e4);
   EXPECT_TRUE(s.complete);
   EXPECT_EQ(s.hard_failures, 1u);
@@ -106,29 +88,19 @@ TEST(IntegrationSmoke, HardFailureIsRecovered) {
 /// Golden-run equivalence: with failures injected and recovered, the final
 /// application state matches a failure-free reference run bit-for-bit.
 TEST(IntegrationSmoke, RecoveredRunMatchesReference) {
-  apps::Jacobi3DConfig j = small_jacobi();
   std::uint64_t reference = 0;
   {
-    AcrConfig acr_cfg;
-    acr_cfg.checkpoint_interval = 0.002;
-  acr_cfg.heartbeat_period = 0.001;
-  acr_cfg.heartbeat_timeout = 0.005;
-    AcrRuntime runtime(acr_cfg, small_cluster(j));
-    runtime.set_task_factory(j.factory());
-    runtime.setup();
+    auto job = start(small_job());
+    AcrRuntime& runtime = *job;
     RunSummary s = runtime.run(1e4);
     ASSERT_TRUE(s.complete);
     reference = replica_digest(runtime, 0);
   }
   {
-    AcrConfig acr_cfg;
-    acr_cfg.checkpoint_interval = 0.002;
-  acr_cfg.heartbeat_period = 0.001;
-  acr_cfg.heartbeat_timeout = 0.005;
-    AcrRuntime runtime(acr_cfg, small_cluster(j));
-    runtime.set_task_factory(j.factory());
-    runtime.setup();
-    runtime.inject(failure::Fault::kill_role(0.005, 0, 3));
+    Scenario crash = small_job();
+    crash.scripted = {failure::Fault::kill_role(0.005, 0, 3)};
+    auto job = start(crash);
+    AcrRuntime& runtime = *job;
     runtime.engine().schedule_at(0.009, [&runtime]() {
       auto& task = static_cast<apps::Jacobi3DTask&>(
           runtime.cluster().node_at(1, 0).task(1));

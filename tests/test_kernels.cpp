@@ -11,10 +11,8 @@
 #include <string>
 #include <vector>
 
-#include "acr/runtime.h"
-#include "apps/jacobi3d.h"
+#include "acr/scenario.h"
 #include "checksum/crc32c.h"
-#include "checksum/fletcher.h"
 #include "checksum/kernels.h"
 #include "common/rng.h"
 #include "failure/distributions.h"
@@ -235,28 +233,9 @@ void expect_summaries_equal(const RunSummary& a, const RunSummary& b,
   EXPECT_EQ(a.xor_rebuilds, b.xor_rebuilds) << what;
 }
 
-/// Fletcher-64 over the best verified image of every node role — the same
-/// end-state fingerprint the soak tests use, valid even mid-recovery.
-std::uint64_t final_state_digest(AcrRuntime& runtime) {
-  checksum::Fletcher64 f;
-  for (int i = 0; i < runtime.cluster().nodes_per_replica(); ++i) {
-    NodeAgent& a = runtime.agent_at(0, i);
-    NodeAgent& b = runtime.agent_at(1, i);
-    const NodeAgent& best = a.verified_epoch() >= b.verified_epoch() ? a : b;
-    f.append(best.verified_image());
-  }
-  return f.digest();
-}
-
-struct ScenarioResult {
-  RunSummary summary;
-  std::uint64_t state_digest = 0;
-  std::size_t trace_events = 0;
-};
-
 /// Partner scenario: checksum detection (buddy digest path), SDC + hard
 /// faults, lossy/corrupting network (frame CRC + flip-delta path).
-ScenarioResult run_partner_scenario() {
+JobResult run_partner_scenario() {
   apps::Jacobi3DConfig j;
   j.tasks_x = j.tasks_y = 2;
   j.tasks_z = 2;
@@ -264,37 +243,26 @@ ScenarioResult run_partner_scenario() {
   j.iterations = 25;
   j.slots_per_node = 2;
   j.seconds_per_point = 1e-5;
-  AcrConfig ac;
-  ac.detection = SdcDetection::Checksum;
-  ac.checkpoint_interval = 0.002;
-  ac.heartbeat_period = 0.001;
-  ac.heartbeat_timeout = 0.005;
-  rt::ClusterConfig cc;
-  cc.nodes_per_replica = j.nodes_needed();
-  cc.spare_nodes = 2;
-  cc.net_faults.drop_rate = 0.02;
-  cc.net_faults.corrupt_rate = 0.02;
-  AcrRuntime runtime(ac, cc);
-  runtime.set_task_factory(j.factory());
-  runtime.setup();
-  FaultPlan plan;
-  plan.arrivals = std::make_shared<failure::RenewalProcess>(
+  Scenario s;
+  s.app = j;
+  s.acr.detection = SdcDetection::Checksum;
+  s.acr.checkpoint_interval = 0.002;
+  s.acr.heartbeat_period = 0.001;
+  s.acr.heartbeat_timeout = 0.005;
+  s.cluster.spare_nodes = 2;
+  s.cluster.net_faults.drop_rate = 0.02;
+  s.cluster.net_faults.corrupt_rate = 0.02;
+  s.faults.arrivals = std::make_shared<failure::RenewalProcess>(
       std::make_shared<failure::Exponential>(0.003));
-  plan.sdc_fraction = 1.0;  // soft errors: exercises the digest compare
-  runtime.set_fault_plan(plan);
-  ScenarioResult res;
-  res.summary = runtime.run(30.0);
-  if (res.summary.complete)
-    runtime.engine().run_until(res.summary.finish_time + 0.05);
-  res.state_digest = final_state_digest(runtime);
-  res.trace_events = runtime.trace().events().size();
-  return res;
+  s.faults.sdc_fraction = 1.0;  // soft errors: exercises the digest compare
+  s.max_virtual_time = 30.0;
+  return run(s);
 }
 
 /// Xor scenario (--ckpt-scheme=xor: rs with one parity block): the RAID-5
 /// parity build over the GF(256) row kernel, plus a hard fault to trigger a
 /// rebuild.
-ScenarioResult run_xor_scenario() {
+JobResult run_xor_scenario() {
   apps::Jacobi3DConfig j;
   j.tasks_x = j.tasks_y = 2;
   j.tasks_z = 4;
@@ -302,59 +270,52 @@ ScenarioResult run_xor_scenario() {
   j.iterations = 30;
   j.slots_per_node = 2;  // 8 nodes per replica -> 2 parity groups of 4
   j.seconds_per_point = 1e-5;
-  AcrConfig ac;
-  ac.scheme = ResilienceScheme::Strong;
-  ac.redundancy = ckpt::Scheme::Rs;
-  ac.rs_parity = 1;
-  ac.xor_group_size = 4;
-  ac.checkpoint_interval = 0.003;
-  ac.heartbeat_period = 0.0004;
-  ac.heartbeat_timeout = 0.0016;
-  rt::ClusterConfig cc;
-  cc.nodes_per_replica = j.nodes_needed();
-  cc.spare_nodes = 8;
-  AcrRuntime runtime(ac, cc);
-  runtime.set_task_factory(j.factory());
-  runtime.setup();
-  FaultPlan plan;
-  plan.arrivals = std::make_shared<failure::RenewalProcess>(
+  Scenario s;
+  s.app = j;
+  s.acr.scheme = ResilienceScheme::Strong;
+  s.acr.redundancy = ckpt::Scheme::Rs;
+  s.acr.rs_parity = 1;
+  s.acr.xor_group_size = 4;
+  s.acr.checkpoint_interval = 0.003;
+  s.acr.heartbeat_period = 0.0004;
+  s.acr.heartbeat_timeout = 0.0016;
+  s.cluster.spare_nodes = 8;
+  s.faults.arrivals = std::make_shared<failure::RenewalProcess>(
       std::make_shared<failure::Exponential>(0.01));
-  plan.sdc_fraction = 0.0;  // hard faults: exercises parity rebuild
-  runtime.set_fault_plan(plan);
-  ScenarioResult res;
-  res.summary = runtime.run(30.0);
-  if (res.summary.complete)
-    runtime.engine().run_until(res.summary.finish_time + 0.05);
-  res.state_digest = final_state_digest(runtime);
-  res.trace_events = runtime.trace().events().size();
-  return res;
+  s.faults.sdc_fraction = 0.0;  // hard faults: exercises parity rebuild
+  s.max_virtual_time = 30.0;
+  return run(s);
 }
 
-template <typename Scenario>
-void check_scenario_determinism(Scenario scenario, const char* name) {
-  ScenarioResult base;
+template <typename Job>
+void check_scenario_determinism(Job scenario, const char* name) {
+  JobResult base;
   {
     ScopedImpl impl(KernelImpl::Portable);
     base = scenario();
   }
   if (!checksum::hw_kernels_available()) return;
   ScopedImpl impl(KernelImpl::Hw);
-  ScenarioResult got = scenario();
+  JobResult got = scenario();
   std::string what = std::string(name) + " hw";
   expect_summaries_equal(base.summary, got.summary, what.c_str());
-  EXPECT_EQ(base.state_digest, got.state_digest) << what;
-  EXPECT_EQ(base.trace_events, got.trace_events) << what;
+  // The verified answer's fingerprint, taken even if the job did not end.
+  EXPECT_EQ(verified_digest(*base.runtime), verified_digest(*got.runtime))
+      << what;
+  EXPECT_EQ(base.runtime->trace().events().size(),
+            got.runtime->trace().events().size())
+      << what;
 }
 
 // The determinism check is only meaningful if the scenarios actually drive
 // the kernel-touched paths: digests, frame CRCs, parity folds.
 TEST(KernelDeterminism, ScenariosExerciseKernelPaths) {
-  ScenarioResult partner = run_partner_scenario();
+  JobResult partner = run_partner_scenario();
   EXPECT_GT(partner.summary.checkpoints, 0u);
   EXPECT_GT(partner.summary.net_frames, 0u);       // frame CRC path
   EXPECT_GT(partner.summary.net_corruptions, 0u);  // flip-delta path
   EXPECT_GT(partner.summary.sdc_injected, 0u);     // digest-compare path
-  ScenarioResult xorr = run_xor_scenario();
+  JobResult xorr = run_xor_scenario();
   EXPECT_GT(xorr.summary.checkpoints, 0u);
   EXPECT_GT(xorr.summary.parity_chunks_sent, 0u);  // parity fold path
   EXPECT_GT(xorr.summary.hard_failures, 0u);       // rebuild/restart path

@@ -18,8 +18,7 @@
 #include <new>
 #include <vector>
 
-#include "acr/runtime.h"
-#include "apps/jacobi3d.h"
+#include "acr/scenario.h"
 #include "rt/engine.h"
 
 namespace {
@@ -79,35 +78,38 @@ class CountingTask final : public rt::Task {
   std::uint64_t& delivered_;
 };
 
-TEST(MessagePath, SteadyIterationsAllocateAtMostFourTimesPerMessage) {
-  apps::Jacobi3DConfig app;  // acr_driver's jacobi at 8 nodes per replica
-  app.tasks_x = app.tasks_y = 2;
-  app.tasks_z = 8;
-  app.block_x = app.block_y = app.block_z = 4;
-  app.slots_per_node = 4;
-  app.iterations = 40;
-  app.seconds_per_point = 1e-5;
-  AcrConfig ac;
-  ac.scheme = ResilienceScheme::Strong;
-  ac.detection = SdcDetection::FullCompare;
-  ac.checkpoint_interval = 1.0;  // past the end of the job: no checkpoint
-  ac.heartbeat_period = 0.0005;
-  ac.heartbeat_timeout = 0.002;
-  rt::ClusterConfig cc;
-  cc.nodes_per_replica = app.nodes_needed();
-  cc.spare_nodes = 2;
-  cc.seed = 1;
+/// acr_driver's job on the command line `argv`.
+Scenario driver_job(std::vector<const char*> argv) {
+  argv.insert(argv.begin(), "acr_driver");
+  std::string error;
+  std::optional<DriverFlags> parsed = parse_driver_flags(
+      static_cast<int>(argv.size()), argv.data(), &error);
+  ACR_REQUIRE(parsed.has_value(), error.c_str());
+  return parsed->scenario;
+}
 
-  std::uint64_t delivered = 0;
-  rt::Cluster::TaskFactory inner = app.factory();
-  AcrRuntime runtime(ac, cc);
-  runtime.set_task_factory([&](int replica, int node_index) {
+/// acr_driver's jacobi at 8 nodes per replica with 2 spares and no
+/// checkpoint in the run, every task wrapped to count the messages it is
+/// handed.
+std::unique_ptr<AcrRuntime> counting_job(std::uint64_t& delivered) {
+  Scenario s = driver_job({"--iterations=40", "--interval=1", "--spares=2"});
+  auto runtime = std::make_unique<AcrRuntime>(s.acr, s.cluster_config());
+  rt::Cluster::TaskFactory inner =
+      std::get<apps::Jacobi3DConfig>(s.app).factory();
+  runtime->set_task_factory([inner, &delivered](int replica, int node_index) {
     std::vector<std::unique_ptr<rt::Task>> tasks;
     for (auto& t : inner(replica, node_index))
       tasks.push_back(std::make_unique<CountingTask>(std::move(t), delivered));
     return tasks;
   });
-  runtime.setup();
+  runtime->setup();
+  return runtime;
+}
+
+TEST(MessagePath, SteadyIterationsAllocateAtMostFourTimesPerMessage) {
+  std::uint64_t delivered = 0;
+  std::unique_ptr<AcrRuntime> job = counting_job(delivered);
+  AcrRuntime& runtime = *job;
 
   // An iteration takes about 0.7 ms of virtual time: warm up for about 7,
   // then measure about 20.
@@ -132,34 +134,9 @@ TEST(MessagePath, SteadyIterationsAllocateAtMostFourTimesPerMessage) {
 /// Allocations per task message over the same steady window as the test
 /// above.
 double steady_allocations_per_message() {
-  apps::Jacobi3DConfig app;  // acr_driver's jacobi at 8 nodes per replica
-  app.tasks_x = app.tasks_y = 2;
-  app.tasks_z = 8;
-  app.block_x = app.block_y = app.block_z = 4;
-  app.slots_per_node = 4;
-  app.iterations = 40;
-  app.seconds_per_point = 1e-5;
-  AcrConfig ac;
-  ac.scheme = ResilienceScheme::Strong;
-  ac.detection = SdcDetection::FullCompare;
-  ac.checkpoint_interval = 1.0;  // past the end of the job: no checkpoint
-  ac.heartbeat_period = 0.0005;
-  ac.heartbeat_timeout = 0.002;
-  rt::ClusterConfig cc;
-  cc.nodes_per_replica = app.nodes_needed();
-  cc.spare_nodes = 2;
-  cc.seed = 1;
-
   std::uint64_t delivered = 0;
-  rt::Cluster::TaskFactory inner = app.factory();
-  AcrRuntime runtime(ac, cc);
-  runtime.set_task_factory([&](int replica, int node_index) {
-    std::vector<std::unique_ptr<rt::Task>> tasks;
-    for (auto& t : inner(replica, node_index))
-      tasks.push_back(std::make_unique<CountingTask>(std::move(t), delivered));
-    return tasks;
-  });
-  runtime.setup();
+  std::unique_ptr<AcrRuntime> job = counting_job(delivered);
+  AcrRuntime& runtime = *job;
   runtime.engine().run_until(0.005);
   std::uint64_t allocs0 = g_allocations;
   std::uint64_t delivered0 = delivered;
@@ -232,34 +209,16 @@ TEST(Footprint, JacobiTaskKeepsOneSolutionBlock) {
 }
 
 TEST(Footprint, StrongRunHoldsOneVerifiedImagePerIndex) {
-  apps::Jacobi3DConfig app;  // acr_driver's jacobi at 8 nodes per replica
-  app.tasks_x = app.tasks_y = 2;
-  app.tasks_z = 8;
-  app.block_x = app.block_y = app.block_z = 4;
-  app.slots_per_node = 4;
-  app.iterations = 16;
-  app.seconds_per_point = 1e-5;
-  AcrConfig ac;
-  ac.scheme = ResilienceScheme::Strong;
-  ac.detection = SdcDetection::FullCompare;
-  ac.checkpoint_interval = 0.004;
-  ac.heartbeat_period = 0.0005;
-  ac.heartbeat_timeout = 0.002;
-  rt::ClusterConfig cc;
-  cc.nodes_per_replica = app.nodes_needed();
-  cc.spare_nodes = 2;
-  AcrRuntime runtime(ac, cc);
-  runtime.set_task_factory(app.factory());
-  runtime.setup();
-  RunSummary s = runtime.run(1.0);
-  ASSERT_TRUE(s.complete);
-  runtime.engine().run_until(s.finish_time + 0.01);
+  // acr_driver's jacobi at 8 nodes per replica.
+  JobResult job = run(driver_job({"--iterations=16", "--spares=2"}));
+  ASSERT_TRUE(job.summary.complete);
+  AcrRuntime& runtime = *job.runtime;
   ASSERT_GE(runtime.trace().count(rt::TraceKind::CheckpointCommitted), 2u);
 
   // Distinct image storages across both replicas' stores.
   std::vector<buf::Buffer> held;
   for (int r = 0; r < 2; ++r) {
-    for (int i = 0; i < cc.nodes_per_replica; ++i) {
+    for (int i = 0; i < runtime.cluster().nodes_per_replica(); ++i) {
       const ckpt::Store& store = runtime.agent_at(r, i).store();
       ASSERT_TRUE(store.has_verified());
       EXPECT_FALSE(store.has_candidate());
@@ -269,7 +228,8 @@ TEST(Footprint, StrongRunHoldsOneVerifiedImagePerIndex) {
       if (!seen) held.push_back(b);
     }
   }
-  EXPECT_EQ(held.size(), static_cast<std::size_t>(cc.nodes_per_replica));
+  EXPECT_EQ(held.size(),
+            static_cast<std::size_t>(runtime.cluster().nodes_per_replica()));
 }
 
 }  // namespace

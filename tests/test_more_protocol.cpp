@@ -3,33 +3,32 @@
 // adaptive + prediction), and numerical sanity of the Jacobi solver.
 #include <gtest/gtest.h>
 
-#include "acr/runtime.h"
-#include "apps/jacobi3d.h"
+#include "acr/scenario.h"
 #include "failure/distributions.h"
 
 namespace acr {
 namespace {
 
-apps::Jacobi3DConfig app_cfg(std::uint64_t iterations = 40) {
+/// A Jacobi3D job of `iterations` iterations under `ac`, no spares.
+Scenario job_of(const AcrConfig& ac, std::uint64_t iterations = 40) {
   apps::Jacobi3DConfig cfg;
   cfg.tasks_x = cfg.tasks_y = cfg.tasks_z = 2;
   cfg.block_x = cfg.block_y = cfg.block_z = 4;
   cfg.iterations = iterations;
   cfg.slots_per_node = 2;
   cfg.seconds_per_point = 1e-5;
-  return cfg;
+  Scenario s;
+  s.app = cfg;
+  s.acr = ac;
+  s.cluster.spare_nodes = 0;
+  return s;
 }
 
 TEST(Protocol, CommitsAreSpacedByTheConfiguredInterval) {
-  apps::Jacobi3DConfig j = app_cfg(60);
   AcrConfig ac;
   ac.checkpoint_interval = 0.004;
-  rt::ClusterConfig cc;
-  cc.nodes_per_replica = j.nodes_needed();
-  cc.spare_nodes = 0;
-  AcrRuntime runtime(ac, cc);
-  runtime.set_task_factory(j.factory());
-  runtime.setup();
+  auto job = start(job_of(ac, 60));
+  AcrRuntime& runtime = *job;
   RunSummary s = runtime.run(100.0);
   ASSERT_TRUE(s.complete);
   std::vector<double> commits;
@@ -47,16 +46,11 @@ TEST(Protocol, CommitsAreSpacedByTheConfiguredInterval) {
 }
 
 TEST(Protocol, VerifyAtCompletionOffMatchesPaperSemantics) {
-  apps::Jacobi3DConfig j = app_cfg();
   AcrConfig ac;
   ac.checkpoint_interval = 0.004;
   ac.verify_at_completion = false;
-  rt::ClusterConfig cc;
-  cc.nodes_per_replica = j.nodes_needed();
-  cc.spare_nodes = 0;
-  AcrRuntime runtime(ac, cc);
-  runtime.set_task_factory(j.factory());
-  runtime.setup();
+  auto job = start(job_of(ac));
+  AcrRuntime& runtime = *job;
   RunSummary s = runtime.run(100.0);
   ASSERT_TRUE(s.complete);
   // Completion declared by the first finished replica, not by a final
@@ -68,15 +62,10 @@ TEST(Protocol, VerifyAtCompletionOffMatchesPaperSemantics) {
 }
 
 TEST(Protocol, VerifyAtCompletionOnEmitsVerifiedResult) {
-  apps::Jacobi3DConfig j = app_cfg();
   AcrConfig ac;
   ac.checkpoint_interval = 0.004;
-  rt::ClusterConfig cc;
-  cc.nodes_per_replica = j.nodes_needed();
-  cc.spare_nodes = 0;
-  AcrRuntime runtime(ac, cc);
-  runtime.set_task_factory(j.factory());
-  runtime.setup();
+  auto job = start(job_of(ac));
+  AcrRuntime& runtime = *job;
   RunSummary s = runtime.run(100.0);
   ASSERT_TRUE(s.complete);
   const rt::TraceEvent* done =
@@ -94,8 +83,8 @@ TEST(Protocol, VerifyAtCompletionOnEmitsVerifiedResult) {
 TEST(Protocol, AllFeaturesComposeUnderFaults) {
   // Semi-blocking + adaptive interval + failure prediction + checksum
   // detection, with a mixed fault storm: must terminate correctly.
-  apps::Jacobi3DConfig j = app_cfg(60);
-  AcrConfig ac;
+  Scenario storm = job_of(AcrConfig{}, 60);
+  AcrConfig& ac = storm.acr;
   ac.scheme = ResilienceScheme::Strong;
   ac.detection = SdcDetection::Checksum;
   ac.semi_blocking = true;
@@ -106,24 +95,18 @@ TEST(Protocol, AllFeaturesComposeUnderFaults) {
   ac.checkpoint_interval = 0.004;
   ac.heartbeat_period = 0.0005;
   ac.heartbeat_timeout = 0.002;
-  rt::ClusterConfig cc;
-  cc.nodes_per_replica = j.nodes_needed();
-  cc.spare_nodes = 12;
-  cc.seed = 777;
-  AcrRuntime runtime(ac, cc);
-  runtime.set_task_factory(j.factory());
-  runtime.setup();
+  storm.cluster.spare_nodes = 12;
+  storm.cluster.seed = 777;
   PredictorConfig pred;
   pred.recall = 0.7;
   pred.precision = 0.8;
   pred.lead_time = 0.001;
-  runtime.set_predictor(pred);
-  FaultPlan plan;
-  plan.arrivals = std::make_shared<failure::RenewalProcess>(
+  storm.predictor = pred;
+  storm.faults.arrivals = std::make_shared<failure::RenewalProcess>(
       std::make_shared<failure::Exponential>(0.01));
-  plan.sdc_fraction = 0.4;
-  runtime.set_fault_plan(plan);
-  RunSummary s = runtime.run(60.0);
+  storm.faults.sdc_fraction = 0.4;
+  storm.max_virtual_time = 60.0;
+  RunSummary s = run(storm).summary;
   EXPECT_TRUE(s.complete || s.failed) << "wedged at " << s.finish_time;
 }
 
@@ -131,15 +114,10 @@ TEST(Jacobi, StencilSmoothsTowardTheZeroBoundary) {
   // With zero Dirichlet-style ghosts, repeated averaging must contract the
   // solution norm; more iterations, smaller norm.
   auto run_norm = [](std::uint64_t iterations) {
-    apps::Jacobi3DConfig j = app_cfg(iterations);
     AcrConfig ac;
     ac.checkpoint_interval = 1e6;  // pure solve
-    rt::ClusterConfig cc;
-    cc.nodes_per_replica = j.nodes_needed();
-    cc.spare_nodes = 0;
-    AcrRuntime runtime(ac, cc);
-    runtime.set_task_factory(j.factory());
-    runtime.setup();
+    auto job = start(job_of(ac, iterations));
+    AcrRuntime& runtime = *job;
     RunSummary s = runtime.run(100.0);
     EXPECT_TRUE(s.complete);
     double norm = 0.0;

@@ -1,8 +1,7 @@
 // Failure-prediction hook (§2.2): analytic model and end-to-end effect.
 #include <gtest/gtest.h>
 
-#include "acr/runtime.h"
-#include "apps/jacobi3d.h"
+#include "acr/scenario.h"
 #include "failure/distributions.h"
 
 namespace acr {
@@ -56,33 +55,27 @@ TEST(PredictorRuntime, WarningTriggersCheckpointBeforeFailure) {
   j.slots_per_node = 2;
   j.seconds_per_point = 1e-5;
 
-  AcrConfig ac;
-  ac.scheme = ResilienceScheme::Strong;
-  ac.checkpoint_interval = 0.01;  // long period: rework would be expensive
-  ac.heartbeat_period = 0.0005;
-  ac.heartbeat_timeout = 0.002;
-
-  rt::ClusterConfig cc;
-  cc.nodes_per_replica = j.nodes_needed();
-  cc.spare_nodes = 4;
-
-  AcrRuntime runtime(ac, cc);
-  runtime.set_task_factory(j.factory());
-  runtime.setup();
+  Scenario job;
+  job.app = j;
+  job.acr.scheme = ResilienceScheme::Strong;
+  job.acr.checkpoint_interval = 0.01;  // long period: rework would be expensive
+  job.acr.heartbeat_period = 0.0005;
+  job.acr.heartbeat_timeout = 0.002;
+  job.cluster.spare_nodes = 4;
   // One hard failure at a known-ish time via a renewal process with a huge
   // first gap ruled out: use a short-mean process bounded by the horizon.
-  FaultPlan plan;
-  plan.arrivals = std::make_shared<failure::RenewalProcess>(
+  job.faults.arrivals = std::make_shared<failure::RenewalProcess>(
       std::make_shared<failure::Exponential>(0.006));
-  plan.sdc_fraction = 0.0;
-  plan.horizon = 0.012;
+  job.faults.sdc_fraction = 0.0;
+  job.faults.horizon = 0.012;
   PredictorConfig pred;
   pred.recall = 1.0;
   pred.precision = 1.0;
   pred.lead_time = 0.002;
-  runtime.set_predictor(pred);
-  runtime.set_fault_plan(plan);
+  job.predictor = pred;
 
+  std::unique_ptr<AcrRuntime> started = start(job);
+  AcrRuntime& runtime = *started;
   RunSummary s = runtime.run(10.0);
   ASSERT_TRUE(s.complete);
   if (s.hard_failures == 0) GTEST_SKIP() << "no failure landed in horizon";
@@ -112,31 +105,26 @@ TEST(PredictorRuntime, PredictionReducesTotalTimeUnderFrequentFailures) {
     j.iterations = 60;
     j.slots_per_node = 2;
     j.seconds_per_point = 1e-5;
-    AcrConfig ac;
-    ac.scheme = ResilienceScheme::Strong;
-    ac.checkpoint_interval = 0.015;  // sparse periodic checkpoints
-    ac.heartbeat_period = 0.0005;
-    ac.heartbeat_timeout = 0.002;
-    rt::ClusterConfig cc;
-    cc.nodes_per_replica = j.nodes_needed();
-    cc.spare_nodes = 12;
-    cc.seed = 4242;
-    AcrRuntime runtime(ac, cc);
-    runtime.set_task_factory(j.factory());
-    runtime.setup();
-    FaultPlan plan;
-    plan.arrivals = std::make_shared<failure::RenewalProcess>(
+    Scenario job;
+    job.app = j;
+    job.acr.scheme = ResilienceScheme::Strong;
+    job.acr.checkpoint_interval = 0.015;  // sparse periodic checkpoints
+    job.acr.heartbeat_period = 0.0005;
+    job.acr.heartbeat_timeout = 0.002;
+    job.cluster.spare_nodes = 12;
+    job.cluster.seed = 4242;
+    job.faults.arrivals = std::make_shared<failure::RenewalProcess>(
         std::make_shared<failure::Exponential>(0.012));
-    plan.sdc_fraction = 0.0;
+    job.faults.sdc_fraction = 0.0;
     if (with_predictor) {
       PredictorConfig pred;
       pred.recall = 1.0;
       pred.precision = 1.0;
       pred.lead_time = 0.001;
-      runtime.set_predictor(pred);
+      job.predictor = pred;
     }
-    runtime.set_fault_plan(plan);
-    RunSummary s = runtime.run(30.0);
+    job.max_virtual_time = 30.0;
+    RunSummary s = run(job).summary;
     EXPECT_TRUE(s.complete || s.failed);
     return s;
   };

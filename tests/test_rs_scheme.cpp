@@ -16,8 +16,7 @@
 #include <memory>
 #include <vector>
 
-#include "acr/runtime.h"
-#include "apps/jacobi3d.h"
+#include "acr/scenario.h"
 #include "checksum/crc32c.h"
 #include "ckpt/codec.h"
 #include "ckpt/group.h"
@@ -429,15 +428,11 @@ std::unique_ptr<AcrRuntime> six_node_job(ckpt::Scheme redundancy) {
   app.tasks_z = 1;
   app.slots_per_node = 1;
   app.block_x = app.block_y = app.block_z = 4;
-  AcrConfig ac;
-  ac.redundancy = redundancy;
-  ac.rs_parity = 1;
-  rt::ClusterConfig cc;
-  cc.nodes_per_replica = app.nodes_needed();
-  auto job = std::make_unique<AcrRuntime>(ac, cc);
-  job->set_task_factory(app.factory());
-  job->setup();
-  return job;
+  Scenario s;
+  s.app = app;
+  s.acr.redundancy = redundancy;
+  s.acr.rs_parity = 1;
+  return start(s);
 }
 
 TEST(AgentRs, HeldOnlyUnderRs) {

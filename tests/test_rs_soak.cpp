@@ -27,8 +27,6 @@
 #include <map>
 #include <vector>
 
-#include "acr/runtime.h"
-#include "apps/jacobi3d.h"
 #include "ckpt/group.h"
 #include "common/rng.h"
 #include "soak_util.h"
@@ -58,8 +56,9 @@ const soak::Reference& reference(int parity = kParity) {
   if (it == cached.end())
     it = cached
              .emplace(parity, soak::make_reference(
-                                  soak::small_app(),
-                                  soak_acr_config(/*tier=*/false, parity),
+                                  soak::job(soak_acr_config(/*tier=*/false,
+                                                            parity),
+                                            0),
                                   "rs soak reference run must complete"))
              .first;
   return it->second;
@@ -71,15 +70,13 @@ const soak::Reference& reference(int parity = kParity) {
 /// epoch is always durable on L2 — the "zero scratch restarts" pin is
 /// about recovery routing, not about faults outrunning the first commit.
 struct SoakOutcome {
-  soak::Outcome out;
+  JobResult out;
   int kills = 0;
 };
 
 SoakOutcome soak_run(std::uint64_t seed) {
-  soak::Sim sim(soak_acr_config(/*tier=*/true), 16, seed);
-  AcrRuntime& runtime = sim.runtime;
-
-  ckpt::GroupMap groups(sim.app.nodes_needed(), kGroupSize);
+  Scenario s = soak::job(soak_acr_config(/*tier=*/true), 16, seed);
+  ckpt::GroupMap groups(s.nodes_per_replica(), kGroupSize);
   ACR_REQUIRE(groups.enabled(), "soak requires grouping");
   Pcg32 rng(seed, 0x2505);
   SoakOutcome o;
@@ -94,13 +91,13 @@ SoakOutcome soak_run(std::uint64_t seed) {
       double when = reference().finish_time * (0.25 + 0.70 * rng.uniform());
       double gap = 2e-4 * rng.uniform();  // second death lands mid-recovery
       for (auto [victim, at] : {std::pair{a, when}, std::pair{b, when + gap}}) {
-        runtime.inject(failure::Fault::kill_role(at, r, victim));
+        s.scripted.push_back(failure::Fault::kill_role(at, r, victim));
         ++o.kills;
       }
     }
   }
 
-  o.out = soak::run_and_digest(runtime);
+  o.out = run(s);
   return o;
 }
 
@@ -128,21 +125,20 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RsSoak, ::testing::Range(0, 110));
 
 /// Wire a no-tier runtime and kill `dead` members of replica 0's first
 /// group at mid-run, `gap` apart.
-soak::Outcome run_group_kill(const AcrConfig& ac,
-                             const std::vector<int>& dead, double gap) {
-  soak::Sim sim(ac, 8, 91);
-  AcrRuntime& runtime = sim.runtime;
+JobResult run_group_kill(const AcrConfig& ac, const std::vector<int>& dead,
+                         double gap) {
+  Scenario s = soak::job(ac, 8, 91);
   double mid = reference().finish_time * 0.5;
   for (std::size_t i = 0; i < dead.size(); ++i)
-    runtime.inject(failure::Fault::kill_role(
+    s.scripted.push_back(failure::Fault::kill_role(
         mid + gap * static_cast<double>(i), 0, dead[i]));
-  return soak::run_and_digest(runtime);
+  return run(s);
 }
 
 /// Two dead in one group, no tier anywhere: the RS wave alone rebuilds
 /// both spares bitwise — no fetch ladder, no scratch restart.
 TEST(RsTargeted, TwoDeadInOneGroupRebuildViaParityAlone) {
-  soak::Outcome o =
+  JobResult o =
       run_group_kill(soak_acr_config(/*tier=*/false), {1, 2}, 1e-5);
   ASSERT_TRUE(o.summary.complete) << "double loss not survived under rs";
   EXPECT_EQ(o.digest, reference().digest);
@@ -157,7 +153,7 @@ TEST(RsTargeted, TwoDeadInOneGroupRebuildViaParityAlone) {
 /// parity block cannot cover two losses, so the manager must degrade
 /// (scratch restart) — and the job still finishes with the right answer.
 TEST(RsTargeted, IdenticalScheduleUnderXorDegrades) {
-  soak::Outcome o =
+  JobResult o =
       run_group_kill(soak_acr_config(/*tier=*/false, 1), {1, 2}, 1e-5);
   ASSERT_TRUE(o.summary.complete);
   EXPECT_EQ(o.digest, reference().digest);
@@ -168,7 +164,7 @@ TEST(RsTargeted, IdenticalScheduleUnderXorDegrades) {
 /// Three dead in one group exceed m = 2: undecodable, so the manager falls
 /// down the recovery ladder (scratch without a tier) and still completes.
 TEST(RsTargeted, BeyondParityBudgetFallsDownTheLadder) {
-  soak::Outcome o =
+  JobResult o =
       run_group_kill(soak_acr_config(/*tier=*/false), {0, 1, 2}, 1e-5);
   ASSERT_TRUE(o.summary.complete) << "triple loss wedged the job";
   EXPECT_EQ(o.digest, reference().digest);
@@ -178,7 +174,7 @@ TEST(RsTargeted, BeyondParityBudgetFallsDownTheLadder) {
 /// The whole recovery path — GF(256) encode, the multi-loss Gaussian
 /// solve, the restore — reproduces the fault-free answer bit for bit.
 TEST(RsTargeted, RebuildIsKernelThreadCountInvariant) {
-  soak::Outcome o =
+  JobResult o =
       run_group_kill(soak_acr_config(/*tier=*/false), {1, 3}, 1e-5);
   ASSERT_TRUE(o.summary.complete);
   EXPECT_EQ(o.digest, reference().digest);
@@ -192,8 +188,8 @@ TEST(RsTargeted, RebuildIsKernelThreadCountInvariant) {
 /// death of one uniformly chosen member at a uniformly chosen time within
 /// the nominal run.
 SoakOutcome single_kill_soak_run(std::uint64_t seed) {
-  soak::Sim sim(soak_acr_config(/*tier=*/false, 1), 16, seed);
-  ckpt::GroupMap groups(sim.app.nodes_needed(), kGroupSize);
+  Scenario s = soak::job(soak_acr_config(/*tier=*/false, 1), 16, seed);
+  ckpt::GroupMap groups(s.nodes_per_replica(), kGroupSize);
   ACR_REQUIRE(groups.enabled(), "soak requires grouping");
   Pcg32 rng(seed, 0x50AF);
   SoakOutcome o;
@@ -204,11 +200,11 @@ SoakOutcome single_kill_soak_run(std::uint64_t seed) {
           static_cast<std::uint32_t>(members.size()))];
       // Anywhere from before the first checkpoint to just shy of the end.
       double at = reference(1).finish_time * (0.02 + 0.93 * rng.uniform());
-      sim.runtime.inject(failure::Fault::kill_role(at, r, victim));
+      s.scripted.push_back(failure::Fault::kill_role(at, r, victim));
       ++o.kills;
     }
   }
-  o.out = soak::run_and_digest(sim.runtime);
+  o.out = run(s);
   return o;
 }
 
@@ -236,11 +232,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, XorSoak, ::testing::Range(0, 110));
 /// Under group parity the two buddies sit in *different* groups (one per
 /// replica), so both rebuild independently from their group peers.
 TEST(XorTargeted, BuddyPairLossIsSurvivable) {
-  soak::Sim sim(soak_acr_config(/*tier=*/false, 1), 8, 77);
+  Scenario s = soak::job(soak_acr_config(/*tier=*/false, 1), 8, 77);
   double mid = reference(1).finish_time * 0.5;
-  sim.runtime.inject(failure::Fault::kill_role(mid, 0, 3));
-  sim.runtime.inject(failure::Fault::kill_role(mid * 1.2, 1, 3));
-  soak::Outcome o = soak::run_and_digest(sim.runtime);
+  s.scripted = {failure::Fault::kill_role(mid, 0, 3),
+                failure::Fault::kill_role(mid * 1.2, 1, 3)};
+  JobResult o = run(s);
   ASSERT_TRUE(o.summary.complete) << "buddy-pair loss not survived";
   EXPECT_EQ(o.digest, reference(1).digest);
   EXPECT_GT(o.summary.parity_chunks_sent, 0u) << "parity exchange never ran";
@@ -251,13 +247,13 @@ TEST(XorTargeted, BuddyPairLossIsSurvivable) {
 /// manager must fall back to a scratch restart — and the job must still
 /// finish with the right answer.
 TEST(XorTargeted, TwoDeadInOneGroupFallsBackToScratch) {
-  soak::Sim sim(soak_acr_config(/*tier=*/false, 1), 8, 78);
+  Scenario s = soak::job(soak_acr_config(/*tier=*/false, 1), 8, 78);
   double mid = reference(1).finish_time * 0.5;
   // Same group (indices 0..3 of replica 0), near-simultaneous deaths: the
   // second falls while the first group rebuild is still in flight.
-  sim.runtime.inject(failure::Fault::kill_role(mid, 0, 1));
-  sim.runtime.inject(failure::Fault::kill_role(mid + 1e-5, 0, 2));
-  soak::Outcome o = soak::run_and_digest(sim.runtime);
+  s.scripted = {failure::Fault::kill_role(mid, 0, 1),
+                failure::Fault::kill_role(mid + 1e-5, 0, 2)};
+  JobResult o = run(s);
   ASSERT_TRUE(o.summary.complete) << "double-death in one group wedged the job";
   EXPECT_EQ(o.digest, reference(1).digest);
 }
@@ -267,11 +263,10 @@ TEST(XorTargeted, TwoDeadInOneGroupFallsBackToScratch) {
 TEST(XorTargeted, LocalSchemeRecoversOnlyFromScratch) {
   AcrConfig ac = soak::base_acr_config();
   ac.redundancy = ckpt::Scheme::Local;
-  soak::Sim sim(ac, 8, 79);
-  AcrRuntime& runtime = sim.runtime;
-  double mid = reference(1).finish_time * 0.5;
-  runtime.inject(failure::Fault::kill_role(mid, 0, 5));
-  soak::Outcome o = soak::run_and_digest(runtime);
+  Scenario s = soak::job(ac, 8, 79);
+  s.scripted = {
+      failure::Fault::kill_role(reference(1).finish_time * 0.5, 0, 5)};
+  JobResult o = run(s);
   ASSERT_TRUE(o.summary.complete);
   EXPECT_EQ(o.summary.scratch_restarts, 1u);
   EXPECT_EQ(o.summary.xor_rebuilds, 0u);

@@ -3,48 +3,39 @@
 // comparison instead of stalling for them.
 #include <gtest/gtest.h>
 
-#include "acr/runtime.h"
+#include "acr/scenario.h"
 #include "acr/stats.h"
-#include "apps/jacobi3d.h"
 #include "checksum/fletcher.h"
 
 namespace acr {
 namespace {
 
-apps::Jacobi3DConfig app_cfg() {
+Scenario job(bool semi_blocking) {
   apps::Jacobi3DConfig cfg;
   cfg.tasks_x = cfg.tasks_y = cfg.tasks_z = 2;
   cfg.block_x = cfg.block_y = cfg.block_z = 8;  // bigger checkpoints:
   cfg.iterations = 40;                          // transfer time matters
   cfg.slots_per_node = 2;
   cfg.seconds_per_point = 2e-6;
-  return cfg;
-}
-
-AcrConfig acr_cfg(bool semi_blocking) {
-  AcrConfig cfg;
-  cfg.checkpoint_interval = 0.002;
-  cfg.heartbeat_period = 0.0005;
-  cfg.heartbeat_timeout = 0.002;
-  cfg.semi_blocking = semi_blocking;
-  // Slow the modelled compare so the overlap is measurable.
-  return cfg;
+  Scenario s;
+  s.app = cfg;
+  s.acr.checkpoint_interval = 0.002;
+  s.acr.heartbeat_period = 0.0005;
+  s.acr.heartbeat_timeout = 0.002;
+  s.acr.semi_blocking = semi_blocking;
+  s.cluster.spare_nodes = 2;
+  return s;
 }
 
 RunSummary run(bool semi_blocking,
                std::function<void(AcrRuntime&)> tweak = {}) {
-  apps::Jacobi3DConfig j = app_cfg();
-  rt::ClusterConfig cc;
-  cc.nodes_per_replica = j.nodes_needed();
-  cc.spare_nodes = 2;
-  cc.net.compare_bandwidth = 5.0e6;  // exaggerated compare cost
-  cc.net.link_bandwidth = 20.0e6;    // exaggerated transfer cost
-  AcrRuntime runtime(acr_cfg(semi_blocking), cc);
-  runtime.set_task_factory(j.factory());
-  runtime.setup();
-  if (tweak) tweak(runtime);
-  RunSummary s = runtime.run(100.0);
-  return s;
+  Scenario s = job(semi_blocking);
+  // Slow the modelled compare so the overlap is measurable.
+  s.cluster.net.compare_bandwidth = 5.0e6;  // exaggerated compare cost
+  s.cluster.net.link_bandwidth = 20.0e6;    // exaggerated transfer cost
+  std::unique_ptr<AcrRuntime> runtime = start(s);
+  if (tweak) tweak(*runtime);
+  return runtime->run(100.0);
 }
 
 TEST(SemiBlocking, OverlapsComparisonWithExecution) {
@@ -87,13 +78,8 @@ TEST(SemiBlocking, SurvivesHardFailure) {
 
 TEST(SemiBlocking, FinalStateMatchesBlockingRun) {
   auto digest = [](bool semi) {
-    apps::Jacobi3DConfig j = app_cfg();
-    rt::ClusterConfig cc;
-    cc.nodes_per_replica = j.nodes_needed();
-    cc.spare_nodes = 2;
-    AcrRuntime runtime(acr_cfg(semi), cc);
-    runtime.set_task_factory(j.factory());
-    runtime.setup();
+    std::unique_ptr<AcrRuntime> started = start(job(semi));
+    AcrRuntime& runtime = *started;
     RunSummary s = runtime.run(100.0);
     EXPECT_TRUE(s.complete);
     runtime.engine().run_until(s.finish_time + 0.05);

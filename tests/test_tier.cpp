@@ -8,8 +8,6 @@
 #include <cmath>
 #include <string>
 
-#include "acr/runtime.h"
-#include "apps/jacobi3d.h"
 #include "ckpt/tier.h"
 #include "model/acr_model.h"
 #include "soak_util.h"
@@ -25,14 +23,26 @@ AcrConfig tier_acr_config(double bandwidth = 1e9) {
   return ac;
 }
 
-using soak::Sim;
+/// A soak job under `ac` with `spares` spares and the given kills.
+Scenario tier_job(const AcrConfig& ac, int spares, std::uint64_t seed,
+                  std::vector<failure::Fault> kills = {}) {
+  Scenario s = soak::job(ac, spares, seed);
+  s.scripted = std::move(kills);
+  return s;
+}
+
+/// Both buddies of node index 4 die at `at`.
+std::vector<failure::Fault> buddy_pair_kill(double at) {
+  return {failure::Fault::kill_role(at, 0, 4),
+          failure::Fault::kill_role(at, 1, 4)};
+}
+
 using soak::trace_contains;
-using soak::verified_digest;
 
 /// Fault-free single-tier run fixing the expected answer and duration.
 const soak::Reference& reference() {
   static const soak::Reference cached = soak::make_reference(
-      soak::small_app(), tier_acr_config(/*bandwidth=*/0.0),
+      soak::job(tier_acr_config(/*bandwidth=*/0.0), 0),
       "tier reference run must complete");
   return cached;
 }
@@ -44,15 +54,15 @@ const soak::Reference& reference() {
 TEST(TierFlush, FaultFreeRunFlushesEveryEpochAndMatchesReference) {
   // Same seed with and without the tier: the async flush must ride
   // underneath the protocol without perturbing the app timeline at all.
-  Sim control(tier_acr_config(/*bandwidth=*/0.0), 0, 7);
-  RunSummary c = control.runtime.run(30.0);
+  JobResult control = run(tier_job(tier_acr_config(/*bandwidth=*/0.0), 0, 7));
+  const RunSummary& c = control.summary;
   ASSERT_TRUE(c.complete);
-  EXPECT_EQ(control.runtime.tier(), nullptr);
+  EXPECT_EQ(control.runtime->tier(), nullptr);
   EXPECT_EQ(c.l2_flushes, 0u);
   EXPECT_EQ(c.l2_newest_durable, 0u);
 
-  Sim sim(tier_acr_config(), 0, 7);
-  RunSummary s = sim.runtime.run(30.0);
+  JobResult r = run(tier_job(tier_acr_config(), 0, 7));
+  const RunSummary& s = r.summary;
   ASSERT_TRUE(s.complete);
   EXPECT_EQ(s.finish_time, c.finish_time)
       << "an enabled but unused tier must not perturb the app timeline";
@@ -64,15 +74,13 @@ TEST(TierFlush, FaultFreeRunFlushesEveryEpochAndMatchesReference) {
   EXPECT_EQ(s.l2_fetches, 0u);
   EXPECT_EQ(s.l2_fetch_waves, 0u);
   EXPECT_EQ(s.l2_newest_durable, s.checkpoints - 1);
-  sim.runtime.engine().run_until(s.finish_time + 0.05);
-  EXPECT_EQ(verified_digest(sim.runtime), reference().digest);
+  EXPECT_EQ(r.digest, reference().digest);
 }
 
 TEST(TierFlush, FlushIntervalSkipsEpochs) {
   AcrConfig ac = tier_acr_config();
   ac.tier.flush_interval = 3;
-  Sim sim(ac, 0, 7);
-  RunSummary s = sim.runtime.run(30.0);
+  RunSummary s = run(tier_job(ac, 0, 7)).summary;
   ASSERT_TRUE(s.complete);
   EXPECT_LT(s.l2_flushes, s.checkpoints * 16u);
   EXPECT_GT(s.l2_flushes, 0u);
@@ -85,17 +93,16 @@ TEST(TierFlush, FlushIntervalSkipsEpochs) {
 // ---------------------------------------------------------------------------
 
 TEST(TierLadder, SingleFailureUsesL1NotL2) {
-  Sim sim(tier_acr_config(), 4, 11);
   double mid = reference().finish_time * 0.5;
-  sim.runtime.inject(failure::Fault::kill_role(mid, 0, 3));
-  RunSummary s = sim.runtime.run(30.0);
+  JobResult r = run(tier_job(tier_acr_config(), 4, 11,
+                             {failure::Fault::kill_role(mid, 0, 3)}));
+  const RunSummary& s = r.summary;
   ASSERT_TRUE(s.complete);
   EXPECT_GE(s.recoveries, 1u);          // partner copy handled it
   EXPECT_EQ(s.l2_fetch_waves, 0u);      // L2 never consulted
   EXPECT_EQ(s.l2_fetches, 0u);
   EXPECT_EQ(s.scratch_restarts, 0u);
-  sim.runtime.engine().run_until(s.finish_time + 0.05);
-  EXPECT_EQ(verified_digest(sim.runtime), reference().digest);
+  EXPECT_EQ(r.digest, reference().digest);
 }
 
 // ---------------------------------------------------------------------------
@@ -103,19 +110,16 @@ TEST(TierLadder, SingleFailureUsesL1NotL2) {
 // ---------------------------------------------------------------------------
 
 TEST(TierLadder, BuddyPairLossFetchesFromDurableInsteadOfScratch) {
-  Sim sim(tier_acr_config(), 4, 31);
   double mid = reference().finish_time * 0.5;
-  sim.runtime.inject(failure::Fault::kill_role(mid, 0, 4));
-  sim.runtime.inject(failure::Fault::kill_role(mid, 1, 4));
-  RunSummary s = sim.runtime.run(30.0);
+  JobResult r = run(tier_job(tier_acr_config(), 4, 31, buddy_pair_kill(mid)));
+  const RunSummary& s = r.summary;
   ASSERT_TRUE(s.complete) << "buddy-pair loss wedged the job";
   EXPECT_EQ(s.scratch_restarts, 0u)
       << "a flushed epoch existed; the ladder must fetch, not restart";
   EXPECT_GE(s.l2_fetch_waves, 1u);
   EXPECT_EQ(s.l2_fetches, 16u * s.l2_fetch_waves);
-  EXPECT_TRUE(trace_contains(sim.runtime, rt::TraceKind::FetchCompleted));
-  sim.runtime.engine().run_until(s.finish_time + 0.05);
-  EXPECT_EQ(verified_digest(sim.runtime), reference().digest);
+  EXPECT_TRUE(trace_contains(*r.runtime, rt::TraceKind::FetchCompleted));
+  EXPECT_EQ(r.digest, reference().digest);
   // The fetch rolled back less work than a scratch restart would have:
   // with the newest epoch durable the job must beat restart-from-zero,
   // which costs at least another full reference duration after mid-run.
@@ -126,16 +130,14 @@ TEST(TierLadder, BuddyPairLossBeforeAnyFlushFallsBackToScratch) {
   // Slow the tier so no epoch completes its flush before the kill: the
   // fetch rung finds nothing durable and degrades to a genuine scratch.
   AcrConfig ac = tier_acr_config(/*bandwidth=*/10.0);  // ~7 min per image
-  Sim sim(ac, 4, 31);
-  double early = reference().finish_time * 0.2;
-  sim.runtime.inject(failure::Fault::kill_role(early, 0, 4));
-  sim.runtime.inject(failure::Fault::kill_role(early, 1, 4));
-  RunSummary s = sim.runtime.run(60.0);
-  ASSERT_TRUE(s.complete);
-  EXPECT_GE(s.scratch_restarts, 1u);
-  EXPECT_EQ(s.l2_fetch_waves, 0u);
-  sim.runtime.engine().run_until(s.finish_time + 0.05);
-  EXPECT_EQ(verified_digest(sim.runtime), reference().digest);
+  Scenario job =
+      tier_job(ac, 4, 31, buddy_pair_kill(reference().finish_time * 0.2));
+  job.max_virtual_time = 60.0;
+  JobResult r = run(job);
+  ASSERT_TRUE(r.summary.complete);
+  EXPECT_GE(r.summary.scratch_restarts, 1u);
+  EXPECT_EQ(r.summary.l2_fetch_waves, 0u);
+  EXPECT_EQ(r.digest, reference().digest);
 }
 
 // ---------------------------------------------------------------------------
@@ -207,26 +209,26 @@ TEST(TierAtomicity, MidFlushDeathPublishesNothing) {
   // one node while its flush is in flight and verify the tier holds no
   // blob for it — there is no half-written L2 image.
   AcrConfig ac = tier_acr_config(/*bandwidth=*/2e4);  // ~0.2 s per image
-  Sim sim(ac, 4, 13);
+  std::unique_ptr<AcrRuntime> job = start(tier_job(ac, 4, 13));
+  AcrRuntime& runtime = *job;
   const int victim = 5;
   double first_commit = 0.004;  // just past the first checkpoint commit
   double kill_at = first_commit + 0.02;
-  sim.runtime.engine().schedule_at(kill_at, [&sim] {
-    ASSERT_TRUE(sim.runtime.agent_at(0, victim).flush_active())
+  runtime.engine().schedule_at(kill_at, [&runtime] {
+    ASSERT_TRUE(runtime.agent_at(0, victim).flush_active())
         << "test premise: the victim must be mid-flush when killed";
   });
-  sim.runtime.inject(failure::Fault::kill_role(kill_at, 0, victim));
-  sim.runtime.engine().schedule_at(first_commit + 0.021, [&sim] {
-    ckpt::DurableTier* tier = sim.runtime.tier();
+  runtime.inject(failure::Fault::kill_role(kill_at, 0, victim));
+  runtime.engine().schedule_at(first_commit + 0.021, [&runtime] {
+    ckpt::DurableTier* tier = runtime.tier();
     ASSERT_NE(tier, nullptr);
     for (std::uint64_t e : tier->epochs_present())
       EXPECT_FALSE(tier->has(0, victim, e))
           << "dead role published epoch " << e << " mid-flush";
   });
-  RunSummary s = sim.runtime.run(60.0);
-  ASSERT_TRUE(s.complete);
-  sim.runtime.engine().run_until(s.finish_time + 0.05);
-  EXPECT_EQ(verified_digest(sim.runtime), reference().digest);
+  JobResult r = finish(std::move(job), 60.0);
+  ASSERT_TRUE(r.summary.complete);
+  EXPECT_EQ(r.digest, reference().digest);
 }
 
 // ---------------------------------------------------------------------------
@@ -236,15 +238,15 @@ TEST(TierAtomicity, MidFlushDeathPublishesNothing) {
 TEST(TierDrain, HaltAfterDrainsNewestEpochAndStops) {
   AcrConfig ac = tier_acr_config();
   ac.halt_after = reference().finish_time * 0.4;
-  Sim sim(ac, 0, 7);
-  RunSummary s = sim.runtime.run(30.0);
+  JobResult r = run(tier_job(ac, 0, 7));
+  const RunSummary& s = r.summary;
   EXPECT_FALSE(s.complete);
   EXPECT_FALSE(s.failed);
   EXPECT_TRUE(s.drained);
   EXPECT_GT(s.l2_newest_durable, 0u);
-  EXPECT_TRUE(trace_contains(sim.runtime, rt::TraceKind::DrainCompleted));
+  EXPECT_TRUE(trace_contains(*r.runtime, rt::TraceKind::DrainCompleted));
   // Everything verified made it to L2.
-  ckpt::DurableTier* tier = sim.runtime.tier();
+  ckpt::DurableTier* tier = r.runtime->tier();
   ASSERT_NE(tier, nullptr);
   EXPECT_EQ(tier->newest_complete_epoch(), s.l2_newest_durable);
 }
@@ -255,12 +257,11 @@ TEST(TierDrain, DrainWithLaggingFlushesScavenges) {
   AcrConfig ac = tier_acr_config();
   ac.tier.flush_interval = 4;
   ac.halt_after = reference().finish_time * 0.45;
-  Sim sim(ac, 0, 7);
-  RunSummary s = sim.runtime.run(30.0);
-  EXPECT_TRUE(s.drained);
-  EXPECT_GT(s.l2_scavenges, 0u);
-  EXPECT_TRUE(trace_contains(sim.runtime, rt::TraceKind::DrainRequested));
-  EXPECT_TRUE(trace_contains(sim.runtime, rt::TraceKind::DrainCompleted));
+  JobResult r = run(tier_job(ac, 0, 7));
+  EXPECT_TRUE(r.summary.drained);
+  EXPECT_GT(r.summary.l2_scavenges, 0u);
+  EXPECT_TRUE(trace_contains(*r.runtime, rt::TraceKind::DrainRequested));
+  EXPECT_TRUE(trace_contains(*r.runtime, rt::TraceKind::DrainCompleted));
 }
 
 // ---------------------------------------------------------------------------
@@ -269,16 +270,12 @@ TEST(TierDrain, DrainWithLaggingFlushesScavenges) {
 // ---------------------------------------------------------------------------
 
 TEST(TierDeterminism, FetchPathIdenticalAcrossKernelThreads) {
-  Sim sim(tier_acr_config(), 4, 31);
-  double mid = reference().finish_time * 0.5;
-  sim.runtime.inject(failure::Fault::kill_role(mid, 0, 4));
-  sim.runtime.inject(failure::Fault::kill_role(mid, 1, 4));
-  RunSummary s = sim.runtime.run(30.0);
-  ASSERT_TRUE(s.complete);
-  EXPECT_GE(s.l2_fetch_waves, 1u);
-  EXPECT_GE(s.l2_flushes, 1u);
-  sim.runtime.engine().run_until(s.finish_time + 0.05);
-  EXPECT_EQ(verified_digest(sim.runtime), reference().digest);
+  JobResult r = run(tier_job(tier_acr_config(), 4, 31,
+                             buddy_pair_kill(reference().finish_time * 0.5)));
+  ASSERT_TRUE(r.summary.complete);
+  EXPECT_GE(r.summary.l2_fetch_waves, 1u);
+  EXPECT_GE(r.summary.l2_flushes, 1u);
+  EXPECT_EQ(r.digest, reference().digest);
 }
 
 // ---------------------------------------------------------------------------
@@ -291,16 +288,14 @@ TEST(TierModel, SimulatedFetchReworkWithinModelEnvelope) {
   // difference between the faulted and fault-free finish times. The two
   // must agree within a fig7-style factor-of-two envelope (the model is
   // first-order: it ignores heartbeat detection latency and barriers).
-  Sim sim(tier_acr_config(), 4, 31);
-  double mid = reference().finish_time * 0.5;
-  sim.runtime.inject(failure::Fault::kill_role(mid, 0, 4));
-  sim.runtime.inject(failure::Fault::kill_role(mid, 1, 4));
-  RunSummary s = sim.runtime.run(30.0);
+  JobResult r = run(tier_job(tier_acr_config(), 4, 31,
+                             buddy_pair_kill(reference().finish_time * 0.5)));
+  const RunSummary& s = r.summary;
   ASSERT_TRUE(s.complete);
   ASSERT_GE(s.l2_fetch_waves, 1u);
   double sim_cost = s.finish_time - reference().finish_time;
 
-  const AcrConfig& ac = sim.runtime.config();
+  const AcrConfig& ac = r.runtime->config();
   double tau = ac.checkpoint_interval;
   // Fetch price actually charged by the DES: one L2 read per role image.
   double blob = static_cast<double>(s.l2_flush_bytes) /

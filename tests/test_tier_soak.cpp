@@ -13,8 +13,6 @@
 // Runs under the `tier-soak` ctest label (CI runs it with ASan/UBSan).
 #include <gtest/gtest.h>
 
-#include "acr/runtime.h"
-#include "apps/jacobi3d.h"
 #include "soak_util.h"
 
 namespace acr {
@@ -31,23 +29,24 @@ AcrConfig soak_acr_config(bool tier) {
 /// Fault-free, tier-free run fixing the expected answer.
 const soak::Reference& reference() {
   static soak::Reference cached = soak::make_reference(
-      soak::small_app(), soak_acr_config(/*tier=*/false),
+      soak::job(soak_acr_config(/*tier=*/false), 0),
       "tier soak reference run must complete");
   return cached;
 }
 
 struct SoakOutcome {
-  soak::Outcome out;
+  JobResult out;
   bool scratch_after_durable = false;
   bool hardware_annihilated = false;
 };
 
 SoakOutcome soak_run(std::uint64_t seed, bool tier) {
-  soak::Sim sim(soak_acr_config(tier), /*spares=*/2, seed);  // bursts drain it
-  AcrRuntime& runtime = sim.runtime;
-  runtime.set_burst_plan(soak::default_burst_config(reference().finish_time));
+  // Bursts drain the 2-spare pool.
+  Scenario s = soak::job(soak_acr_config(tier), /*spares=*/2, seed);
+  s.bursts = soak::default_burst_config(reference().finish_time);
   SoakOutcome o;
-  o.out = soak::run_and_digest(runtime);
+  o.out = run(s);
+  AcrRuntime& runtime = *o.out.runtime;
   // A scratch restart is legitimate only before the first epoch finished
   // flushing; afterwards the ladder must always serve an L2 fetch.
   o.scratch_after_durable = soak::scratch_after_first_durable(runtime);

@@ -83,6 +83,25 @@ EXTRA = {
         "--net-loss=0.01 --seed=8 --trace",
 }
 
+# One command line per message the driver prints on rejected input, plus
+# --help: their stderr and exit code must not move either.
+EXTRA.update({f"reject/{flags}": flags for flags in [
+    "--help", "--no-such-flag", "--nodes=abc", "--nodes", "positional",
+    "--net-loss=1.5", "--net-dup=-0.1", "--net-reorder=2", "--net-corrupt=-1",
+    "--net-retry-budget=0", "--burst-follow=1.5", "--burst-window=-1",
+    "--burst-domain=0", "--spare-repair-time=-1", "--l2-bandwidth=-1",
+    "--l2-latency=1e-4", "--flush-interval=2", "--halt-after=0.1",
+    "--l2-bandwidth=2e9 --l2-latency=-1",
+    "--l2-bandwidth=2e9 --flush-interval=0",
+    "--l2-bandwidth=2e9 --halt-after=-1",
+    "--l2-bandwidth=nan --halt-after=0.1",
+    "--xor-group-size=4", "--ckpt-scheme=xor --rs-parity=2",
+    "--ckpt-scheme=rs --xor-group-size=1", "--ckpt-scheme=rs --nodes=2",
+    "--ckpt-scheme=rs --rs-parity=0", "--ckpt-scheme=rs --rs-parity=4",
+    "--ckpt-scheme=rs --xor-group-size=255 --nodes=256",
+    "--ckpt-scheme=rs --scheme=medium", "--ckpt-scheme=local --scheme=weak",
+]})
+
 
 def matrix():
     for app in APPS:
